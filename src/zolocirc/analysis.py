@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approximants import UnimodularRational
-from .elliptic import EllipticModulus, require_theta, solve_lambda
+from .elliptic import EllipticModulus, require_degree, require_theta, solve_lambda
 from .errors import DomainError, ResolutionError
 
 _TWO_PI = 2.0 * math.pi
@@ -253,8 +253,7 @@ def zolotarev_number(m: int, theta: float) -> float:
     (1 + p^{2j-1}))^4 with p = rho^{-4m}; the product is truncated once a
     multiplicand is within 1e-17 of 1 (at most 64 terms).
     """
-    if not (isinstance(m, int) and m >= 0):
-        raise DomainError(f"degree must be a nonnegative integer, got {m!r}")
+    m = require_degree(m, 0)
     require_theta(theta)
     mod = EllipticModulus.from_theta(theta)
     p = mod.rho ** (-4.0 * m)
@@ -298,8 +297,7 @@ def error_bounds(m_or_n: int, theta: float, problem: str) -> tuple[float, float]
     carry n + 1/2 and the doubled rate.
     """
     require_theta(theta)
-    if not (isinstance(m_or_n, int) and m_or_n >= 0):
-        raise DomainError(f"degree must be a nonnegative integer, got {m_or_n!r}")
+    m_or_n = require_degree(m_or_n, 0)
     mod = EllipticModulus.from_theta(theta)
     log4sec = math.log(4.0 / mod.ell)
     key = problem.lower()

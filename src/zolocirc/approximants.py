@@ -29,6 +29,7 @@ from .elliptic import (
     _agm,
     _sncndn,
     inverse_sn,
+    require_degree,
     require_theta,
     solve_lambda,
 )
@@ -245,8 +246,8 @@ def _node_sncndn(num: int, den: int, theta: float):
 
 def coeff_a(j: int, n: int, theta: float) -> float:
     """Parameter a_j > 0 of the j-th sqrt-approximant factor (1 + a_j z)/(z + a_j)."""
-    if not (isinstance(j, int) and isinstance(n, int) and 1 <= j <= n):
-        raise DomainError(f"need 1 <= j <= n, got j={j!r}, n={n!r}")
+    n = require_degree(n, 1, "n")
+    j = require_degree(j, 1, "j", n)
     require_theta(theta)
     ell, (sn, cn, dn) = _node_sncndn(2 * j - 1, 2 * n + 1, theta)
     base = (ell * sn + dn) / cn
@@ -255,8 +256,7 @@ def coeff_a(j: int, n: int, theta: float) -> float:
 
 def build_r(n: int, theta: float) -> UnimodularRational:
     """Optimal unimodular approximant of sqrt(z) on the arc of half-width 2 Theta."""
-    if not (isinstance(n, int) and n >= 0):
-        raise DomainError(f"degree must be a nonnegative integer, got {n!r}")
+    n = require_degree(n, 0)
     require_theta(theta)
     params = tuple(FactorParam(coeff_a(j, n, theta)) for j in range(1, n + 1))
     return UnimodularRational(0, 0, params, Family.R_FAMILY)
@@ -269,8 +269,8 @@ def coeff_b(j: int, m: int, theta: float) -> float:
     with positive exponent, and 0.0 there with negative exponent; the
     (-1)^{mj} prefactor is folded into the sign.
     """
-    if not (isinstance(j, int) and isinstance(m, int) and 1 <= j <= m):
-        raise DomainError(f"need 1 <= j <= m, got j={j!r}, m={m!r}")
+    m = require_degree(m, 1, "m")
+    j = require_degree(j, 1, "j", m)
     require_theta(theta)
     sign = -1.0 if (m * j) % 2 else 1.0
     if 2 * j - 1 == m:
@@ -283,8 +283,7 @@ def coeff_b(j: int, m: int, theta: float) -> float:
 
 def build_s(m: int, theta: float) -> UnimodularRational:
     """Optimal unimodular approximant of sign(z) on the arc pair of half-width Theta."""
-    if not (isinstance(m, int) and m >= 0):
-        raise DomainError(f"degree must be a nonnegative integer, got {m!r}")
+    m = require_degree(m, 0)
     require_theta(theta)
     params = []
     for j in range(1, m + 1):
@@ -318,8 +317,7 @@ class ZolotarevFraction:
 
     @classmethod
     def from_ell(cls, m: int, ell: float, ell_comp: float | None = None) -> "ZolotarevFraction":
-        if not (isinstance(m, int) and m >= 0):
-            raise DomainError(f"degree must be a nonnegative integer, got {m!r}")
+        m = require_degree(m, 0)
         modulus = EllipticModulus.from_ell(ell, ell_comp)
         reduction = solve_lambda(modulus.ell, m, modulus.ell_comp)
         n = (m - 1) // 2 if m % 2 else m // 2
@@ -406,8 +404,7 @@ class Z4Approximant:
 
 
 def z4_solution(m: int, ell: float) -> Z4Approximant:
-    if not (isinstance(m, int) and m >= 1):
-        raise DomainError(f"degree must be a positive integer, got {m!r}")
+    m = require_degree(m, 1)
     zf = ZolotarevFraction.from_ell(m, ell)
     red = zf.reduction
     one_plus = 1.0 + red.lam

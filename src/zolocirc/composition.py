@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .approximants import ZolotarevFraction, build_r, build_s, eval_F_product
-from .elliptic import require_modulus, require_theta, solve_lambda
+from .elliptic import require_degree, require_modulus, require_theta, solve_lambda
 from .errors import DomainError
 
 
@@ -40,8 +40,7 @@ def theta_tilde(m: int, theta: float) -> float:
     constructions do not inherit endpoint arg roundoff; evaluating the
     product there agrees to the stated tolerance (checked in tests).
     """
-    if not (isinstance(m, int) and m >= 0):
-        raise DomainError(f"degree must be a nonnegative integer, got {m!r}")
+    m = require_degree(m, 0)
     if m == 0:
         return 0.5 * math.pi  # s_0 = i everywhere
     require_theta(theta)

@@ -24,7 +24,7 @@ from .approximants import (
     coeff_a,
     eval_F_product,
 )
-from .elliptic import _sncndn, complement, complete_K, require_modulus, solve_lambda
+from .elliptic import _sncndn, complement, complete_K, require_degree, require_modulus, solve_lambda
 from .errors import BranchError, DomainError
 
 
@@ -47,8 +47,7 @@ class BlaschkeProduct:
 
 def blaschke_h(m: int, ell: float) -> BlaschkeProduct:
     """Ng-Tsang product with c_j = sqrt(ell) cn(v_j, ell)/dn(v_j, ell), v_j = (2j-1)K(ell)/m."""
-    if not (isinstance(m, int) and m >= 1):
-        raise DomainError(f"degree must be a positive integer, got {m!r}")
+    m = require_degree(m, 1)
     require_modulus(ell)
     K = complete_K(ell)
     ell_comp = complement(ell)
@@ -88,8 +87,7 @@ def blaschke_s_relation(m: int, ell: float, z: complex) -> tuple[float, float]:
     BranchError signals that the Moebius image left [-1, 1], where no
     unit-circle w exists.
     """
-    if not (isinstance(m, int) and m >= 1):
-        raise DomainError(f"degree must be a positive integer, got {m!r}")
+    m = require_degree(m, 1)
     require_modulus(ell)
     kappa = _kappa(ell)
     z = complex(z)
@@ -118,8 +116,7 @@ def scaled_F_via_blaschke(m: int, ell: float, z: complex) -> tuple[float, float]
     Left as in blaschke_s_relation; right is (2/(1 + F_m(kappa; kappa)))
     F_m(x; kappa) at x = sqrt(kappa)(z - 1)/(z + 1).
     """
-    if not (isinstance(m, int) and m >= 1):
-        raise DomainError(f"degree must be a positive integer, got {m!r}")
+    m = require_degree(m, 1)
     require_modulus(ell)
     kappa = _kappa(ell)
     z = complex(z)
@@ -157,8 +154,7 @@ class PadeApproximant:
 
 def pade_p(n: int) -> PadeApproximant:
     """Expand sqrt(z) ((1+sqrt z)^{2n+1} + (1-sqrt z)^{2n+1}) / (...difference...)."""
-    if not (isinstance(n, int) and n >= 0):
-        raise DomainError(f"degree must be a nonnegative integer, got {n!r}")
+    n = require_degree(n, 0)
     scale = 2 * n + 1  # denominator constant term before normalization
     num = tuple(math.comb(2 * n + 1, 2 * j) / scale for j in range(n + 1))
     den = tuple(math.comb(2 * n + 1, 2 * j + 1) / scale for j in range(n + 1))
@@ -175,8 +171,7 @@ def pade_limit_check(n: int, theta_seq) -> list[float]:
     For each Theta, the sorted poles {-a_j(Theta)} are compared with the
     sorted poles of p_n; the proposition says the deviations tend to 0.
     """
-    if not (isinstance(n, int) and n >= 0):
-        raise DomainError(f"degree must be a nonnegative integer, got {n!r}")
+    n = require_degree(n, 0)
     target = pade_p(n).poles
     out = []
     for theta in theta_seq:

@@ -22,6 +22,7 @@ lam rounds to within a few ulp of 1.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError, PrecisionError
@@ -58,6 +59,22 @@ def require_theta(theta: float, name: str = "theta") -> None:
         raise PrecisionError(
             f"{name}={theta!r} outside supported range ({THETA_MIN:.6e}, {THETA_MAX!r})"
         )
+
+
+def require_degree(value, minimum: int, name: str = "degree", maximum: int | None = None) -> int:
+    """Return a degree or index as a plain int, or raise DomainError.
+
+    Python and numpy integers are accepted; bools, floats and values
+    outside [minimum, maximum] are not.
+    """
+    try:
+        n = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        n = None
+    if n is None or n < minimum or (maximum is not None and n > maximum):
+        bound = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
+        raise DomainError(f"{name} must be an integer {bound}, got {value!r}")
+    return n
 
 
 def _agm(a: float, b: float) -> float:
@@ -289,8 +306,7 @@ def solve_lambda(ell: float, m: int, ell_comp: float | None = None) -> DegreeRed
     complement lam' = mu_inverse(m (pi/2)^2 / mu(ell)) so that lam near 1
     is produced with full relative accuracy in 1 - lam.
     """
-    if not isinstance(m, int) or m < 0:
-        raise DomainError(f"degree must be a nonnegative integer, got {m!r}")
+    m = require_degree(m, 0)
     require_modulus(ell)
     if ell_comp is None:
         ell_comp = complement(ell)

@@ -135,6 +135,15 @@ class TestBuildS:
         for m in (2, 3, 5, 8):
             assert ap.build_s(m, 1.0)(1j) == pytest.approx(1j, abs=1e-13)
 
+    def test_rejects_bool_degree(self):
+        with pytest.raises(DomainError):
+            ap.build_s(True, 1.0)
+
+    def test_accepts_numpy_integer_degree(self):
+        s = ap.build_s(np.int64(3), 1.0)
+        assert s == ap.build_s(3, 1.0)
+        assert type(ap.ZolotarevFraction.from_theta(np.int64(3), 1.0).m) is int
+
 
 class TestReciprocal:
     def test_constant(self):

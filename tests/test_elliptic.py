@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from zolocirc import elliptic as el
@@ -240,3 +241,20 @@ class TestSolveLambda:
             el.solve_lambda(1e-9, 2)
         with pytest.raises(PrecisionError):
             el.solve_lambda(1.0 - 1e-9, 2)
+
+
+class TestRequireDegree:
+    @pytest.mark.parametrize("value", [3, np.int64(3), np.uint8(3)])
+    def test_integers_become_plain_int(self, value):
+        n = el.require_degree(value, 0)
+        assert n == 3 and type(n) is int
+
+    @pytest.mark.parametrize("value", [True, False, np.True_, 3.0, "3", None, -1])
+    def test_rejects_non_integers_and_values_below_minimum(self, value):
+        with pytest.raises(DomainError):
+            el.require_degree(value, 0)
+
+    def test_maximum_is_inclusive(self):
+        assert el.require_degree(4, 1, "j", 4) == 4
+        with pytest.raises(DomainError):
+            el.require_degree(5, 1, "j", 4)

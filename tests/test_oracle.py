@@ -4,6 +4,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from zolocirc import approximants as ap
 from zolocirc import elliptic as el
 from zolocirc import oracle as orc
 from zolocirc.errors import DomainError
@@ -50,15 +51,66 @@ class TestOracleSn:
             orc.oracle_amplitude(10.0 * el.complete_K(0.5), 0.5)
 
 
+KERNEL_THETAS = [1e-3, 0.3, 1.0, 1.4, 0.5 * math.pi - 1e-3]
+
+
+def literal_max_phase_error(a, theta, samples):
+    """The scan's error in its literal complex form, wrapped and refined as the scan does."""
+    ts = np.linspace(-2.0 * theta, 2.0 * theta, samples)
+    z = np.exp(1j * ts)
+    e = np.angle((1.0 + a * z) / (z + a)) - 0.5 * ts
+    e = np.abs(np.remainder(e + math.pi, 2.0 * math.pi) - math.pi)
+    i = int(np.argmax(e))
+    if i in (0, samples - 1):
+        return e[i]
+    y0, y1, y2 = e[i - 1], e[i], e[i + 1]
+    denom = y0 - 2.0 * y1 + y2
+    return y1 if denom == 0.0 else y1 - 0.125 * (y2 - y0) ** 2 / denom
+
+
 class TestDegreeOneScan:
     def test_search_grid_validation(self):
         with pytest.raises(DomainError):
             orc.oracle_minimax_degree1(1.0, 9999)
 
+    @pytest.mark.parametrize("theta", [0.0, 0.5 * math.pi, -1.0])
+    def test_theta_validation(self, theta):
+        with pytest.raises(DomainError):
+            orc.oracle_minimax_degree1(theta)
+
+    def test_samples_validation(self):
+        # the parabolic refinement needs the peak and two neighbours
+        with pytest.raises(DomainError):
+            orc.degree1_max_phase_error(1.0, 1.0, 2)
+
     def test_measuring_stick_on_known_case(self):
         # degree-0 behaviour: a -> infinity collapses the factor to a constant
         err = orc.degree1_max_phase_error(1e9, 0.8)
         assert err == pytest.approx(0.8, abs=1e-5)
+
+    @pytest.mark.parametrize("samples", [2048, 8192])
+    @pytest.mark.parametrize("theta", KERNEL_THETAS)
+    def test_kernel_matches_the_literal_formula(self, theta, samples):
+        worst = max(
+            abs(orc.degree1_max_phase_error(a, theta, samples) - literal_max_phase_error(a, theta, samples))
+            for a in list(np.exp(np.linspace(math.log(1e-4), math.log(1e6), 61))) + [1e9]
+        )
+        assert worst <= 1e-13
+
+    @pytest.mark.parametrize("theta", KERNEL_THETAS)
+    def test_blocked_curve_matches_the_literal_formula(self, theta):
+        # 61 candidates fill several blocks at 2048 samples, the last one partial
+        grid, errs = orc.degree1_error_curve(theta, 61)
+        literal = [literal_max_phase_error(a, theta, 2048) for a in grid]
+        assert np.max(np.abs(errs - literal)) <= 1e-13
+
+    @pytest.mark.parametrize("theta", [0.3, 1.0, 1.5])
+    def test_argmin_is_the_optimal_coefficient(self, theta):
+        a_star = orc.oracle_minimax_degree1(theta)
+        cell = (math.log(1e6) - math.log(1e-4)) / (10_000 - 1)
+        assert abs(math.log(a_star) - math.log(ap.coeff_a(1, 1, theta))) <= cell
+        optimum = math.asin(el.solve_lambda(math.cos(theta), 3, math.sin(theta)).lam_comp)
+        assert abs(orc.degree1_max_phase_error(a_star, theta, 16384) - optimum) <= 1e-6
 
     def test_error_curve_unimodal(self):
         grid, errs = orc.degree1_error_curve(1.0, 300)
