@@ -1,11 +1,14 @@
 """Phase-error measurement, equioscillation counts, Zolotarev numbers, bounds.
 
 The phase error of an approximant R against sqrt or sign is the wrapped
-argument of R(e^{i t}) / target(e^{i t}) over the arc domain.  Grid
-sampling plus golden-section refinement locates every local extremum of
-the signed error; for the optimal approximants these alternate in sign
-and all sit at the common amplitude arccos(lam), which is also predicted
-analytically from the degree reduction.
+argument of R(e^{i t}) / target(e^{i t}) over the arc domain, computed by
+one kernel (``_phase_error``) for both problems and both arcs.  Each arc's
+sample grid is evaluated as one array; the grid only brackets the local
+extrema of the signed error, and golden-section refinement on the scalar
+path computes every reported value.  For the optimal approximants the
+extrema alternate in sign and all sit at the common amplitude
+arccos(lam), which is also predicted analytically from the degree
+reduction.
 """
 
 from __future__ import annotations
@@ -50,6 +53,39 @@ def _wrap(x: float) -> float:
     return y if y != -math.pi else math.pi
 
 
+def _phase_error(r: UnimodularRational, offset: float, half_t: float):
+    """Signed error t -> wrap(arg r(e^{i t}) - offset - half_t t).
+
+    An ndarray of angles is evaluated with one array call of r; a float
+    takes the scalar path.  On the arcs the unwrapped difference lies in
+    [-2 pi, 3 pi/2], where one exact shift by 2 pi gives ``_wrap``'s value.
+    """
+
+    def err(t):
+        if isinstance(t, np.ndarray):
+            w = r(np.exp(1j * t))
+            x = np.arctan2(w.imag, w.real) - (offset + half_t * t)
+            x = np.where(x > math.pi, x - _TWO_PI, x)
+            return np.where(x <= -math.pi, x + _TWO_PI, x)
+        w = r(complex(math.cos(t), math.sin(t)))
+        return _wrap(math.atan2(w.imag, w.real) - (offset + half_t * t))
+
+    return err
+
+
+def _arc_jobs(r: UnimodularRational, theta: float, problem: str):
+    """(error kernel, lo, hi) of each arc of the z5 or z6 domain."""
+    key = problem.lower()
+    if key == "z5":
+        return [(_phase_error(r, 0.0, 0.5), -2.0 * theta, 2.0 * theta)]
+    if key == "z6":
+        return [
+            (_phase_error(r, 0.0, 0.0), -theta, theta),
+            (_phase_error(r, math.pi, 0.0), math.pi - theta, math.pi + theta),
+        ]
+    raise DomainError(f"problem must be 'z5' or 'z6', got {problem!r}")
+
+
 def _golden_max(f, lo: float, hi: float, tol: float = 1e-12):
     """Golden-section maximizer of f on [lo, hi]; returns (x, f(x))."""
     a, b = lo, hi
@@ -72,32 +108,25 @@ def _golden_max(f, lo: float, hi: float, tol: float = 1e-12):
 def _arc_extrema(err_fn, lo: float, hi: float, n: int):
     """Locate and refine all local extrema of the signed error on [lo, hi].
 
-    Endpoints always enter as candidates.  Returns the refined list sorted
-    by angle; a flat curve (degree-0 approximants) collapses to its
-    midpoint.
+    ``err_fn`` takes an array of angles (the grid, evaluated at once) or a
+    float (the refinement).  Endpoints always enter as candidates.  Returns
+    the refined list sorted by angle; a flat curve (degree-0 approximants)
+    collapses to its midpoint.
     """
     ths = np.linspace(lo, hi, n)
-    e = np.array([err_fn(t) for t in ths])
+    e = err_fn(ths)
     if float(e.max() - e.min()) < 1e-13:
         mid = 0.5 * (lo + hi)
         return [(mid, err_fn(mid))]
-    out = []
     last = n - 1
-    for i in range(n):
-        if 0 < i < last:
-            is_max = e[i] >= e[i - 1] and e[i] >= e[i + 1]
-            is_min = e[i] <= e[i - 1] and e[i] <= e[i + 1]
-        elif i == 0:
-            is_max = e[0] >= e[1]
-            is_min = not is_max
-        else:
-            is_max = e[last] >= e[last - 1]
-            is_min = not is_max
-        if not (is_max or is_min):
-            continue
-        a = ths[max(i - 1, 0)]
-        b = ths[min(i + 1, last)]
-        sign = 1.0 if is_max else -1.0
+    inner = e[1:-1]
+    peak = np.ones(n, dtype=bool)  # endpoints always enter
+    peak[1:-1] = ((inner >= e[:-2]) & (inner >= e[2:])) | ((inner <= e[:-2]) & (inner <= e[2:]))
+    out = []
+    for i in np.flatnonzero(peak).tolist():
+        left, right = max(i - 1, 0), min(i + 1, last)
+        a, b = ths[left], ths[right]
+        sign = 1.0 if e[i] >= e[left] and e[i] >= e[right] else -1.0
         x, v = _golden_max(lambda t: sign * err_fn(t), a, b)
         if i == 0 or i == last:
             # arc endpoints are candidate extrema in their own right
@@ -170,14 +199,7 @@ def phase_error_sqrt(r: UnimodularRational, theta: float, grid_n: int) -> PhaseE
         raise DomainError(f"grid_n must be at least 8(n+1) = {8 * (n + 1)}")
     red = solve_lambda(math.cos(theta), 2 * n + 1, math.sin(theta))
     predicted = math.asin(red.lam_comp)  # arccos(lam), stable near lam = 1
-
-    def err(t: float) -> float:
-        w = r(complex(math.cos(t), math.sin(t)))
-        return _wrap(math.atan2(w.imag, w.real) - 0.5 * t)
-
-    amplitude, extrema, counts = _certified_measure(
-        [(err, -2.0 * theta, 2.0 * theta)], grid_n, 2 * n + 2
-    )
+    amplitude, extrema, counts = _certified_measure(_arc_jobs(r, theta, "z5"), grid_n, 2 * n + 2)
     return PhaseErrorReport(amplitude, predicted, extrema, counts, grid_n)
 
 
@@ -189,23 +211,7 @@ def phase_error_sign(s: UnimodularRational, theta: float, grid_n: int) -> PhaseE
         raise DomainError(f"grid_n must be at least 8(m+1) = {8 * (m + 1)}")
     red = solve_lambda(math.cos(theta), m, math.sin(theta))
     predicted = math.asin(red.lam_comp)
-
-    def err_right(t: float) -> float:
-        w = s(complex(math.cos(t), math.sin(t)))
-        return _wrap(math.atan2(w.imag, w.real))
-
-    def err_left(t: float) -> float:
-        w = s(complex(math.cos(t), math.sin(t)))
-        return _wrap(math.atan2(w.imag, w.real) - math.pi)
-
-    amplitude, extrema, counts = _certified_measure(
-        [
-            (err_right, -theta, theta),
-            (err_left, math.pi - theta, math.pi + theta),
-        ],
-        grid_n,
-        m + 1,
-    )
+    amplitude, extrema, counts = _certified_measure(_arc_jobs(s, theta, "z6"), grid_n, m + 1)
     return PhaseErrorReport(amplitude, predicted, extrema, counts, grid_n)
 
 
@@ -217,32 +223,15 @@ def max_phase_error(r: UnimodularRational, theta: float, problem: str, grid_n: i
     rounding floor and extremum counting is meaningless.
     """
     require_theta(theta)
-    if problem.lower() == "z5":
-        def err(t: float) -> float:
-            w = r(complex(math.cos(t), math.sin(t)))
-            return _wrap(math.atan2(w.imag, w.real) - 0.5 * t)
-
-        jobs = [(err, -2.0 * theta, 2.0 * theta)]
-    elif problem.lower() == "z6":
-        def err_right(t: float) -> float:
-            w = r(complex(math.cos(t), math.sin(t)))
-            return _wrap(math.atan2(w.imag, w.real))
-
-        def err_left(t: float) -> float:
-            w = r(complex(math.cos(t), math.sin(t)))
-            return _wrap(math.atan2(w.imag, w.real) - math.pi)
-
-        jobs = [(err_right, -theta, theta), (err_left, math.pi - theta, math.pi + theta)]
-    else:
-        raise DomainError(f"problem must be 'z5' or 'z6', got {problem!r}")
     best = 0.0
-    for fn, lo, hi in jobs:
+    for fn, lo, hi in _arc_jobs(r, theta, problem):
         ths = np.linspace(lo, hi, grid_n)
-        vals = np.abs([fn(t) for t in ths])
-        i = int(np.argmax(vals))
+        i = int(np.argmax(np.abs(fn(ths))))
         a, b = ths[max(i - 1, 0)], ths[min(i + 1, grid_n - 1)]
         _, v = _golden_max(lambda t: abs(fn(t)), a, b)
-        best = max(best, float(vals[i]), v)
+        # the grid only picks the bracket: its peak is re-evaluated on the
+        # scalar path, like every other reported value
+        best = max(best, abs(fn(ths[i])), v)
     return best
 
 
@@ -327,8 +316,7 @@ def contour_grid(
     which is +-1 off the imaginary axis (the convention at Re z = 0
     follows sign(Im z), and sign(0) = +1).
     """
-    if not (isinstance(resolution, int) and 16 <= resolution <= 4096):
-        raise DomainError(f"resolution must lie in [16, 4096], got {resolution!r}")
+    resolution = require_degree(resolution, 16, "resolution", 4096)
     re_min, re_max, im_min, im_max = window
     if not (re_min < re_max and im_min < im_max):
         raise DomainError(f"degenerate window {window!r}")

@@ -268,15 +268,14 @@ def _cmd_contour(args) -> int:
     grid = analysis.contour_grid(r, target, window, args.resolution)
     res = np.linspace(window[0], window[1], args.resolution)
     ims = np.linspace(window[2], window[3], args.resolution)
+    re_s = [format(x, ".17g") for x in res.tolist()]
     try:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("re,im,value\n")
-            for i in range(args.resolution):
-                for j in range(args.resolution):
-                    fh.write(
-                        f"{format(res[j], '.17g')},{format(ims[i], '.17g')},"
-                        f"{format(grid.values[i, j], '.17g')}\n"
-                    )
+            # one %-format per grid row; memory stays at one row of text
+            for im, row in zip(ims.tolist(), grid.values):
+                im_s = format(im, ".17g")
+                fh.write("".join(f"{x},{im_s},%.17g\n" for x in re_s) % tuple(row.tolist()))
     except OSError as exc:
         print(f"error: cannot write {args.out!r}: {exc}", file=sys.stderr)
         return 1

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -217,6 +218,45 @@ class TestContourGrid:
             an.contour_grid(r, "sqrt", (-1, 1, -1, 1), 8)
         with pytest.raises(DomainError):
             an.contour_grid(r, "nope", (-1, 1, -1, 1), 32)
+
+    def test_resolution_accepts_numpy_integers_not_bool(self):
+        s = ap.build_s(5, 1.0)
+        grid = an.contour_grid(s, "sign", (-2, 2, -2, 2), np.int64(64))
+        assert type(grid.resolution) is int
+        assert grid.values.shape == (64, 64)
+        with pytest.raises(DomainError):
+            an.contour_grid(s, "sign", (-2, 2, -2, 2), True)
+
+
+class TestPhaseErrorKernel:
+    @staticmethod
+    def grids(problem, degree, theta, quarter_turns=0):
+        """(array branch, scalar branch) of the kernel on each arc's 1024-point grid."""
+        r = ap.build_r(degree, theta) if problem == "z5" else ap.build_s(degree, theta)
+        r = dataclasses.replace(r, quarter_turns=r.quarter_turns + quarter_turns)
+        jobs = an._arc_jobs(r, theta, problem)
+        assert len(jobs) == (1 if problem == "z5" else 2)
+        for err, lo, hi in jobs:
+            ths = np.linspace(lo, hi, 1024)
+            yield err(ths), np.array([err(t) for t in ths.tolist()])
+
+    @pytest.mark.parametrize("problem", ["z5", "z6"])
+    @pytest.mark.parametrize("degree", [0, 1, 8, 32])
+    @pytest.mark.parametrize("theta", [1e-3, 1.0, math.pi / 2 - 1e-3])
+    def test_array_grid_matches_scalar_path(self, problem, degree, theta):
+        for grid, scalar in self.grids(problem, degree, theta):
+            assert grid.shape == (1024,)
+            assert np.max(np.abs(grid - scalar)) <= 4e-15
+
+    @pytest.mark.parametrize("problem", ["z5", "z6"])
+    @pytest.mark.parametrize("degree", [1, 8])
+    @pytest.mark.parametrize("theta", [1e-3, 1.0])
+    def test_half_turn_wraps_into_range(self, problem, degree, theta):
+        # a half turn puts the error at about +-pi, so both wrap branches
+        # run; where rounding straddles pi the branches differ by 2 pi
+        for grid, scalar in self.grids(problem, degree, theta, quarter_turns=2):
+            assert np.all((grid > -math.pi) & (grid <= math.pi))
+            assert np.max(np.abs(np.remainder(grid - scalar + math.pi, 2 * math.pi) - math.pi)) <= 4e-15
 
 
 class TestCrossProblemIdentity:

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from zolocirc import analysis as an
+from zolocirc import approximants as ap
 from zolocirc import elliptic as el
 from zolocirc.cli import main
 
@@ -230,3 +232,56 @@ class TestDeterminism:
                 "--window=-1.5,1.5,-1.5,1.5", "--resolution", "24", "--out", str(path))
             files.append(path.read_bytes())
         assert files[0] == files[1]
+
+
+def per_cell_contour_csv(problem, degree, theta, window, resolution):
+    """The contour CSV as written one cell at a time, three formats per cell."""
+    if problem == "z5":
+        grid = an.contour_grid(ap.build_r(degree, theta), "sqrt", window, resolution)
+    else:
+        grid = an.contour_grid(ap.build_s(degree, theta), "sign", window, resolution)
+    res = np.linspace(window[0], window[1], resolution)
+    ims = np.linspace(window[2], window[3], resolution)
+    parts = ["re,im,value\n"]
+    for i in range(resolution):
+        for j in range(resolution):
+            parts.append(
+                f"{format(res[j], '.17g')},{format(ims[i], '.17g')},"
+                f"{format(grid.values[i, j], '.17g')}\n"
+            )
+    return "".join(parts).encode("utf-8")
+
+
+def _r_pole_window():
+    pole = -ap.build_r(1, 1.0).factors[0].value  # on the real axis
+    return (pole - 1.0, pole + 1.0, -1.0, 1.0)
+
+
+def _s_pole_window():
+    pole = 1.0 / ap.build_s(2, 1.0).factors[0].value  # at i * pole
+    return (-1.0, 1.0, pole - 1.0, pole + 1.0)
+
+
+class TestContourBytes:
+    # Odd resolutions put a grid line through each window's midpoint, which
+    # is an exact pole (inf cells), an exact 0 coordinate, or both.
+    @pytest.mark.parametrize(
+        "problem,degree,window,resolution,has_pole",
+        [
+            ("z5", 1, _r_pole_window(), 17, True),
+            ("z5", 2, (-2.0, 2.0, -1.5, 0.5), 33, False),
+            ("z6", 2, _s_pole_window(), 17, True),
+            ("z6", 3, (-1.0, 1.0, -1.0, 1.0), 33, True),  # the -1/z factor: pole at 0
+        ],
+    )
+    def test_matches_per_cell_writer(self, capsys, tmp_path, problem, degree, window, resolution, has_pole):
+        path = tmp_path / "grid.csv"
+        spec = ",".join(repr(v) for v in window)
+        code, _, _ = run(capsys, "contour", "--problem", problem, "--degree", str(degree),
+                         "--theta", "1.0", f"--window={spec}", "--resolution", str(resolution),
+                         "--out", str(path))
+        assert code == 0
+        expected = per_cell_contour_csv(problem, degree, 1.0, window, resolution)
+        assert (b",inf\n" in expected) == has_pole
+        assert b"\n0," in expected or b",0," in expected  # a coordinate that is exactly 0
+        assert path.read_bytes() == expected

@@ -76,9 +76,9 @@ class TestComposeS:
         inner = ap.build_s(m, theta)
         outer = ap.build_s(m_tilde, tt)
 
-        def err(t):
-            w = outer(inner(complex(math.cos(t), math.sin(t))))
-            return math.remainder(math.atan2(w.imag, w.real), 2 * math.pi)
+        def err(t):  # _arc_extrema samples its grid with one array call
+            w = outer(inner(np.exp(1j * t)))
+            return np.remainder(np.arctan2(w.imag, w.real) + math.pi, 2 * math.pi) - math.pi
 
         ext = an._arc_extrema(err, -theta, theta, 160)
         amplitude = max(abs(v) for _, v in ext)
