@@ -15,9 +15,6 @@ from .analysis import (
     zolotarev_number,
 )
 from .approximants import (
-    ArcDomain,
-    ArcKind,
-    FactorParam,
     Family,
     UnimodularRational,
     Z4Approximant,
@@ -29,20 +26,9 @@ from .approximants import (
     eval_F_direct,
     eval_F_product,
     eval_s_via_FG,
-    evaluate,
-    exact_type,
-    reciprocal,
     z4_solution,
 )
-from .composition import (
-    CompositionPlan,
-    compose_F,
-    compose_r,
-    compose_s,
-    compose_s_tilde,
-    composition_plan,
-    theta_tilde,
-)
+from .composition import compose_F, compose_r, compose_s, compose_s_tilde, theta_tilde
 from .connections import (
     BlaschkeProduct,
     PadeApproximant,
@@ -74,19 +60,17 @@ from .errors import (
 from .oracle import OracleResult, oracle_K, oracle_minimax_degree1, oracle_sn
 
 __all__ = [
-    "ArcDomain", "ArcKind", "BlaschkeProduct", "BranchError", "CompositionPlan",
-    "ConvergenceError", "DegreeReduction", "DomainError", "EllipticModulus",
-    "FactorParam", "Family", "GridField", "OracleResult", "PadeApproximant",
-    "PhaseErrorReport", "PoleError", "PrecisionError", "ResolutionError",
-    "UnimodularRational", "Z4Approximant", "ZolotarevFraction",
+    "BlaschkeProduct", "BranchError", "ConvergenceError", "DegreeReduction",
+    "DomainError", "EllipticModulus", "Family", "GridField", "OracleResult",
+    "PadeApproximant", "PhaseErrorReport", "PoleError", "PrecisionError",
+    "ResolutionError", "UnimodularRational", "Z4Approximant", "ZolotarevFraction",
     "blaschke_composition_modulus", "blaschke_h", "blaschke_s_relation",
     "build_r", "build_s", "coeff_a", "coeff_b", "complete_K", "compose_F",
-    "compose_r", "compose_s", "compose_s_tilde", "composition_plan",
-    "contour_grid", "error_bounds", "eval_F_direct", "eval_F_product",
-    "eval_s_via_FG", "evaluate", "exact_type", "groetzsch_mu", "inverse_sn",
-    "jacobi_sncndn", "lambda_from_Z", "max_phase_error", "mu_inverse",
-    "oracle_K", "oracle_minimax_degree1", "oracle_sn", "pade_limit_check",
-    "pade_p", "phase_error_from_Z", "phase_error_sign", "phase_error_sqrt",
-    "reciprocal", "scaled_F_via_blaschke", "solve_lambda", "theta_tilde",
+    "compose_r", "compose_s", "compose_s_tilde", "contour_grid", "error_bounds",
+    "eval_F_direct", "eval_F_product", "eval_s_via_FG", "groetzsch_mu",
+    "inverse_sn", "jacobi_sncndn", "lambda_from_Z", "max_phase_error",
+    "mu_inverse", "oracle_K", "oracle_minimax_degree1", "oracle_sn",
+    "pade_limit_check", "pade_p", "phase_error_from_Z", "phase_error_sign",
+    "phase_error_sqrt", "scaled_F_via_blaschke", "solve_lambda", "theta_tilde",
     "z4_solution", "zolotarev_number",
 ]

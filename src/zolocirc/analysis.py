@@ -14,6 +14,7 @@ reduction.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,8 +196,7 @@ def phase_error_sqrt(r: UnimodularRational, theta: float, grid_n: int) -> PhaseE
     """Equioscillation report of arg(r(e^{i t}) e^{-i t/2}) over [-2 Theta, 2 Theta]."""
     require_theta(theta)
     n = len(r.factors)
-    if grid_n < 8 * (n + 1):
-        raise DomainError(f"grid_n must be at least 8(n+1) = {8 * (n + 1)}")
+    grid_n = require_degree(grid_n, 8 * (n + 1), "grid_n")
     red = solve_lambda(math.cos(theta), 2 * n + 1, math.sin(theta))
     predicted = math.asin(red.lam_comp)  # arccos(lam), stable near lam = 1
     amplitude, extrema, counts = _certified_measure(_arc_jobs(r, theta, "z5"), grid_n, 2 * n + 2)
@@ -207,8 +207,7 @@ def phase_error_sign(s: UnimodularRational, theta: float, grid_n: int) -> PhaseE
     """Equioscillation report of arg(s/sign) over both arcs of the T domain."""
     require_theta(theta)
     m = len(s.factors)
-    if grid_n < 8 * (m + 1):
-        raise DomainError(f"grid_n must be at least 8(m+1) = {8 * (m + 1)}")
+    grid_n = require_degree(grid_n, 8 * (m + 1), "grid_n")
     red = solve_lambda(math.cos(theta), m, math.sin(theta))
     predicted = math.asin(red.lam_comp)
     amplitude, extrema, counts = _certified_measure(_arc_jobs(s, theta, "z6"), grid_n, m + 1)
@@ -223,6 +222,7 @@ def max_phase_error(r: UnimodularRational, theta: float, problem: str, grid_n: i
     rounding floor and extremum counting is meaningless.
     """
     require_theta(theta)
+    grid_n = require_degree(grid_n, 2, "grid_n")
     best = 0.0
     for fn, lo, hi in _arc_jobs(r, theta, problem):
         ths = np.linspace(lo, hi, grid_n)
@@ -317,6 +317,8 @@ def contour_grid(
     follows sign(Im z), and sign(0) = +1).
     """
     resolution = require_degree(resolution, 16, "resolution", 4096)
+    if len(window) != 4 or not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in window):
+        raise DomainError(f"window must be four finite reals, got {window!r}")
     re_min, re_max, im_min, im_max = window
     if not (re_min < re_max and im_min < im_max):
         raise DomainError(f"degenerate window {window!r}")

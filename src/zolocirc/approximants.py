@@ -5,9 +5,14 @@ a product of n factors (1 + a_j z)/(z + a_j); the optimal approximant of
 sign(z) on the symmetric arc pair of half-width Theta is a power of i
 times a product of m factors (z - i b_j)/(1 + i b_j z).  Both parameter
 families come from Jacobi elliptic functions at the complementary modulus
-ell' = sin(Theta), and both products have modulus one everywhere on the
-circle, which the factored representation preserves exactly.  Nothing
-here ever expands to polynomial coefficients.
+ell' = sin(Theta).  Nothing here ever expands to polynomial coefficients.
+
+Every factor, including the Ng-Tsang factor (z - c)/(1 - c z) of the
+Blaschke bridge, is one Moebius map (u z + v)/(conj(v) z + conj(u)), which
+has modulus one on |z| = 1 by construction.  The family maps a parameter to
+its pair (u, v): R gives (a, 1), S gives (1, -i b) with b = inf giving
+(0, i), which is -1/z, and H gives (1, -c).  Evaluation, zeros -v/u, poles
+-conj(u)/conj(v) and the exact type read only the pairs.
 
 Also provided: evaluation of the underlying real pair (F_m, G_m) by the
 direct elliptic formula and by the rational product identities, the
@@ -19,7 +24,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,196 +49,97 @@ class Family(enum.Enum):
     S_FAMILY = "S"  # (z - i b)/(1 + i b z); b = 0 is z, b = inf is -1/z
     H_FAMILY = "H"  # (z - c)/(1 - c z), c in (-1, 1)
 
-
-@dataclass(frozen=True)
-class FactorParam:
-    """One real factor parameter; math.inf marks the -1/z limit factor."""
-
-    value: float
-
-    @property
-    def is_infinite(self) -> bool:
-        return math.isinf(self.value)
-
-
-class ArcKind(enum.Enum):
-    S = "S"  # single arc around 1 of half-width 2 Theta
-    T = "T"  # arcs of half-width Theta around +1 and -1
-
-
-@dataclass(frozen=True)
-class ArcDomain:
-    kind: ArcKind
-    theta: float
-
-    def __post_init__(self):
-        if not 0.0 < self.theta < 0.5 * math.pi:
-            raise DomainError(f"theta must lie in (0, pi/2), got {self.theta!r}")
-
-    def arcs(self) -> tuple[tuple[float, float], ...]:
-        """Closed angle intervals making up the domain."""
-        if self.kind is ArcKind.S:
-            return ((-2.0 * self.theta, 2.0 * self.theta),)
-        return (
-            (-self.theta, self.theta),
-            (math.pi - self.theta, math.pi + self.theta),
-        )
-
-    def contains(self, z: complex, tol: float = 1e-12) -> bool:
-        if abs(abs(z) - 1.0) > tol:
-            return False
-        ang = math.atan2(z.imag if isinstance(z, complex) else 0.0, z.real)
-        slack = 1e-14
-        if self.kind is ArcKind.S:
-            return abs(ang) <= 2.0 * self.theta + slack
-        return (
-            abs(ang) <= self.theta + slack
-            or math.pi - abs(ang) <= self.theta + slack
-        )
-
-
-def _factor_num_den(family: Family, value: float, z):
-    """Numerator and denominator of one factor at z (scalar or array)."""
-    if family is Family.R_FAMILY:
-        return 1.0 + value * z, z + value
-    if family is Family.S_FAMILY:
-        if math.isinf(value):
-            return -1.0 + 0.0 * z, z
-        if value == 0.0:
-            return z, 1.0 + 0.0 * z
-        return z - 1j * value, 1.0 + 1j * value * z
-    return z - value, 1.0 - value * z
+    def pair(self, p: float) -> tuple:
+        """Coefficients (u, v) of the factor (u z + v)/(conj(v) z + conj(u))."""
+        if self is Family.R_FAMILY:
+            return p, 1.0
+        if self is Family.S_FAMILY:
+            # -(i b), not (-i) b: z + v then rounds exactly as z - i b does
+            return (0.0, 1j) if math.isinf(p) else (1.0, -(1j * p))
+        return 1.0, -p
 
 
 @dataclass(frozen=True)
 class UnimodularRational:
-    """i^q * z^k * prod of one-parameter factors, |value| = 1 on |z| = 1."""
+    """i^q * z^k * prod of one-parameter factors, |value| = 1 on |z| = 1.
+
+    ``factors`` holds the family's real parameters (math.inf marks the
+    -1/z factor of the S family); every operation reads the table of
+    (u, v, conj(v), conj(u)) that ``Family.pair`` derives from them.
+    """
 
     z_power: int
     quarter_turns: int
-    factors: tuple[FactorParam, ...]
+    factors: tuple[float, ...]
     family: Family
+    _pairs: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        pairs = tuple(self.family.pair(p) for p in self.factors)
+        object.__setattr__(self, "_pairs", tuple((u, v, v.conjugate(), u.conjugate()) for u, v in pairs))
 
     def __call__(self, z):
+        """Value at a Python scalar or an ndarray of points.
+
+        A scalar raises PoleError at a vanishing denominator (the factor
+        index, or -1 for z^k); an array yields inf/nan there instead.
+        """
+        unit = _I_POWERS[self.quarter_turns % 4]
         if isinstance(z, np.ndarray):
-            return self._eval_array(z)
-        return self._eval_scalar(complex(z))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return self._product(z, np.full(z.shape, unit, dtype=complex), False)
+        return self._product(complex(z), unit, True)
 
-    def _eval_scalar(self, z: complex) -> complex:
-        w = _I_POWERS[self.quarter_turns % 4]
+    def _product(self, z, w, raise_poles: bool):
         if self.z_power:
-            if self.z_power < 0 and abs(z) ** (-self.z_power) < _DEN_TINY:
+            if raise_poles and self.z_power < 0 and abs(z) ** (-self.z_power) < _DEN_TINY:
                 raise PoleError(f"pole of z^{self.z_power} at z={z!r}", -1)
-            w *= z**self.z_power
-        for idx, f in enumerate(self.factors):
-            num, den = _factor_num_den(self.family, f.value, z)
-            if abs(den) < _DEN_TINY:
+            w = w * z**self.z_power
+        for idx, (u, v, cv, cu) in enumerate(self._pairs):
+            # unit multipliers are skipped: one array multiply less per factor
+            num = (z if u == 1 else u * z) + v
+            den = (z if cv == 1 else cv * z) + cu
+            if raise_poles and abs(den) < _DEN_TINY:
                 raise PoleError(f"pole of factor {idx} at z={z!r}", idx)
-            w *= num / den
-        return w
-
-    def _eval_array(self, z: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = np.full(z.shape, _I_POWERS[self.quarter_turns % 4], dtype=complex)
-            if self.z_power:
-                w = w * z**self.z_power
-            for f in self.factors:
-                num, den = _factor_num_den(self.family, f.value, z)
-                w = w * (num / den)
+            w = w * (num / den)
         return w
 
     def reciprocal(self) -> "UnimodularRational":
         """Factored form of 1/R.
 
         R factors invert inside the family, (1+az)/(z+a) -> parameter 1/a;
-        S factors invert up to a half turn, 1/S(b) = -S(1/b), so each
-        contributes two quarter turns.  H factors do not invert inside the
-        family.
+        S factors invert up to a half turn, 1/S(b) = -S(1/b) with 0 <-> inf,
+        so each contributes two quarter turns.  H factors do not invert
+        inside the family.
         """
         if self.family is Family.H_FAMILY:
             raise DomainError("reciprocal of an H-family product is not factored")
-        q = -self.quarter_turns
-        inv = []
-        for f in self.factors:
-            if self.family is Family.S_FAMILY:
-                q += 2
-                if math.isinf(f.value):
-                    inv.append(FactorParam(0.0))
-                elif f.value == 0.0:
-                    inv.append(FactorParam(math.inf))
-                else:
-                    inv.append(FactorParam(1.0 / f.value))
-            else:
-                inv.append(FactorParam(1.0 / f.value))
-        return UnimodularRational(-self.z_power, q % 4, tuple(inv), self.family)
+        inv = tuple(math.inf if p == 0.0 else 0.0 if math.isinf(p) else 1.0 / p for p in self.factors)
+        turns = 2 * len(inv) if self.family is Family.S_FAMILY else 0
+        return UnimodularRational(-self.z_power, (turns - self.quarter_turns) % 4, inv, self.family)
+
+    def _regular(self):
+        """Pairs with a zero and a pole off the origin (u != 0 and v != 0)."""
+        return [pair for pair in self._pairs if pair[0] != 0 and pair[1] != 0]
+
+    def _origin_order(self) -> int:
+        """Net zero order at z = 0: a v = 0 factor is z, a u = 0 factor is 1/z."""
+        return self.z_power + sum((v == 0) - (u == 0) for u, v, _, _ in self._pairs)
 
     def exact_type(self) -> tuple[int, int]:
         """(numerator degree, denominator degree) after cancelling at z = 0."""
-        regular = 0
-        zero_order = self.z_power
-        for f in self.factors:
-            if self.family is Family.S_FAMILY and math.isinf(f.value):
-                zero_order -= 1
-            elif f.value == 0.0 and self.family is not Family.R_FAMILY:
-                zero_order += 1
-            else:
-                regular += 1
-        return regular + max(zero_order, 0), regular + max(-zero_order, 0)
+        regular, order = len(self._regular()), self._origin_order()
+        return regular + max(order, 0), regular + max(-order, 0)
 
     def zeros(self) -> tuple[complex, ...]:
-        """Finite zeros, with the net multiplicity at z = 0."""
-        out = []
-        zero_order = self.z_power
-        for f in self.factors:
-            if self.family is Family.R_FAMILY:
-                out.append(complex(-1.0 / f.value))
-            elif self.family is Family.S_FAMILY:
-                if math.isinf(f.value):
-                    zero_order -= 1
-                elif f.value == 0.0:
-                    zero_order += 1
-                else:
-                    out.append(1j * f.value)
-            else:
-                if f.value == 0.0:
-                    zero_order += 1
-                else:
-                    out.append(complex(f.value))
-        return tuple([0j] * max(zero_order, 0) + out)
+        """Finite zeros -v/u, with the net multiplicity at z = 0."""
+        out = [complex(-v if u == 1 else -v / u) for u, v, _, _ in self._regular()]
+        return tuple([0j] * max(self._origin_order(), 0) + out)
 
     def poles(self) -> tuple[complex, ...]:
-        """Finite poles, with the net multiplicity at z = 0."""
-        out = []
-        zero_order = self.z_power
-        for f in self.factors:
-            if self.family is Family.R_FAMILY:
-                out.append(complex(-f.value))
-            elif self.family is Family.S_FAMILY:
-                if math.isinf(f.value):
-                    zero_order -= 1
-                elif f.value == 0.0:
-                    zero_order += 1
-                else:
-                    out.append(1j / f.value)
-            else:
-                if f.value == 0.0:
-                    zero_order += 1
-                else:
-                    out.append(complex(1.0 / f.value))
-        return tuple([0j] * max(-zero_order, 0) + out)
-
-
-def evaluate(r: UnimodularRational, z):
-    """Evaluate the factored product at z (factors in stored order)."""
-    return r(z)
-
-
-def reciprocal(r: UnimodularRational) -> UnimodularRational:
-    return r.reciprocal()
-
-
-def exact_type(r: UnimodularRational) -> tuple[int, int]:
-    return r.exact_type()
+        """Finite poles -conj(u)/conj(v), with the net multiplicity at z = 0."""
+        out = [complex(-cu if cv == 1 else -cu / cv) for _, _, cv, cu in self._regular()]
+        return tuple([0j] * max(-self._origin_order(), 0) + out)
 
 
 def _node_sncndn(num: int, den: int, theta: float):
@@ -258,7 +164,7 @@ def build_r(n: int, theta: float) -> UnimodularRational:
     """Optimal unimodular approximant of sqrt(z) on the arc of half-width 2 Theta."""
     n = require_degree(n, 0)
     require_theta(theta)
-    params = tuple(FactorParam(coeff_a(j, n, theta)) for j in range(1, n + 1))
+    params = tuple(coeff_a(j, n, theta) for j in range(1, n + 1))
     return UnimodularRational(0, 0, params, Family.R_FAMILY)
 
 
@@ -295,7 +201,7 @@ def build_s(m: int, theta: float) -> UnimodularRational:
             expect = (-1.0 if (m * j) % 2 else 1.0) * (-1.0 if cn_neg else 1.0)
             if math.copysign(1.0, b) != expect:
                 raise AssertionError(f"factor sign pattern broken at j={j}, m={m}")
-        params.append(FactorParam(b))
+        params.append(b)
     return UnimodularRational(0, (1 - m) % 4, tuple(params), Family.S_FAMILY)
 
 

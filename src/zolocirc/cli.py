@@ -4,8 +4,9 @@ Commands: build | error | bounds | compose | contour | selftest.
 All structured output goes through a deterministic serializer: fixed key
 order, floats at 17 significant digits (infinite factor parameters become
 the string "inf", which strict JSON cannot carry as a number), LF line
-endings.  Exit codes: 0 ok, 2 usage, 3 numeric domain, 4 equioscillation
-deficiency, 5 composition residual breach.
+endings.  Exit codes: 0 ok, 1 contour cannot write --out or a selftest
+criterion failed, 2 usage (a negative --degree included), 3 numeric
+domain, 4 equioscillation deficiency, 5 composition residual breach.
 """
 
 from __future__ import annotations
@@ -70,6 +71,11 @@ def _check_theta_flag(theta: float) -> None:
         raise _UsageError(f"--theta must lie in ({THETA_FLAG_MIN}, pi/2 - 1e-8), got {theta!r}")
 
 
+def _check_degree_flag(degree: int) -> None:
+    if degree < 0:
+        raise _UsageError(f"--degree must be >= 0, got {degree!r}")
+
+
 class _UsageError(Exception):
     pass
 
@@ -78,7 +84,7 @@ def _rational_payload(r: approximants.UnimodularRational) -> dict:
     return {
         "z_power": r.z_power,
         "quarter_turns": r.quarter_turns,
-        "factors": [f.value for f in r.factors],
+        "factors": list(r.factors),
         "zeros": [[w.real, w.imag] for w in r.zeros()],
         "poles": [[w.real, w.imag] for w in r.poles()],
         "exact_type": list(r.exact_type()),
@@ -90,6 +96,7 @@ def _cmd_build(args) -> int:
         if args.theta is None:
             raise _UsageError(f"--theta is required for {args.problem}")
         _check_theta_flag(args.theta)
+        _check_degree_flag(args.degree)
         theta = args.theta
         ell, ell_comp = math.cos(theta), math.sin(theta)
         if args.problem == "z5":
@@ -148,6 +155,7 @@ def _cmd_build(args) -> int:
 
 def _cmd_error(args) -> int:
     _check_theta_flag(args.theta)
+    _check_degree_flag(args.degree)
     if args.grid < 64:
         raise _UsageError(f"--grid must be at least 64, got {args.grid!r}")
     if args.problem == "z5":
@@ -232,7 +240,6 @@ def _cmd_compose(args) -> int:
     z = _compose_samples(args.samples)
     left, right = composition.compose_s(args.degree_tilde, args.degree, args.theta, z)
     residual = float(np.max(np.abs(left - right)))
-    plan = composition.composition_plan(args.degree_tilde, args.degree, args.theta)
     inputs = {
         "degree": args.degree,
         "degree_tilde": args.degree_tilde,
@@ -240,8 +247,8 @@ def _cmd_compose(args) -> int:
         "samples": args.samples,
     }
     results = {
-        "theta_tilde": plan.theta_tilde,
-        "target_degree": plan.target_degree,
+        "theta_tilde": composition.theta_tilde(args.degree, args.theta),
+        "target_degree": args.degree_tilde * args.degree,
         "max_residual": residual,
         "tolerance": COMPOSE_TOLERANCE,
         "passed": residual <= COMPOSE_TOLERANCE,
@@ -252,12 +259,13 @@ def _cmd_compose(args) -> int:
 
 def _cmd_contour(args) -> int:
     _check_theta_flag(args.theta)
+    _check_degree_flag(args.degree)
     try:
         parts = [float(v) for v in args.window.split(",")]
     except ValueError:
         raise _UsageError(f"--window must be four comma-separated reals, got {args.window!r}")
-    if len(parts) != 4:
-        raise _UsageError(f"--window must be four comma-separated reals, got {args.window!r}")
+    if len(parts) != 4 or not all(map(math.isfinite, parts)):
+        raise _UsageError(f"--window must be four comma-separated finite reals, got {args.window!r}")
     window = (parts[0], parts[1], parts[2], parts[3])
     if args.problem == "z5":
         r = approximants.build_r(args.degree, args.theta)

@@ -10,26 +10,10 @@ here evaluates both sides of its law so callers can check the residual.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .approximants import ZolotarevFraction, build_r, build_s, eval_F_product
 from .elliptic import require_degree, require_modulus, require_theta, solve_lambda
 from .errors import DomainError
-
-
-@dataclass(frozen=True)
-class CompositionPlan:
-    """Degrees and arc widths of one composition step.
-
-    theta_tilde equals theta exactly at inner degree 1 (the identity map)
-    and is strictly smaller for inner degree >= 2.
-    """
-
-    inner_degree: int
-    outer_degree: int
-    theta: float
-    theta_tilde: float
-    target_degree: int
 
 
 def theta_tilde(m: int, theta: float) -> float:
@@ -38,7 +22,9 @@ def theta_tilde(m: int, theta: float) -> float:
     Produced through the closed chain arccos(lam(m, cos Theta)) rather
     than by evaluating the product at the arc endpoint, so downstream
     constructions do not inherit endpoint arg roundoff; evaluating the
-    product there agrees to the stated tolerance (checked in tests).
+    product there agrees to the stated tolerance (checked in tests).  It
+    equals theta exactly at m = 1 (the identity map) and is strictly
+    smaller for m >= 2.
     """
     m = require_degree(m, 0)
     if m == 0:
@@ -46,10 +32,6 @@ def theta_tilde(m: int, theta: float) -> float:
     require_theta(theta)
     red = solve_lambda(math.cos(theta), m, math.sin(theta))
     return math.asin(min(1.0, red.lam_comp))
-
-
-def composition_plan(m_tilde: int, m: int, theta: float) -> CompositionPlan:
-    return CompositionPlan(m, m_tilde, theta, theta_tilde(m, theta), m_tilde * m)
 
 
 def compose_s(m_tilde: int, m: int, theta: float, z):

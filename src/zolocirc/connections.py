@@ -10,14 +10,13 @@ the sqrt approximant converges to coefficientwise as the arc shrinks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .analysis import zolotarev_number
 from .approximants import (
     Family,
-    FactorParam,
     UnimodularRational,
     ZolotarevFraction,
     build_s,
@@ -35,14 +34,16 @@ class BlaschkeProduct:
     m: int
     ell: float
     params: tuple[float, ...]
+    _rational: UnimodularRational = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_rational", UnimodularRational(0, 0, tuple(self.params), Family.H_FAMILY))
 
     def as_rational(self) -> UnimodularRational:
-        return UnimodularRational(
-            0, 0, tuple(FactorParam(c) for c in self.params), Family.H_FAMILY
-        )
+        return self._rational
 
     def __call__(self, z):
-        return self.as_rational()(z)
+        return self._rational(z)
 
 
 def blaschke_h(m: int, ell: float) -> BlaschkeProduct:
@@ -77,6 +78,24 @@ def blaschke_composition_modulus(m: int, ell: float) -> float:
     return zolotarev_number(m, math.acos(_kappa(ell)))
 
 
+def _moebius_image(m: int, ell: float, z: complex):
+    """Validated (m, kappa, z) and the image x = sqrt(kappa) (z - 1)/(z + 1)."""
+    m = require_degree(m, 1)
+    require_modulus(ell)
+    kappa = _kappa(ell)
+    z = complex(z)
+    if abs(z + 1.0) < 1e-12:
+        raise BranchError("z = -1 is the Moebius pole")
+    return m, kappa, z, math.sqrt(kappa) * (z - 1.0) / (z + 1.0)
+
+
+def _h_side(m: int, ell: float, z: complex) -> float:
+    """(1 - ell-tilde)/(1 + ell-tilde) (h_m(z) - 1)/(h_m(z) + 1), the left side of both identities."""
+    ell_tilde = blaschke_composition_modulus(m, ell)
+    h = blaschke_h(m, ell)(z)
+    return ((1.0 - ell_tilde) / (1.0 + ell_tilde) * (h - 1.0) / (h + 1.0)).real
+
+
 def blaschke_s_relation(m: int, ell: float, z: complex) -> tuple[float, float]:
     """Both sides of the identity tying h_m to the sign approximant s_m.
 
@@ -87,27 +106,17 @@ def blaschke_s_relation(m: int, ell: float, z: complex) -> tuple[float, float]:
     BranchError signals that the Moebius image left [-1, 1], where no
     unit-circle w exists.
     """
-    m = require_degree(m, 1)
-    require_modulus(ell)
-    kappa = _kappa(ell)
-    z = complex(z)
-    if abs(z + 1.0) < 1e-12:
-        raise BranchError("z = -1 is the Moebius pole")
-    x = math.sqrt(kappa) * (z - 1.0) / (z + 1.0)
+    m, kappa, z, x = _moebius_image(m, ell, z)
     if abs(x.imag) > 1e-9 or abs(x.real) > 1.0:
         raise BranchError(f"Moebius image {x!r} leaves [-1, 1]; no unit-circle w")
     xr = x.real
     w = complex(xr, math.sqrt(max(0.0, (1.0 - xr) * (1.0 + xr))))
-
-    ell_tilde = blaschke_composition_modulus(m, ell)
-    h = blaschke_h(m, ell)(z)
-    lhs = (1.0 - ell_tilde) / (1.0 + ell_tilde) * (h - 1.0) / (h + 1.0)
-
+    lhs = _h_side(m, ell, z)
     lam_kappa = solve_lambda(kappa, m).lam
     phi = math.acos(kappa)
     sv = build_s(m, phi)(w)
     rhs = (sv + 1.0 / sv) / (1.0 + lam_kappa)
-    return lhs.real if isinstance(lhs, complex) else float(lhs), rhs.real
+    return lhs, rhs.real
 
 
 def scaled_F_via_blaschke(m: int, ell: float, z: complex) -> tuple[float, float]:
@@ -116,21 +125,13 @@ def scaled_F_via_blaschke(m: int, ell: float, z: complex) -> tuple[float, float]
     Left as in blaschke_s_relation; right is (2/(1 + F_m(kappa; kappa)))
     F_m(x; kappa) at x = sqrt(kappa)(z - 1)/(z + 1).
     """
-    m = require_degree(m, 1)
-    require_modulus(ell)
-    kappa = _kappa(ell)
-    z = complex(z)
-    if abs(z + 1.0) < 1e-12:
-        raise BranchError("z = -1 is the Moebius pole")
-    x = math.sqrt(kappa) * (z - 1.0) / (z + 1.0)
+    m, kappa, z, x = _moebius_image(m, ell, z)
     if abs(x.imag) > 1e-9:
         raise BranchError(f"Moebius image {x!r} is not real")
-    ell_tilde = blaschke_composition_modulus(m, ell)
-    h = blaschke_h(m, ell)(z)
-    lhs = (1.0 - ell_tilde) / (1.0 + ell_tilde) * (h - 1.0) / (h + 1.0)
+    lhs = _h_side(m, ell, z)
     zf = ZolotarevFraction.from_ell(m, kappa)
     rhs = 2.0 / (1.0 + zf.reduction.lam) * eval_F_product(zf, x.real)[0]
-    return lhs.real if isinstance(lhs, complex) else float(lhs), rhs
+    return lhs, rhs
 
 
 @dataclass(frozen=True)

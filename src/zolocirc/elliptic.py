@@ -287,8 +287,7 @@ class DegreeReduction:
     """Solution data of the degree equation at (ell, m).
 
     lam is the reduced modulus, lam_comp its complement (the quantity that
-    stays informative when lam -> 1), M = K(ell)/K(lam), nu = 1/mu(ell),
-    and nodes are the Landen nodes v_j = (j/m) K(ell') for j = 1..2m-1.
+    stays informative when lam -> 1), M = K(ell)/K(lam) and nu = 1/mu(ell).
     """
 
     m: int
@@ -296,7 +295,6 @@ class DegreeReduction:
     lam_comp: float
     M: float
     nu: float
-    nodes: tuple[float, ...]
 
 
 def solve_lambda(ell: float, m: int, ell_comp: float | None = None) -> DegreeReduction:
@@ -313,7 +311,7 @@ def solve_lambda(ell: float, m: int, ell_comp: float | None = None) -> DegreeRed
     mu = _mu_pair(ell, ell_comp)
     nu = 1.0 / mu
     if m == 0:
-        return DegreeReduction(0, 0.0, 1.0, 1.0, nu, ())
+        return DegreeReduction(0, 0.0, 1.0, 1.0, nu)
     if m == 1:
         lam, lam_comp, M = ell, ell_comp, 1.0
     else:
@@ -327,8 +325,4 @@ def solve_lambda(ell: float, m: int, ell_comp: float | None = None) -> DegreeRed
             lam_comp = mu_inverse(m * _QUARTER_PI_SQ / mu)
             lam = complement(lam_comp)
         M = _agm(1.0, lam_comp) / _agm(1.0, ell_comp)
-    nodes = ()
-    if m >= 2:
-        K_comp = 0.5 * math.pi / _agm(1.0, ell)
-        nodes = tuple(j * K_comp / m for j in range(1, 2 * m))
-    return DegreeReduction(m, lam, lam_comp, M, nu, nodes)
+    return DegreeReduction(m, lam, lam_comp, M, nu)

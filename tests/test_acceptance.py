@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from zolocirc import analysis, approximants, selftest
-from zolocirc.approximants import FactorParam, UnimodularRational
+from zolocirc.approximants import UnimodularRational
 
 
 @pytest.mark.parametrize(
@@ -137,7 +137,7 @@ class TestFaultInjection:
         n = 3
         r = approximants.build_r(n, theta)
         params = list(r.factors)
-        params[0] = FactorParam(params[0].value + 1e-6)
+        params[0] = params[0] + 1e-6
         tampered = UnimodularRational(0, 0, tuple(params), r.family)
         good = analysis.phase_error_sqrt(r, theta, 256)
         bad = analysis.phase_error_sqrt(tampered, theta, 256)

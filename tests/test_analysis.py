@@ -84,6 +84,29 @@ class TestMaxPhaseError:
         assert an.max_phase_error(r, 0.9, "z5", 256) == pytest.approx(rep.max_error, abs=1e-12)
 
 
+class TestGridValidation:
+    @staticmethod
+    def _calls(grid_n):
+        s, r = ap.build_s(3, 1.0), ap.build_r(1, 1.0)
+        return (
+            lambda: an.max_phase_error(s, 1.0, "z6", grid_n),
+            lambda: an.phase_error_sign(s, 1.0, grid_n),
+            lambda: an.phase_error_sqrt(r, 1.0, grid_n),
+        )
+
+    @pytest.mark.parametrize("grid_n", [0, 2.5, 256.0, True])
+    def test_rejects_empty_non_integer_and_bool_grids(self, grid_n):
+        for call in self._calls(grid_n):
+            with pytest.raises(DomainError, match="grid_n"):
+                call()
+
+    def test_accepts_numpy_integers(self):
+        for wide, plain in zip(self._calls(np.int64(256)), self._calls(256)):
+            assert wide() == plain()
+        s = ap.build_s(3, 1.0)
+        assert type(an.phase_error_sign(s, 1.0, np.int64(256)).grid_size) is int
+
+
 class TestZolotarevNumber:
     def test_degree_zero_product_form(self):
         assert an.zolotarev_number(0, 1.0) == 4.0
@@ -178,7 +201,7 @@ class TestContourGrid:
 
     def test_exact_pole_hit_is_inf(self):
         r = ap.build_r(1, 1.0)
-        pole = -r.factors[0].value
+        pole = -r.factors[0]
         # window centered so the middle grid node lands exactly on the pole
         grid = an.contour_grid(r, "sqrt", (pole - 1.0, pole + 1.0, -1.0, 1.0), 17)
         assert math.isinf(grid.values[8, 8])
@@ -218,6 +241,27 @@ class TestContourGrid:
             an.contour_grid(r, "sqrt", (-1, 1, -1, 1), 8)
         with pytest.raises(DomainError):
             an.contour_grid(r, "nope", (-1, 1, -1, 1), 32)
+
+    @pytest.mark.parametrize(
+        "window",
+        [
+            (-1, 1, -1),
+            (-1, 1, -1, 1, 0),
+            (-math.inf, 1, -1, 1),
+            (-1, 1, -1, math.inf),
+            (-1, math.nan, -1, 1),
+            (-1, 1, "-1", 1),
+            (-1, 1, -1, 1j),
+        ],
+    )
+    def test_window_must_be_four_finite_reals(self, window):
+        with pytest.raises(DomainError, match="window"):
+            an.contour_grid(ap.build_r(1, 1.0), "sqrt", window, 16)
+
+    def test_window_accepts_numpy_reals(self):
+        window = (np.float64(-1.0), np.int64(1), -1, 1.0)
+        grid = an.contour_grid(ap.build_r(1, 1.0), "sqrt", window, 16)
+        assert np.isfinite(grid.values).any()
 
     def test_resolution_accepts_numpy_integers_not_bool(self):
         s = ap.build_s(5, 1.0)

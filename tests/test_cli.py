@@ -82,6 +82,16 @@ class TestBuild:
         code, _, _ = run(capsys, "build", "--problem", "z5", "--degree", "2", "--theta", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("problem", ["z5", "z6"])
+    @pytest.mark.parametrize("command", ["build", "error", "contour"])
+    def test_negative_degree_is_usage_error(self, capsys, tmp_path, command, problem):
+        argv = [command, "--problem", problem, "--degree", "-1", "--theta", "1.0"]
+        if command == "contour":
+            argv += ["--resolution", "16", "--out", str(tmp_path / "out.csv")]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert "--degree" in err and out == ""
+
     def test_numeric_domain_exit(self, capsys):
         # passes flag validation but the modulus leaves the precision window
         code, _, err = run(capsys, "build", "--problem", "z5", "--degree", "2", "--theta", "1e-5")
@@ -191,7 +201,7 @@ class TestContour:
     def test_exact_pole_marked_inf(self, capsys, tmp_path):
         from zolocirc.approximants import build_r
 
-        pole = -build_r(1, 1.0).factors[0].value
+        pole = -build_r(1, 1.0).factors[0]
         out_file = tmp_path / "grid.csv"
         window = f"--window={pole - 1.0!r},{pole + 1.0!r},-1,1"
         run(capsys, "contour", "--problem", "z5", "--degree", "1", "--theta", "1.0",
@@ -210,6 +220,15 @@ class TestContour:
                          "--theta", "1.0", "--window=1,2,3",
                          "--resolution", "16", "--out", "/tmp/x.csv")
         assert code == 2
+
+    @pytest.mark.parametrize("window", ["-inf,2,-2,2", "-2,2,-2,nan"])
+    def test_non_finite_window(self, capsys, tmp_path, window):
+        out_file = tmp_path / "x.csv"
+        code, _, err = run(capsys, "contour", "--problem", "z5", "--degree", "1",
+                           "--theta", "1.0", f"--window={window}",
+                           "--resolution", "16", "--out", str(out_file))
+        assert code == 2 and "--window" in err
+        assert not out_file.exists()
 
 
 class TestDeterminism:
@@ -253,12 +272,12 @@ def per_cell_contour_csv(problem, degree, theta, window, resolution):
 
 
 def _r_pole_window():
-    pole = -ap.build_r(1, 1.0).factors[0].value  # on the real axis
+    pole = -ap.build_r(1, 1.0).factors[0]  # on the real axis
     return (pole - 1.0, pole + 1.0, -1.0, 1.0)
 
 
 def _s_pole_window():
-    pole = 1.0 / ap.build_s(2, 1.0).factors[0].value  # at i * pole
+    pole = 1.0 / ap.build_s(2, 1.0).factors[0]  # at i * pole
     return (-1.0, 1.0, pole - 1.0, pole + 1.0)
 
 

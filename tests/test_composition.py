@@ -31,11 +31,6 @@ class TestThetaTilde:
     def test_strictly_shrinks_for_higher_degrees(self, m):
         assert co.theta_tilde(m, 1.0) < 1.0
 
-    def test_plan(self):
-        plan = co.composition_plan(3, 2, 1.0)
-        assert plan.target_degree == 6
-        assert plan.theta_tilde < plan.theta
-
 
 class TestComposeS:
     @pytest.mark.parametrize("m_tilde,m", [(1, 4), (4, 1)])

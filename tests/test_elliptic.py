@@ -196,7 +196,6 @@ class TestSolveLambda:
         assert red.lam == 0.0
         assert red.lam_comp == 1.0
         assert red.M == 1.0
-        assert red.nodes == ()
 
     def test_degree_equation_residual_by_quadrature(self):
         red = el.solve_lambda(0.5, 2)
@@ -222,13 +221,6 @@ class TestSolveLambda:
         assert all(a > b for a, b in zip(comps, comps[1:]))
         lams = [el.solve_lambda(0.54, m).lam for m in range(1, 9)]
         assert all(a < b for a, b in zip(lams, lams[1:]))
-
-    def test_nodes(self):
-        red = el.solve_lambda(0.5, 3)
-        K_comp = el.complete_K(el.complement(0.5))
-        assert len(red.nodes) == 5
-        for j, v in enumerate(red.nodes, start=1):
-            assert v == pytest.approx(j * K_comp / 3, rel=1e-14)
 
     @pytest.mark.parametrize("ell,m,mt", [(0.3, 2, 2), (0.3, 2, 3), (0.7, 3, 2)])
     def test_modulus_chain(self, ell, m, mt):
