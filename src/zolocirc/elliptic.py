@@ -13,19 +13,22 @@ its inverse, and the degree-reduction equation
 
 that links a modulus ell, a degree m, and the reduced modulus lam.
 
-The reduced modulus approaches 1 rapidly as m grows, so the solver works
-in the complement lam' = sqrt(1 - lam^2) throughout; quantities derived
-from it (predicted phase errors, K(lam)) stay fully accurate even when
-lam rounds to within a few ulp of 1.
+mu is inverted in closed form through the nome q = exp(-2 mu) and
+ell = (theta_2/theta_3)^2 (DLMF 22.2.2), applied to whichever of ell,
+ell' is small and completed by an accurate complement.  The reduced
+modulus approaches 1 rapidly as m grows, so quantities derived from lam'
+(predicted phase errors, K(lam)) stay fully accurate even when lam
+rounds to within a few ulp of 1.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
-from .errors import ConvergenceError, DomainError, PrecisionError
+from .errors import DomainError, PrecisionError
 
 _EPS = 2.220446049250313e-16
 _QUARTER_PI_SQ = (0.5 * math.pi) ** 2  # (pi/2)^2, the mu(x)*mu(x') product
@@ -43,6 +46,15 @@ THETA_MAX = 0.5 * math.pi - 1e-8
 def complement(x: float) -> float:
     """sqrt(1 - x^2) evaluated without cancellation for x near 1."""
     return math.sqrt((1.0 - x) * (1.0 + x))
+
+
+def _complement_of(ell: float, ell_comp: float | None) -> float:
+    """ell_comp, or complement(ell) when it is None; rejects a pair off the unit circle."""
+    if ell_comp is None:
+        return complement(ell)
+    if not (ell_comp > 0.0 and abs(ell * ell + ell_comp * ell_comp - 1.0) <= 4.0 * _EPS):
+        raise DomainError(f"ell={ell!r} and ell_comp={ell_comp!r} are not complementary")
+    return ell_comp
 
 
 def require_modulus(ell: float, name: str = "ell") -> None:
@@ -194,57 +206,44 @@ def groetzsch_mu(ell: float) -> float:
     return _mu_pair(ell, complement(ell))
 
 
-# For targets this large the solution is within the small-modulus regime
-# where mu(x) = log(4/x) - x^2/4 - O(x^4) inverts directly.
-_MU_ASYMPTOTIC = 12.0
+def _mu_inverse_pair(v: float) -> tuple[float, float]:
+    """(ell, ell') with mu(ell) = v, v > 0, from the theta quotient of the nome.
+
+    The member whose mu value is V = max(v, (pi/2)^2 / v) >= pi/2 is
+
+        (theta_2/theta_3)^2 = 4 e^{-V} (sum_{n>=0} q^{n(n+1)})^2 / theta_3(q)^2
+
+    at q = e^{-2V} <= e^{-pi}, where the last terms kept, q^16 and q^20,
+    are below 1e-21.  It is accurate to a few eps (1 + V) relative, and
+    the other member is its complement.  Past V ~ 745 it underflows to 0.
+    """
+    V = max(v, _QUARTER_PI_SQ / v)
+    x = math.exp(-V)
+    q = x * x
+    theta3 = 1.0 + 2.0 * (q + q**4 + q**9 + q**16)
+    sum2 = 1.0 + q**2 + q**6 + q**12 + q**20  # theta_2 / (2 q^(1/4))
+    small = 4.0 * x * (sum2 / theta3) ** 2
+    large = complement(small)
+    return (small, large) if v >= 0.5 * math.pi else (large, small)
 
 
 def mu_inverse(v: float) -> float:
     """The modulus ell in (0, 1) with groetzsch_mu(ell) = v.
 
-    mu is strictly decreasing from +inf to 0, so the equation always has a
-    unique solution.  Mid-range targets are bracketed by bisection (to a
-    1e-15 bracket) and polished with two central-difference Newton steps;
-    extreme targets use the small-modulus series on ell or on its
-    complement, which is the only representable description there.
-
-    For v < 1 the solution sits so close to 1 that adjacent doubles change
-    mu by more than 1e-13; the returned value is then the correctly
-    rounded complement construction, and callers needing full relative
-    accuracy should work with the complement directly (solve_lambda does).
+    Closed form through the nome q = e^{-2v}: ell = (theta_2/theta_3)^2
+    (DLMF 22.2.2), or, when v < pi/2, the complement of that quotient at
+    the complementary nome e^{-pi^2/(2v)}.  Solutions for v < 1 crowd
+    against 1; callers needing full relative accuracy there work with the
+    complement (solve_lambda does).  PrecisionError is raised when ell
+    rounds to 1 (v < 0.087) or is subnormal (v > 709.78).
     """
     if not (math.isfinite(v) and v > 0.0):
         raise DomainError(f"mu_inverse requires v > 0, got {v!r}")
-    if v >= _MU_ASYMPTOTIC:
-        x0 = 4.0 * math.exp(-v)
-        return x0 * (1.0 - 0.25 * x0 * x0)
-    if v < 1.0:
-        # Solve for the complement instead: solutions crowd against 1 where
-        # doubles cannot resolve them, while mu(ell') = (pi/2)^2 / v is
-        # comfortably mid-range or asymptotic.
-        ell = complement(mu_inverse(_QUARTER_PI_SQ / v))
-        if ell >= 1.0:
-            raise PrecisionError(
-                f"mu_inverse({v!r}) is not representable below 1 in double precision"
-            )
-        return ell
-
-    lo, hi = 1e-12, 1.0 - 1e-12
-    for _ in range(60):
-        if hi - lo <= 1e-15:
-            break
-        mid = 0.5 * (lo + hi)
-        if groetzsch_mu(mid) > v:
-            lo = mid
-        else:
-            hi = mid
-    ell = 0.5 * (lo + hi)
-    for _ in range(2):
-        h = 1e-5 * min(ell, 1.0 - ell)
-        d = (groetzsch_mu(ell + h) - groetzsch_mu(ell - h)) / (2.0 * h)
-        ell = min(max(ell - (groetzsch_mu(ell) - v) / d, 1e-12), 1.0 - 1e-12)
-    if abs(groetzsch_mu(ell) - v) > max(1e-13, 64.0 * _EPS * v):
-        raise ConvergenceError(f"mu_inverse failed to reach tolerance at v={v!r}")
+    ell = _mu_inverse_pair(v)[0]
+    if not sys.float_info.min <= ell < 1.0:
+        raise PrecisionError(
+            f"mu_inverse({v!r}) is not representable in (0, 1) in double precision"
+        )
     return ell
 
 
@@ -267,8 +266,7 @@ class EllipticModulus:
     def from_ell(cls, ell: float, ell_comp: float | None = None) -> "EllipticModulus":
         if not 0.0 < ell < 1.0:
             raise DomainError(f"modulus must lie in (0, 1), got {ell!r}")
-        if ell_comp is None:
-            ell_comp = complement(ell)
+        ell_comp = _complement_of(ell, ell_comp)
         K = 0.5 * math.pi / _agm(1.0, ell_comp)
         K_comp = 0.5 * math.pi / _agm(1.0, ell)
         mu = 0.5 * math.pi * K_comp / K
@@ -300,29 +298,21 @@ class DegreeReduction:
 def solve_lambda(ell: float, m: int, ell_comp: float | None = None) -> DegreeReduction:
     """Solve K(ell)/K(ell') = K(lam)/(m K(lam')) for lam; lam := 0 at m = 0.
 
-    Equivalent to lam = mu_inverse(mu(ell)/m), but solved through the
-    complement lam' = mu_inverse(m (pi/2)^2 / mu(ell)) so that lam near 1
-    is produced with full relative accuracy in 1 - lam.
+    That is mu(lam) = mu(ell)/m, solved by the nome series of mu_inverse,
+    which returns lam' with full relative accuracy when lam is near 1.
+    Past m (pi/2)^2 / mu(ell) ~ 745, lam' underflows to 0 and lam is 1;
+    nothing is raised.  M = K(ell)/K(lam) uses the degree equation
+    K(lam) = (pi/2) K(lam') / (mu(ell)/m), so no AGM runs on lam'.
     """
     m = require_degree(m, 0)
     require_modulus(ell)
-    if ell_comp is None:
-        ell_comp = complement(ell)
+    ell_comp = _complement_of(ell, ell_comp)
     mu = _mu_pair(ell, ell_comp)
     nu = 1.0 / mu
     if m == 0:
         return DegreeReduction(0, 0.0, 1.0, 1.0, nu)
     if m == 1:
-        lam, lam_comp, M = ell, ell_comp, 1.0
-    else:
-        # Whichever of lam, lam' is small gets solved for directly (its
-        # mu-target is then > pi/2, safely in the well-conditioned branch);
-        # the other follows by an accurate complement.
-        if mu / m >= 0.5 * math.pi:
-            lam = mu_inverse(mu / m)
-            lam_comp = complement(lam)
-        else:
-            lam_comp = mu_inverse(m * _QUARTER_PI_SQ / mu)
-            lam = complement(lam_comp)
-        M = _agm(1.0, lam_comp) / _agm(1.0, ell_comp)
+        return DegreeReduction(1, ell, ell_comp, 1.0, nu)
+    lam, lam_comp = _mu_inverse_pair(mu / m)
+    M = (mu / m) * _agm(1.0, lam) / (0.5 * math.pi * _agm(1.0, ell_comp))
     return DegreeReduction(m, lam, lam_comp, M, nu)

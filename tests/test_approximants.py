@@ -289,6 +289,13 @@ class TestZ4:
                         touches.append(resid[i])
         assert len(touches) == m + 1
 
+    @pytest.mark.parametrize("m", [600, 800])
+    def test_high_degree_is_sign_to_rounding(self, m):
+        # lam' is subnormal or 0 at these degrees; M = K(ell)/K(lam) must not be
+        z4 = ap.z4_solution(m, 0.5)
+        for x in (-0.6, 0.5, 0.7):
+            assert z4(x) == pytest.approx(math.copysign(1.0, x), abs=1e-14)
+
 
 class TestLift:
     def test_value_at_one_odd_degree(self):

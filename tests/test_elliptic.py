@@ -5,6 +5,7 @@ import pytest
 
 from zolocirc import elliptic as el
 from zolocirc import oracle as orc
+from zolocirc.approximants import ZolotarevFraction
 from zolocirc.errors import DomainError, PrecisionError
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -162,6 +163,73 @@ class TestMuInverse:
             el.mu_inverse(-1.0)
         with pytest.raises(PrecisionError):
             el.mu_inverse(1e-3)  # solution indistinguishable from 1
+
+
+class TestNomeInverse:
+    V_GRID = [0.09, 0.3, 1.0, math.pi / 2, 2.0, 12.5, 100.0, 700.0]
+
+    def test_self_complementary_point_to_one_ulp(self):
+        root_half = math.sqrt(0.5)  # correctly rounded, unlike 1/sqrt(2)
+        assert abs(el.mu_inverse(math.pi / 2) - root_half) <= math.ulp(root_half)
+        below = el.mu_inverse(math.nextafter(math.pi / 2, 0.0))
+        above = el.mu_inverse(math.nextafter(math.pi / 2, 4.0))
+        assert abs(below - above) <= 2 * math.ulp(root_half)
+
+    @pytest.mark.parametrize("v", [745.0, 800.0, 1e300])
+    def test_underflow_raises(self, v):
+        with pytest.raises(PrecisionError):
+            el.mu_inverse(v)
+
+    @pytest.mark.parametrize("v", [math.inf, math.nan])
+    def test_non_finite_target(self, v):
+        with pytest.raises(DomainError):
+            el.mu_inverse(v)
+
+    def test_runs_no_search(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("mu evaluated inside the inverse")
+
+        expected = [el.mu_inverse(v) for v in self.V_GRID]
+        monkeypatch.setattr(el, "groetzsch_mu", forbidden)
+        monkeypatch.setattr(el, "_mu_pair", forbidden)
+        assert [el.mu_inverse(v) for v in self.V_GRID] == expected
+
+    def test_solve_lambda_evaluates_mu_once(self, monkeypatch):
+        calls = []
+        mu_pair = el._mu_pair
+
+        def counted(*args):
+            calls.append(args)
+            return mu_pair(*args)
+
+        monkeypatch.setattr(el, "_mu_pair", counted)
+        for m in (2, 3, 16, 256, 3000):
+            calls.clear()
+            el.solve_lambda(0.4, m)
+            assert len(calls) == 1
+
+    def test_high_degree_stays_at_the_rounding_floor(self):
+        red = el.solve_lambda(0.5, 800)
+        assert red.lam == 1.0 and red.lam_comp == 0.0
+
+
+class TestComplementaryPair:
+    def test_inconsistent_complement_rejected(self):
+        for bad in (0.1, math.nan, -el.complement(0.5)):
+            with pytest.raises(DomainError):
+                el.solve_lambda(0.5, 2, ell_comp=bad)
+            with pytest.raises(DomainError):
+                el.EllipticModulus.from_ell(0.5, bad)
+            with pytest.raises(DomainError):
+                ZolotarevFraction.from_ell(3, 0.5, bad)
+
+    def test_rounded_pairs_accepted(self):
+        rng = np.random.default_rng(7)
+        for theta in rng.uniform(el.THETA_MIN, el.THETA_MAX, 2000):
+            theta = float(theta)
+            el.EllipticModulus.from_ell(math.cos(theta), math.sin(theta))
+            ell = math.cos(theta)
+            el.EllipticModulus.from_ell(ell, el.complement(ell))
 
 
 class TestEllipticModulus:
