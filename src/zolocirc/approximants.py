@@ -211,7 +211,10 @@ class ZolotarevFraction:
 
     The node constants feed the rational product identities: cot2_* are
     cn^2/sn^2 at the even/odd Landen nodes, dn2_odd is dn^2 at the odd
-    nodes, all at modulus ell' = complement of ell.
+    nodes, all at modulus ell' = complement of ell.  Each object builds the
+    table its F/G kernel reads once, in a private ``_kernel`` field left out
+    of ``__eq__`` and ``repr``: (ell, lam, M, (cot2_even, cot2_odd) pairs,
+    the trailing odd node of even m or None, (dn2_odd, cot2_odd) pairs).
     """
 
     m: int
@@ -220,6 +223,20 @@ class ZolotarevFraction:
     cot2_even: tuple[float, ...]
     cot2_odd: tuple[float, ...]
     dn2_odd: tuple[float, ...]
+    _kernel: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        odd, even = self.cot2_odd, self.cot2_even
+        tail = odd[-1] if len(odd) > len(even) else None
+        table = (
+            self.modulus.ell,
+            self.reduction.lam,
+            self.reduction.M,
+            tuple(zip(even, odd)),
+            tail,
+            tuple(zip(self.dn2_odd, odd)),
+        )
+        object.__setattr__(self, "_kernel", table)
 
     @classmethod
     def from_ell(cls, m: int, ell: float, ell_comp: float | None = None) -> "ZolotarevFraction":
@@ -247,33 +264,49 @@ class ZolotarevFraction:
         return cls.from_ell(m, math.cos(theta), math.sin(theta))
 
 
-def eval_F_product(zf: ZolotarevFraction, x: float) -> tuple[float, float]:
-    """(F_m(x), G_m(x)) through the rational product identities.
+def _F_kernel(table: tuple, x):
+    """(F_m(x), s^2) with s = x/ell, read from a ``ZolotarevFraction._kernel`` table.
 
-    F is a rational function of x and is defined for every real x; the
-    G component of odd m carries a sqrt(1 - x^2) factor and therefore
-    requires |x| <= 1.
+    F = lam (s/M) prod (1 + s^2 c_e)/(1 + s^2 c_o), with the trailing odd
+    node of even m dividing last.  Every ratio pairs the even node 2k with
+    the odd node 2k - 1 below it, so it lies in (c_e/c_o, 1] and the running
+    product stays finite at any degree.  The same arithmetic serves a float
+    and an ndarray: numpy's float64 + * / round as Python's do, so the two
+    agree bit for bit.
     """
-    if zf.m == 0:
-        return 0.0, 1.0
-    red = zf.reduction
-    s = x / zf.modulus.ell
+    ell, lam, M, ratios, tail, _ = table
+    s = x / ell
     s2 = s * s
-    fden = 1.0
-    for c in zf.cot2_odd:
-        fden *= 1.0 + s2 * c
-    fnum = 1.0
-    for c in zf.cot2_even:
-        fnum *= 1.0 + s2 * c
-    F = red.lam * (s / red.M) * fnum / fden
-    gnum = 1.0
-    for d in zf.dn2_odd:
-        gnum *= 1.0 - s2 * d
-    if zf.m % 2:
-        if abs(x) > 1.0:
-            raise DomainError(f"odd-degree G needs |x| <= 1, got {x!r}")
-        gnum *= math.sqrt((1.0 - x) * (1.0 + x))
-    return F, gnum / fden
+    f = lam * (s / M)
+    for ce, co in ratios:
+        f *= (1.0 + s2 * ce) / (1.0 + s2 * co)
+    if tail is not None:
+        f /= 1.0 + s2 * tail
+    return f, s2
+
+
+def eval_F_product(zf: ZolotarevFraction, x):
+    """(F_m(x), G_m(x)) through the rational product identities, at a float or an ndarray.
+
+    F is a rational function of x and is defined for every real x.  G is
+    prod (1 - s^2 d)/(1 + s^2 c_o) over the odd nodes, s = x/ell; for odd m
+    it carries a sqrt(1 - x^2) factor and therefore requires |x| <= 1
+    (DomainError otherwise, for any point of an array).  A float gives
+    floats, an ndarray gives arrays, bitwise equal elementwise.
+    """
+    odd = zf.m % 2
+    if odd and np.any(np.abs(x) > 1.0):
+        raise DomainError(f"odd-degree G needs |x| <= 1, got |x| = {float(np.max(np.abs(x)))!r}")
+    F, s2 = _F_kernel(zf._kernel, x)
+    if zf.m == 0:
+        return F, 1.0 + 0.0 * s2
+    G = 1.0
+    for d, co in zf._kernel[-1]:
+        G *= (1.0 - s2 * d) / (1.0 + s2 * co)
+    if odd:
+        sqrt = np.sqrt if isinstance(x, np.ndarray) else math.sqrt
+        G *= sqrt((1.0 - x) * (1.0 + x))
+    return F, G
 
 
 def eval_F_direct(zf: ZolotarevFraction, x: float) -> tuple[float, float]:
@@ -297,7 +330,11 @@ def eval_F_direct(zf: ZolotarevFraction, x: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class Z4Approximant:
-    """Zolotarev's scaled sign approximant (2/(1+lam)) F_m(x; ell) on [-1,1]."""
+    """Zolotarev's scaled sign approximant (2/(1+lam)) F_m(x; ell) on [-1,1].
+
+    Calling it evaluates F alone, at a float or an ndarray, for any real x
+    (F is rational, so |x| > 1 is accepted at either parity).
+    """
 
     m: int
     ell: float
@@ -305,8 +342,8 @@ class Z4Approximant:
     scale: float
     deviation: float  # max |approx - sign| on [-1,-ell] u [ell,1] = (1-lam)/(1+lam)
 
-    def __call__(self, x: float) -> float:
-        return self.scale * eval_F_product(self.fraction, x)[0]
+    def __call__(self, x):
+        return self.scale * _F_kernel(self.fraction._kernel, x)[0]
 
 
 def z4_solution(m: int, ell: float) -> Z4Approximant:
@@ -319,20 +356,25 @@ def z4_solution(m: int, ell: float) -> Z4Approximant:
     return Z4Approximant(m, zf.modulus.ell, zf, 2.0 / one_plus, deviation)
 
 
-def eval_s_via_FG(m: int, theta: float, z: complex) -> complex:
+def eval_s_via_FG(m: int, theta: float, z):
     """Circle lift F(x) + i sign(Im z)^m G(x), x = (z + 1/z)/2 = Re z on |z| = 1.
 
-    sign(0) is taken as +1; the points +-i are rejected for odd m, where
-    only the factored form defines the value.
+    Takes a complex scalar (returns a complex) or an ndarray (returns a
+    complex ndarray); the fraction is built once per call.  sign(0) is taken
+    as +1.  Raises DomainError if any point is off the circle, and for odd
+    m if any point is within 1e-12 of +-i, where only the factored form
+    defines the value.
     """
-    z = complex(z)
-    if abs(abs(z) - 1.0) > 1e-9:
-        raise DomainError(f"eval_s_via_FG requires |z| = 1, got |z|={abs(z)!r}")
-    if m % 2 and abs(z.real) < 1e-12:
+    w = np.asarray(z, dtype=complex)
+    off = np.abs(np.abs(w) - 1.0)
+    if np.any(off > 1e-9):
+        raise DomainError(f"eval_s_via_FG requires |z| = 1, got ||z| - 1| = {float(np.max(off))!r}")
+    if m % 2 and np.any(np.abs(w.real) < 1e-12):
         raise DomainError("the F/G lift is not defined at z = +-i for odd degree")
     zf = ZolotarevFraction.from_theta(m, theta)
-    x = ((z + 1.0 / z) / 2.0).real
-    x = max(-1.0, min(1.0, x))
-    sigma = -1.0 if z.imag < 0.0 else 1.0
+    x = np.clip(((w + 1.0 / w) / 2.0).real, -1.0, 1.0)
     F, G = eval_F_product(zf, x)
-    return complex(F, sigma**m * G)
+    out = np.empty(w.shape, dtype=complex)
+    out.real = F
+    out.imag = np.where(w.imag < 0.0, -G, G) if m % 2 else G
+    return out if isinstance(z, np.ndarray) else complex(out)

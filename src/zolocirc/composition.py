@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import math
 
-from .approximants import ZolotarevFraction, build_r, build_s, eval_F_product
+import numpy as np
+
+from .approximants import ZolotarevFraction, _F_kernel, build_r, build_s
 from .elliptic import require_degree, require_modulus, require_theta, solve_lambda
 from .errors import DomainError
 
@@ -76,18 +78,22 @@ def compose_r(n_tilde: int, n: int, theta: float, z):
     return rv * outer(z / (rv * rv)), direct(z)
 
 
-def compose_F(m_tilde: int, m: int, ell: float, x: float):
-    """Both sides of F_mtilde(F_m(x; ell); lam) = F_{mtilde m}(x; ell) on [-1, 1]."""
+def compose_F(m_tilde: int, m: int, ell: float, x):
+    """Both sides of F_mtilde(F_m(x; ell); lam) = F_{mtilde m}(x; ell) on [-1, 1].
+
+    Takes a float (returns floats) or an ndarray (returns arrays); the
+    three fractions are built once per call.
+    """
     if m < 1 or m_tilde < 1:
         raise DomainError("composition requires positive degrees")
     require_modulus(ell)
-    if not abs(x) <= 1.0:
+    if not np.all(np.abs(x) <= 1.0):
         raise DomainError(f"compose_F requires |x| <= 1, got {x!r}")
     inner = ZolotarevFraction.from_ell(m, ell)
     red = inner.reduction
     outer = ZolotarevFraction.from_ell(m_tilde, red.lam, red.lam_comp)
     direct = ZolotarevFraction.from_ell(m_tilde * m, ell)
-    y = eval_F_product(inner, x)[0]
-    left = eval_F_product(outer, y)[0]
-    right = eval_F_product(direct, x)[0]
+    y = _F_kernel(inner._kernel, x)[0]
+    left = _F_kernel(outer._kernel, y)[0]
+    right = _F_kernel(direct._kernel, x)[0]
     return left, right

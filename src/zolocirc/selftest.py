@@ -116,24 +116,24 @@ def criterion_4():
 
 def criterion_5():
     """Factored product vs F/G lift (1e-11); direct vs product F (1e-10)."""
+    angles = -math.pi + 2.0 * math.pi * (np.arange(100) + 0.41) / 100
+    circle = np.cos(angles) + 1j * np.sin(angles)
+    off_axis = circle[np.abs(circle.real) >= 1e-6]
     worst_lift = 0.0
     for theta in THETA_SWEEP:
         for m in M_SWEEP:
-            s = approximants.build_s(m, theta)
-            for k in range(100):
-                ang = -math.pi + 2.0 * math.pi * (k + 0.41) / 100
-                z = complex(math.cos(ang), math.sin(ang))
-                if m % 2 and abs(z.real) < 1e-6:
-                    continue
-                worst_lift = max(worst_lift, abs(s(z) - approximants.eval_s_via_FG(m, theta, z)))
+            z = off_axis if m % 2 else circle
+            lift = approximants.eval_s_via_FG(m, theta, z)
+            worst_lift = max(worst_lift, float(np.max(np.abs(approximants.build_s(m, theta)(z) - lift))))
+    xs = np.linspace(-1.0, 1.0, 201)
     worst_fg = 0.0
     for theta in (0.5, 1.0, 1.4):
         for m in M_SWEEP:
             zf = approximants.ZolotarevFraction.from_theta(m, theta)
-            for x in np.linspace(-1.0, 1.0, 201):
-                fd = approximants.eval_F_direct(zf, float(x))
-                fp = approximants.eval_F_product(zf, float(x))
-                worst_fg = max(worst_fg, abs(fd[0] - fp[0]), abs(fd[1] - fp[1]))
+            Fp, Gp = approximants.eval_F_product(zf, xs)
+            for x, fp, gp in zip(xs.tolist(), Fp.tolist(), Gp.tolist()):
+                fd, gd = approximants.eval_F_direct(zf, x)
+                worst_fg = max(worst_fg, abs(fd - fp), abs(gd - gp))
     ok = worst_lift <= 1e-11 and worst_fg <= 1e-10
     return ("circle-lift agreement", ok, f"lift = {worst_lift:.3e}, direct-vs-product = {worst_fg:.3e}")
 
@@ -152,10 +152,10 @@ def criterion_6():
         left, right = composition.compose_r(n_tilde, n, 1.0, z)
         worst_r = max(worst_r, float(np.max(np.abs(left - right))))
     worst_f = 0.0
+    xs = np.linspace(-1.0, 1.0, 101)
     for m_tilde, m, ell in ((2, 2, 0.5), (2, 3, 0.3), (3, 2, 0.7)):
-        for x in np.linspace(-1.0, 1.0, 101):
-            left, right = composition.compose_F(m_tilde, m, ell, float(x))
-            worst_f = max(worst_f, abs(left - right))
+        left, right = composition.compose_F(m_tilde, m, ell, xs)
+        worst_f = max(worst_f, float(np.max(np.abs(left - right))))
     ok = worst_s <= 1e-9 and worst_r <= 1e-9 and worst_f <= 1e-10
     return ("composition laws", ok, f"s = {worst_s:.3e}, r = {worst_r:.3e}, F = {worst_f:.3e}")
 

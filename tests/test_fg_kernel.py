@@ -1,0 +1,163 @@
+"""The F/G kernel: one arithmetic path for floats and arrays, finite at any degree.
+
+The reference evaluates the same product formula in mpmath (60 digits)
+from the same double node constants, so it measures the kernel's own
+rounding, not the accuracy of the constants.
+"""
+
+import math
+
+import mpmath as mp
+import numpy as np
+import pytest
+
+from zolocirc import approximants as ap
+from zolocirc import composition as co
+from zolocirc.errors import DomainError
+
+EPS = np.finfo(float).eps
+DEGREES = (0, 1, 2, 3, 8, 33, 64, 255)
+ELL = 0.3
+THETA = math.acos(ELL)
+
+
+def line_grid(ell):
+    """[-1, 1] with +-1, 0 and +-ell among the points."""
+    return np.concatenate([np.linspace(-1.0, 1.0, 41), [ell, -ell, 0.0, 1.0, -1.0]])
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def assert_bitwise(scalars, array):
+    assert all(type(v) is float for v in scalars)
+    assert np.array_equal(bits(scalars), bits(array))
+
+
+def mp_F(zf, x):
+    """F from the undivided product formula, in 60-digit arithmetic."""
+    with mp.workdps(60):
+        s = mp.mpf(x) / mp.mpf(zf.modulus.ell)
+        F = mp.mpf(zf.reduction.lam) * s / mp.mpf(zf.reduction.M)
+        for c in zf.cot2_even:
+            F *= 1 + s * s * mp.mpf(c)
+        for c in zf.cot2_odd:
+            F /= 1 + s * s * mp.mpf(c)
+        return float(F)
+
+
+def mp_G(zf, x):
+    """G from the undivided product formula, in 60-digit arithmetic (|x| <= 1)."""
+    with mp.workdps(60):
+        s = mp.mpf(x) / mp.mpf(zf.modulus.ell)
+        G = mp.mpf(1)
+        for c, d in zip(zf.cot2_odd, zf.dn2_odd):
+            G *= (1 - s * s * mp.mpf(d)) / (1 + s * s * mp.mpf(c))
+        if zf.m % 2:
+            G *= mp.sqrt((1 - mp.mpf(x)) * (1 + mp.mpf(x)))
+        return float(G)
+
+
+class TestScalarArrayBitwise:
+    @pytest.mark.parametrize("m", DEGREES)
+    def test_eval_F_product(self, m):
+        zf = ap.ZolotarevFraction.from_ell(m, ELL)
+        xs = line_grid(ELL)
+        F, G = ap.eval_F_product(zf, xs)
+        pairs = [ap.eval_F_product(zf, x) for x in xs.tolist()]
+        assert_bitwise([p[0] for p in pairs], F)
+        assert_bitwise([p[1] for p in pairs], G)
+
+    @pytest.mark.parametrize("m", [m for m in DEGREES if m])
+    def test_z4(self, m):
+        z4 = ap.z4_solution(m, ELL)
+        xs = np.concatenate([line_grid(ELL), [1.5, -1.5]])
+        assert_bitwise([z4(x) for x in xs.tolist()], z4(xs))
+
+    @pytest.mark.parametrize("m", DEGREES)
+    def test_eval_s_via_FG(self, m):
+        z = np.exp(1j * np.concatenate([np.linspace(-3.0, 3.0, 25), [0.0, math.pi, THETA, -THETA]]))
+        if m % 2 == 0:
+            z = np.concatenate([z, [1j, -1j]])
+        lift = ap.eval_s_via_FG(m, THETA, z)
+        scalars = [ap.eval_s_via_FG(m, THETA, w) for w in z.tolist()]
+        assert all(type(v) is complex for v in scalars)
+        assert np.array_equal(bits([v.real for v in scalars]), bits(lift.real))
+        assert np.array_equal(bits([v.imag for v in scalars]), bits(lift.imag))
+
+    # lam(255, ell) rounds past the modulus window at every ell, so the
+    # outer fraction of degree 255 cannot be built
+    @pytest.mark.parametrize("m", [m for m in DEGREES if 0 < m < 255])
+    def test_compose_F(self, m):
+        ell = 1.0000001e-8
+        xs = line_grid(ell)
+        left, right = co.compose_F(2, m, ell, xs)
+        pairs = [co.compose_F(2, m, ell, x) for x in xs.tolist()]
+        assert_bitwise([p[0] for p in pairs], left)
+        assert_bitwise([p[1] for p in pairs], right)
+
+
+class TestArrayDomain:
+    def test_lift_rejects_a_point_off_the_circle(self):
+        z = np.exp(1j * np.linspace(0.1, 3.0, 8))
+        z[3] = 1.2
+        with pytest.raises(DomainError):
+            ap.eval_s_via_FG(2, 1.0, z)
+
+    @pytest.mark.parametrize("axis_point", [1j, -1j])
+    def test_lift_rejects_the_imaginary_axis_for_odd_degree(self, axis_point):
+        z = np.exp(1j * np.linspace(0.1, 1.0, 8))
+        z[5] = axis_point
+        with pytest.raises(DomainError):
+            ap.eval_s_via_FG(3, 1.0, z)
+        assert np.all(np.isfinite(ap.eval_s_via_FG(4, 1.0, z)))
+
+    def test_odd_G_rejects_an_array_point_beyond_one(self):
+        zf = ap.ZolotarevFraction.from_ell(3, 0.5)
+        with pytest.raises(DomainError):
+            ap.eval_F_product(zf, np.array([0.2, -1.25, 0.9]))
+
+    def test_compose_F_rejects_an_array_point_beyond_one(self):
+        with pytest.raises(DomainError):
+            co.compose_F(2, 3, 0.5, np.array([0.2, 1.25]))
+
+
+class TestMpReference:
+    @pytest.mark.parametrize("ell", [1.0000001e-8, 1e-4, 0.5, 1.0 - 1.0000001e-8])
+    @pytest.mark.parametrize("m", [1, 2, 3, 8, 33, 256, 3000])
+    def test_F_and_G_within_m_plus_4_eps(self, ell, m):
+        zf = ap.ZolotarevFraction.from_ell(m, ell)
+        count = 5 if m > 256 else 25
+        xs = np.concatenate([np.linspace(-1.0, 1.0, count), [ell, -ell, 0.5 * ell, 2.0 * ell]])
+        xs = xs[np.abs(xs) <= 1.0]
+        F, G = ap.eval_F_product(zf, xs)
+        bound = (m + 4) * EPS
+        assert float(np.max(np.abs(F - [mp_F(zf, x) for x in xs.tolist()]))) <= bound
+        assert float(np.max(np.abs(G - [mp_G(zf, x) for x in xs.tolist()]))) <= bound
+
+
+class TestHighDegreeFinite:
+    @pytest.mark.parametrize(
+        "ell,m",
+        [(1.0000001e-8, 77), (1e-6, 102), (1e-4, 160), (1e-2, 400), (0.5, 800), (0.5, 3000)],
+    )
+    def test_F_and_G_finite_on_41_points(self, ell, m):
+        # the first degrees at which undivided products of 1 + s^2 c overflow to inf/inf
+        zf = ap.ZolotarevFraction.from_ell(m, ell)
+        F, G = ap.eval_F_product(zf, np.linspace(-1.0, 1.0, 41))
+        assert np.all(np.isfinite(F)) and np.all(np.isfinite(G))
+        assert float(np.max(np.abs(np.abs(F[F != 0.0]) - 1.0))) <= 1e-6
+
+    def test_z4_degree_3000(self):
+        assert ap.z4_solution(3000, 0.5)(0.7) == pytest.approx(1.0, abs=1e-14)
+
+
+class TestZ4BeyondOne:
+    @pytest.mark.parametrize("m", [3, 4])
+    @pytest.mark.parametrize("x", [1.5, -1.5])
+    def test_returns_F_at_either_parity(self, m, x):
+        z4 = ap.z4_solution(m, 0.5)
+        ref = z4.scale * mp_F(z4.fraction, x)
+        assert z4(x) == pytest.approx(ref, abs=(m + 4) * EPS)
+        assert z4(x) == -z4(-x)
