@@ -7,8 +7,8 @@ sample grid is evaluated as one array; the grid only brackets the local
 extrema of the signed error, and golden-section refinement on the scalar
 path computes every reported value.  For the optimal approximants the
 extrema alternate in sign and all sit at the common amplitude
-arccos(lam), which is also predicted analytically from the degree
-reduction.
+arccos(lam), predicted from the degree reduction at ``effective_degree``,
+where the sqrt problem at degree n is the sign problem at 2n + 1.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import approximants
 from .approximants import UnimodularRational
 from .elliptic import EllipticModulus, require_degree, require_theta, solve_lambda
 from .errors import DomainError, ResolutionError
@@ -74,17 +75,41 @@ def _phase_error(r: UnimodularRational, offset: float, half_t: float):
     return err
 
 
-def _arc_jobs(r: UnimodularRational, theta: float, problem: str):
-    """(error kernel, lo, hi) of each arc of the z5 or z6 domain."""
+def effective_degree(problem: str, degree: int) -> int:
+    """Degree of the sign problem (z6) that a z5 or z6 approximant measures as.
+
+    The structural identity s_{2n+1}(z)^{(-1)^n} r_n(z^2) = z makes r_n (z5)
+    share the optimal error arccos(lam), the alternation count 2n + 2 and
+    the decay bounds of s_{2n+1}, so z5 maps n to 2n + 1; z6 keeps m.
+    """
     key = problem.lower()
     if key == "z5":
-        return [(_phase_error(r, 0.0, 0.5), -2.0 * theta, 2.0 * theta)]
+        return 2 * degree + 1
     if key == "z6":
-        return [
-            (_phase_error(r, 0.0, 0.0), -theta, theta),
-            (_phase_error(r, math.pi, 0.0), math.pi - theta, math.pi + theta),
-        ]
+        return degree
     raise DomainError(f"problem must be 'z5' or 'z6', got {problem!r}")
+
+
+def _problem_fns(problem: str):
+    """(builder, equioscillation report, contour target) of z5 or z6.
+
+    Read from the module attributes at each call, so that wrappers
+    installed on them (a layer tracer) see the calls.
+    """
+    if problem.lower() == "z5":
+        return approximants.build_r, phase_error_sqrt, "sqrt"
+    return approximants.build_s, phase_error_sign, "sign"
+
+
+def _arc_jobs(r: UnimodularRational, theta: float, problem: str):
+    """(error kernel, lo, hi) of each arc of the z5 or z6 domain."""
+    effective_degree(problem, 0)  # rejects any other problem name
+    if problem.lower() == "z5":
+        return [(_phase_error(r, 0.0, 0.5), -2.0 * theta, 2.0 * theta)]
+    return [
+        (_phase_error(r, 0.0, 0.0), -theta, theta),
+        (_phase_error(r, math.pi, 0.0), math.pi - theta, math.pi + theta),
+    ]
 
 
 def _golden_max(f, lo: float, hi: float, tol: float = 1e-12):
@@ -192,26 +217,25 @@ def _certified_measure(arc_jobs, grid_n: int, expected: int):
     return amplitude, extrema, counts
 
 
+def _phase_report(r: UnimodularRational, theta: float, grid_n: int, problem: str) -> PhaseErrorReport:
+    """Report on the arcs of ``problem``: arccos(lam), M + 1 extrema per arc at the effective degree M."""
+    require_theta(theta)
+    effective = effective_degree(problem, len(r.factors))
+    grid_n = require_degree(grid_n, 8 * (len(r.factors) + 1), "grid_n")
+    red = solve_lambda(math.cos(theta), effective, math.sin(theta))
+    predicted = math.asin(red.lam_comp)  # arccos(lam), stable near lam = 1
+    amplitude, extrema, counts = _certified_measure(_arc_jobs(r, theta, problem), grid_n, effective + 1)
+    return PhaseErrorReport(amplitude, predicted, extrema, counts, grid_n)
+
+
 def phase_error_sqrt(r: UnimodularRational, theta: float, grid_n: int) -> PhaseErrorReport:
     """Equioscillation report of arg(r(e^{i t}) e^{-i t/2}) over [-2 Theta, 2 Theta]."""
-    require_theta(theta)
-    n = len(r.factors)
-    grid_n = require_degree(grid_n, 8 * (n + 1), "grid_n")
-    red = solve_lambda(math.cos(theta), 2 * n + 1, math.sin(theta))
-    predicted = math.asin(red.lam_comp)  # arccos(lam), stable near lam = 1
-    amplitude, extrema, counts = _certified_measure(_arc_jobs(r, theta, "z5"), grid_n, 2 * n + 2)
-    return PhaseErrorReport(amplitude, predicted, extrema, counts, grid_n)
+    return _phase_report(r, theta, grid_n, "z5")
 
 
 def phase_error_sign(s: UnimodularRational, theta: float, grid_n: int) -> PhaseErrorReport:
     """Equioscillation report of arg(s/sign) over both arcs of the T domain."""
-    require_theta(theta)
-    m = len(s.factors)
-    grid_n = require_degree(grid_n, 8 * (m + 1), "grid_n")
-    red = solve_lambda(math.cos(theta), m, math.sin(theta))
-    predicted = math.asin(red.lam_comp)
-    amplitude, extrema, counts = _certified_measure(_arc_jobs(s, theta, "z6"), grid_n, m + 1)
-    return PhaseErrorReport(amplitude, predicted, extrema, counts, grid_n)
+    return _phase_report(s, theta, grid_n, "z6")
 
 
 def max_phase_error(r: UnimodularRational, theta: float, problem: str, grid_n: int = 512) -> float:
@@ -281,27 +305,16 @@ def phase_error_from_Z(zm: float) -> float:
 def error_bounds(m_or_n: int, theta: float, problem: str) -> tuple[float, float]:
     """(rho-form bound, sec-form bound) on the optimal phase error.
 
-    For the sign problem at degree m: 4 rho^{-m/2} <= 4 exp(-pi^2 m /
-    (4 log(4 sec Theta))); for the sqrt problem at degree n the exponents
-    carry n + 1/2 and the doubled rate.
+    At the effective degree M (m for z6, 2n + 1 for z5): 4 rho^{-M/2} <=
+    4 exp(-pi^2 M / (4 log(4 sec Theta))).
     """
     require_theta(theta)
-    m_or_n = require_degree(m_or_n, 0)
+    M = effective_degree(problem, require_degree(m_or_n, 0))
     mod = EllipticModulus.from_theta(theta)
-    log4sec = math.log(4.0 / mod.ell)
-    key = problem.lower()
-    if key == "z6":
-        return (
-            4.0 * mod.rho ** (-0.5 * m_or_n),
-            4.0 * math.exp(-math.pi**2 * m_or_n / (4.0 * log4sec)),
-        )
-    if key == "z5":
-        half = m_or_n + 0.5
-        return (
-            4.0 * mod.rho ** (-half),
-            4.0 * math.exp(-math.pi**2 * half / (2.0 * log4sec)),
-        )
-    raise DomainError(f"problem must be 'z5' or 'z6', got {problem!r}")
+    return (
+        4.0 * mod.rho ** (-0.5 * M),
+        4.0 * math.exp(-math.pi**2 * M / (4.0 * math.log(4.0 / mod.ell))),
+    )
 
 
 def contour_grid(

@@ -35,6 +35,7 @@ from .elliptic import (
     _sncndn,
     inverse_sn,
     require_degree,
+    require_modulus,
     require_theta,
     solve_lambda,
 )
@@ -241,6 +242,8 @@ class ZolotarevFraction:
     @classmethod
     def from_ell(cls, m: int, ell: float, ell_comp: float | None = None) -> "ZolotarevFraction":
         m = require_degree(m, 0)
+        # window first: a reduced modulus that rounds to 1.0 is past ELL_MAX like any other
+        require_modulus(ell)
         modulus = EllipticModulus.from_ell(ell, ell_comp)
         reduction = solve_lambda(modulus.ell, m, modulus.ell_comp)
         n = (m - 1) // 2 if m % 2 else m // 2

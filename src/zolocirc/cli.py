@@ -55,10 +55,12 @@ def _fmt(value) -> str:
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
-def _envelope(command: str, inputs: dict, results: dict) -> str:
+def _envelope(args, results: dict) -> str:
+    """The command's JSON document; ``inputs`` echoes the parsed flags in parser order."""
+    inputs = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
     return _fmt(
         {
-            "command": command,
+            "command": args.command,
             "inputs": inputs,
             "results": results,
             "tool_version": __version__,
@@ -97,18 +99,14 @@ def _cmd_build(args) -> int:
             raise _UsageError(f"--theta is required for {args.problem}")
         _check_theta_flag(args.theta)
         _check_degree_flag(args.degree)
-        theta = args.theta
-        ell, ell_comp = math.cos(theta), math.sin(theta)
-        if args.problem == "z5":
-            r = approximants.build_r(args.degree, theta)
-            red = solve_lambda(ell, 2 * args.degree + 1, ell_comp)
-        else:
-            r = approximants.build_s(args.degree, theta)
-            red = solve_lambda(ell, args.degree, ell_comp)
+        ell, ell_comp = math.cos(args.theta), math.sin(args.theta)
+        build = analysis._problem_fns(args.problem)[0]
+        r = build(args.degree, args.theta)
+        red = solve_lambda(ell, analysis.effective_degree(args.problem, args.degree), ell_comp)
         results = {
             "problem": args.problem,
             "degree": args.degree,
-            "theta": theta,
+            "theta": args.theta,
             "ell": ell,
             "lambda": red.lam,
             "lambda_comp": red.lam_comp,
@@ -142,14 +140,7 @@ def _cmd_build(args) -> int:
             "poles": [[0.0, s * args.ell / math.sqrt(c)] for c in zf.cot2_odd for s in (1.0, -1.0)],
             "exact_type": [2 * ((m - 1) // 2) + 1, 2 * (m // 2)],
         }
-    inputs = {
-        "problem": args.problem,
-        "degree": args.degree,
-        "theta": args.theta,
-        "ell": args.ell,
-        "format": args.format,
-    }
-    print(_envelope("build", inputs, results))
+    print(_envelope(args, results))
     return 0
 
 
@@ -158,14 +149,10 @@ def _cmd_error(args) -> int:
     _check_degree_flag(args.degree)
     if args.grid < 64:
         raise _UsageError(f"--grid must be at least 64, got {args.grid!r}")
-    if args.problem == "z5":
-        r = approximants.build_r(args.degree, args.theta)
-        expected = 2 * args.degree + 2
-        report = analysis.phase_error_sqrt(r, args.theta, args.grid)
-    else:
-        r = approximants.build_s(args.degree, args.theta)
-        expected = args.degree + 1
-        report = analysis.phase_error_sign(r, args.theta, args.grid)
+    build, phase_report, _ = analysis._problem_fns(args.problem)
+    r = build(args.degree, args.theta)
+    expected = analysis.effective_degree(args.problem, args.degree) + 1
+    report = phase_report(r, args.theta, args.grid)
     results = {
         "problem": args.problem,
         "degree": args.degree,
@@ -177,8 +164,7 @@ def _cmd_error(args) -> int:
         "grid_size": report.grid_size,
         "extrema": [[t, e] for t, e in report.extrema],
     }
-    inputs = {"problem": args.problem, "degree": args.degree, "theta": args.theta, "grid": args.grid}
-    print(_envelope("error", inputs, results))
+    print(_envelope(args, results))
     if any(c < expected for c in report.arcs):
         return 4
     return 0
@@ -188,22 +174,14 @@ def _cmd_bounds(args) -> int:
     _check_theta_flag(args.theta)
     if not 0 <= args.max_degree <= 64:
         raise _UsageError(f"--max-degree must lie in [0, 64], got {args.max_degree!r}")
+    build = analysis._problem_fns(args.problem)[0]
     rows = []
     for degree in range(args.max_degree + 1):
-        if args.problem == "z5":
-            r = approximants.build_r(degree, args.theta)
-        else:
-            r = approximants.build_s(degree, args.theta)
+        r = build(degree, args.theta)
         grid_n = max(128, 8 * (degree + 1))
         measured = analysis.max_phase_error(r, args.theta, args.problem, grid_n)
         b_rho, b_sec = analysis.error_bounds(degree, args.theta, args.problem)
         rows.append((degree, measured, b_rho, b_sec))
-    inputs = {
-        "problem": args.problem,
-        "max_degree": args.max_degree,
-        "theta": args.theta,
-        "format": args.format,
-    }
     if args.format == "csv":
         lines = ["degree,measured,bound_rho,bound_secant"]
         for degree, measured, b_rho, b_sec in rows:
@@ -218,7 +196,7 @@ def _cmd_bounds(args) -> int:
                 for d, m, b1, b2 in rows
             ]
         }
-        print(_envelope("bounds", inputs, results))
+        print(_envelope(args, results))
     return 0
 
 
@@ -240,12 +218,6 @@ def _cmd_compose(args) -> int:
     z = _compose_samples(args.samples)
     left, right = composition.compose_s(args.degree_tilde, args.degree, args.theta, z)
     residual = float(np.max(np.abs(left - right)))
-    inputs = {
-        "degree": args.degree,
-        "degree_tilde": args.degree_tilde,
-        "theta": args.theta,
-        "samples": args.samples,
-    }
     results = {
         "theta_tilde": composition.theta_tilde(args.degree, args.theta),
         "target_degree": args.degree_tilde * args.degree,
@@ -253,7 +225,7 @@ def _cmd_compose(args) -> int:
         "tolerance": COMPOSE_TOLERANCE,
         "passed": residual <= COMPOSE_TOLERANCE,
     }
-    print(_envelope("compose", inputs, results))
+    print(_envelope(args, results))
     return 0 if residual <= COMPOSE_TOLERANCE else 5
 
 
@@ -267,13 +239,8 @@ def _cmd_contour(args) -> int:
     if len(parts) != 4 or not all(map(math.isfinite, parts)):
         raise _UsageError(f"--window must be four comma-separated finite reals, got {args.window!r}")
     window = (parts[0], parts[1], parts[2], parts[3])
-    if args.problem == "z5":
-        r = approximants.build_r(args.degree, args.theta)
-        target = "sqrt"
-    else:
-        r = approximants.build_s(args.degree, args.theta)
-        target = "sign"
-    grid = analysis.contour_grid(r, target, window, args.resolution)
+    build, _, target = analysis._problem_fns(args.problem)
+    grid = analysis.contour_grid(build(args.degree, args.theta), target, window, args.resolution)
     res = np.linspace(window[0], window[1], args.resolution)
     ims = np.linspace(window[2], window[3], args.resolution)
     re_s = [format(x, ".17g") for x in res.tolist()]

@@ -38,8 +38,7 @@ def theta_tilde(m: int, theta: float) -> float:
 
 def compose_s(m_tilde: int, m: int, theta: float, z):
     """Both sides of s_mtilde(s_m(z; Theta); Theta-tilde) = s_{mtilde m}(z; Theta)."""
-    if m < 1 or m_tilde < 1:
-        raise DomainError("composition requires positive degrees")
+    m, m_tilde = require_degree(m, 1, "m"), require_degree(m_tilde, 1, "m_tilde")
     tt = theta_tilde(m, theta)
     inner = build_s(m, theta)
     outer = build_s(m_tilde, tt)
@@ -56,8 +55,7 @@ def _s_tilde(m_odd: int, theta: float):
 
 def compose_s_tilde(n_tilde: int, n: int, theta: float, z):
     """Both sides of the composition law for s_tilde = s_{2n+1}^((-1)^n)."""
-    if n < 0 or n_tilde < 0:
-        raise DomainError("composition requires nonnegative n")
+    n, n_tilde = require_degree(n, 0, "n"), require_degree(n_tilde, 0, "n_tilde")
     m, m_tilde = 2 * n + 1, 2 * n_tilde + 1
     tt = theta_tilde(m, theta)
     inner = _s_tilde(m, theta)
@@ -68,8 +66,7 @@ def compose_s_tilde(n_tilde: int, n: int, theta: float, z):
 
 def compose_r(n_tilde: int, n: int, theta: float, z):
     """Both sides of r_n(z) r_ntilde(z / r_n(z)^2; Theta-tilde) = r_{2 ntilde n + ntilde + n}(z)."""
-    if n < 0 or n_tilde < 0:
-        raise DomainError("composition requires nonnegative n")
+    n, n_tilde = require_degree(n, 0, "n"), require_degree(n_tilde, 0, "n_tilde")
     tt = theta_tilde(2 * n + 1, theta)
     inner = build_r(n, theta)
     outer = build_r(n_tilde, tt)
@@ -84,8 +81,7 @@ def compose_F(m_tilde: int, m: int, ell: float, x):
     Takes a float (returns floats) or an ndarray (returns arrays); the
     three fractions are built once per call.
     """
-    if m < 1 or m_tilde < 1:
-        raise DomainError("composition requires positive degrees")
+    m, m_tilde = require_degree(m, 1, "m"), require_degree(m_tilde, 1, "m_tilde")
     require_modulus(ell)
     if not np.all(np.abs(x) <= 1.0):
         raise DomainError(f"compose_F requires |x| <= 1, got {x!r}")

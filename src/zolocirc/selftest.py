@@ -22,11 +22,13 @@ from . import analysis, approximants, composition, connections, elliptic, oracle
 THETA_SWEEP = (0.5, 1.0, 1.4, 0.5 * math.pi - 0.1)
 M_SWEEP = tuple(range(1, 9))
 N_SWEEP = tuple(range(0, 5))
+# (problem, degree letter, degree): the z6 sweep, then the z5 sweep
+_SWEEP = tuple(("z6", "m", m) for m in M_SWEEP) + tuple(("z5", "n", n) for n in N_SWEEP)
 _BOUND_SLACK = 1e-12
 
 
-def _grid_for(count: int) -> int:
-    return max(64, 16 * (count + 1))
+def _grid_for(problem: str, degree: int) -> int:
+    return max(64, 16 * (analysis.effective_degree(problem, degree) + 1))
 
 
 def criterion_1():
@@ -34,11 +36,9 @@ def criterion_1():
     t0 = time.perf_counter()
     worst = 0.0
     for theta in THETA_SWEEP:
-        for m in M_SWEEP:
-            rep = analysis.phase_error_sign(approximants.build_s(m, theta), theta, _grid_for(m))
-            worst = max(worst, abs(rep.max_error - rep.predicted))
-        for n in N_SWEEP:
-            rep = analysis.phase_error_sqrt(approximants.build_r(n, theta), theta, _grid_for(2 * n + 1))
+        for problem, _, degree in _SWEEP:
+            build, report, _ = analysis._problem_fns(problem)
+            rep = report(build(degree, theta), theta, _grid_for(problem, degree))
             worst = max(worst, abs(rep.max_error - rep.predicted))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-9 and elapsed <= 5.0
@@ -46,30 +46,24 @@ def criterion_1():
 
 
 def criterion_2():
-    """Alternation counts m+1 per arc / 2n+2, endpoints attained, grid-stable."""
+    """Alternation counts M+1 per arc at the effective degree M, endpoints attained, grid-stable."""
     bad = []
     for theta in THETA_SWEEP:
-        for m in M_SWEEP:
-            s = approximants.build_s(m, theta)
-            rep = analysis.phase_error_sign(s, theta, _grid_for(m))
-            rep2 = analysis.phase_error_sign(s, theta, 2 * _grid_for(m))
-            if rep.arcs != (m + 1, m + 1) or rep2.arcs != rep.arcs:
-                bad.append(f"z6 m={m} theta={theta:.3f}: {rep.arcs}/{rep2.arcs}")
+        for problem, letter, degree in _SWEEP:
+            build, report, _ = analysis._problem_fns(problem)
+            r = build(degree, theta)
+            rep = report(r, theta, _grid_for(problem, degree))
+            rep2 = report(r, theta, 2 * _grid_for(problem, degree))
+            label = f"{problem} {letter}={degree} theta={theta:.3f}"
+            arcs = analysis._arc_jobs(r, theta, problem)
+            expected = (analysis.effective_degree(problem, degree) + 1,) * len(arcs)
+            if rep.arcs != expected or rep2.arcs != rep.arcs:
+                bad.append(f"{label}: {rep.arcs}/{rep2.arcs}")
                 continue
             angles = [x for x, _ in rep.extrema]
-            ends = (-theta, theta, math.pi - theta, math.pi + theta)
+            ends = [e for _, lo, hi in arcs for e in (lo, hi)]
             if any(min(abs(a - e) for a in angles) > 1e-8 for e in ends):
-                bad.append(f"z6 m={m} theta={theta:.3f}: endpoint not attained")
-        for n in N_SWEEP:
-            r = approximants.build_r(n, theta)
-            rep = analysis.phase_error_sqrt(r, theta, _grid_for(2 * n + 1))
-            rep2 = analysis.phase_error_sqrt(r, theta, 2 * _grid_for(2 * n + 1))
-            if rep.arcs != (2 * n + 2,) or rep2.arcs != rep.arcs:
-                bad.append(f"z5 n={n} theta={theta:.3f}: {rep.arcs}/{rep2.arcs}")
-                continue
-            angles = [x for x, _ in rep.extrema]
-            if any(min(abs(a - e) for a in angles) > 1e-8 for e in (-2 * theta, 2 * theta)):
-                bad.append(f"z5 n={n} theta={theta:.3f}: endpoint not attained")
+                bad.append(f"{label}: endpoint not attained")
     return ("equioscillation certificate", not bad, "; ".join(bad) if bad else "all counts exact and stable")
 
 
@@ -79,20 +73,15 @@ def criterion_3():
     worst_chain = 0.0
     for theta in THETA_SWEEP:
         ell, ell_comp = math.cos(theta), math.sin(theta)
-        for m in M_SWEEP:
-            red = elliptic.solve_lambda(ell, m, ell_comp)
+        for problem, letter, degree in _SWEEP:
+            red = elliptic.solve_lambda(ell, analysis.effective_degree(problem, degree), ell_comp)
             measured = math.asin(red.lam_comp)
-            b_rho, b_sec = analysis.error_bounds(m, theta, "z6")
+            b_rho, b_sec = analysis.error_bounds(degree, theta, problem)
             if not (measured <= b_rho + _BOUND_SLACK and b_rho <= b_sec * (1.0 + 1e-15)):
-                bad.append(f"z6 m={m} theta={theta:.3f}")
-            chain = abs(analysis.phase_error_from_Z(analysis.zolotarev_number(m, theta)) - measured)
-            worst_chain = max(worst_chain, chain)
-        for n in N_SWEEP:
-            red = elliptic.solve_lambda(ell, 2 * n + 1, ell_comp)
-            measured = math.asin(red.lam_comp)
-            b_rho, b_sec = analysis.error_bounds(n, theta, "z5")
-            if not (measured <= b_rho + _BOUND_SLACK and b_rho <= b_sec * (1.0 + 1e-15)):
-                bad.append(f"z5 n={n} theta={theta:.3f}")
+                bad.append(f"{problem} {letter}={degree} theta={theta:.3f}")
+            if problem == "z6":
+                chain = abs(analysis.phase_error_from_Z(analysis.zolotarev_number(degree, theta)) - measured)
+                worst_chain = max(worst_chain, chain)
     ok = not bad and worst_chain <= 1e-10
     detail = f"worst Z-chain deviation = {worst_chain:.3e}" + ("; " + "; ".join(bad) if bad else "")
     return ("error-bound ordering", ok, detail)
@@ -219,7 +208,7 @@ def criterion_8():
     a_ref = approximants.coeff_a(1, 1, theta)
     cell = (math.log(1e6) - math.log(1e-4)) / (10_000 - 1)
     log_gap = abs(math.log(a_star) - math.log(a_ref))
-    red = elliptic.solve_lambda(math.cos(theta), 3, math.sin(theta))
+    red = elliptic.solve_lambda(math.cos(theta), analysis.effective_degree("z5", 1), math.sin(theta))
     err_gap = abs(oracle.degree1_max_phase_error(a_star, theta, 16384) - math.asin(red.lam_comp))
     ok = worst_k <= 1e-11 and worst_j <= 1e-11 and log_gap <= cell and err_gap <= 1e-6
     return (

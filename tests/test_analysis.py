@@ -164,6 +164,13 @@ class TestErrorBounds:
         b_rho, b_sec = an.error_bounds(n, theta, "z5")
         assert predicted_error(2 * n + 1, theta) <= b_rho + 1e-12
         assert b_rho <= b_sec * (1 + 1e-15)
+        # the sqrt problem at n is the sign problem at 2n + 1, bit for bit
+        assert (b_rho, b_sec) == an.error_bounds(2 * n + 1, theta, "z6")
+
+    def test_sqrt_bounds_are_sign_bounds_across_the_window(self):
+        for theta in np.linspace(el.THETA_MIN, el.THETA_MAX, 42)[1:-1].tolist():
+            for n in range(0, 200, 3):
+                assert an.error_bounds(n, theta, "z5") == an.error_bounds(2 * n + 1, theta, "z6")
 
     def test_arccos_root_bound(self):
         for x in np.linspace(0.0, 1.0, 101):
@@ -310,3 +317,24 @@ class TestCrossProblemIdentity:
         r_rep = an.phase_error_sqrt(ap.build_r(n, theta), theta, 160)
         s_rep = an.phase_error_sign(ap.build_s(2 * n + 1, theta), theta, 160)
         assert abs(r_rep.max_error - s_rep.max_error) <= 1e-10
+        assert r_rep.predicted == s_rep.predicted
+        assert r_rep.arcs == (2 * n + 2,) and s_rep.arcs == (2 * n + 2,) * 2
+
+
+class TestEffectiveDegree:
+    @pytest.mark.parametrize("degree", [0, 1, 7, 64])
+    def test_sqrt_maps_to_odd_sign_degree(self, degree):
+        assert an.effective_degree("z5", degree) == 2 * degree + 1
+        assert an.effective_degree("Z5", degree) == 2 * degree + 1
+        assert an.effective_degree("z6", degree) == degree
+
+    def test_unknown_problem_raises_everywhere(self):
+        s = ap.build_s(2, 1.0)
+        calls = (
+            lambda: an.effective_degree("z7", 1),
+            lambda: an.error_bounds(1, 1.0, "z7"),
+            lambda: an.max_phase_error(s, 1.0, "z7"),
+        )
+        for call in calls:
+            with pytest.raises(DomainError, match="problem must be 'z5' or 'z6'"):
+                call()

@@ -231,6 +231,30 @@ class TestContour:
         assert not out_file.exists()
 
 
+class TestInputsEcho:
+    # ``inputs`` echoes every parsed flag in parser order, whatever the
+    # order on the command line; a new flag changes these lists
+    @pytest.mark.parametrize(
+        "argv,keys",
+        [
+            (["build", "--problem", "z6", "--degree", "2", "--theta", "1.0"],
+             ["problem", "degree", "theta", "ell", "format"]),
+            (["build", "--ell", "0.5", "--degree", "2", "--problem", "z4"],
+             ["problem", "degree", "theta", "ell", "format"]),
+            (["error", "--theta", "1.0", "--problem", "z5", "--degree", "1"],
+             ["problem", "degree", "theta", "grid"]),
+            (["bounds", "--format", "json", "--problem", "z6", "--max-degree", "2", "--theta", "1.0"],
+             ["problem", "max_degree", "theta", "format"]),
+            (["compose", "--theta", "1.0", "--degree-tilde", "2", "--degree", "2", "--samples", "8"],
+             ["degree", "degree_tilde", "theta", "samples"]),
+        ],
+    )
+    def test_inputs_keys(self, capsys, argv, keys):
+        doc = run_json(capsys, *argv)
+        assert doc["command"] == argv[0]
+        assert list(doc["inputs"]) == keys
+
+
 class TestDeterminism:
     def test_build_byte_identical(self, capsys):
         _, out1, _ = run(capsys, "build", "--problem", "z6", "--degree", "5", "--theta", "0.9")

@@ -8,7 +8,7 @@ from zolocirc import analysis as an
 from zolocirc import approximants as ap
 from zolocirc import composition as co
 from zolocirc import elliptic as el
-from zolocirc.errors import DomainError
+from zolocirc.errors import DomainError, PrecisionError
 
 CIRCLE_200 = np.exp(2j * math.pi * (np.arange(200) + 0.29) / 200)
 NEAR_RIGHT_ANGLE = 0.5 * math.pi - 0.01
@@ -140,6 +140,43 @@ class TestComposeF:
         for x in np.linspace(-1.0, 1.0, 81):
             left, right = co.compose_F(m_tilde, m, ell, float(x))
             assert abs(left - right) <= 1e-10
+
+    def test_last_inner_degree_inside_the_window(self):
+        # lam(10, 0.3) = 0.99999996 is the outer modulus, just inside ELL_MAX
+        left, right = co.compose_F(2, 10, 0.3, 0.5)
+        assert math.isfinite(left) and math.isfinite(right)
+
+    @pytest.mark.parametrize("m,ell", [(11, 0.3), (31, 0.3), (32, 0.3), (33, 0.3), (64, 1e-4), (255, 1e-4)])
+    def test_outer_modulus_past_the_window(self, m, ell):
+        # lam >= ELL_MAX from m = 11 at ell = 0.3, and lam rounds to 1.0 from
+        # m = 32: both are the same precision limit, not a domain error
+        with pytest.raises(PrecisionError, match="outside supported range"):
+            co.compose_F(2, m, ell, 0.5)
+
+
+class TestDegreeValidation:
+    # (law taking the outer and the inner degree, their names, smallest degree)
+    LAWS = {
+        "compose_s": (lambda a, b: co.compose_s(a, b, 1.0, 1.0 + 0j), ("m_tilde", "m"), 1),
+        "compose_s_tilde": (lambda a, b: co.compose_s_tilde(a, b, 1.0, 1.0 + 0j), ("n_tilde", "n"), 0),
+        "compose_r": (lambda a, b: co.compose_r(a, b, 1.0, 1.0 + 0j), ("n_tilde", "n"), 0),
+        "compose_F": (lambda a, b: co.compose_F(a, b, 0.5, 0.5), ("m_tilde", "m"), 1),
+    }
+
+    @pytest.mark.parametrize("law", sorted(LAWS))
+    @pytest.mark.parametrize("bad", ["below", -1, True, 2.0])
+    def test_rejects_non_degrees(self, law, bad):
+        call, (outer, inner), minimum = self.LAWS[law]
+        bad = minimum - 1 if bad == "below" else bad  # 0 for the m-laws
+        with pytest.raises(DomainError, match=f"^{outer} must be an integer"):
+            call(bad, 2)
+        with pytest.raises(DomainError, match=f"^{inner} must be an integer"):
+            call(2, bad)
+
+    @pytest.mark.parametrize("law", ["compose_r", "compose_s_tilde"])
+    def test_n_laws_accept_degree_zero(self, law):
+        left, right = self.LAWS[law][0](0, 0)
+        assert abs(left - right) <= 1e-13
 
 
 class TestModulusChain:
