@@ -219,10 +219,10 @@ def _certified_measure(arc_jobs, grid_n: int, expected: int):
 
 def _phase_report(r: UnimodularRational, theta: float, grid_n: int, problem: str) -> PhaseErrorReport:
     """Report on the arcs of ``problem``: arccos(lam), M + 1 extrema per arc at the effective degree M."""
-    require_theta(theta)
+    ell, ell_comp = require_theta(theta)
     effective = effective_degree(problem, len(r.factors))
     grid_n = require_degree(grid_n, 8 * (len(r.factors) + 1), "grid_n")
-    red = solve_lambda(math.cos(theta), effective, math.sin(theta))
+    red = solve_lambda(ell, effective, ell_comp)
     predicted = math.asin(red.lam_comp)  # arccos(lam), stable near lam = 1
     amplitude, extrema, counts = _certified_measure(_arc_jobs(r, theta, problem), grid_n, effective + 1)
     return PhaseErrorReport(amplitude, predicted, extrema, counts, grid_n)
@@ -267,8 +267,7 @@ def zolotarev_number(m: int, theta: float) -> float:
     multiplicand is within 1e-17 of 1 (at most 64 terms).
     """
     m = require_degree(m, 0)
-    require_theta(theta)
-    mod = EllipticModulus.from_theta(theta)
+    mod = EllipticModulus.from_ell(*require_theta(theta))
     p = mod.rho ** (-4.0 * m)
     z = 4.0 * mod.rho ** (-2.0 * m)
     for j in range(1, 65):
@@ -308,9 +307,8 @@ def error_bounds(m_or_n: int, theta: float, problem: str) -> tuple[float, float]
     At the effective degree M (m for z6, 2n + 1 for z5): 4 rho^{-M/2} <=
     4 exp(-pi^2 M / (4 log(4 sec Theta))).
     """
-    require_theta(theta)
+    mod = EllipticModulus.from_ell(*require_theta(theta))
     M = effective_degree(problem, require_degree(m_or_n, 0))
-    mod = EllipticModulus.from_theta(theta)
     return (
         4.0 * mod.rho ** (-0.5 * M),
         4.0 * math.exp(-math.pi**2 * M / (4.0 * math.log(4.0 / mod.ell))),

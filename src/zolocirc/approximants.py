@@ -31,7 +31,7 @@ import numpy as np
 from .elliptic import (
     DegreeReduction,
     EllipticModulus,
-    _agm,
+    _nodes,
     _sncndn,
     inverse_sn,
     require_degree,
@@ -143,20 +143,12 @@ class UnimodularRational:
         return tuple([0j] * max(-self._origin_order(), 0) + out)
 
 
-def _node_sncndn(num: int, den: int, theta: float):
-    """sn/cn/dn at (num/den) K(ell') with modulus ell' = sin(theta)."""
-    ell, ell_comp = math.cos(theta), math.sin(theta)
-    K_comp = 0.5 * math.pi / _agm(1.0, ell)
-    v = num * K_comp / den
-    return ell, _sncndn(v, ell_comp, ell)
-
-
 def coeff_a(j: int, n: int, theta: float) -> float:
     """Parameter a_j > 0 of the j-th sqrt-approximant factor (1 + a_j z)/(z + a_j)."""
     n = require_degree(n, 1, "n")
     j = require_degree(j, 1, "j", n)
-    require_theta(theta)
-    ell, (sn, cn, dn) = _node_sncndn(2 * j - 1, 2 * n + 1, theta)
+    ell, ell_comp = require_theta(theta)
+    [(sn, cn, dn)] = _nodes((2 * j - 1,), 2 * n + 1, ell_comp, ell)
     base = (ell * sn + dn) / cn
     return base**2 if (j + n) % 2 == 0 else base**-2
 
@@ -178,12 +170,12 @@ def coeff_b(j: int, m: int, theta: float) -> float:
     """
     m = require_degree(m, 1, "m")
     j = require_degree(j, 1, "j", m)
-    require_theta(theta)
+    ell, ell_comp = require_theta(theta)
     sign = -1.0 if (m * j) % 2 else 1.0
     if 2 * j - 1 == m:
         # cn((2j-1)/m K', ell') = cn(K', ell') = 0: the ratio degenerates.
         return math.inf if j % 2 == 0 else 0.0
-    ell, (sn, cn, dn) = _node_sncndn(2 * j - 1, m, theta)
+    [(sn, cn, dn)] = _nodes((2 * j - 1,), m, ell_comp, ell)
     base = (ell * sn + dn) / cn
     return sign * (base if j % 2 == 0 else 1.0 / base)
 
@@ -211,11 +203,12 @@ class ZolotarevFraction:
     """F_m/G_m evaluation data at a modulus: F = lam sn(u/M, lam), G = dn(u/M, lam).
 
     The node constants feed the rational product identities: cot2_* are
-    cn^2/sn^2 at the even/odd Landen nodes, dn2_odd is dn^2 at the odd
-    nodes, all at modulus ell' = complement of ell.  Each object builds the
-    table its F/G kernel reads once, in a private ``_kernel`` field left out
-    of ``__eq__`` and ``repr``: (ell, lam, M, (cot2_even, cot2_odd) pairs,
-    the trailing odd node of even m or None, (dn2_odd, cot2_odd) pairs).
+    cn^2/sn^2 at the even/odd nodes k K(ell')/m, k = 1..m-1, and dn2_odd
+    is dn^2 at the odd ones, all at modulus ell' = complement of ell.
+    Each object builds the table its F/G kernel reads once, in a private
+    ``_kernel`` field left out of ``__eq__`` and ``repr``: (ell, lam, M,
+    (cot2_even, cot2_odd) pairs, the trailing odd node of even m or None,
+    (dn2_odd, cot2_odd) pairs).
     """
 
     m: int
@@ -246,25 +239,14 @@ class ZolotarevFraction:
         require_modulus(ell)
         modulus = EllipticModulus.from_ell(ell, ell_comp)
         reduction = solve_lambda(modulus.ell, m, modulus.ell_comp)
-        n = (m - 1) // 2 if m % 2 else m // 2
-        even_count = n if m % 2 else max(n - 1, 0)
-        cot2_even, cot2_odd, dn2_odd = [], [], []
-        if m >= 1:
-            for k in range(1, even_count + 1):
-                v = 2 * k * modulus.K_comp / m
-                sn, cn, _ = _sncndn(v, modulus.ell_comp, modulus.ell)
-                cot2_even.append((cn / sn) ** 2)
-            for k in range(1, n + 1):
-                v = (2 * k - 1) * modulus.K_comp / m
-                sn, cn, dn = _sncndn(v, modulus.ell_comp, modulus.ell)
-                cot2_odd.append((cn / sn) ** 2)
-                dn2_odd.append(dn**2)
-        return cls(m, modulus, reduction, tuple(cot2_even), tuple(cot2_odd), tuple(dn2_odd))
+        nodes = _nodes(range(1, m), m, modulus.ell_comp, modulus.ell)
+        cot2 = tuple((cn / sn) ** 2 for sn, cn, _ in nodes)
+        dn2_odd = tuple(dn**2 for _, _, dn in nodes[::2])
+        return cls(m, modulus, reduction, cot2[1::2], cot2[::2], dn2_odd)
 
     @classmethod
     def from_theta(cls, m: int, theta: float) -> "ZolotarevFraction":
-        require_theta(theta)
-        return cls.from_ell(m, math.cos(theta), math.sin(theta))
+        return cls.from_ell(m, *require_theta(theta))
 
 
 def _F_kernel(table: tuple, x):
@@ -368,13 +350,13 @@ def eval_s_via_FG(m: int, theta: float, z):
     m if any point is within 1e-12 of +-i, where only the factored form
     defines the value.
     """
+    zf = ZolotarevFraction.from_theta(m, theta)  # validates m and theta before the points
     w = np.asarray(z, dtype=complex)
     off = np.abs(np.abs(w) - 1.0)
     if np.any(off > 1e-9):
         raise DomainError(f"eval_s_via_FG requires |z| = 1, got ||z| - 1| = {float(np.max(off))!r}")
     if m % 2 and np.any(np.abs(w.real) < 1e-12):
         raise DomainError("the F/G lift is not defined at z = +-i for odd degree")
-    zf = ZolotarevFraction.from_theta(m, theta)
     x = np.clip(((w + 1.0 / w) / 2.0).real, -1.0, 1.0)
     F, G = eval_F_product(zf, x)
     out = np.empty(w.shape, dtype=complex)

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__, analysis, approximants, composition, selftest
-from .elliptic import solve_lambda
+from .elliptic import require_theta, solve_lambda
 from .errors import DomainError, ResolutionError
 
 THETA_FLAG_MIN = 1e-8
@@ -99,7 +99,7 @@ def _cmd_build(args) -> int:
             raise _UsageError(f"--theta is required for {args.problem}")
         _check_theta_flag(args.theta)
         _check_degree_flag(args.degree)
-        ell, ell_comp = math.cos(args.theta), math.sin(args.theta)
+        ell, ell_comp = require_theta(args.theta)
         build = analysis._problem_fns(args.problem)[0]
         r = build(args.degree, args.theta)
         red = solve_lambda(ell, analysis.effective_degree(args.problem, args.degree), ell_comp)

@@ -29,10 +29,8 @@ def theta_tilde(m: int, theta: float) -> float:
     smaller for m >= 2.
     """
     m = require_degree(m, 0)
-    if m == 0:
-        return 0.5 * math.pi  # s_0 = i everywhere
-    require_theta(theta)
-    red = solve_lambda(math.cos(theta), m, math.sin(theta))
+    ell, ell_comp = require_theta(theta)
+    red = solve_lambda(ell, m, ell_comp)  # m = 0: lam' = 1, asin(1.0) is pi/2 (s_0 = i)
     return math.asin(min(1.0, red.lam_comp))
 
 

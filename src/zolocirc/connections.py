@@ -23,7 +23,7 @@ from .approximants import (
     coeff_a,
     eval_F_product,
 )
-from .elliptic import _sncndn, complement, complete_K, require_degree, require_modulus, solve_lambda
+from .elliptic import _nodes, complement, require_degree, require_modulus, require_theta, solve_lambda
 from .errors import BranchError, DomainError
 
 
@@ -50,12 +50,9 @@ def blaschke_h(m: int, ell: float) -> BlaschkeProduct:
     """Ng-Tsang product with c_j = sqrt(ell) cn(v_j, ell)/dn(v_j, ell), v_j = (2j-1)K(ell)/m."""
     m = require_degree(m, 1)
     require_modulus(ell)
-    K = complete_K(ell)
-    ell_comp = complement(ell)
     root = math.sqrt(ell)
     params = []
-    for j in range(1, m + 1):
-        sn, cn, dn = _sncndn((2 * j - 1) * K / m, ell, ell_comp)
+    for j, (_, cn, dn) in enumerate(_nodes(range(1, 2 * m, 2), m, ell, complement(ell)), 1):
         c = root * cn / dn
         if not abs(c) < 1.0:
             raise DomainError(f"Blaschke parameter escaped the disk at j={j}")
@@ -75,6 +72,8 @@ def blaschke_composition_modulus(m: int, ell: float) -> float:
     map carries onto the symmetric pair of modulus kappa = ((1 - sqrt(ell))
     / (1 + sqrt(ell)))^2; the number is Moebius-invariant.
     """
+    m = require_degree(m, 1)
+    require_modulus(ell)
     return zolotarev_number(m, math.acos(_kappa(ell)))
 
 
@@ -176,9 +175,7 @@ def pade_limit_check(n: int, theta_seq) -> list[float]:
     target = pade_p(n).poles
     out = []
     for theta in theta_seq:
-        if n == 0:
-            out.append(0.0)
-            continue
+        require_theta(theta)
         ours = sorted(-coeff_a(j, n, theta) for j in range(1, n + 1))
-        out.append(max(abs(a - b) for a, b in zip(ours, target)))
+        out.append(max((abs(a - b) for a, b in zip(ours, target)), default=0.0))
     return out

@@ -65,12 +65,21 @@ def require_modulus(ell: float, name: str = "ell") -> None:
         )
 
 
-def require_theta(theta: float, name: str = "theta") -> None:
-    """Reject arc half-widths whose modulus cos(theta) leaves the window."""
+def require_theta(theta: float, name: str = "theta") -> tuple[float, float]:
+    """The modulus pair (cos theta, sin theta) of an arc half-width, or PrecisionError.
+
+    theta must lie in (THETA_MIN, THETA_MAX), and sin(theta), the modulus
+    of every node, must stay below 1: above 1.5707963162581844 (the top
+    5.4e-10 of the window) it rounds to 1.0.
+    """
     if not (THETA_MIN < theta < THETA_MAX):
         raise PrecisionError(
             f"{name}={theta!r} outside supported range ({THETA_MIN:.6e}, {THETA_MAX!r})"
         )
+    ell, ell_comp = math.cos(theta), math.sin(theta)
+    if ell_comp == 1.0:
+        raise PrecisionError(f"{name}={theta!r}: sin({name}) rounds to 1 in double precision")
+    return ell, ell_comp
 
 
 def require_degree(value, minimum: int, name: str = "degree", maximum: int | None = None) -> int:
@@ -154,6 +163,18 @@ def _sncndn(u: float, ell: float, ell_comp: float) -> tuple[float, float, float]
     if reflect:
         sn, cn, dn = cn / dn, ell_comp * sn / dn, ell_comp / dn
     return sign_sn * sn, sign_cn * cn, dn
+
+
+def _nodes(nums, den: int, ell: float, ell_comp: float) -> list:
+    """[(sn, cn, dn)(num K / den, ell) for num in nums], K = K(ell) computed once.
+
+    The node table of r_n, s_m, F_m (modulus sin Theta) and h_m (modulus ell).
+    """
+    K = 0.5 * math.pi / _agm(1.0, ell_comp)
+    out = []
+    for num in nums:  # a plain loop: no comprehension frame on one-node calls
+        out.append(_sncndn(num * K / den, ell, ell_comp))
+    return out
 
 
 def jacobi_sncndn(u: float, ell: float) -> tuple[float, float, float]:
@@ -285,14 +306,13 @@ class DegreeReduction:
     """Solution data of the degree equation at (ell, m).
 
     lam is the reduced modulus, lam_comp its complement (the quantity that
-    stays informative when lam -> 1), M = K(ell)/K(lam) and nu = 1/mu(ell).
+    stays informative when lam -> 1) and M = K(ell)/K(lam).
     """
 
     m: int
     lam: float
     lam_comp: float
     M: float
-    nu: float
 
 
 def solve_lambda(ell: float, m: int, ell_comp: float | None = None) -> DegreeReduction:
@@ -307,12 +327,11 @@ def solve_lambda(ell: float, m: int, ell_comp: float | None = None) -> DegreeRed
     m = require_degree(m, 0)
     require_modulus(ell)
     ell_comp = _complement_of(ell, ell_comp)
-    mu = _mu_pair(ell, ell_comp)
-    nu = 1.0 / mu
     if m == 0:
-        return DegreeReduction(0, 0.0, 1.0, 1.0, nu)
+        return DegreeReduction(0, 0.0, 1.0, 1.0)
     if m == 1:
-        return DegreeReduction(1, ell, ell_comp, 1.0, nu)
+        return DegreeReduction(1, ell, ell_comp, 1.0)
+    mu = _mu_pair(ell, ell_comp)
     lam, lam_comp = _mu_inverse_pair(mu / m)
     M = (mu / m) * _agm(1.0, lam) / (0.5 * math.pi * _agm(1.0, ell_comp))
-    return DegreeReduction(m, lam, lam_comp, M, nu)
+    return DegreeReduction(m, lam, lam_comp, M)

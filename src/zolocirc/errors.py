@@ -10,7 +10,9 @@ class PrecisionError(DomainError):
 
     Moduli are accepted only in (1e-8, 1 - 1e-8) at the public entry
     points of the higher-level modules; K(ell') diverges logarithmically
-    and the Landen recursion loses accuracy outside that window.
+    and the Landen recursion loses accuracy outside that window.  An arc
+    half-width is also rejected above 1.5707963162581844, still inside
+    the window, where its node modulus sin(theta) rounds to 1.
     """
 
 

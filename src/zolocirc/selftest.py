@@ -72,10 +72,8 @@ def criterion_3():
     bad = []
     worst_chain = 0.0
     for theta in THETA_SWEEP:
-        ell, ell_comp = math.cos(theta), math.sin(theta)
         for problem, letter, degree in _SWEEP:
-            red = elliptic.solve_lambda(ell, analysis.effective_degree(problem, degree), ell_comp)
-            measured = math.asin(red.lam_comp)
+            measured = composition.theta_tilde(analysis.effective_degree(problem, degree), theta)
             b_rho, b_sec = analysis.error_bounds(degree, theta, problem)
             if not (measured <= b_rho + _BOUND_SLACK and b_rho <= b_sec * (1.0 + 1e-15)):
                 bad.append(f"{problem} {letter}={degree} theta={theta:.3f}")
@@ -208,8 +206,8 @@ def criterion_8():
     a_ref = approximants.coeff_a(1, 1, theta)
     cell = (math.log(1e6) - math.log(1e-4)) / (10_000 - 1)
     log_gap = abs(math.log(a_star) - math.log(a_ref))
-    red = elliptic.solve_lambda(math.cos(theta), analysis.effective_degree("z5", 1), math.sin(theta))
-    err_gap = abs(oracle.degree1_max_phase_error(a_star, theta, 16384) - math.asin(red.lam_comp))
+    predicted = composition.theta_tilde(analysis.effective_degree("z5", 1), theta)
+    err_gap = abs(oracle.degree1_max_phase_error(a_star, theta, 16384) - predicted)
     ok = worst_k <= 1e-11 and worst_j <= 1e-11 and log_gap <= cell and err_gap <= 1e-6
     return (
         "oracle agreement",

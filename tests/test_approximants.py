@@ -329,6 +329,10 @@ class TestLift:
         with pytest.raises(DomainError):
             ap.eval_s_via_FG(3, 1.0, 1j)
 
+    def test_degree_validated_before_the_points(self):
+        with pytest.raises(DomainError, match="degree must be an integer >= 0"):
+            ap.eval_s_via_FG(-1, 1.0, 1j)
+
 
 class TestExactType:
     def test_cases(self):

@@ -21,6 +21,11 @@ class TestThetaTilde:
     def test_degree_zero(self):
         assert co.theta_tilde(0, 1.2) == math.pi / 2
 
+    @pytest.mark.parametrize("theta", [0.0, 5.0, math.nan])
+    def test_degree_zero_validates_theta(self, theta):
+        with pytest.raises(PrecisionError):
+            co.theta_tilde(0, theta)
+
     @pytest.mark.parametrize("m,theta", [(3, NEAR_RIGHT_ANGLE), (2, 0.7), (5, 1.3)])
     def test_matches_endpoint_argument(self, m, theta):
         s = ap.build_s(m, theta)

@@ -6,7 +6,7 @@ import pytest
 
 from zolocirc import connections as cn
 from zolocirc import elliptic as el
-from zolocirc.errors import BranchError, DomainError
+from zolocirc.errors import BranchError, DomainError, PrecisionError
 
 
 class TestBlaschke:
@@ -44,6 +44,15 @@ class TestBlaschke:
         lam = el.solve_lambda(kappa, m).lam
         alt = ((1.0 - math.sqrt(lam)) / (1.0 + math.sqrt(lam))) ** 2
         assert cn.blaschke_composition_modulus(m, ell) == pytest.approx(alt, rel=1e-12)
+
+    def test_composition_modulus_validates_like_blaschke_h(self):
+        with pytest.raises(DomainError, match="degree must be an integer >= 1"):
+            cn.blaschke_composition_modulus(0, 0.25)
+        for ell in (2.0, -1.0, 1e-12, math.nan):
+            with pytest.raises(PrecisionError):
+                cn.blaschke_composition_modulus(2, ell)
+            with pytest.raises(PrecisionError):
+                cn.blaschke_h(2, ell)
 
 
 class TestBlaschkeSignRelation:
@@ -130,6 +139,11 @@ class TestPadeLimit:
 
     def test_degree_zero(self):
         assert cn.pade_limit_check(0, [0.1, 0.01]) == [0.0, 0.0]
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_theta_validated_at_every_degree(self, n):
+        with pytest.raises(PrecisionError):
+            cn.pade_limit_check(n, [0.1, 5.0])
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_small_arc_deviation(self, n):

@@ -81,6 +81,14 @@ class TestJacobi:
             el.jacobi_sncndn(0.5, -0.2)
 
 
+class TestNodes:
+    @pytest.mark.parametrize("ell", [1e-4, 0.5, 1.0 - 1e-7])
+    def test_bitwise_equal_to_jacobi_at_fractions_of_K(self, ell):
+        K = el.complete_K(ell)
+        nodes = el._nodes(range(0, 9), 4, ell, el.complement(ell))
+        assert nodes == [el.jacobi_sncndn(k * K / 4, ell) for k in range(0, 9)]
+
+
 class TestInverseSn:
     def test_zero(self):
         assert el.inverse_sn(0.0, 0.4) == 0.0

@@ -1,0 +1,68 @@
+"""The top of the Theta window, where sin(Theta) rounds to 1.
+
+Every node of r_n, s_m and F_m is taken at the modulus ell' = sin(Theta).
+Between 1.5707963162581844, the largest double with sin < 1, and
+THETA_MAX that modulus is 1.0, so ``require_theta``, the one place a
+Theta becomes a modulus pair, rejects the sliver with PrecisionError for
+every entry point alike.
+"""
+
+import math
+
+import pytest
+
+from zolocirc import analysis, approximants, composition, elliptic
+from zolocirc.cli import main
+from zolocirc.errors import PrecisionError
+
+LAST_GOOD = 1.5707963162581844
+SLIVER = 1.5707963167948964  # the largest double below THETA_MAX
+
+CALLS = {
+    "build_s(0)": lambda th: approximants.build_s(0, th),
+    "build_s(1)": lambda th: approximants.build_s(1, th),
+    "build_s(2)": lambda th: approximants.build_s(2, th),
+    "build_s(256)": lambda th: approximants.build_s(256, th),
+    "build_r(0)": lambda th: approximants.build_r(0, th),
+    "build_r(2)": lambda th: approximants.build_r(2, th),
+    "build_r(256)": lambda th: approximants.build_r(256, th),
+    "coeff_b(1, 3)": lambda th: approximants.coeff_b(1, 3, th),
+    "coeff_a(1, 1)": lambda th: approximants.coeff_a(1, 1, th),
+    "ZolotarevFraction(5)": lambda th: approximants.ZolotarevFraction.from_theta(5, th),
+    "theta_tilde(0)": lambda th: composition.theta_tilde(0, th),
+    "theta_tilde(3)": lambda th: composition.theta_tilde(3, th),
+    "error_bounds z6": lambda th: analysis.error_bounds(3, th, "z6"),
+    "error_bounds z5": lambda th: analysis.error_bounds(1, th, "z5"),
+    "zolotarev_number": lambda th: analysis.zolotarev_number(3, th),
+}
+
+
+def test_the_sliver_bounds():
+    assert math.sin(LAST_GOOD) < 1.0
+    assert math.sin(math.nextafter(LAST_GOOD, 2.0)) == 1.0
+    assert math.nextafter(SLIVER, 2.0) == elliptic.THETA_MAX
+
+
+@pytest.mark.parametrize("theta", [2e-4, 1.0, LAST_GOOD])
+def test_require_theta_returns_the_modulus_pair(theta):
+    assert elliptic.require_theta(theta) == (math.cos(theta), math.sin(theta))
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_sliver_raises_precision_error(name):
+    with pytest.raises(PrecisionError, match=r"sin\(theta\) rounds to 1"):
+        CALLS[name](SLIVER)
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_last_good_theta_still_builds(name):
+    CALLS[name](LAST_GOOD)
+
+
+@pytest.mark.parametrize("problem,degree", [("z6", 3), ("z6", 1), ("z5", 0)])
+def test_cli_build_exits_3(capsys, problem, degree):
+    code = main(["build", "--problem", problem, "--degree", str(degree), "--theta", repr(SLIVER)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "numeric domain error" in captured.err and "sin(theta) rounds to 1" in captured.err
