@@ -266,8 +266,10 @@ def zolotarev_number(m: int, theta: float) -> float:
     (1 + p^{2j-1}))^4 with p = rho^{-4m}; the product is truncated once a
     multiplicand is within 1e-17 of 1 (at most 64 terms).
     """
-    m = require_degree(m, 0)
-    mod = EllipticModulus.from_ell(*require_theta(theta))
+    return _zolotarev(require_degree(m, 0), EllipticModulus.from_ell(*require_theta(theta)))
+
+
+def _zolotarev(m: int, mod: EllipticModulus) -> float:
     p = mod.rho ** (-4.0 * m)
     z = 4.0 * mod.rho ** (-2.0 * m)
     for j in range(1, 65):

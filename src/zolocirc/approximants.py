@@ -31,6 +31,7 @@ import numpy as np
 from .elliptic import (
     DegreeReduction,
     EllipticModulus,
+    _landen,
     _nodes,
     _sncndn,
     inverse_sn,
@@ -308,7 +309,7 @@ def eval_F_direct(zf: ZolotarevFraction, x: float) -> tuple[float, float]:
     red = zf.reduction
     if abs(x) <= zf.modulus.ell:
         u = inverse_sn(x / zf.modulus.ell, zf.modulus.ell)
-        sn, _, dn = _sncndn(u / red.M, red.lam, red.lam_comp)
+        sn, _, dn = _sncndn(u / red.M, red.lam, red.lam_comp, _landen(red.lam, red.lam_comp))
         return red.lam * sn, dn
     return eval_F_product(zf, x)
 

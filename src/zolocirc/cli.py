@@ -18,11 +18,10 @@ import sys
 import numpy as np
 
 from . import __version__, analysis, approximants, composition, selftest
-from .elliptic import require_theta, solve_lambda
+from .elliptic import THETA_MAX, require_theta, solve_lambda
 from .errors import DomainError, ResolutionError
 
 THETA_FLAG_MIN = 1e-8
-THETA_FLAG_MAX = 0.5 * math.pi - 1e-8
 COMPOSE_TOLERANCE = 1e-9
 
 
@@ -69,7 +68,7 @@ def _envelope(args, results: dict) -> str:
 
 
 def _check_theta_flag(theta: float) -> None:
-    if not (THETA_FLAG_MIN < theta < THETA_FLAG_MAX):
+    if not (THETA_FLAG_MIN < theta < THETA_MAX):
         raise _UsageError(f"--theta must lie in ({THETA_FLAG_MIN}, pi/2 - 1e-8), got {theta!r}")
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import zolotarev_number
+from .analysis import _zolotarev
 from .approximants import (
     Family,
     UnimodularRational,
@@ -23,7 +23,8 @@ from .approximants import (
     coeff_a,
     eval_F_product,
 )
-from .elliptic import _nodes, complement, require_degree, require_modulus, require_theta, solve_lambda
+from .elliptic import EllipticModulus, _nodes, complement
+from .elliptic import require_degree, require_modulus, require_theta, solve_lambda
 from .errors import BranchError, DomainError
 
 
@@ -61,8 +62,7 @@ def blaschke_h(m: int, ell: float) -> BlaschkeProduct:
 
 
 def _kappa(ell: float) -> float:
-    root = math.sqrt(ell)
-    return ((1.0 - root) / (1.0 + root)) ** 2
+    return ((1.0 - ell) / (1.0 + math.sqrt(ell)) ** 2) ** 2  # 1 - sqrt(ell) without cancellation
 
 
 def blaschke_composition_modulus(m: int, ell: float) -> float:
@@ -70,11 +70,13 @@ def blaschke_composition_modulus(m: int, ell: float) -> float:
 
     This is the Zolotarev number of the Ng-Tsang set pair, which a Moebius
     map carries onto the symmetric pair of modulus kappa = ((1 - sqrt(ell))
-    / (1 + sqrt(ell)))^2; the number is Moebius-invariant.
+    / (1 + sqrt(ell)))^2; the number is Moebius-invariant.  Taken at the pair
+    (kappa, kappa'), it keeps its digits up to ELL_MAX; blaschke_s_relation,
+    which builds s_m at acos(kappa), still raises once kappa < 1e-8.
     """
     m = require_degree(m, 1)
     require_modulus(ell)
-    return zolotarev_number(m, math.acos(_kappa(ell)))
+    return _zolotarev(m, EllipticModulus.from_ell(_kappa(ell)))
 
 
 def _moebius_image(m: int, ell: float, z: complex):

@@ -1,17 +1,17 @@
 """Real-argument elliptic special functions.
 
-Everything here is double precision and self-contained: the complete
-integral K via the arithmetic-geometric mean, Jacobi sn/cn/dn via the
-descending Landen (AGM) recursion, the incomplete inverse sn via a
-Carlson symmetric integral, the Groetzsch ring function
+Everything here is double precision and self-contained.  One descending
+Landen (AGM) recursion, _landen, gives the complete integral K, Jacobi
+sn/cn/dn, the Groetzsch ring function
 
     mu(ell) = (pi/2) * K(ell') / K(ell),      ell' = sqrt(1 - ell^2),
 
-its inverse, and the degree-reduction equation
+and the M = K(ell)/K(lam) of the degree-reduction equation
 
     K(ell)/K(ell') = K(lam) / (m * K(lam'))
 
-that links a modulus ell, a degree m, and the reduced modulus lam.
+that links a modulus ell, a degree m, and the reduced modulus lam.  The
+incomplete inverse sn is a Carlson symmetric integral.
 
 mu is inverted in closed form through the nome q = exp(-2 mu) and
 ell = (theta_2/theta_3)^2 (DLMF 22.2.2), applied to whichever of ell,
@@ -98,43 +98,38 @@ def require_degree(value, minimum: int, name: str = "degree", maximum: int | Non
     return n
 
 
-def _agm(a: float, b: float) -> float:
-    """Arithmetic-geometric mean; terminates at |a - b| <= 4 eps a."""
-    for _ in range(64):
-        if abs(a - b) <= 4.0 * _EPS * a:
-            break
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return 0.5 * (a + b)
+def _landen(ell: float, ell_comp: float) -> tuple[list, list]:
+    """Descending Landen scales ([a_0..a_N], [c_0..c_N]) of the AGM of (1, ell_comp), c_0 = ell.
+
+    Stops at c_N <= eps a_N or N = _LANDEN_DEPTH; a_N = agm(1, ell_comp) and K(ell) = (pi/2)/a_N.
+    The one AGM loop: K, mu, the M of solve_lambda and every sn/cn/dn read it (A&S 16.4, 17.6).
+    """
+    a_seq, c_seq = [1.0], [ell]
+    a, b = 1.0, ell_comp
+    while c_seq[-1] > _EPS * a and len(a_seq) <= _LANDEN_DEPTH:
+        a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
+        a_seq.append(a)
+        c_seq.append(c)
+    return a_seq, c_seq
 
 
 def complete_K(ell: float) -> float:
     """Complete elliptic integral of the first kind, K(ell), 0 <= ell < 1."""
     if not 0.0 <= ell < 1.0:
         raise DomainError(f"complete_K requires 0 <= ell < 1, got {ell!r}")
-    if ell == 0.0:
-        return 0.5 * math.pi
-    return 0.5 * math.pi / _agm(1.0, complement(ell))
+    return 0.5 * math.pi / _landen(ell, complement(ell))[0][-1]
 
 
-def _sncndn(u: float, ell: float, ell_comp: float) -> tuple[float, float, float]:
-    """sn/cn/dn with explicit complementary modulus (no cancellation)."""
+def _sncndn(u: float, ell: float, ell_comp: float, scales: tuple[list, list]) -> tuple[float, float, float]:
+    """sn/cn/dn with explicit complementary modulus, from the scales _landen(ell, ell_comp)."""
     if not 0.0 <= ell < 1.0:
         raise DomainError(f"jacobi modulus must lie in [0, 1), got {ell!r}")
     if not math.isfinite(u):
         raise DomainError(f"jacobi argument must be finite, got {u!r}")
     if ell == 0.0:
         return math.sin(u), math.cos(u), 1.0
-
-    # Descending Landen scales, recorded for the amplitude recursion.
-    a_seq = [1.0]
-    c_seq = [ell]
-    a, b = 1.0, ell_comp
-    depth = 0
-    while abs(c_seq[depth]) > _EPS * a_seq[depth] and depth < _LANDEN_DEPTH:
-        a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
-        depth += 1
-        a_seq.append(a)
-        c_seq.append(c)
+    a_seq, c_seq = scales
+    depth = len(a_seq) - 1
     quarter = 0.5 * math.pi / a_seq[depth]  # K(ell)
 
     # Reduce to [0, K/2] using periods and quarter-period reflection; the
@@ -166,20 +161,22 @@ def _sncndn(u: float, ell: float, ell_comp: float) -> tuple[float, float, float]
 
 
 def _nodes(nums, den: int, ell: float, ell_comp: float) -> list:
-    """[(sn, cn, dn)(num K / den, ell) for num in nums], K = K(ell) computed once.
+    """[(sn, cn, dn)(num K / den, ell) for num in nums]; K and every node read one _landen.
 
     The node table of r_n, s_m, F_m (modulus sin Theta) and h_m (modulus ell).
     """
-    K = 0.5 * math.pi / _agm(1.0, ell_comp)
+    scales = _landen(ell, ell_comp)
+    K = 0.5 * math.pi / scales[0][-1]
     out = []
     for num in nums:  # a plain loop: no comprehension frame on one-node calls
-        out.append(_sncndn(num * K / den, ell, ell_comp))
+        out.append(_sncndn(num * K / den, ell, ell_comp, scales))
     return out
 
 
 def jacobi_sncndn(u: float, ell: float) -> tuple[float, float, float]:
     """Jacobi elliptic functions (sn, cn, dn) at real argument u, modulus ell."""
-    return _sncndn(u, ell, complement(ell))
+    ell_comp = complement(ell)
+    return _sncndn(u, ell, ell_comp, _landen(ell, ell_comp))
 
 
 def _carlson_rf(x: float, y: float, z: float) -> float:
@@ -217,7 +214,7 @@ def inverse_sn(x: float, ell: float) -> float:
 
 def _mu_pair(ell: float, ell_comp: float) -> float:
     """Groetzsch value from an exactly known complementary pair."""
-    return 0.5 * math.pi * _agm(1.0, ell_comp) / _agm(1.0, ell)
+    return 0.5 * math.pi * _landen(ell, ell_comp)[0][-1] / _landen(ell_comp, ell)[0][-1]
 
 
 def groetzsch_mu(ell: float) -> float:
@@ -288,10 +285,9 @@ class EllipticModulus:
         if not 0.0 < ell < 1.0:
             raise DomainError(f"modulus must lie in (0, 1), got {ell!r}")
         ell_comp = _complement_of(ell, ell_comp)
-        K = 0.5 * math.pi / _agm(1.0, ell_comp)
-        K_comp = 0.5 * math.pi / _agm(1.0, ell)
-        mu = 0.5 * math.pi * K_comp / K
-        return cls(ell, ell_comp, K, K_comp, mu, math.exp(math.pi * K / K_comp))
+        K = 0.5 * math.pi / _landen(ell, ell_comp)[0][-1]
+        K_comp = 0.5 * math.pi / _landen(ell_comp, ell)[0][-1]
+        return cls(ell, ell_comp, K, K_comp, 0.5 * math.pi * K_comp / K, math.exp(math.pi * K / K_comp))
 
     @classmethod
     def from_theta(cls, theta: float) -> "EllipticModulus":
@@ -333,5 +329,5 @@ def solve_lambda(ell: float, m: int, ell_comp: float | None = None) -> DegreeRed
         return DegreeReduction(1, ell, ell_comp, 1.0)
     mu = _mu_pair(ell, ell_comp)
     lam, lam_comp = _mu_inverse_pair(mu / m)
-    M = (mu / m) * _agm(1.0, lam) / (0.5 * math.pi * _agm(1.0, ell_comp))
+    M = (mu / m) * _landen(lam_comp, lam)[0][-1] / (0.5 * math.pi * _landen(ell, ell_comp)[0][-1])
     return DegreeReduction(m, lam, lam_comp, M)

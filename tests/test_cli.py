@@ -81,6 +81,13 @@ class TestBuild:
         assert code == 2
         code, _, _ = run(capsys, "build", "--problem", "z5", "--degree", "2", "--theta", "0")
         assert code == 2
+        # the upper edge is elliptic.THETA_MAX; the double below it passes the
+        # flag and reaches the library, where sin Theta rounds to 1 (exit 3)
+        code, _, err = run(capsys, "build", "--problem", "z5", "--degree", "2", "--theta", repr(el.THETA_MAX))
+        assert code == 2
+        assert err.strip().endswith(f"--theta must lie in (1e-08, pi/2 - 1e-8), got {el.THETA_MAX!r}")
+        below = math.nextafter(el.THETA_MAX, 0.0)
+        assert run(capsys, "build", "--problem", "z5", "--degree", "2", "--theta", repr(below))[0] == 3
 
     @pytest.mark.parametrize("problem", ["z5", "z6"])
     @pytest.mark.parametrize("command", ["build", "error", "contour"])

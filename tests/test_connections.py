@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -25,7 +26,12 @@ class TestBlaschke:
             for c in cn.blaschke_h(m, 0.5).params:
                 assert abs(c) < 1.0
 
-    @pytest.mark.parametrize("m_tilde,m,ell", [(2, 2, 0.25), (2, 3, 0.25), (3, 2, 0.4)])
+    # above ell ~ 0.9996, kappa < 1e-8 and acos(kappa) would lie past THETA_MAX
+    @pytest.mark.parametrize(
+        "m_tilde,m,ell",
+        [(2, 2, 0.25), (2, 3, 0.25), (3, 2, 0.4)]
+        + [(mt, m, ell) for ell in (0.999, 0.9997, 1.0 - 1e-7) for mt, m in ((2, 2), (2, 3), (3, 2))],
+    )
     def test_composition_law(self, m_tilde, m, ell):
         lt = cn.blaschke_composition_modulus(m, ell)
         h_in = cn.blaschke_h(m, ell)
@@ -44,6 +50,28 @@ class TestBlaschke:
         lam = el.solve_lambda(kappa, m).lam
         alt = ((1.0 - math.sqrt(lam)) / (1.0 + math.sqrt(lam))) ** 2
         assert cn.blaschke_composition_modulus(m, ell) == pytest.approx(alt, rel=1e-12)
+
+    @pytest.mark.parametrize("ell", [0.25, 0.9, 0.999, 0.9995, 0.9997, 0.99999, 1.0 - 1e-7])
+    @pytest.mark.parametrize("m", [1, 2, 3, 8])
+    def test_composition_modulus_against_mpmath(self, m, ell):
+        # Z_m of the kappa pair = ((1 - sqrt(lam))/(1 + sqrt(lam)))^2, mu(lam) = mu(kappa)/m,
+        # lam = (theta_2/theta_3)^2 at the nome exp(-2 mu(lam)), in 50 digits
+        with mp.workdps(50):
+            root = mp.sqrt(mp.mpf(ell))
+            kappa = ((1 - root) / (1 + root)) ** 2
+            mu = mp.pi / 2 * mp.ellipk(1 - kappa**2) / mp.ellipk(kappa**2)
+            q = mp.exp(-2 * mu / m)
+            lam_root = mp.jtheta(2, 0, q) / mp.jtheta(3, 0, q)
+            ref = ((1 - lam_root) / (1 + lam_root)) ** 2
+            # the product carries the relative error of log(rho) times 2 m log(rho) ~ |log(Z/4)|
+            bound = 8 * 2.220446049250313e-16 * (1 - mp.log(ref / 4)) * ref
+            assert abs(cn.blaschke_composition_modulus(m, ell) - ref) <= bound
+
+    def test_s_relation_still_needs_the_arc_of_kappa(self):
+        # the composition modulus exists at ell = 0.9997, but s_m at acos(kappa) does not
+        assert 0.0 < cn.blaschke_composition_modulus(2, 0.9997) < 1.0
+        with pytest.raises(PrecisionError):
+            cn.blaschke_s_relation(2, 0.9997, 0.5)
 
     def test_composition_modulus_validates_like_blaschke_h(self):
         with pytest.raises(DomainError, match="degree must be an integer >= 1"):
