@@ -31,7 +31,6 @@ import numpy as np
 from .elliptic import (
     DegreeReduction,
     EllipticModulus,
-    _landen,
     _nodes,
     _sncndn,
     inverse_sn,
@@ -300,7 +299,8 @@ def eval_F_direct(zf: ZolotarevFraction, x: float) -> tuple[float, float]:
 
     The real elliptic branch covers |x| <= ell; for |x| in (ell, 1] the
     value is reached through the product identities, which continue the
-    same composed map without complex arguments.
+    same composed map without complex arguments.  u/M in units of K(lam) is u in units
+    of K(ell), so lam = 1.0 works; lam' = 0 raises PrecisionError (m > 606 at ell 0.5).
     """
     if not abs(x) <= 1.0:
         raise DomainError(f"eval_F_direct requires |x| <= 1, got {x!r}")
@@ -309,7 +309,7 @@ def eval_F_direct(zf: ZolotarevFraction, x: float) -> tuple[float, float]:
     red = zf.reduction
     if abs(x) <= zf.modulus.ell:
         u = inverse_sn(x / zf.modulus.ell, zf.modulus.ell)
-        sn, _, dn = _sncndn(u / red.M, red.lam, red.lam_comp, _landen(red.lam, red.lam_comp))
+        sn, _, dn = _sncndn(u, zf.modulus.K, red.lam, red.lam_comp)
         return red.lam * sn, dn
     return eval_F_product(zf, x)
 

@@ -1,24 +1,22 @@
 """Real-argument elliptic special functions.
 
-Everything here is double precision and self-contained.  One descending
-Landen (AGM) recursion, _landen, gives the complete integral K, Jacobi
-sn/cn/dn, the Groetzsch ring function
+Everything here is double precision and self-contained, and reads one
+representation: four-term theta series (_theta) in the nome (_nome) of
+the smaller of ell, ell', so q <= e^{-pi}.  They give the complete
+integral K, Jacobi sn/cn/dn, the Groetzsch ring function
 
     mu(ell) = (pi/2) * K(ell') / K(ell),      ell' = sqrt(1 - ell^2),
 
-and the M = K(ell)/K(lam) of the degree-reduction equation
+its closed-form inverse (ell = (theta_2/theta_3)^2 at q = exp(-2 mu),
+DLMF 22.2.2, for whichever of ell, ell' is small, completed by an
+accurate complement), and the M = K(ell)/K(lam) of the degree equation
 
     K(ell)/K(ell') = K(lam) / (m * K(lam'))
 
-that links a modulus ell, a degree m, and the reduced modulus lam.  The
-incomplete inverse sn is a Carlson symmetric integral.
-
-mu is inverted in closed form through the nome q = exp(-2 mu) and
-ell = (theta_2/theta_3)^2 (DLMF 22.2.2), applied to whichever of ell,
-ell' is small and completed by an accurate complement.  The reduced
-modulus approaches 1 rapidly as m grows, so quantities derived from lam'
+that links a modulus ell, a degree m, and the reduced modulus lam.  lam
+approaches 1 rapidly as m grows, so quantities derived from lam'
 (predicted phase errors, K(lam)) stay fully accurate even when lam
-rounds to within a few ulp of 1.
+rounds to within a few ulp of 1.  The inverse sn is a Carlson integral.
 """
 
 from __future__ import annotations
@@ -32,11 +30,10 @@ from .errors import DomainError, PrecisionError
 
 _EPS = 2.220446049250313e-16
 _QUARTER_PI_SQ = (0.5 * math.pi) ** 2  # (pi/2)^2, the mu(x)*mu(x') product
-_LANDEN_DEPTH = 24
 
-# Moduli accepted at the public entry points of higher modules.  K(ell')
-# grows only logarithmically outside this window but the Landen recursion
-# loses digits there.
+# Moduli accepted at the public entry points of higher modules: the window
+# in which tests/test_accuracy_map.py holds nodes, K and mu to 16 eps of a
+# 50-digit reference.  The kernel has no iteration that loses digits past it.
 ELL_MIN = 1e-8
 ELL_MAX = 1.0 - 1e-8
 THETA_MIN = math.acos(ELL_MAX)
@@ -98,85 +95,115 @@ def require_degree(value, minimum: int, name: str = "degree", maximum: int | Non
     return n
 
 
-def _landen(ell: float, ell_comp: float) -> tuple[list, list]:
-    """Descending Landen scales ([a_0..a_N], [c_0..c_N]) of the AGM of (1, ell_comp), c_0 = ell.
+def _nome(ell: float, ell_comp: float) -> tuple[float, float]:
+    """(q, -log q) of the smaller member k of the pair (ell, ell_comp); q <= e^{-pi}.
 
-    Stops at c_N <= eps a_N or N = _LANDEN_DEPTH; a_N = agm(1, ell_comp) and K(ell) = (pi/2)/a_N.
-    The one AGM loop: K, mu, the M of solve_lambda and every sn/cn/dn read it (A&S 16.4, 17.6).
+    A&S 17.3.21 in e = (1 - sqrt k')/(2 (1 + sqrt k')) = k^2/(2 (1 + k') (1 + sqrt k')^2),
+    free of cancellation.  -log q is taken from log k, so it stays finite when q
+    underflows.  The pair (0, 1) gives (0, inf).
     """
-    a_seq, c_seq = [1.0], [ell]
-    a, b = 1.0, ell_comp
-    while c_seq[-1] > _EPS * a and len(a_seq) <= _LANDEN_DEPTH:
-        a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
-        a_seq.append(a)
-        c_seq.append(c)
-    return a_seq, c_seq
+    k, kc = (ell, ell_comp) if ell <= ell_comp else (ell_comp, ell)
+    if k == 0.0:
+        return 0.0, math.inf
+    scale = 2.0 * (1.0 + kc) * (1.0 + math.sqrt(kc)) ** 2  # e = k^2 / scale
+    e = k * k / scale
+    e4 = e**4
+    tail = e4 * (2.0 + e4 * (15.0 + e4 * (150.0 + 1707.0 * e4)))
+    return e * (1.0 + tail), math.log(scale) - 2.0 * math.log(k) - math.log1p(tail)
+
+
+def _theta(q: float, z: float, f=math.sin, g=math.cos) -> tuple[float, float, float, float]:
+    """(theta_1/(2 q^{1/4}), theta_2/(2 q^{1/4}), theta_3, theta_4) at (z, q), DLMF 20.2.1-4.
+
+    Four terms each, for 0 <= z <= -log(q)/4: what is left out is below q^14 < 1e-19
+    of the leading term.  With f, g = sinh, cosh, the values at i z (theta_1 over i).
+    Terms whose q-power underflows to 0 are skipped, so no sinh/cosh runs past 710.
+    """
+    t1 = t2 = even = odd = 0.0  # theta_3 = 1 + 2 (even + odd), theta_4 = 1 + 2 (even - odd)
+    if q != 0.0:
+        odd = q * g(2.0 * z)
+        q2 = q * q
+        if q2 != 0.0:
+            q6 = q2 * q2 * q2
+            t1 = q6 * f(5.0 * z) - q2 * f(3.0 * z) - q6 * q6 * f(7.0 * z)
+            t2 = q2 * g(3.0 * z) + q6 * g(5.0 * z) + q6 * q6 * g(7.0 * z)
+            even = q2 * q2 * g(4.0 * z)
+            odd += q6 * q2 * q * g(6.0 * z)
+    return f(z) + t1, g(z) + t2, 1.0 + 2.0 * (even + odd), 1.0 + 2.0 * (even - odd)
+
+
+def _mu_pair(ell: float, ell_comp: float) -> tuple[float, float, float]:
+    """(mu(ell), K(ell), K(ell')) of an exact pair, from the nome q = e^{-L} of its smaller member.
+
+    K(small) = (pi/2) theta_3(q)^2 and K(large) = K(small) L/pi (q = e^{-pi K'/K}, DLMF
+    22.2.2), so mu is L/2, or pi^2/(2L) when ell is the larger member.
+    """
+    q, L = _nome(ell, ell_comp)
+    small = 0.5 * math.pi * _theta(q, 0.0)[2] ** 2
+    large = small * L / math.pi
+    if ell <= ell_comp:
+        return 0.5 * L, small, large
+    return 0.5 * math.pi**2 / L, large, small
 
 
 def complete_K(ell: float) -> float:
     """Complete elliptic integral of the first kind, K(ell), 0 <= ell < 1."""
     if not 0.0 <= ell < 1.0:
         raise DomainError(f"complete_K requires 0 <= ell < 1, got {ell!r}")
-    return 0.5 * math.pi / _landen(ell, complement(ell))[0][-1]
+    return _mu_pair(ell, complement(ell))[1]
 
 
-def _sncndn(u: float, ell: float, ell_comp: float, scales: tuple[list, list]) -> tuple[float, float, float]:
-    """sn/cn/dn with explicit complementary modulus, from the scales _landen(ell, ell_comp)."""
-    if not 0.0 <= ell < 1.0:
-        raise DomainError(f"jacobi modulus must lie in [0, 1), got {ell!r}")
+def _sncndn(u: float, quarter: float, ell: float, ell_comp: float) -> tuple[float, float, float]:
+    """(sn, cn, dn)(K(ell) u / quarter, ell); the integers of a node num/den reduce exactly.
+
+    At r in [0, quarter/2]: DLMF 22.2.4-6 at z = (pi/2) r/quarter if ell <= ell_comp, else
+    Jacobi's imaginary transformation (DLMF 22.6(iv)), theta_2 and theta_4 swapped, at
+    y = -log(q') r/(2 quarter) in the nome q' of ell_comp.  ell_comp = 0 has no nome.
+    """
     if not math.isfinite(u):
         raise DomainError(f"jacobi argument must be finite, got {u!r}")
-    if ell == 0.0:
-        return math.sin(u), math.cos(u), 1.0
-    a_seq, c_seq = scales
-    depth = len(a_seq) - 1
-    quarter = 0.5 * math.pi / a_seq[depth]  # K(ell)
-
-    # Reduce to [0, K/2] using periods and quarter-period reflection; the
-    # reflection keeps dn (and hence cn near the quarter period) fully
-    # accurate instead of dissolving into sqrt(1 - ell^2 sn^2) cancellation.
-    sign_sn = -1.0 if u < 0.0 else 1.0
-    r = math.fmod(abs(u), 4.0 * quarter)
-    sign_cn = 1.0
-    if r >= 2.0 * quarter:
-        r -= 2.0 * quarter
+    if ell_comp == 0.0:
+        raise PrecisionError(f"sn/cn/dn at modulus {ell!r} need a complement above 0")
+    # Periods, then the quarter-period reflection, which keeps dn (and cn near
+    # K) accurate instead of dissolving into sqrt(1 - ell^2 sn^2) cancellation.
+    sign_sn, sign_cn = -1.0 if u < 0.0 else 1.0, 1.0
+    r = math.fmod(abs(u), 4 * quarter)
+    if r >= 2 * quarter:
+        r -= 2 * quarter
         sign_sn, sign_cn = -sign_sn, -sign_cn
     if r > quarter:
-        r = 2.0 * quarter - r
+        r = 2 * quarter - r
         sign_cn = -sign_cn
     reflect = r > 0.5 * quarter
     if reflect:
         r = quarter - r
-
-    phi = float(2**depth) * a_seq[depth] * r
-    for n in range(depth, 0, -1):
-        t = c_seq[n] / a_seq[n] * math.sin(phi)
-        phi = 0.5 * (phi + math.asin(max(-1.0, min(1.0, t))))
-    sn = math.sin(phi)
-    cn = math.cos(phi)
-    dn = math.sqrt((1.0 - ell * sn) * (1.0 + ell * sn))
+    q, L = _nome(ell, ell_comp)
+    if ell <= ell_comp:
+        _, b2, b3, b4 = _theta(q, 0.0)
+        t1, t2, t3, t4 = _theta(q, 0.5 * math.pi * r / quarter)
+    else:
+        _, b4, b3, b2 = _theta(q, 0.0)
+        t1, t4, t3, t2 = _theta(q, L * r / (2 * quarter), math.sinh, math.cosh)
+    w = b4 / t4  # each ratio is 1 at r = 0, so the origin gives exactly (0, 1, 1)
+    sn, cn, dn = t1 / b2 * (b3 / t4), t2 / b2 * w, t3 / b3 * w
     if reflect:
         sn, cn, dn = cn / dn, ell_comp * sn / dn, ell_comp / dn
     return sign_sn * sn, sign_cn * cn, dn
 
 
 def _nodes(nums, den: int, ell: float, ell_comp: float) -> list:
-    """[(sn, cn, dn)(num K / den, ell) for num in nums]; K and every node read one _landen.
-
-    The node table of r_n, s_m, F_m (modulus sin Theta) and h_m (modulus ell).
-    """
-    scales = _landen(ell, ell_comp)
-    K = 0.5 * math.pi / scales[0][-1]
+    """[(sn, cn, dn)(num K / den, ell) for num in nums]: the nodes of r_n, s_m, F_m and h_m."""
     out = []
     for num in nums:  # a plain loop: no comprehension frame on one-node calls
-        out.append(_sncndn(num * K / den, ell, ell_comp, scales))
+        out.append(_sncndn(num, den, ell, ell_comp))
     return out
 
 
 def jacobi_sncndn(u: float, ell: float) -> tuple[float, float, float]:
     """Jacobi elliptic functions (sn, cn, dn) at real argument u, modulus ell."""
-    ell_comp = complement(ell)
-    return _sncndn(u, ell, ell_comp, _landen(ell, ell_comp))
+    if not 0.0 <= ell < 1.0:
+        raise DomainError(f"jacobi modulus must lie in [0, 1), got {ell!r}")
+    return _sncndn(u, complete_K(ell), ell, complement(ell))
 
 
 def _carlson_rf(x: float, y: float, z: float) -> float:
@@ -212,48 +239,37 @@ def inverse_sn(x: float, ell: float) -> float:
     return x * _carlson_rf(p, q, 1.0)
 
 
-def _mu_pair(ell: float, ell_comp: float) -> float:
-    """Groetzsch value from an exactly known complementary pair."""
-    return 0.5 * math.pi * _landen(ell, ell_comp)[0][-1] / _landen(ell_comp, ell)[0][-1]
-
-
 def groetzsch_mu(ell: float) -> float:
     """Groetzsch ring function mu(ell) = (pi/2) K(ell')/K(ell), 0 < ell < 1."""
     if not 0.0 < ell < 1.0:
         raise DomainError(f"groetzsch_mu requires 0 < ell < 1, got {ell!r}")
-    return _mu_pair(ell, complement(ell))
+    return _mu_pair(ell, complement(ell))[0]
 
 
-def _mu_inverse_pair(v: float) -> tuple[float, float]:
-    """(ell, ell') with mu(ell) = v, v > 0, from the theta quotient of the nome.
+def _mu_inverse_pair(v: float) -> tuple[float, float, float]:
+    """(ell, ell', K(ell)) with mu(ell) = v, v > 0, from the theta quotient of the nome.
 
     The member whose mu value is V = max(v, (pi/2)^2 / v) >= pi/2 is
-
-        (theta_2/theta_3)^2 = 4 e^{-V} (sum_{n>=0} q^{n(n+1)})^2 / theta_3(q)^2
-
-    at q = e^{-2V} <= e^{-pi}, where the last terms kept, q^16 and q^20,
-    are below 1e-21.  It is accurate to a few eps (1 + V) relative, and
-    the other member is its complement.  Past V ~ 745 it underflows to 0.
+    (theta_2/theta_3)^2 = 4 e^{-V} (theta_2/(2 q^{1/4}))^2 / theta_3^2 at q = e^{-2V},
+    accurate to a few eps (1 + V) relative; the other member is its complement.
+    Past V ~ 745 it underflows to 0.  K is read from the same nome as in _mu_pair (L = 2V).
     """
     V = max(v, _QUARTER_PI_SQ / v)
     x = math.exp(-V)
-    q = x * x
-    theta3 = 1.0 + 2.0 * (q + q**4 + q**9 + q**16)
-    sum2 = 1.0 + q**2 + q**6 + q**12 + q**20  # theta_2 / (2 q^(1/4))
-    small = 4.0 * x * (sum2 / theta3) ** 2
+    _, t2, t3, _ = _theta(x * x, 0.0)
+    small = 4.0 * x * (t2 / t3) ** 2
     large = complement(small)
-    return (small, large) if v >= 0.5 * math.pi else (large, small)
+    if v >= 0.5 * math.pi:
+        return small, large, 0.5 * math.pi * t3 * t3
+    return large, small, V * t3 * t3
 
 
 def mu_inverse(v: float) -> float:
-    """The modulus ell in (0, 1) with groetzsch_mu(ell) = v.
+    """The modulus ell in (0, 1) with groetzsch_mu(ell) = v, in closed form (_mu_inverse_pair).
 
-    Closed form through the nome q = e^{-2v}: ell = (theta_2/theta_3)^2
-    (DLMF 22.2.2), or, when v < pi/2, the complement of that quotient at
-    the complementary nome e^{-pi^2/(2v)}.  Solutions for v < 1 crowd
-    against 1; callers needing full relative accuracy there work with the
-    complement (solve_lambda does).  PrecisionError is raised when ell
-    rounds to 1 (v < 0.087) or is subnormal (v > 709.78).
+    Solutions for v < 1 crowd against 1; callers needing full relative accuracy
+    there work with the complement (solve_lambda does).  PrecisionError is raised
+    when ell rounds to 1 (v < 0.087) or is subnormal (v > 709.78).
     """
     if not (math.isfinite(v) and v > 0.0):
         raise DomainError(f"mu_inverse requires v > 0, got {v!r}")
@@ -285,9 +301,8 @@ class EllipticModulus:
         if not 0.0 < ell < 1.0:
             raise DomainError(f"modulus must lie in (0, 1), got {ell!r}")
         ell_comp = _complement_of(ell, ell_comp)
-        K = 0.5 * math.pi / _landen(ell, ell_comp)[0][-1]
-        K_comp = 0.5 * math.pi / _landen(ell_comp, ell)[0][-1]
-        return cls(ell, ell_comp, K, K_comp, 0.5 * math.pi * K_comp / K, math.exp(math.pi * K / K_comp))
+        mu, K, K_comp = _mu_pair(ell, ell_comp)
+        return cls(ell, ell_comp, K, K_comp, mu, math.exp(math.pi * K / K_comp))
 
     @classmethod
     def from_theta(cls, theta: float) -> "EllipticModulus":
@@ -317,8 +332,7 @@ def solve_lambda(ell: float, m: int, ell_comp: float | None = None) -> DegreeRed
     That is mu(lam) = mu(ell)/m, solved by the nome series of mu_inverse,
     which returns lam' with full relative accuracy when lam is near 1.
     Past m (pi/2)^2 / mu(ell) ~ 745, lam' underflows to 0 and lam is 1;
-    nothing is raised.  M = K(ell)/K(lam) uses the degree equation
-    K(lam) = (pi/2) K(lam') / (mu(ell)/m), so no AGM runs on lam'.
+    nothing is raised.  M = K(ell)/K(lam) takes K(lam) from the nome of lam.
     """
     m = require_degree(m, 0)
     require_modulus(ell)
@@ -327,7 +341,6 @@ def solve_lambda(ell: float, m: int, ell_comp: float | None = None) -> DegreeRed
         return DegreeReduction(0, 0.0, 1.0, 1.0)
     if m == 1:
         return DegreeReduction(1, ell, ell_comp, 1.0)
-    mu = _mu_pair(ell, ell_comp)
-    lam, lam_comp = _mu_inverse_pair(mu / m)
-    M = (mu / m) * _landen(lam_comp, lam)[0][-1] / (0.5 * math.pi * _landen(ell, ell_comp)[0][-1])
-    return DegreeReduction(m, lam, lam_comp, M)
+    mu, K, _ = _mu_pair(ell, ell_comp)
+    lam, lam_comp, K_lam = _mu_inverse_pair(mu / m)
+    return DegreeReduction(m, lam, lam_comp, K / K_lam)

@@ -9,10 +9,10 @@ class PrecisionError(DomainError):
     """A modulus or angle falls in a range where double precision degrades.
 
     Moduli are accepted only in (1e-8, 1 - 1e-8) at the public entry
-    points of the higher-level modules; K(ell') diverges logarithmically
-    and the Landen recursion loses accuracy outside that window.  An arc
-    half-width is also rejected above 1.5707963162581844, still inside
-    the window, where its node modulus sin(theta) rounds to 1.
+    points of the higher-level modules, the window tested against a
+    50-digit reference.  Arc half-widths above 1.5707963162581844 (node
+    modulus sin(theta) rounds to 1) are rejected, and sn/cn/dn raise at a
+    complement that underflows to 0 (the direct F/G at a large degree).
     """
 
 

@@ -1,0 +1,101 @@
+"""Recompute every pin in tests/data from the code in src/.
+
+    PYTHONPATH=src python tests/data/make_pins.py
+
+For each existing key of elliptic_pins.json, node_pins.json,
+cli_build_golden.json and cli_report_pins.json the value is recomputed
+exactly as the pin test computes it, and the file is rewritten in place;
+no key is added or removed.  Pins guard refactors: run this only for a
+change that is meant to move pinned bits, and check the moved values
+against tests/mpref.py.  pytest does not collect this file.
+"""
+
+import contextlib
+import io
+import json
+import math
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, os.path.dirname(HERE))  # the tests, for their key parsers
+
+from test_cli_report_pins import parse
+from test_elliptic_pins import _fields
+from test_node_pins import _args
+
+from zolocirc import elliptic as el
+from zolocirc.approximants import ZolotarevFraction, eval_F_direct
+from zolocirc.cli import main as cli_main
+from zolocirc.connections import blaschke_h
+
+
+def elliptic_pin(family, key):
+    f = _fields(key)
+    if family == "complete_K":
+        return el.complete_K(float(key))
+    if family == "groetzsch_mu":
+        return el.groetzsch_mu(float(key))
+    if family == "from_ell":
+        mod = el.EllipticModulus.from_ell(float(key))
+        return [mod.K, mod.K_comp, mod.mu, mod.rho]
+    if family == "solve_lambda":
+        if "theta" in f:
+            red = el.solve_lambda(math.cos(f["theta"]), int(f["m"]), math.sin(f["theta"]))
+        else:
+            red = el.solve_lambda(f["ell"], int(f["m"]))
+        return [red.lam, red.lam_comp, red.M]
+    if family == "jacobi_sncndn":
+        return list(el.jacobi_sncndn(f["u"] * el.complete_K(f["ell"]), f["ell"]))
+    if family == "eval_F_direct":
+        return list(eval_F_direct(ZolotarevFraction.from_ell(int(f["m"]), f["ell"]), f["x"]))
+    raise KeyError(family)
+
+
+def node_pin(family, key):
+    side, value, m = _args(key)
+    if family == "dn2_odd":
+        zf = ZolotarevFraction.from_theta(m, value) if side == "theta" else ZolotarevFraction.from_ell(m, value)
+        return list(zf.dn2_odd)
+    if family == "blaschke_h":
+        return list(blaschke_h(m, value).params)
+    raise KeyError(family)
+
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli_main(argv.split())
+    return code, out.getvalue()
+
+
+def build_pin(argv):
+    code, out = run(argv)
+    return {"exit_code": code, "stdout": out}
+
+
+def report_pin(argv):
+    code, out = run(argv)
+    inputs, results = parse(out)
+    return {"exit_code": code, "inputs": inputs, "results": results}
+
+
+def rewrite(name, recompute):
+    path = os.path.join(HERE, name)
+    with open(path) as fh:
+        pins = json.load(fh)
+    pins = recompute(pins)
+    with open(path, "w") as fh:
+        json.dump(pins, fh, indent=1)
+        fh.write("\n")
+
+
+def main():
+    rewrite("elliptic_pins.json", lambda p: {fam: {k: elliptic_pin(fam, k) for k in p[fam]} for fam in p})
+    rewrite("node_pins.json", lambda p: {fam: {k: node_pin(fam, k) for k in p[fam]} for fam in p})
+    rewrite("cli_build_golden.json", lambda p: {argv: build_pin(argv) for argv in p})
+    rewrite("cli_report_pins.json", lambda p: {argv: report_pin(argv) for argv in p})
+
+
+if __name__ == "__main__":
+    main()

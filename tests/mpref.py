@@ -1,0 +1,108 @@
+"""A 50-digit mpmath reference for the elliptic data that zolocirc computes.
+
+Only ``mpmath.ellipk`` and ``mpmath.ellipfun`` (and ``findroot`` on
+``ellipk``) are used, never ``jtheta``, so the reference shares no formula
+with the theta series in ``zolocirc.elliptic``; nothing here imports
+``zolocirc.elliptic`` or ``zolocirc.approximants``.  A modulus is passed as
+the exact pair of squares (ell^2, ell'^2): for an arc half-width these are
+cos^2 and sin^2 of the mp value of Theta, not of the rounded cosine and
+sine, and for a float modulus ell they are ell^2 and 1 - ell^2 of that
+float.
+"""
+
+import math
+import sys
+
+import mpmath as mp
+
+EPS = sys.float_info.epsilon
+DPS = 50
+
+
+def theta_squares(theta):
+    """(cos^2 Theta, sin^2 Theta) at the exact value of the double theta."""
+    with mp.workdps(DPS):
+        t = mp.mpf(theta)
+        return mp.cos(t) ** 2, mp.sin(t) ** 2
+
+
+def ell_squares(ell):
+    """(ell^2, 1 - ell^2) of the double ell."""
+    with mp.workdps(DPS):
+        ell_sq = mp.mpf(ell) ** 2
+        return ell_sq, 1 - ell_sq
+
+
+def complete_K(ell_sq):
+    with mp.workdps(DPS):
+        return mp.ellipk(ell_sq)
+
+
+def groetzsch_mu(ell_sq, ell_comp_sq):
+    with mp.workdps(DPS):
+        return mp.pi / 2 * mp.ellipk(ell_comp_sq) / mp.ellipk(ell_sq)
+
+
+def node(num, den, ell_sq):
+    """(sn, cn, dn)(num K / den) at modulus^2 ell_sq, num in [0, 2 den]."""
+    with mp.workdps(DPS):
+        if num % den == 0:  # exact, where ellipfun leaves residues of 1e-50
+            return (0, 1 - num // den, 1) if num != den else (1, 0, mp.sqrt(1 - ell_sq))
+        sn = mp.ellipfun("sn", num * mp.ellipk(ell_sq) / den, m=ell_sq)
+        # at 50 digits the square roots lose nothing a double can see
+        cn = mp.sqrt(1 - sn * sn) * (-1 if num > den else 1)
+        dn = mp.sqrt(1 - ell_sq * sn * sn)
+        return sn, cn, dn
+
+
+def coeff_b(j, m, theta):
+    """b_j of s_m at theta: (-1)^{mj} base^{(-1)^j}, base = (ell sn + dn)/cn at (2j - 1) K(ell')/m."""
+    ell_sq, ell_comp_sq = theta_squares(theta)
+    sn, cn, dn = node(2 * j - 1, m, ell_comp_sq)
+    with mp.workdps(DPS):
+        base = (mp.sqrt(ell_sq) * sn + dn) / cn
+        return (-1) ** (m * j) * (base if j % 2 == 0 else 1 / base)
+
+
+def _big_target(v):
+    return max(v, (mp.pi / 2) ** 2 / v)
+
+
+def mp_pair(v):
+    """(ell, ell') with mu(ell) = v, v an mpf.
+
+    mu(ell) = v is the same equation as (pi/2) K(ell)/K(ell') = (pi/2)^2 / v;
+    the form whose right side V is >= pi/2 is solved for its small modulus,
+    with mpmath.findroot on mpmath.ellipk in y = -log of the small modulus,
+    at a working precision that grows with V so that 1 - ell^2 resolves.
+    """
+    V = _big_target(v)
+    with mp.workdps(int(0.87 * V) + 30):
+        V = _big_target(mp.mpf(v))
+
+        def residual(y):
+            x2 = mp.exp(-2 * y)
+            return mp.pi / 2 * mp.ellipk(1 - x2) / mp.ellipk(x2) - V
+
+        small = mp.exp(-mp.findroot(residual, float(V) - math.log(4), tol=mp.mpf(10) ** -60))
+        large = mp.sqrt(1 - small**2)
+    return (small, large) if v >= mp.pi / 2 else (large, small)
+
+
+def mp_reduction(ell_sq, ell_comp_sq, m):
+    """(lam, lam', M = K(ell)/K(lam), V) of the degree equation at (ell, m)."""
+    with mp.workdps(40):
+        K = mp.ellipk(ell_sq)
+        v = mp.pi / 2 * mp.ellipk(ell_comp_sq) / K / m
+    lam, lam_comp = mp_pair(v)
+    V = _big_target(v)
+    with mp.workdps(int(0.87 * V) + 30):
+        M = K / mp.ellipk(1 - lam_comp**2)
+    return lam, lam_comp, M, float(V)
+
+
+def rel_err(x, ref):
+    """|x - ref| / |ref|, or |x| when ref is 0, measured at 50 digits."""
+    with mp.workdps(DPS):
+        ref = mp.mpf(ref)
+        return float(abs(mp.mpf(x) - ref) / abs(ref)) if ref else abs(float(x))

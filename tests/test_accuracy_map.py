@@ -1,0 +1,125 @@
+"""The elliptic kernel against a 50-digit mpmath reference across the window.
+
+Node sn/cn/dn, s_m coefficients b_j, K and mu are held to 16 eps relative
+(an exact 0 to exactly 0) over an arc grid that includes both window ends,
+THETA_MIN^+ and 1.5707963162581844 (the last Theta whose sine stays below
+1), and over a modulus grid from ELL_MIN^+ to 1 - 1e-7, at node
+denominators 16, 257 and 3000 and degrees 16, 64 and 256.  Large
+denominators are sampled: both ends of each quarter period, its middle
+and an even spread between.
+The reference is tests/mpref.py, which shares no formula with the kernel.
+
+Also here: the F/G Pythagorean identity at small moduli, where the node
+constants sit at modulus ell' -> 1, and the direct F/G evaluation, which
+reads the reduced modulus lam through its complement and must agree with
+the product identities while lam rounds to 1.
+"""
+
+import math
+
+import mpref
+import numpy as np
+import pytest
+
+from zolocirc import elliptic as el
+from zolocirc.approximants import ZolotarevFraction, coeff_b, eval_F_direct, eval_F_product
+from zolocirc.errors import PrecisionError
+
+BOUND = 16 * mpref.EPS
+THETAS = [math.nextafter(el.THETA_MIN, 2.0), 2e-4, 1e-3, 0.3, 1.0, 1.5, 0.5 * math.pi - 1e-5, 1.5707963162581844]
+ELLS = [math.nextafter(el.ELL_MIN, 1.0), 1e-6, 1e-4, 0.3, 0.5, 0.9, 0.999, 1.0 - 1e-7]
+DENS = [16, 257, 3000]
+
+
+def sample(den, count=12):
+    """Node numerators over the half period [0, 2 den]: every one up to 2 * count, else a spread."""
+    if 2 * den <= 2 * count:
+        return range(2 * den + 1)
+    picks = {0, 1, 2, den // 2, den // 2 + 1, den - 2, den - 1, den, den + 1, 2 * den - 1}
+    return sorted(picks | set(range(1, 2 * den, 2 * den // count)))
+
+
+def node_cases():
+    """(label, modulus, complement, exact squared modulus) for every modulus a node table uses."""
+    for theta in THETAS:
+        ell, ell_comp = el.require_theta(theta)
+        yield f"theta={theta!r}", ell_comp, ell, mpref.theta_squares(theta)[1]
+    for ell in ELLS:
+        ell_sq, ell_comp_sq = mpref.ell_squares(ell)
+        yield f"ell={ell!r}", ell, el.complement(ell), ell_sq  # the Blaschke nodes
+        yield f"ell'={ell!r}", el.complement(ell), ell, ell_comp_sq  # the F/G nodes
+
+
+@pytest.mark.parametrize("den", DENS)
+def test_nodes(den):
+    for label, k, k_comp, k_sq in node_cases():
+        nums = sample(den)
+        for num, got in zip(nums, el._nodes(nums, den, k, k_comp)):
+            for name, value, ref in zip(("sn", "cn", "dn"), got, mpref.node(num, den, k_sq)):
+                assert mpref.rel_err(value, ref) <= BOUND, f"{name} at {label}, {num}/{den}"
+
+
+@pytest.mark.parametrize("m", [16, 64, 256])
+def test_coeff_b(m):
+    js = [j for j in sample(m, 6) if 1 <= j <= m and 2 * j - 1 != m]
+    for theta in THETAS:
+        for j in js:
+            b = coeff_b(j, m, theta)
+            assert mpref.rel_err(b, mpref.coeff_b(j, m, theta)) <= BOUND, f"b_{j} at theta={theta!r}, m={m}"
+
+
+def test_complete_K_and_mu():
+    for ell in [0.0, 1e-300] + ELLS + [i / 16 for i in range(1, 16)] + [math.sqrt(0.5)]:
+        ell_sq, ell_comp_sq = mpref.ell_squares(ell)
+        assert mpref.rel_err(el.complete_K(ell), mpref.complete_K(ell_sq)) <= BOUND, ell
+        if ell > 1e-300:  # mu(1e-300) is past the reference's 50 digits
+            assert mpref.rel_err(el.groetzsch_mu(ell), mpref.groetzsch_mu(ell_sq, ell_comp_sq)) <= BOUND, ell
+    for theta in THETAS:
+        ell_sq, ell_comp_sq = mpref.theta_squares(theta)
+        mod = el.EllipticModulus.from_theta(theta)
+        assert mpref.rel_err(mod.K, mpref.complete_K(ell_sq)) <= BOUND, theta
+        assert mpref.rel_err(mod.K_comp, mpref.complete_K(ell_comp_sq)) <= BOUND, theta
+        assert mpref.rel_err(mod.mu, mpref.groetzsch_mu(ell_sq, ell_comp_sq)) <= BOUND, theta
+
+
+@pytest.mark.parametrize("ell", [1.0000001e-8, 1e-6, 1e-4])
+@pytest.mark.parametrize("m", [102, 500, 3000])
+def test_fg_pythagoras_at_small_moduli(ell, m):
+    F, G = eval_F_product(ZolotarevFraction.from_ell(m, ell), np.linspace(-1.0, 1.0, 41))
+    assert np.max(np.abs(F * F + G * G - 1.0)) <= 1e-13
+
+
+@pytest.mark.parametrize("m", [17, 33, 64, 256])
+def test_direct_F_while_lam_rounds_to_one(m):
+    zf = ZolotarevFraction.from_ell(m, 0.5)
+    assert zf.reduction.lam == 1.0 and zf.reduction.lam_comp > 0.0
+    for x in np.linspace(-0.5, 0.5, 41).tolist():
+        direct, product = eval_F_direct(zf, x), eval_F_product(zf, x)
+        assert max(abs(d - p) for d, p in zip(direct, product)) <= 1e-14, x
+
+
+def test_direct_F_at_the_criterion_5_sweep():
+    for theta in (0.5, 1.0, 1.4):
+        for m in (2, 3, 5, 8, 13):
+            zf = ZolotarevFraction.from_theta(m, theta)
+            for x in np.linspace(-1.0, 1.0, 41).tolist():
+                direct, product = eval_F_direct(zf, x), eval_F_product(zf, x)
+                assert max(abs(d - p) for d, p in zip(direct, product)) <= 1e-14, (theta, m, x)
+
+
+def test_far_branch_stays_finite_down_to_the_last_complement():
+    for lam_comp in (1e-300, 1e-310, 5e-324):
+        for num in range(0, 33):
+            sn, cn, dn = el._sncndn(num, 8, 1.0, lam_comp)
+            assert all(math.isfinite(v) for v in (sn, cn, dn)) and 0.0 <= dn <= 1.0, (lam_comp, num)
+    zf = ZolotarevFraction.from_ell(606, 0.5)  # lam' = 2e-323, the last m before it underflows
+    assert 0.0 < zf.reduction.lam_comp < 1e-320
+    assert eval_F_direct(zf, 0.3) == pytest.approx(eval_F_product(zf, 0.3), abs=1e-14)
+
+
+def test_direct_F_raises_once_lam_comp_underflows():
+    zf = ZolotarevFraction.from_ell(800, 0.5)
+    assert zf.reduction.lam_comp == 0.0
+    with pytest.raises(PrecisionError):
+        eval_F_direct(zf, 0.3)
+    assert eval_F_direct(zf, 0.7) == eval_F_product(zf, 0.7)  # |x| > ell needs no sn

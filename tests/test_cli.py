@@ -302,14 +302,16 @@ def per_cell_contour_csv(problem, degree, theta, window, resolution):
     return "".join(parts).encode("utf-8")
 
 
+# A window from 0 to 2 * pole puts its midpoint, 0 + 8 (2 pole)/16 on a
+# 17-point grid, on the pole exactly, whatever the pole's last bits.
 def _r_pole_window():
     pole = -ap.build_r(1, 1.0).factors[0]  # on the real axis
-    return (pole - 1.0, pole + 1.0, -1.0, 1.0)
+    return (2.0 * pole, 0.0, -1.0, 1.0)
 
 
 def _s_pole_window():
     pole = 1.0 / ap.build_s(2, 1.0).factors[0]  # at i * pole
-    return (-1.0, 1.0, pole - 1.0, pole + 1.0)
+    return (-1.0, 1.0, 0.0, 2.0 * pole)
 
 
 class TestContourBytes:

@@ -1,10 +1,10 @@
 """The Groetzsch inverse and the degree equation against an mpmath reference.
 
-The reference solves mu(ell) = (pi/2) K(ell')/K(ell) = v with
-mpmath.findroot on mpmath.ellipk, in y = -log of the small modulus, at a
-working precision that grows with the target so that 1 - ell^2 resolves.
-It uses no theta function, so it shares no formula with the nome series
-in zolocirc.elliptic.
+The reference (mpref.mp_pair) solves mu(ell) = (pi/2) K(ell')/K(ell) = v
+with mpmath.findroot on mpmath.ellipk, in y = -log of the small modulus,
+at a working precision that grows with the target so that 1 - ell^2
+resolves.  It uses no theta function, so it shares no formula with the
+nome series in zolocirc.elliptic.
 """
 
 import math
@@ -12,10 +12,10 @@ import sys
 
 import mpmath as mp
 import pytest
+from mpref import EPS, mp_pair, mp_reduction, rel_err
 
 from zolocirc import elliptic as el
 
-EPS = sys.float_info.epsilon
 HALF_PI = 0.5 * math.pi
 THETAS = [2e-4, 1e-3, 0.3, 1.0, 1.5, HALF_PI - 1e-5, HALF_PI - 1e-7]
 DEGREES = [2, 3, 7, 16, 64, 256]
@@ -23,54 +23,17 @@ DEGREES = [2, 3, 7, 16, 64, 256]
 UNDERFLOW_CASES = [(0.5, 600), (0.5, 800), (0.5, 3000), (1.0 - 1e-7, 256), (1e-7, 3000)]
 
 
-def _big_target(v):
-    return max(v, (mp.pi / 2) ** 2 / v)
-
-
-def mp_pair(v):
-    """(ell, ell') with mu(ell) = v, v an mpf.
-
-    mu(ell) = v is the same equation as (pi/2) K(ell)/K(ell') = (pi/2)^2 / v;
-    the form whose right side V is >= pi/2 is solved for its small modulus.
-    """
-    V = _big_target(v)
-    with mp.workdps(int(0.87 * V) + 30):
-        V = _big_target(mp.mpf(v))
-
-        def residual(y):
-            x2 = mp.exp(-2 * y)
-            return mp.pi / 2 * mp.ellipk(1 - x2) / mp.ellipk(x2) - V
-
-        small = mp.exp(-mp.findroot(residual, float(V) - math.log(4), tol=mp.mpf(10) ** -60))
-        large = mp.sqrt(1 - small**2)
-    return (small, large) if v >= mp.pi / 2 else (large, small)
-
-
-def mp_reduction(ell_sq, ell_comp_sq, m):
-    """(lam, lam', M = K(ell)/K(lam), V) of the degree equation at (ell, m)."""
-    with mp.workdps(40):
-        K = mp.ellipk(ell_sq)
-        v = mp.pi / 2 * mp.ellipk(ell_comp_sq) / K / m
-    lam, lam_comp = mp_pair(v)
-    V = _big_target(v)
-    with mp.workdps(int(0.87 * V) + 30):
-        M = K / mp.ellipk(1 - lam_comp**2)
-    return lam, lam_comp, M, float(V)
-
-
-def rel_err(x, ref):
-    return float(abs(mp.mpf(x) - ref) / ref)
-
-
 @pytest.mark.parametrize(
     "v", [0.05, 0.09, 0.3, 0.7, 1.0, 1.5, HALF_PI, 1.6, 3.0, 11.9, 12.5, 50.0, 200.0, 700.0]
 )
 def test_small_member_of_the_pair(v):
     V = max(v, HALF_PI**2 / v)
-    ell, ell_comp = el._mu_inverse_pair(v)
+    ell, ell_comp, K = el._mu_inverse_pair(v)
     ref, ref_comp = mp_pair(mp.mpf(v))
     small, ref_small = (ell, ref) if v >= HALF_PI else (ell_comp, ref_comp)
     assert rel_err(small, ref_small) <= 4 * EPS * (1 + V)
+    with mp.workdps(int(0.87 * V) + 30):
+        assert rel_err(K, mp.ellipk(ref**2)) <= 4 * EPS
     assert ell * ell + ell_comp * ell_comp == pytest.approx(1.0, abs=2 * EPS)
     if v > 0.09:  # below, ell rounds to 1
         assert el.mu_inverse(v) == ell
