@@ -21,7 +21,7 @@ import numpy as np
 
 from . import approximants
 from .approximants import UnimodularRational
-from .elliptic import EllipticModulus, require_degree, require_theta, solve_lambda
+from .elliptic import EllipticModulus, _mu_inverse_pair, _mu_pair, require_degree, require_theta, solve_lambda
 from .errors import DomainError, ResolutionError
 
 _TWO_PI = 2.0 * math.pi
@@ -262,22 +262,13 @@ def max_phase_error(r: UnimodularRational, theta: float, problem: str, grid_n: i
 def zolotarev_number(m: int, theta: float) -> float:
     """Z_m of the interval pair [-1, -ell], [ell, 1] with ell = cos(Theta).
 
-    Evaluated by the explicit product 4 rho^{-2m} prod_j ((1 + p^{2j}) /
-    (1 + p^{2j-1}))^4 with p = rho^{-4m}; the product is truncated once a
-    multiplicand is within 1e-17 of 1 (at most 64 terms).
+    The paper's product 4 rho^{-2m} prod_j ((1 + p^{2j}) / (1 + p^{2j-1}))^4,
+    p = rho^{-4m}, is (theta_2/theta_3)^2 at the nome p = e^{-2V}, V = 2m log rho
+    = m pi^2 / mu(ell): the modulus whose mu is V (DLMF 22.2.2).  m = 0 gives 4.
     """
-    return _zolotarev(require_degree(m, 0), EllipticModulus.from_ell(*require_theta(theta)))
-
-
-def _zolotarev(m: int, mod: EllipticModulus) -> float:
-    p = mod.rho ** (-4.0 * m)
-    z = 4.0 * mod.rho ** (-2.0 * m)
-    for j in range(1, 65):
-        term = ((1.0 + p ** (2 * j)) / (1.0 + p ** (2 * j - 1))) ** 4
-        z *= term
-        if abs(term - 1.0) < 1e-17:
-            break
-    return z
+    m = require_degree(m, 0)
+    mu = _mu_pair(*require_theta(theta))[0]
+    return _mu_inverse_pair(m * math.pi**2 / mu)[0] if m else 4.0
 
 
 def lambda_from_Z(zm: float) -> float:

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import _zolotarev
 from .approximants import (
     Family,
     UnimodularRational,
@@ -23,7 +22,7 @@ from .approximants import (
     coeff_a,
     eval_F_product,
 )
-from .elliptic import EllipticModulus, _nodes, complement
+from .elliptic import _mu_inverse_pair, _nodes, complement, groetzsch_mu
 from .elliptic import require_degree, require_modulus, require_theta, solve_lambda
 from .errors import BranchError, DomainError
 
@@ -70,13 +69,12 @@ def blaschke_composition_modulus(m: int, ell: float) -> float:
 
     This is the Zolotarev number of the Ng-Tsang set pair, which a Moebius
     map carries onto the symmetric pair of modulus kappa = ((1 - sqrt(ell))
-    / (1 + sqrt(ell)))^2; the number is Moebius-invariant.  Taken at the pair
-    (kappa, kappa'), it keeps its digits up to ELL_MAX; blaschke_s_relation,
-    which builds s_m at acos(kappa), still raises once kappa < 1e-8.
+    / (1 + sqrt(ell)))^2, where mu(kappa) = pi^2 / mu(ell).  So Z_m(kappa)
+    = mu^{-1}(m pi^2 / mu(kappa)) is the modulus with mu(ell-tilde) = m mu(ell).
     """
     m = require_degree(m, 1)
     require_modulus(ell)
-    return _zolotarev(m, EllipticModulus.from_ell(_kappa(ell)))
+    return _mu_inverse_pair(m * groetzsch_mu(ell))[0]
 
 
 def _moebius_image(m: int, ell: float, z: complex):
@@ -105,7 +103,8 @@ def blaschke_s_relation(m: int, ell: float, z: complex) -> tuple[float, float]:
     cos(Phi) = kappa and w is the unit-circle solution of (w + 1/w)/2 =
     sqrt(kappa) (z - 1)/(z + 1), taking the root with Im w >= 0.  A
     BranchError signals that the Moebius image left [-1, 1], where no
-    unit-circle w exists.
+    unit-circle w exists; as s_m is built at acos(kappa), PrecisionError
+    is raised once kappa < 1e-8 (ell above about 0.9996).
     """
     m, kappa, z, x = _moebius_image(m, ell, z)
     if abs(x.imag) > 1e-9 or abs(x.real) > 1.0:

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import ConvergenceError, DomainError
 
@@ -33,6 +32,7 @@ def oracle_K(ell: float) -> OracleResult:
     """K(ell) by adaptive quadrature of (1 - ell^2 sin^2 t)^(-1/2) on [0, pi/2]."""
     if not 0.0 <= ell <= 1.0 - 1e-6:
         raise DomainError(f"oracle_K requires 0 <= ell <= 1 - 1e-6, got {ell!r}")
+    from scipy import integrate  # loaded on first use: import zolocirc stays free of scipy
     e2 = ell * ell
 
     def f(t: float) -> float:
@@ -56,6 +56,7 @@ def oracle_amplitude(u: float, ell: float) -> OracleResult:
         raise DomainError(f"|u| must not exceed 2K = {2 * K!r}, got {u!r}")
     if u == 0.0:
         return OracleResult(0.0, 0.0, 0)
+    from scipy import integrate
     e2 = ell * ell
 
     def rhs(_t, y):

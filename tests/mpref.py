@@ -7,7 +7,7 @@ with the theta series in ``zolocirc.elliptic``; nothing here imports
 the exact pair of squares (ell^2, ell'^2): for an arc half-width these are
 cos^2 and sin^2 of the mp value of Theta, not of the rounded cosine and
 sine, and for a float modulus ell they are ell^2 and 1 - ell^2 of that
-float.
+float.  Zolotarev's number is the paper's infinite product, at 60 digits.
 """
 
 import math
@@ -99,6 +99,26 @@ def mp_reduction(ell_sq, ell_comp_sq, m):
     with mp.workdps(int(0.87 * V) + 30):
         M = K / mp.ellipk(1 - lam_comp**2)
     return lam, lam_comp, M, float(V)
+
+
+def zolotarev_product(theta, m):
+    """(Z_m, V) at ell = cos Theta by the paper's product, in 60 digits, V = 2 m log rho.
+
+    Z_m = 4 rho^{-2m} prod_j ((1 + p^{2j}) / (1 + p^{2j-1}))^4 with p = rho^{-4m} and
+    rho = exp(pi K/K'), multiplied out until a factor is 1 to the working precision.
+    """
+    with mp.workdps(60):
+        t = mp.mpf(theta)
+        V = 2 * m * mp.pi * mp.ellipk(mp.cos(t) ** 2) / mp.ellipk(mp.sin(t) ** 2)
+        p = mp.exp(-2 * V)
+        z = 4 * mp.exp(-V)
+        j = 1
+        while True:
+            factor = ((1 + p ** (2 * j)) / (1 + p ** (2 * j - 1))) ** 4
+            z *= factor
+            if abs(factor - 1) < mp.eps:
+                return z, float(V)
+            j += 1
 
 
 def rel_err(x, ref):

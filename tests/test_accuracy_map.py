@@ -9,19 +9,23 @@ denominators are sampled: both ends of each quarter period, its middle
 and an even spread between.
 The reference is tests/mpref.py, which shares no formula with the kernel.
 
-Also here: the F/G Pythagorean identity at small moduli, where the node
+Also here: Zolotarev's number Z_m against the paper's product, held to
+4 (1 + V) eps with V = m pi^2 / mu(ell) wherever Z_m is a normal double;
+the F/G Pythagorean identity at small moduli, where the node
 constants sit at modulus ell' -> 1, and the direct F/G evaluation, which
 reads the reduced modulus lam through its complement and must agree with
 the product identities while lam rounds to 1.
 """
 
 import math
+import sys
 
 import mpref
 import numpy as np
 import pytest
 
 from zolocirc import elliptic as el
+from zolocirc.analysis import zolotarev_number
 from zolocirc.approximants import ZolotarevFraction, coeff_b, eval_F_direct, eval_F_product
 from zolocirc.errors import PrecisionError
 
@@ -80,6 +84,19 @@ def test_complete_K_and_mu():
         assert mpref.rel_err(mod.K, mpref.complete_K(ell_sq)) <= BOUND, theta
         assert mpref.rel_err(mod.K_comp, mpref.complete_K(ell_comp_sq)) <= BOUND, theta
         assert mpref.rel_err(mod.mu, mpref.groetzsch_mu(ell_sq, ell_comp_sq)) <= BOUND, theta
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 8, 32, 128, 256])
+def test_zolotarev_number_against_the_product(m):
+    checked = 0
+    for theta in THETAS:
+        ref, V = mpref.zolotarev_product(theta, m)
+        if ref < sys.float_info.min:  # only where the reference is a normal double
+            continue
+        got = zolotarev_number(m, theta)
+        assert mpref.rel_err(got, ref) <= 4 * (1 + V) * mpref.EPS, f"Z_{m} at theta={theta!r}"
+        checked += 1
+    assert checked
 
 
 @pytest.mark.parametrize("ell", [1.0000001e-8, 1e-6, 1e-4])

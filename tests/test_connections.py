@@ -51,19 +51,23 @@ class TestBlaschke:
         alt = ((1.0 - math.sqrt(lam)) / (1.0 + math.sqrt(lam))) ** 2
         assert cn.blaschke_composition_modulus(m, ell) == pytest.approx(alt, rel=1e-12)
 
-    @pytest.mark.parametrize("ell", [0.25, 0.9, 0.999, 0.9995, 0.9997, 0.99999, 1.0 - 1e-7])
+    @pytest.mark.parametrize(
+        "ell",
+        [math.nextafter(el.ELL_MIN, 1.0), 1e-6, 1e-5, 1e-3, 0.25, 0.9, 0.999, 0.9995, 0.9997, 0.99999, 1.0 - 1e-7],
+    )
     @pytest.mark.parametrize("m", [1, 2, 3, 8])
     def test_composition_modulus_against_mpmath(self, m, ell):
         # Z_m of the kappa pair = ((1 - sqrt(lam))/(1 + sqrt(lam)))^2, mu(lam) = mu(kappa)/m,
-        # lam = (theta_2/theta_3)^2 at the nome exp(-2 mu(lam)), in 50 digits
-        with mp.workdps(50):
+        # lam = (theta_2/theta_3)^2 at the nome exp(-2 mu(lam)), in 80 digits: near
+        # ell = 1e-8 (kappa within 2e-4 of 1) this route loses about 35 digits to cancellation
+        with mp.workdps(80):
             root = mp.sqrt(mp.mpf(ell))
             kappa = ((1 - root) / (1 + root)) ** 2
             mu = mp.pi / 2 * mp.ellipk(1 - kappa**2) / mp.ellipk(kappa**2)
             q = mp.exp(-2 * mu / m)
             lam_root = mp.jtheta(2, 0, q) / mp.jtheta(3, 0, q)
             ref = ((1 - lam_root) / (1 + lam_root)) ** 2
-            # the product carries the relative error of log(rho) times 2 m log(rho) ~ |log(Z/4)|
+            # the theta quotient is good to a few (1 + V) eps, V = m mu(ell) ~ |log(Z/4)|
             bound = 8 * 2.220446049250313e-16 * (1 - mp.log(ref / 4)) * ref
             assert abs(cn.blaschke_composition_modulus(m, ell) - ref) <= bound
 

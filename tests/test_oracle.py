@@ -1,5 +1,7 @@
 import math
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -136,3 +138,17 @@ def test_oracles_do_not_import_the_paths_they_check():
         assert all(forbidden not in name for name in imported), (
             f"oracle module imports {forbidden}"
         )
+
+
+def test_import_and_build_leave_scipy_unloaded():
+    # only the quadrature and ODE oracles need scipy, and they import it on first use
+    code = (
+        "import contextlib, io, sys, zolocirc\n"
+        "from zolocirc import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['build', '--problem', 'z6', '--degree', '5', '--theta', '1.0'])\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "[]"]
