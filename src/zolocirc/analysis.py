@@ -326,6 +326,8 @@ def contour_grid(
     re_min, re_max, im_min, im_max = window
     if not (re_min < re_max and im_min < im_max):
         raise DomainError(f"degenerate window {window!r}")
+    if target not in ("sqrt", "sign"):
+        raise DomainError(f"target must be 'sqrt' or 'sign', got {target!r}")
     res = np.linspace(re_min, re_max, resolution)
     ims = np.linspace(im_min, im_max, resolution)
     zz = res[None, :] + 1j * ims[:, None]
@@ -333,11 +335,9 @@ def contour_grid(
     with np.errstate(divide="ignore", invalid="ignore"):
         if target == "sqrt":
             goal = np.sqrt(zz)
-        elif target == "sign":
+        else:
             goal = zz / np.sqrt(zz * zz)
             goal[~np.isfinite(goal)] = 1.0  # only z = 0
-        else:
-            raise DomainError(f"target must be 'sqrt' or 'sign', got {target!r}")
         err = np.abs(vals - goal)
     err[~np.isfinite(err)] = np.inf
     return GridField((re_min, re_max), (im_min, im_max), resolution, err)

@@ -309,7 +309,7 @@ def eval_F_direct(zf: ZolotarevFraction, x: float) -> tuple[float, float]:
     red = zf.reduction
     if abs(x) <= zf.modulus.ell:
         u = inverse_sn(x / zf.modulus.ell, zf.modulus.ell)
-        sn, _, dn = _sncndn(u, zf.modulus.K, red.lam, red.lam_comp)
+        sn, _, dn = _sncndn(u, zf.modulus.K, red.lam, red.lam_comp, red.nome)
         return red.lam * sn, dn
     return eval_F_product(zf, x)
 

@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .approximants import (
     Family,
     UnimodularRational,
@@ -24,7 +22,7 @@ from .approximants import (
 )
 from .elliptic import _mu_inverse_pair, _nodes, complement, groetzsch_mu
 from .elliptic import require_degree, require_modulus, require_theta, solve_lambda
-from .errors import BranchError, DomainError
+from .errors import BranchError, DomainError, PrecisionError
 
 
 @dataclass(frozen=True)
@@ -139,8 +137,9 @@ def scaled_F_via_blaschke(m: int, ell: float, z: complex) -> tuple[float, float]
 class PadeApproximant:
     """Type-(n, n) Pade approximant of sqrt(z) at z = 1.
 
-    Coefficients are ascending in z, integer binomial sums normalized so
-    the denominator constant term is 1; the poles are -tan^2(j pi/(2n+1)).
+    Coefficients are ascending in z, integer binomial sums normalized so the
+    denominator constant term is 1 (past n = 519 they overflow: PrecisionError);
+    the poles are taken in closed form, -tan^2(j pi/(2n+1)), ascending.
     """
 
     n: int
@@ -158,12 +157,12 @@ def pade_p(n: int) -> PadeApproximant:
     """Expand sqrt(z) ((1+sqrt z)^{2n+1} + (1-sqrt z)^{2n+1}) / (...difference...)."""
     n = require_degree(n, 0)
     scale = 2 * n + 1  # denominator constant term before normalization
-    num = tuple(math.comb(2 * n + 1, 2 * j) / scale for j in range(n + 1))
-    den = tuple(math.comb(2 * n + 1, 2 * j + 1) / scale for j in range(n + 1))
-    if n == 0:
-        return PadeApproximant(0, num, den, ())
-    roots = np.roots([math.comb(2 * n + 1, 2 * j + 1) for j in range(n, -1, -1)])
-    poles = tuple(sorted(float(r.real) for r in roots))
+    try:
+        num = tuple(math.comb(scale, 2 * j) / scale for j in range(n + 1))
+        den = tuple(math.comb(scale, 2 * j + 1) / scale for j in range(n + 1))
+    except OverflowError:
+        raise PrecisionError(f"pade_p({n}): binomial coefficients overflow double precision") from None
+    poles = tuple(-math.tan(j * math.pi / scale) ** 2 for j in range(n, 0, -1))
     return PadeApproximant(n, num, den, poles)
 
 

@@ -1,9 +1,10 @@
 """Real-argument elliptic special functions.
 
 Everything here is double precision and self-contained, and reads one
-representation: four-term theta series (_theta) in the nome (_nome) of
-the smaller of ell, ell', so q <= e^{-pi}.  They give the complete
-integral K, Jacobi sn/cn/dn, the Groetzsch ring function
+representation: four-term theta series (_theta) in the nome of the
+smaller of ell, ell', so q <= e^{-pi}, derived once from a modulus pair
+(_nome) or a mu value (_mu_inverse_pair) and passed on.  They give the
+complete integral K, Jacobi sn/cn/dn, the Groetzsch ring function
 
     mu(ell) = (pi/2) * K(ell') / K(ell),      ell' = sqrt(1 - ell^2),
 
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import DomainError, PrecisionError
 
@@ -95,21 +96,21 @@ def require_degree(value, minimum: int, name: str = "degree", maximum: int | Non
     return n
 
 
-def _nome(ell: float, ell_comp: float) -> tuple[float, float]:
-    """(q, -log q) of the smaller member k of the pair (ell, ell_comp); q <= e^{-pi}.
+def _nome(ell: float, ell_comp: float) -> tuple[float, float, float, float, float]:
+    """(q, -log q, theta_2/(2 q^{1/4}), theta_3, theta_4) at z = 0, q the nome of min(ell, ell_comp).
 
     A&S 17.3.21 in e = (1 - sqrt k')/(2 (1 + sqrt k')) = k^2/(2 (1 + k') (1 + sqrt k')^2),
-    free of cancellation.  -log q is taken from log k, so it stays finite when q
-    underflows.  The pair (0, 1) gives (0, inf).
+    free of cancellation; q <= e^{-pi}.  -log q is taken from log k, so it stays finite
+    when q underflows.  The pair (0, 1) gives (0, inf, 1, 1, 1).
     """
     k, kc = (ell, ell_comp) if ell <= ell_comp else (ell_comp, ell)
-    if k == 0.0:
-        return 0.0, math.inf
     scale = 2.0 * (1.0 + kc) * (1.0 + math.sqrt(kc)) ** 2  # e = k^2 / scale
     e = k * k / scale
     e4 = e**4
     tail = e4 * (2.0 + e4 * (15.0 + e4 * (150.0 + 1707.0 * e4)))
-    return e * (1.0 + tail), math.log(scale) - 2.0 * math.log(k) - math.log1p(tail)
+    q = e * (1.0 + tail)
+    L = math.log(scale) - 2.0 * math.log(k) - math.log1p(tail) if k else math.inf
+    return (q, L) + _theta(q, 0.0)[1:]
 
 
 def _theta(q: float, z: float, f=math.sin, g=math.cos) -> tuple[float, float, float, float]:
@@ -132,18 +133,19 @@ def _theta(q: float, z: float, f=math.sin, g=math.cos) -> tuple[float, float, fl
     return f(z) + t1, g(z) + t2, 1.0 + 2.0 * (even + odd), 1.0 + 2.0 * (even - odd)
 
 
-def _mu_pair(ell: float, ell_comp: float) -> tuple[float, float, float]:
-    """(mu(ell), K(ell), K(ell')) of an exact pair, from the nome q = e^{-L} of its smaller member.
+def _mu_pair(ell: float, ell_comp: float) -> tuple[float, float, float, tuple]:
+    """(mu(ell), K(ell), K(ell'), nome) of an exact pair, from the nome q = e^{-L} of its smaller member.
 
     K(small) = (pi/2) theta_3(q)^2 and K(large) = K(small) L/pi (q = e^{-pi K'/K}, DLMF
     22.2.2), so mu is L/2, or pi^2/(2L) when ell is the larger member.
     """
-    q, L = _nome(ell, ell_comp)
-    small = 0.5 * math.pi * _theta(q, 0.0)[2] ** 2
+    nome = _nome(ell, ell_comp)
+    _, L, _, t3, _ = nome
+    small = 0.5 * math.pi * t3**2
     large = small * L / math.pi
     if ell <= ell_comp:
-        return 0.5 * L, small, large
-    return 0.5 * math.pi**2 / L, large, small
+        return 0.5 * L, small, large, nome
+    return 0.5 * math.pi**2 / L, large, small, nome
 
 
 def complete_K(ell: float) -> float:
@@ -153,12 +155,12 @@ def complete_K(ell: float) -> float:
     return _mu_pair(ell, complement(ell))[1]
 
 
-def _sncndn(u: float, quarter: float, ell: float, ell_comp: float) -> tuple[float, float, float]:
-    """(sn, cn, dn)(K(ell) u / quarter, ell); the integers of a node num/den reduce exactly.
+def _sncndn(u: float, quarter: float, ell: float, ell_comp: float, nome: tuple) -> tuple[float, float, float]:
+    """(sn, cn, dn)(K(ell) u / quarter, ell) from the pair's nome tuple (_nome); num/den reduce exactly.
 
     At r in [0, quarter/2]: DLMF 22.2.4-6 at z = (pi/2) r/quarter if ell <= ell_comp, else
     Jacobi's imaginary transformation (DLMF 22.6(iv)), theta_2 and theta_4 swapped, at
-    y = -log(q') r/(2 quarter) in the nome q' of ell_comp.  ell_comp = 0 has no nome.
+    y = -log(q') r/(2 quarter) in the nome q' of ell_comp.  ell_comp = 0 is refused.
     """
     if not math.isfinite(u):
         raise DomainError(f"jacobi argument must be finite, got {u!r}")
@@ -177,12 +179,11 @@ def _sncndn(u: float, quarter: float, ell: float, ell_comp: float) -> tuple[floa
     reflect = r > 0.5 * quarter
     if reflect:
         r = quarter - r
-    q, L = _nome(ell, ell_comp)
+    q, L, b2, b3, b4 = nome
     if ell <= ell_comp:
-        _, b2, b3, b4 = _theta(q, 0.0)
         t1, t2, t3, t4 = _theta(q, 0.5 * math.pi * r / quarter)
     else:
-        _, b4, b3, b2 = _theta(q, 0.0)
+        b2, b4 = b4, b2
         t1, t4, t3, t2 = _theta(q, L * r / (2 * quarter), math.sinh, math.cosh)
     w = b4 / t4  # each ratio is 1 at r = 0, so the origin gives exactly (0, 1, 1)
     sn, cn, dn = t1 / b2 * (b3 / t4), t2 / b2 * w, t3 / b3 * w
@@ -193,9 +194,10 @@ def _sncndn(u: float, quarter: float, ell: float, ell_comp: float) -> tuple[floa
 
 def _nodes(nums, den: int, ell: float, ell_comp: float) -> list:
     """[(sn, cn, dn)(num K / den, ell) for num in nums]: the nodes of r_n, s_m, F_m and h_m."""
+    nome = _nome(ell, ell_comp)  # one per table
     out = []
     for num in nums:  # a plain loop: no comprehension frame on one-node calls
-        out.append(_sncndn(num, den, ell, ell_comp))
+        out.append(_sncndn(num, den, ell, ell_comp, nome))
     return out
 
 
@@ -203,7 +205,9 @@ def jacobi_sncndn(u: float, ell: float) -> tuple[float, float, float]:
     """Jacobi elliptic functions (sn, cn, dn) at real argument u, modulus ell."""
     if not 0.0 <= ell < 1.0:
         raise DomainError(f"jacobi modulus must lie in [0, 1), got {ell!r}")
-    return _sncndn(u, complete_K(ell), ell, complement(ell))
+    ell_comp = complement(ell)
+    _, K, _, nome = _mu_pair(ell, ell_comp)
+    return _sncndn(u, K, ell, ell_comp, nome)
 
 
 def _carlson_rf(x: float, y: float, z: float) -> float:
@@ -246,22 +250,24 @@ def groetzsch_mu(ell: float) -> float:
     return _mu_pair(ell, complement(ell))[0]
 
 
-def _mu_inverse_pair(v: float) -> tuple[float, float, float]:
-    """(ell, ell', K(ell)) with mu(ell) = v, v > 0, from the theta quotient of the nome.
+def _mu_inverse_pair(v: float) -> tuple[float, float, float, tuple]:
+    """(ell, ell', K(ell), nome) with mu(ell) = v, v > 0, from the theta quotient of the nome.
 
     The member whose mu value is V = max(v, (pi/2)^2 / v) >= pi/2 is
     (theta_2/theta_3)^2 = 4 e^{-V} (theta_2/(2 q^{1/4}))^2 / theta_3^2 at q = e^{-2V},
     accurate to a few eps (1 + V) relative; the other member is its complement.
     Past V ~ 745 it underflows to 0.  K is read from the same nome as in _mu_pair (L = 2V).
+    nome is the pair's _nome tuple, whose -log q = 2V is exact even where the small member is not.
     """
     V = max(v, _QUARTER_PI_SQ / v)
     x = math.exp(-V)
-    _, t2, t3, _ = _theta(x * x, 0.0)
+    _, t2, t3, t4 = _theta(x * x, 0.0)
+    nome = (x * x, 2.0 * V, t2, t3, t4)
     small = 4.0 * x * (t2 / t3) ** 2
     large = complement(small)
     if v >= 0.5 * math.pi:
-        return small, large, 0.5 * math.pi * t3 * t3
-    return large, small, V * t3 * t3
+        return small, large, 0.5 * math.pi * t3 * t3, nome
+    return large, small, V * t3 * t3, nome
 
 
 def mu_inverse(v: float) -> float:
@@ -301,15 +307,8 @@ class EllipticModulus:
         if not 0.0 < ell < 1.0:
             raise DomainError(f"modulus must lie in (0, 1), got {ell!r}")
         ell_comp = _complement_of(ell, ell_comp)
-        mu, K, K_comp = _mu_pair(ell, ell_comp)
+        mu, K, K_comp, _ = _mu_pair(ell, ell_comp)
         return cls(ell, ell_comp, K, K_comp, mu, math.exp(math.pi * K / K_comp))
-
-    @classmethod
-    def from_theta(cls, theta: float) -> "EllipticModulus":
-        """Modulus ell = cos(theta); the complement sin(theta) is exact."""
-        if not 0.0 < theta < 0.5 * math.pi:
-            raise DomainError(f"theta must lie in (0, pi/2), got {theta!r}")
-        return cls.from_ell(math.cos(theta), math.sin(theta))
 
 
 @dataclass(frozen=True)
@@ -317,13 +316,15 @@ class DegreeReduction:
     """Solution data of the degree equation at (ell, m).
 
     lam is the reduced modulus, lam_comp its complement (the quantity that
-    stays informative when lam -> 1) and M = K(ell)/K(lam).
+    stays informative when lam -> 1) and M = K(ell)/K(lam).  nome, left out of
+    == and repr, is lam's _nome tuple, exact from the degree equation at m >= 2.
     """
 
     m: int
     lam: float
     lam_comp: float
     M: float
+    nome: tuple = field(repr=False, compare=False)
 
 
 def solve_lambda(ell: float, m: int, ell_comp: float | None = None) -> DegreeReduction:
@@ -337,10 +338,9 @@ def solve_lambda(ell: float, m: int, ell_comp: float | None = None) -> DegreeRed
     m = require_degree(m, 0)
     require_modulus(ell)
     ell_comp = _complement_of(ell, ell_comp)
-    if m == 0:
-        return DegreeReduction(0, 0.0, 1.0, 1.0)
-    if m == 1:
-        return DegreeReduction(1, ell, ell_comp, 1.0)
-    mu, K, _ = _mu_pair(ell, ell_comp)
-    lam, lam_comp, K_lam = _mu_inverse_pair(mu / m)
-    return DegreeReduction(m, lam, lam_comp, K / K_lam)
+    if m <= 1:
+        lam, lam_comp = (ell, ell_comp) if m else (0.0, 1.0)
+        return DegreeReduction(m, lam, lam_comp, 1.0, _nome(lam, lam_comp))
+    mu, K, _, _ = _mu_pair(ell, ell_comp)
+    lam, lam_comp, K_lam, nome = _mu_inverse_pair(mu / m)
+    return DegreeReduction(m, lam, lam_comp, K / K_lam, nome)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 
@@ -148,12 +149,16 @@ def criterion_6():
 
 
 def criterion_7():
-    """Pade poles exact, pole-set convergence, Blaschke bridges."""
-    worst_pade = 0.0
+    """Pade poles bracket the exact denominator's roots, pole-set convergence, Blaschke bridges."""
+    worst_pade = 0.0  # widest relative bracket 2^k eps in which the exact denominator changes sign
     for n in range(1, 5):
-        poles = connections.pade_p(n).poles
-        target = sorted(-math.tan(j * math.pi / (2 * n + 1)) ** 2 for j in range(1, n + 1))
-        worst_pade = max(worst_pade, max(abs(a - b) for a, b in zip(poles, target)))
+        den = [math.comb(2 * n + 1, 2 * j + 1) for j in range(n + 1)]  # ascending in z
+        for p in map(Fraction, connections.pade_p(n).poles):
+            w = Fraction(1, 2**52)
+            while w < 1 and math.prod(
+                    sum(c * (p * s) ** j for j, c in enumerate(den)) for s in (1 - w, 1 + w)) > 0:
+                w *= 2
+            worst_pade = max(worst_pade, float(w))
     worst_dev = max(connections.pade_limit_check(n, [1e-3])[0] for n in range(1, 5))
     worst_h = 0.0
     for m_tilde, m, ell in ((2, 2, 0.25), (2, 3, 0.25), (3, 2, 0.4)):
@@ -231,8 +236,4 @@ CRITERIA = (
 
 def run_all():
     """Run every criterion; returns a list of (index, name, ok, detail)."""
-    out = []
-    for i, fn in enumerate(CRITERIA, start=1):
-        name, ok, detail = fn()
-        out.append((i, name, ok, detail))
-    return out
+    return [(i, *fn()) for i, fn in enumerate(CRITERIA, start=1)]

@@ -1,8 +1,8 @@
 """A 50-digit mpmath reference for the elliptic data that zolocirc computes.
 
-Only ``mpmath.ellipk`` and ``mpmath.ellipfun`` (and ``findroot`` on
-``ellipk``) are used, never ``jtheta``, so the reference shares no formula
-with the theta series in ``zolocirc.elliptic``; nothing here imports
+Only ``mpmath.ellipk``, ``mpmath.ellipf`` and ``mpmath.ellipfun`` (and
+``findroot`` on ``ellipk``) are used, never ``jtheta``, so the reference
+shares no formula with the theta series in ``zolocirc.elliptic``; nothing here imports
 ``zolocirc.elliptic`` or ``zolocirc.approximants``.  A modulus is passed as
 the exact pair of squares (ell^2, ell'^2): for an arc half-width these are
 cos^2 and sin^2 of the mp value of Theta, not of the rounded cosine and
@@ -99,6 +99,20 @@ def mp_reduction(ell_sq, ell_comp_sq, m):
     with mp.workdps(int(0.87 * V) + 30):
         M = K / mp.ellipk(1 - lam_comp**2)
     return lam, lam_comp, M, float(V)
+
+
+def direct_G(ell, m, xs):
+    """([G_m(x) for x in xs], V), G_m(x) = dn(u/M, lam), u = F(asin(x/ell), ell), |x| <= ell.
+
+    ell is a double; lam and M come from mp_reduction, so G is resolved wherever
+    lam' is, subnormal included.
+    """
+    ell_sq, ell_comp_sq = ell_squares(ell)
+    _, lam_comp, M, V = mp_reduction(ell_sq, ell_comp_sq, m)
+    with mp.workdps(int(0.87 * V) + 30):
+        lam_sq = 1 - lam_comp**2
+        us = [mp.ellipf(mp.asin(mp.mpf(x) / mp.mpf(ell)), ell_sq) for x in xs]
+        return [mp.ellipfun("dn", u / M, m=lam_sq) for u in us], V
 
 
 def zolotarev_product(theta, m):

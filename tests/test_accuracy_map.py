@@ -14,7 +14,8 @@ Also here: Zolotarev's number Z_m against the paper's product, held to
 the F/G Pythagorean identity at small moduli, where the node
 constants sit at modulus ell' -> 1, and the direct F/G evaluation, which
 reads the reduced modulus lam through its complement and must agree with
-the product identities while lam rounds to 1.
+the product identities while lam rounds to 1, and whose G holds
+2 (1 + V) eps against the reference while lam' is subnormal.
 """
 
 import math
@@ -80,7 +81,7 @@ def test_complete_K_and_mu():
             assert mpref.rel_err(el.groetzsch_mu(ell), mpref.groetzsch_mu(ell_sq, ell_comp_sq)) <= BOUND, ell
     for theta in THETAS:
         ell_sq, ell_comp_sq = mpref.theta_squares(theta)
-        mod = el.EllipticModulus.from_theta(theta)
+        mod = el.EllipticModulus.from_ell(*el.require_theta(theta))
         assert mpref.rel_err(mod.K, mpref.complete_K(ell_sq)) <= BOUND, theta
         assert mpref.rel_err(mod.K_comp, mpref.complete_K(ell_comp_sq)) <= BOUND, theta
         assert mpref.rel_err(mod.mu, mpref.groetzsch_mu(ell_sq, ell_comp_sq)) <= BOUND, theta
@@ -127,11 +128,21 @@ def test_direct_F_at_the_criterion_5_sweep():
 def test_far_branch_stays_finite_down_to_the_last_complement():
     for lam_comp in (1e-300, 1e-310, 5e-324):
         for num in range(0, 33):
-            sn, cn, dn = el._sncndn(num, 8, 1.0, lam_comp)
+            sn, cn, dn = el._sncndn(num, 8, 1.0, lam_comp, el._nome(1.0, lam_comp))
             assert all(math.isfinite(v) for v in (sn, cn, dn)) and 0.0 <= dn <= 1.0, (lam_comp, num)
     zf = ZolotarevFraction.from_ell(606, 0.5)  # lam' = 2e-323, the last m before it underflows
     assert 0.0 < zf.reduction.lam_comp < 1e-320
     assert eval_F_direct(zf, 0.3) == pytest.approx(eval_F_product(zf, 0.3), abs=1e-14)
+
+
+@pytest.mark.parametrize("m", [570, 600, 606])
+def test_direct_G_reads_the_nome_of_the_degree_equation(m):
+    # lam' = 4.4e-304 at m = 570 and subnormal at 600 and 606; |x| <= ell sn(K/2) is unreflected
+    xs = [-0.05, 0.05, 0.2, 0.3, 0.35]
+    zf = ZolotarevFraction.from_ell(m, 0.5)
+    refs, V = mpref.direct_G(0.5, m, xs)
+    for x, ref in zip(xs, refs):
+        assert mpref.rel_err(eval_F_direct(zf, x)[1], ref) <= 2 * (1 + V) * mpref.EPS, x
 
 
 def test_direct_F_raises_once_lam_comp_underflows():

@@ -114,7 +114,7 @@ class TestZolotarevNumber:
     @pytest.mark.parametrize("m", range(1, 11))
     def test_upper_bound(self, m):
         theta = 1.0
-        mod = el.EllipticModulus.from_theta(theta)
+        mod = el.EllipticModulus.from_ell(*el.require_theta(theta))
         assert an.zolotarev_number(m, theta) <= 4.0 * mod.rho ** (-2 * m) * (1 + 1e-15)
 
     @pytest.mark.parametrize("theta", [0.5, 1.0, 1.4])
@@ -248,6 +248,14 @@ class TestContourGrid:
             an.contour_grid(r, "sqrt", (-1, 1, -1, 1), 8)
         with pytest.raises(DomainError):
             an.contour_grid(r, "nope", (-1, 1, -1, 1), 32)
+
+    @pytest.mark.parametrize("target", ["cube", "SQRT", None])
+    def test_target_validated_before_the_grid_is_evaluated(self, target):
+        def r(z):
+            raise AssertionError("the grid was evaluated")
+
+        with pytest.raises(DomainError, match="target"):
+            an.contour_grid(r, target, (-1, 1, -1, 1), 4096)
 
     @pytest.mark.parametrize(
         "window",

@@ -148,7 +148,7 @@ class TestBounds:
         degrees = np.array([r[0] for r in rows[1:]])
         logs = np.log([r[1] for r in rows[1:]])
         slope = np.polyfit(degrees, logs, 1)[0]
-        rho = el.EllipticModulus.from_theta(1.0).rho
+        rho = el.EllipticModulus.from_ell(math.cos(1.0), math.sin(1.0)).rho
         assert slope == pytest.approx(-0.5 * math.log(rho), rel=0.05)
 
     def test_json_format(self, capsys):

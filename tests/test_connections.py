@@ -1,5 +1,7 @@
 import cmath
 import math
+import sys
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -123,6 +125,11 @@ class TestBlaschkeSignRelation:
             cn.blaschke_s_relation(2, 0.25, -1.0)
 
 
+def exact_denominator(n, z):
+    """sum_j C(2n+1, 2j+1) z^j, the unnormalized Pade denominator, in exact arithmetic."""
+    return sum(math.comb(2 * n + 1, 2 * j + 1) * z**j for j in range(n + 1))
+
+
 class TestPade:
     def test_degree_zero(self):
         p = cn.pade_p(0)
@@ -145,6 +152,21 @@ class TestPade:
         assert len(p.poles) == n
         for got, want in zip(p.poles, targets):
             assert got == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16, 32, 64])
+    def test_poles_bracket_the_roots_of_the_exact_denominator(self, n):
+        # the sign of the exact integer polynomial changes within (2n + 1) eps of each pole
+        poles = cn.pade_p(n).poles
+        assert len(poles) == n and list(poles) == sorted(poles)
+        width = Fraction((2 * n + 1) * sys.float_info.epsilon)
+        for j, p in enumerate(map(Fraction, poles)):
+            below, above = (exact_denominator(n, p * (1 + s)) for s in (-width, width))
+            assert below * above < 0, (n, j, float(p))
+
+    def test_coefficient_overflow_raises_precision_error(self):
+        assert len(cn.pade_p(519).poles) == 519
+        with pytest.raises(PrecisionError, match="520"):
+            cn.pade_p(520)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 6])
     def test_value_one_at_one(self, n):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,10 +6,22 @@ import pytest
 
 from zolocirc import elliptic as el
 from zolocirc import oracle as orc
-from zolocirc.approximants import ZolotarevFraction
+from zolocirc.approximants import ZolotarevFraction, eval_F_direct
 from zolocirc.errors import DomainError, PrecisionError
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
+
+
+def counted(monkeypatch, name):
+    """The argument tuples of every later call of el.<name>."""
+    calls, inner = [], getattr(el, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(el, name, wrapper)
+    return calls
 
 
 class TestCompleteK:
@@ -197,14 +210,7 @@ class TestNomeInverse:
         assert [el.mu_inverse(v) for v in self.V_GRID] == expected
 
     def test_solve_lambda_evaluates_mu_once(self, monkeypatch):
-        calls = []
-        mu_pair = el._mu_pair
-
-        def counted(*args):
-            calls.append(args)
-            return mu_pair(*args)
-
-        monkeypatch.setattr(el, "_mu_pair", counted)
+        calls = counted(monkeypatch, "_mu_pair")
         for m in (2, 3, 16, 256, 3000):
             calls.clear()
             el.solve_lambda(0.4, m)
@@ -236,7 +242,7 @@ class TestComplementaryPair:
 
 class TestEllipticModulus:
     def test_fields(self):
-        mod = el.EllipticModulus.from_theta(1.0)
+        mod = el.EllipticModulus.from_ell(math.cos(1.0), math.sin(1.0))
         assert abs(mod.ell**2 + mod.ell_comp**2 - 1.0) <= 4e-16
         assert mod.mu == pytest.approx((math.pi / 2) * mod.K_comp / mod.K, rel=1e-15)
         assert mod.rho == pytest.approx(math.exp(math.pi * mod.K / mod.K_comp), rel=1e-15)
@@ -251,8 +257,6 @@ class TestEllipticModulus:
     def test_domain(self):
         with pytest.raises(DomainError):
             el.EllipticModulus.from_ell(0.0)
-        with pytest.raises(DomainError):
-            el.EllipticModulus.from_theta(0.0)
 
 
 class TestSolveLambda:
@@ -266,6 +270,24 @@ class TestSolveLambda:
         assert red.lam == 0.0
         assert red.lam_comp == 1.0
         assert red.M == 1.0
+        assert red.nome == (0.0, math.inf, 1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_low_degree_nome_is_the_pair_nome(self, m):
+        red = el.solve_lambda(0.62, m)
+        assert red.nome == el._nome(red.lam, red.lam_comp)
+
+    @pytest.mark.parametrize("ell,m", [(0.62, 2), (0.3, 5), (0.5, 606), (0.5, 800)])
+    def test_nome_comes_from_the_degree_equation(self, ell, m):
+        red = el.solve_lambda(ell, m)
+        v = el.groetzsch_mu(ell) / m
+        assert red.nome[1] == 2.0 * max(v, (0.5 * math.pi) ** 2 / v)
+        assert red.nome == el._mu_inverse_pair(v)[3]
+
+    def test_nome_left_out_of_eq_and_repr(self):
+        red = el.solve_lambda(0.62, 3)
+        assert dataclasses.replace(red, nome=None) == red
+        assert "nome" not in repr(red)
 
     def test_degree_equation_residual_by_quadrature(self):
         red = el.solve_lambda(0.5, 2)
@@ -303,6 +325,35 @@ class TestSolveLambda:
             el.solve_lambda(1e-9, 2)
         with pytest.raises(PrecisionError):
             el.solve_lambda(1.0 - 1e-9, 2)
+
+
+class TestNomePassedOn:
+    def test_one_nome_per_node_table(self, monkeypatch):
+        calls = counted(monkeypatch, "_nome")
+        nodes = el._nodes(range(1, 256), 256, math.sin(1.0), math.cos(1.0))
+        assert len(nodes) == 255 and len(calls) == 1
+
+    def test_sncndn_derives_no_nome_and_no_theta_constants(self, monkeypatch):
+        ell, ell_comp = math.cos(1.0), math.sin(1.0)
+        pairs = [(ell, ell_comp, el._nome(ell, ell_comp)), (ell_comp, ell, el._nome(ell_comp, ell))]
+        nomes, thetas = counted(monkeypatch, "_nome"), counted(monkeypatch, "_theta")
+        for a, b, nome in pairs:
+            for num in range(1, 32, 2):
+                el._sncndn(num, 8, a, b, nome)
+        assert nomes == [] and len(thetas) == 32 and all(z != 0.0 for _, z, *_ in thetas)
+
+    def test_jacobi_derives_one_nome(self, monkeypatch):
+        calls = counted(monkeypatch, "_nome")
+        el.jacobi_sncndn(0.7, 0.5)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("m", [1, 3, 606])
+    def test_direct_F_derives_no_nome(self, monkeypatch, m):
+        zf = ZolotarevFraction.from_ell(m, 0.5)
+        calls = counted(monkeypatch, "_nome")
+        for x in (-0.45, -0.3, 0.0, 0.2, 0.4, 0.7):
+            eval_F_direct(zf, x)
+        assert calls == []
 
 
 class TestRequireDegree:
