@@ -2,13 +2,13 @@
 
 The phase error of an approximant R against sqrt or sign is the wrapped
 argument of R(e^{i t}) / target(e^{i t}) over the arc domain, computed by
-one kernel (``_phase_error``) for both problems and both arcs.  Each arc's
-sample grid is evaluated as one array; the grid only brackets the local
-extrema of the signed error, and golden-section refinement on the scalar
-path computes every reported value.  For the optimal approximants the
-extrema alternate in sign and all sit at the common amplitude
-arccos(lam), predicted from the degree reduction at ``effective_degree``,
-where the sqrt problem at degree n is the sign problem at 2n + 1.
+one kernel (``_phase_error``, one exact 2 pi shift wrapping scalars and
+arrays alike) for both problems and both arcs.  Each arc's grid is one
+array call that only brackets the extrema of the signed error; golden
+refinement on the scalar path computes every reported value.  The extrema
+of the optimal approximants alternate in sign at the common amplitude
+arccos(lam), predicted from the degree reduction at ``effective_degree``:
+the sqrt problem at degree n is the sign problem at 2n + 1.
 """
 
 from __future__ import annotations
@@ -49,18 +49,12 @@ class GridField:
     values: np.ndarray  # shape (resolution, resolution), rows follow im_range
 
 
-def _wrap(x: float) -> float:
-    """Reduce an angle difference to (-pi, pi]."""
-    y = math.remainder(x, _TWO_PI)
-    return y if y != -math.pi else math.pi
-
-
 def _phase_error(r: UnimodularRational, offset: float, half_t: float):
-    """Signed error t -> wrap(arg r(e^{i t}) - offset - half_t t).
+    """Signed error t -> arg r(e^{i t}) - offset - half_t t, wrapped to (-pi, pi].
 
     An ndarray of angles is evaluated with one array call of r; a float
-    takes the scalar path.  On the arcs the unwrapped difference lies in
-    [-2 pi, 3 pi/2], where one exact shift by 2 pi gives ``_wrap``'s value.
+    takes the scalar path and gives a float.  On the arcs the unwrapped
+    difference lies in [-2 pi, 3 pi/2]: one exact 2 pi shift wraps both.
     """
 
     def err(t):
@@ -70,7 +64,9 @@ def _phase_error(r: UnimodularRational, offset: float, half_t: float):
             x = np.where(x > math.pi, x - _TWO_PI, x)
             return np.where(x <= -math.pi, x + _TWO_PI, x)
         w = r(complex(math.cos(t), math.sin(t)))
-        return _wrap(math.atan2(w.imag, w.real) - (offset + half_t * t))
+        x = math.atan2(w.imag, w.real) - float(offset + half_t * t)
+        x = x - _TWO_PI if x > math.pi else x
+        return x + _TWO_PI if x <= -math.pi else x
 
     return err
 
@@ -91,20 +87,19 @@ def effective_degree(problem: str, degree: int) -> int:
 
 
 def _problem_fns(problem: str):
-    """(builder, equioscillation report, contour target) of z5 or z6.
+    """(builder, equioscillation report, contour target) of z5 or z6; DomainError otherwise.
 
     Read from the module attributes at each call, so that wrappers
     installed on them (a layer tracer) see the calls.
     """
-    if problem.lower() == "z5":
+    if effective_degree(problem, 0):  # z5 maps degree 0 to 1, z6 keeps 0
         return approximants.build_r, phase_error_sqrt, "sqrt"
     return approximants.build_s, phase_error_sign, "sign"
 
 
 def _arc_jobs(r: UnimodularRational, theta: float, problem: str):
     """(error kernel, lo, hi) of each arc of the z5 or z6 domain."""
-    effective_degree(problem, 0)  # rejects any other problem name
-    if problem.lower() == "z5":
+    if effective_degree(problem, 0):
         return [(_phase_error(r, 0.0, 0.5), -2.0 * theta, 2.0 * theta)]
     return [
         (_phase_error(r, 0.0, 0.0), -theta, theta),
@@ -112,13 +107,13 @@ def _arc_jobs(r: UnimodularRational, theta: float, problem: str):
     ]
 
 
-def _golden_max(f, lo: float, hi: float, tol: float = 1e-12):
-    """Golden-section maximizer of f on [lo, hi]; returns (x, f(x))."""
+def _golden_max(f, lo: float, hi: float):
+    """Golden-section maximizer of f on [lo, hi] to a bracket of 1e-12; returns (x, f(x))."""
     a, b = lo, hi
     c = b - _INV_GOLD * (b - a)
     d = a + _INV_GOLD * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    while b - a > 1e-12:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - _INV_GOLD * (b - a)
@@ -163,28 +158,26 @@ def _arc_extrema(err_fn, lo: float, hi: float, n: int):
         out.append((x, sign * v))
     out.sort(key=lambda p: p[0])
     # collapse refinements that converged to the same point
-    merged = []
     gap = (hi - lo) * 1e-8
-    for x, v in out:
-        if merged and abs(x - merged[-1][0]) < gap:
-            if abs(v) > abs(merged[-1][1]):
-                merged[-1] = (x, v)
+    return _collapse(out, lambda last, p: abs(p[0] - last[0]) < gap)
+
+
+def _collapse(points, joined):
+    """Keep the larger |v| of each run of (x, v) points; ``joined(last, p)`` adds p to last's run."""
+    out = []
+    for x, v in points:
+        if out and joined(out[-1], (x, v)):
+            if abs(v) > abs(out[-1][1]):
+                out[-1] = (x, v)
         else:
-            merged.append((x, v))
-    return merged
+            out.append((x, v))
+    return out
 
 
 def _alternating(extrema, amplitude: float):
     """Keep amplitude-attaining extrema and collapse same-sign neighbours."""
     kept = [(x, v) for x, v in extrema if abs(v) >= amplitude * (1.0 - 1e-3)]
-    seq = []
-    for x, v in kept:
-        if seq and (v >= 0.0) == (seq[-1][1] >= 0.0):
-            if abs(v) > abs(seq[-1][1]):
-                seq[-1] = (x, v)
-        else:
-            seq.append((x, v))
-    return seq
+    return _collapse(kept, lambda last, p: (p[1] >= 0.0) == (last[1] >= 0.0))
 
 
 def _measure(arc_jobs, grid_n: int):

@@ -35,7 +35,6 @@ from .elliptic import (
     _sncndn,
     inverse_sn,
     require_degree,
-    require_modulus,
     require_theta,
     solve_lambda,
 )
@@ -184,18 +183,8 @@ def build_s(m: int, theta: float) -> UnimodularRational:
     """Optimal unimodular approximant of sign(z) on the arc pair of half-width Theta."""
     m = require_degree(m, 0)
     require_theta(theta)
-    params = []
-    for j in range(1, m + 1):
-        b = coeff_b(j, m, theta)
-        if math.isfinite(b) and b != 0.0:
-            # sign consistency with the closed form: prefactor (-1)^{mj}
-            # times the sign of cn at the node raised to (-1)^j.
-            cn_neg = 2 * j - 1 > m
-            expect = (-1.0 if (m * j) % 2 else 1.0) * (-1.0 if cn_neg else 1.0)
-            if math.copysign(1.0, b) != expect:
-                raise AssertionError(f"factor sign pattern broken at j={j}, m={m}")
-        params.append(b)
-    return UnimodularRational(0, (1 - m) % 4, tuple(params), Family.S_FAMILY)
+    params = tuple(coeff_b(j, m, theta) for j in range(1, m + 1))
+    return UnimodularRational(0, (1 - m) % 4, params, Family.S_FAMILY)
 
 
 @dataclass(frozen=True)
@@ -234,11 +223,10 @@ class ZolotarevFraction:
 
     @classmethod
     def from_ell(cls, m: int, ell: float, ell_comp: float | None = None) -> "ZolotarevFraction":
-        m = require_degree(m, 0)
-        # window first: a reduced modulus that rounds to 1.0 is past ELL_MAX like any other
-        require_modulus(ell)
+        # degree, window, then complement: a modulus that rounds to 1.0 is past ELL_MAX like any other
+        reduction = solve_lambda(ell, m, ell_comp)
+        m = reduction.m
         modulus = EllipticModulus.from_ell(ell, ell_comp)
-        reduction = solve_lambda(modulus.ell, m, modulus.ell_comp)
         nodes = _nodes(range(1, m), m, modulus.ell_comp, modulus.ell)
         cot2 = tuple((cn / sn) ** 2 for sn, cn, _ in nodes)
         dn2_odd = tuple(dn**2 for _, _, dn in nodes[::2])
@@ -280,7 +268,7 @@ def eval_F_product(zf: ZolotarevFraction, x):
     floats, an ndarray gives arrays, bitwise equal elementwise.
     """
     odd = zf.m % 2
-    if odd and np.any(np.abs(x) > 1.0):
+    if odd and not np.all(np.abs(x) <= 1.0):
         raise DomainError(f"odd-degree G needs |x| <= 1, got |x| = {float(np.max(np.abs(x)))!r}")
     F, s2 = _F_kernel(zf._kernel, x)
     if zf.m == 0:
@@ -354,7 +342,7 @@ def eval_s_via_FG(m: int, theta: float, z):
     zf = ZolotarevFraction.from_theta(m, theta)  # validates m and theta before the points
     w = np.asarray(z, dtype=complex)
     off = np.abs(np.abs(w) - 1.0)
-    if np.any(off > 1e-9):
+    if not np.all(off <= 1e-9):
         raise DomainError(f"eval_s_via_FG requires |z| = 1, got ||z| - 1| = {float(np.max(off))!r}")
     if m % 2 and np.any(np.abs(w.real) < 1e-12):
         raise DomainError("the F/G lift is not defined at z = +-i for odd degree")

@@ -23,6 +23,7 @@ from .errors import DomainError, ResolutionError
 
 THETA_FLAG_MIN = 1e-8
 COMPOSE_TOLERANCE = 1e-9
+SIZE_FLAG_MAX = 2**20  # --grid and --samples: far above any useful size, far below a memory error
 
 
 def _fmt(value) -> str:
@@ -146,8 +147,8 @@ def _cmd_build(args) -> int:
 def _cmd_error(args) -> int:
     _check_theta_flag(args.theta)
     _check_degree_flag(args.degree)
-    if args.grid < 64:
-        raise _UsageError(f"--grid must be at least 64, got {args.grid!r}")
+    if not 64 <= args.grid <= SIZE_FLAG_MAX:
+        raise _UsageError(f"--grid must lie in [64, {SIZE_FLAG_MAX}], got {args.grid!r}")
     build, phase_report, _ = analysis._problem_fns(args.problem)
     r = build(args.degree, args.theta)
     expected = analysis.effective_degree(args.problem, args.degree) + 1
@@ -212,8 +213,8 @@ def _cmd_compose(args) -> int:
     _check_theta_flag(args.theta)
     if args.degree < 1 or args.degree_tilde < 1:
         raise _UsageError("compose needs positive --degree and --degree-tilde")
-    if args.samples < 1:
-        raise _UsageError("--samples must be positive")
+    if not 1 <= args.samples <= SIZE_FLAG_MAX:
+        raise _UsageError(f"--samples must lie in [1, {SIZE_FLAG_MAX}], got {args.samples!r}")
     z = _compose_samples(args.samples)
     left, right = composition.compose_s(args.degree_tilde, args.degree, args.theta, z)
     residual = float(np.max(np.abs(left - right)))

@@ -34,14 +34,19 @@ def theta_tilde(m: int, theta: float) -> float:
     return math.asin(min(1.0, red.lam_comp))
 
 
+def _compose_law(build, m_tilde: int, m: int, theta: float, z):
+    """Both sides of build(m_tilde; Theta-tilde) o build(m; Theta) = build(m_tilde m; Theta) at z."""
+    tt = theta_tilde(m, theta)
+    inner = build(m, theta)
+    outer = build(m_tilde, tt)
+    direct = build(m_tilde * m, theta)
+    return outer(inner(z)), direct(z)
+
+
 def compose_s(m_tilde: int, m: int, theta: float, z):
     """Both sides of s_mtilde(s_m(z; Theta); Theta-tilde) = s_{mtilde m}(z; Theta)."""
     m, m_tilde = require_degree(m, 1, "m"), require_degree(m_tilde, 1, "m_tilde")
-    tt = theta_tilde(m, theta)
-    inner = build_s(m, theta)
-    outer = build_s(m_tilde, tt)
-    direct = build_s(m_tilde * m, theta)
-    return outer(inner(z)), direct(z)
+    return _compose_law(build_s, m_tilde, m, theta, z)
 
 
 def _s_tilde(m_odd: int, theta: float):
@@ -52,14 +57,9 @@ def _s_tilde(m_odd: int, theta: float):
 
 
 def compose_s_tilde(n_tilde: int, n: int, theta: float, z):
-    """Both sides of the composition law for s_tilde = s_{2n+1}^((-1)^n)."""
+    """Both sides of the composition law for s_tilde = s_{2n+1}^((-1)^n), at degrees 2n + 1."""
     n, n_tilde = require_degree(n, 0, "n"), require_degree(n_tilde, 0, "n_tilde")
-    m, m_tilde = 2 * n + 1, 2 * n_tilde + 1
-    tt = theta_tilde(m, theta)
-    inner = _s_tilde(m, theta)
-    outer = _s_tilde(m_tilde, tt)
-    direct = _s_tilde(m_tilde * m, theta)
-    return outer(inner(z)), direct(z)
+    return _compose_law(_s_tilde, 2 * n_tilde + 1, 2 * n + 1, theta, z)
 
 
 def compose_r(n_tilde: int, n: int, theta: float, z):

@@ -63,7 +63,7 @@ def require_modulus(ell: float, name: str = "ell") -> None:
         )
 
 
-def require_theta(theta: float, name: str = "theta") -> tuple[float, float]:
+def require_theta(theta: float) -> tuple[float, float]:
     """The modulus pair (cos theta, sin theta) of an arc half-width, or PrecisionError.
 
     theta must lie in (THETA_MIN, THETA_MAX), and sin(theta), the modulus
@@ -72,11 +72,11 @@ def require_theta(theta: float, name: str = "theta") -> tuple[float, float]:
     """
     if not (THETA_MIN < theta < THETA_MAX):
         raise PrecisionError(
-            f"{name}={theta!r} outside supported range ({THETA_MIN:.6e}, {THETA_MAX!r})"
+            f"theta={theta!r} outside supported range ({THETA_MIN:.6e}, {THETA_MAX!r})"
         )
     ell, ell_comp = math.cos(theta), math.sin(theta)
     if ell_comp == 1.0:
-        raise PrecisionError(f"{name}={theta!r}: sin({name}) rounds to 1 in double precision")
+        raise PrecisionError(f"theta={theta!r}: sin(theta) rounds to 1 in double precision")
     return ell, ell_comp
 
 

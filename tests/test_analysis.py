@@ -308,6 +308,14 @@ class TestPhaseErrorKernel:
             assert np.max(np.abs(grid - scalar)) <= 4e-15
 
     @pytest.mark.parametrize("problem", ["z5", "z6"])
+    def test_reported_errors_are_python_floats(self, problem):
+        # the grid brackets hand numpy scalars to the scalar branch
+        r = ap.build_r(2, 1.0) if problem == "z5" else ap.build_s(5, 1.0)
+        report = (an.phase_error_sqrt if problem == "z5" else an.phase_error_sign)(r, 1.0, 128)
+        values = [report.max_error, an.max_phase_error(r, 1.0, problem)] + [v for _, v in report.extrema]
+        assert all(type(v) is float for v in values)
+
+    @pytest.mark.parametrize("problem", ["z5", "z6"])
     @pytest.mark.parametrize("degree", [1, 8])
     @pytest.mark.parametrize("theta", [1e-3, 1.0])
     def test_half_turn_wraps_into_range(self, problem, degree, theta):
@@ -342,6 +350,7 @@ class TestEffectiveDegree:
             lambda: an.effective_degree("z7", 1),
             lambda: an.error_bounds(1, 1.0, "z7"),
             lambda: an.max_phase_error(s, 1.0, "z7"),
+            lambda: an._problem_fns("z7"),
         )
         for call in calls:
             with pytest.raises(DomainError, match="problem must be 'z5' or 'z6'"):

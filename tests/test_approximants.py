@@ -135,6 +135,16 @@ class TestBuildS:
         for m in (2, 3, 5, 8):
             assert ap.build_s(m, 1.0)(1j) == pytest.approx(1j, abs=1e-13)
 
+    @pytest.mark.parametrize("theta", [math.nextafter(el.THETA_MIN, 1.0), 0.3, 1.0, 1.5, 1.5707963162581844])
+    def test_factor_sign_pattern(self, theta):
+        # off the middle node b_j is finite, nonzero and carries (-1)^{mj}
+        # times the sign of cn at (2j - 1) K'/m, negative past K'
+        for m in range(1, 65):
+            for j, b in enumerate(ap.build_s(m, theta).factors, start=1):
+                if 2 * j - 1 != m:
+                    expect = (-1.0) ** (m * j) * (-1.0 if 2 * j - 1 > m else 1.0)
+                    assert math.isfinite(b) and b != 0.0 and math.copysign(1.0, b) == expect, (m, j)
+
     def test_rejects_bool_degree(self):
         with pytest.raises(DomainError):
             ap.build_s(True, 1.0)

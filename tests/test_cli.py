@@ -127,6 +127,18 @@ class TestError:
         assert code == 2
 
 
+class TestSizeFlags:
+    @pytest.mark.parametrize("value", [2**20 + 1, 10**13])
+    @pytest.mark.parametrize("argv, flag", [
+        (["error", "--problem", "z6", "--degree", "2", "--theta", "1.0"], "--grid"),
+        (["compose", "--degree", "2", "--degree-tilde", "3", "--theta", "1.0"], "--samples"),
+    ])
+    def test_above_two_to_the_twenty_is_usage_error(self, capsys, argv, flag, value):
+        code, out, err = run(capsys, *argv, flag, str(value))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"usage error: {flag} must lie in [") and err.rstrip().endswith(str(value))
+
+
 class TestBounds:
     def test_rows_ordered(self, capsys):
         code, out, _ = run(capsys, "bounds", "--problem", "z6", "--max-degree", "8",

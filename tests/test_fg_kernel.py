@@ -118,6 +118,18 @@ class TestArrayDomain:
         with pytest.raises(DomainError):
             ap.eval_F_product(zf, np.array([0.2, -1.25, 0.9]))
 
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_lift_rejects_nan(self, as_array):
+        z = np.array([0.6 + 0.8j, complex(math.nan, 0.0)]) if as_array else complex(math.nan, 0.0)
+        with pytest.raises(DomainError, match="requires [|]z[|] = 1"):
+            ap.eval_s_via_FG(3, 1.0, z)
+
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_odd_G_rejects_nan(self, as_array):
+        zf = ap.ZolotarevFraction.from_theta(3, 1.0)
+        with pytest.raises(DomainError, match="needs [|]x[|] <= 1"):
+            ap.eval_F_product(zf, np.array([0.2, math.nan]) if as_array else math.nan)
+
     def test_compose_F_rejects_an_array_point_beyond_one(self):
         with pytest.raises(DomainError):
             co.compose_F(2, 3, 0.5, np.array([0.2, 1.25]))
