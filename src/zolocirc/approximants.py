@@ -31,7 +31,7 @@ import numpy as np
 from .elliptic import (
     DegreeReduction,
     EllipticModulus,
-    _nodes,
+    _nome,
     _sncndn,
     inverse_sn,
     require_degree,
@@ -147,7 +147,7 @@ def coeff_a(j: int, n: int, theta: float) -> float:
     n = require_degree(n, 1, "n")
     j = require_degree(j, 1, "j", n)
     ell, ell_comp = require_theta(theta)
-    [(sn, cn, dn)] = _nodes((2 * j - 1,), 2 * n + 1, ell_comp, ell)
+    sn, cn, dn = _sncndn(2 * j - 1, 2 * n + 1, ell_comp, ell, _nome(ell, ell_comp))
     base = (ell * sn + dn) / cn
     return base**2 if (j + n) % 2 == 0 else base**-2
 
@@ -174,7 +174,7 @@ def coeff_b(j: int, m: int, theta: float) -> float:
     if 2 * j - 1 == m:
         # cn((2j-1)/m K', ell') = cn(K', ell') = 0: the ratio degenerates.
         return math.inf if j % 2 == 0 else 0.0
-    [(sn, cn, dn)] = _nodes((2 * j - 1,), m, ell_comp, ell)
+    sn, cn, dn = _sncndn(2 * j - 1, m, ell_comp, ell, _nome(ell, ell_comp))
     base = (ell * sn + dn) / cn
     return sign * (base if j % 2 == 0 else 1.0 / base)
 
@@ -225,9 +225,8 @@ class ZolotarevFraction:
     def from_ell(cls, m: int, ell: float, ell_comp: float | None = None) -> "ZolotarevFraction":
         # degree, window, then complement: a modulus that rounds to 1.0 is past ELL_MAX like any other
         reduction = solve_lambda(ell, m, ell_comp)
-        m = reduction.m
-        modulus = EllipticModulus.from_ell(ell, ell_comp)
-        nodes = _nodes(range(1, m), m, modulus.ell_comp, modulus.ell)
+        m, modulus = reduction.m, reduction.modulus
+        nodes = [_sncndn(k, m, modulus.ell_comp, modulus.ell, modulus.nome) for k in range(1, m)]
         cot2 = tuple((cn / sn) ** 2 for sn, cn, _ in nodes)
         dn2_odd = tuple(dn**2 for _, _, dn in nodes[::2])
         return cls(m, modulus, reduction, cot2[1::2], cot2[::2], dn2_odd)

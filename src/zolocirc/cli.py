@@ -5,7 +5,8 @@ All structured output goes through a deterministic serializer: fixed key
 order, floats at 17 significant digits (infinite factor parameters become
 the string "inf", which strict JSON cannot carry as a number), LF line
 endings.  Exit codes: 0 ok, 1 contour cannot write --out or a selftest
-criterion failed, 2 usage (a negative --degree included), 3 numeric
+criterion failed, 2 usage (a negative --degree, or a size or window flag
+out of range, included: each is checked before anything is built), 3 numeric
 domain, 4 equioscillation deficiency, 5 composition residual breach.
 """
 
@@ -78,6 +79,11 @@ def _check_degree_flag(degree: int) -> None:
         raise _UsageError(f"--degree must be >= 0, got {degree!r}")
 
 
+def _check_range(flag: str, value: int, lo: int, hi: int) -> None:
+    if not lo <= value <= hi:
+        raise _UsageError(f"{flag} must lie in [{lo}, {hi}], got {value!r}")
+
+
 class _UsageError(Exception):
     pass
 
@@ -147,8 +153,8 @@ def _cmd_build(args) -> int:
 def _cmd_error(args) -> int:
     _check_theta_flag(args.theta)
     _check_degree_flag(args.degree)
-    if not 64 <= args.grid <= SIZE_FLAG_MAX:
-        raise _UsageError(f"--grid must lie in [64, {SIZE_FLAG_MAX}], got {args.grid!r}")
+    # checked before the build: the phase report refuses fewer than 8 (degree + 1) points
+    _check_range("--grid", args.grid, max(64, 8 * (args.degree + 1)), SIZE_FLAG_MAX)
     build, phase_report, _ = analysis._problem_fns(args.problem)
     r = build(args.degree, args.theta)
     expected = analysis.effective_degree(args.problem, args.degree) + 1
@@ -172,8 +178,7 @@ def _cmd_error(args) -> int:
 
 def _cmd_bounds(args) -> int:
     _check_theta_flag(args.theta)
-    if not 0 <= args.max_degree <= 64:
-        raise _UsageError(f"--max-degree must lie in [0, 64], got {args.max_degree!r}")
+    _check_range("--max-degree", args.max_degree, 0, 64)
     build = analysis._problem_fns(args.problem)[0]
     rows = []
     for degree in range(args.max_degree + 1):
@@ -213,8 +218,7 @@ def _cmd_compose(args) -> int:
     _check_theta_flag(args.theta)
     if args.degree < 1 or args.degree_tilde < 1:
         raise _UsageError("compose needs positive --degree and --degree-tilde")
-    if not 1 <= args.samples <= SIZE_FLAG_MAX:
-        raise _UsageError(f"--samples must lie in [1, {SIZE_FLAG_MAX}], got {args.samples!r}")
+    _check_range("--samples", args.samples, 1, SIZE_FLAG_MAX)
     z = _compose_samples(args.samples)
     left, right = composition.compose_s(args.degree_tilde, args.degree, args.theta, z)
     residual = float(np.max(np.abs(left - right)))
@@ -239,6 +243,9 @@ def _cmd_contour(args) -> int:
     if len(parts) != 4 or not all(map(math.isfinite, parts)):
         raise _UsageError(f"--window must be four comma-separated finite reals, got {args.window!r}")
     window = (parts[0], parts[1], parts[2], parts[3])
+    if not (window[0] < window[1] and window[2] < window[3]):
+        raise _UsageError(f"--window must have re_min < re_max and im_min < im_max, got {args.window!r}")
+    _check_range("--resolution", args.resolution, 16, 4096)
     build, _, target = analysis._problem_fns(args.problem)
     grid = analysis.contour_grid(build(args.degree, args.theta), target, window, args.resolution)
     res = np.linspace(window[0], window[1], args.resolution)

@@ -20,7 +20,7 @@ from .approximants import (
     coeff_a,
     eval_F_product,
 )
-from .elliptic import _mu_inverse_pair, _nodes, complement, groetzsch_mu
+from .elliptic import _mu_inverse_pair, _nome, _sncndn, complement, groetzsch_mu
 from .elliptic import require_degree, require_modulus, require_theta, solve_lambda
 from .errors import BranchError, DomainError, PrecisionError
 
@@ -48,9 +48,11 @@ def blaschke_h(m: int, ell: float) -> BlaschkeProduct:
     """Ng-Tsang product with c_j = sqrt(ell) cn(v_j, ell)/dn(v_j, ell), v_j = (2j-1)K(ell)/m."""
     m = require_degree(m, 1)
     require_modulus(ell)
-    root = math.sqrt(ell)
+    root, ell_comp = math.sqrt(ell), complement(ell)
+    nome = _nome(ell, ell_comp)
     params = []
-    for j, (_, cn, dn) in enumerate(_nodes(range(1, 2 * m, 2), m, ell, complement(ell)), 1):
+    for j in range(1, m + 1):
+        _, cn, dn = _sncndn(2 * j - 1, m, ell, ell_comp, nome)
         c = root * cn / dn
         if not abs(c) < 1.0:
             raise DomainError(f"Blaschke parameter escaped the disk at j={j}")

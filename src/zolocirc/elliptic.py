@@ -46,15 +46,6 @@ def complement(x: float) -> float:
     return math.sqrt((1.0 - x) * (1.0 + x))
 
 
-def _complement_of(ell: float, ell_comp: float | None) -> float:
-    """ell_comp, or complement(ell) when it is None; rejects a pair off the unit circle."""
-    if ell_comp is None:
-        return complement(ell)
-    if not (ell_comp > 0.0 and abs(ell * ell + ell_comp * ell_comp - 1.0) <= 4.0 * _EPS):
-        raise DomainError(f"ell={ell!r} and ell_comp={ell_comp!r} are not complementary")
-    return ell_comp
-
-
 def require_modulus(ell: float, name: str = "ell") -> None:
     """Reject moduli outside the supported precision window."""
     if not (ELL_MIN < ell < ELL_MAX):
@@ -192,15 +183,6 @@ def _sncndn(u: float, quarter: float, ell: float, ell_comp: float, nome: tuple) 
     return sign_sn * sn, sign_cn * cn, dn
 
 
-def _nodes(nums, den: int, ell: float, ell_comp: float) -> list:
-    """[(sn, cn, dn)(num K / den, ell) for num in nums]: the nodes of r_n, s_m, F_m and h_m."""
-    nome = _nome(ell, ell_comp)  # one per table
-    out = []
-    for num in nums:  # a plain loop: no comprehension frame on one-node calls
-        out.append(_sncndn(num, den, ell, ell_comp, nome))
-    return out
-
-
 def jacobi_sncndn(u: float, ell: float) -> tuple[float, float, float]:
     """Jacobi elliptic functions (sn, cn, dn) at real argument u, modulus ell."""
     if not 0.0 <= ell < 1.0:
@@ -292,7 +274,8 @@ class EllipticModulus:
     """A modulus with its complement, quarter periods, and derived rates.
 
     rho = exp(pi K / K') > 1 is the geometric rate governing how fast the
-    optimal errors decay with degree.
+    optimal errors decay with degree.  nome, left out of == and repr, is the
+    pair's _nome tuple, which every sn/cn/dn at ell or ell' reads.
     """
 
     ell: float
@@ -301,14 +284,19 @@ class EllipticModulus:
     K_comp: float
     mu: float
     rho: float
+    nome: tuple = field(repr=False, compare=False)
 
     @classmethod
     def from_ell(cls, ell: float, ell_comp: float | None = None) -> "EllipticModulus":
+        """ell_comp defaults to complement(ell); a pair off the unit circle is refused."""
         if not 0.0 < ell < 1.0:
             raise DomainError(f"modulus must lie in (0, 1), got {ell!r}")
-        ell_comp = _complement_of(ell, ell_comp)
-        mu, K, K_comp, _ = _mu_pair(ell, ell_comp)
-        return cls(ell, ell_comp, K, K_comp, mu, math.exp(math.pi * K / K_comp))
+        if ell_comp is None:
+            ell_comp = complement(ell)
+        elif not (0.0 < ell_comp <= 1.0 and abs(ell * ell + ell_comp * ell_comp - 1.0) <= 4.0 * _EPS):
+            raise DomainError(f"ell={ell!r} and ell_comp={ell_comp!r} are not complementary")
+        mu, K, K_comp, nome = _mu_pair(ell, ell_comp)
+        return cls(ell, ell_comp, K, K_comp, mu, math.exp(math.pi * K / K_comp), nome)
 
 
 @dataclass(frozen=True)
@@ -316,8 +304,9 @@ class DegreeReduction:
     """Solution data of the degree equation at (ell, m).
 
     lam is the reduced modulus, lam_comp its complement (the quantity that
-    stays informative when lam -> 1) and M = K(ell)/K(lam).  nome, left out of
-    == and repr, is lam's _nome tuple, exact from the degree equation at m >= 2.
+    stays informative when lam -> 1) and M = K(ell)/K(lam).  Left out of ==
+    and repr: nome, lam's _nome tuple, exact from the degree equation at
+    m >= 2, and modulus, the EllipticModulus of ell the equation was solved at.
     """
 
     m: int
@@ -325,6 +314,7 @@ class DegreeReduction:
     lam_comp: float
     M: float
     nome: tuple = field(repr=False, compare=False)
+    modulus: EllipticModulus = field(repr=False, compare=False)
 
 
 def solve_lambda(ell: float, m: int, ell_comp: float | None = None) -> DegreeReduction:
@@ -337,10 +327,9 @@ def solve_lambda(ell: float, m: int, ell_comp: float | None = None) -> DegreeRed
     """
     m = require_degree(m, 0)
     require_modulus(ell)
-    ell_comp = _complement_of(ell, ell_comp)
+    mod = EllipticModulus.from_ell(ell, ell_comp)
     if m <= 1:
-        lam, lam_comp = (ell, ell_comp) if m else (0.0, 1.0)
-        return DegreeReduction(m, lam, lam_comp, 1.0, _nome(lam, lam_comp))
-    mu, K, _, _ = _mu_pair(ell, ell_comp)
-    lam, lam_comp, K_lam, nome = _mu_inverse_pair(mu / m)
-    return DegreeReduction(m, lam, lam_comp, K / K_lam, nome)
+        lam, lam_comp, nome = (ell, mod.ell_comp, mod.nome) if m else (0.0, 1.0, _nome(0.0, 1.0))
+        return DegreeReduction(m, lam, lam_comp, 1.0, nome, mod)
+    lam, lam_comp, K_lam, nome = _mu_inverse_pair(mod.mu / m)
+    return DegreeReduction(m, lam, lam_comp, mod.K / K_lam, nome, mod)

@@ -4,10 +4,12 @@ Each criterion function returns (name, ok, detail).  The CLI selftest
 command runs them all and reports one line per criterion; the test suite
 asserts them individually.  Criterion tolerances are pinned here.
 
-Bound comparisons carry a 1e-12 absolute allowance: at the far end of the
-sweep (degree 8 at Theta = 0.5) the rho-form bound is analytically sharp
-to a relative 1e-14, which is below the rounding noise of the measured
-amplitude, so a strict float comparison would be a coin toss.
+Bound comparisons carry a 1e-12 absolute allowance: criterion 3 holds
+the closed-form error arccos(lambda) against the rho-form bound, and the
+gap between the two shrinks geometrically with the degree until it is
+below double rounding at the far end of the sweep (at z5 n = 4, Theta =
+0.5 the closed form rounds 1.6e-15 relative above the bound), so a strict
+float comparison would be a coin toss.
 """
 
 from __future__ import annotations
@@ -69,17 +71,17 @@ def criterion_2():
 
 
 def criterion_3():
-    """Decay bounds sit above the measured error; the Z-number chain closes."""
+    """Decay bounds sit above the predicted error arccos(lambda); the Z-number chain closes."""
     bad = []
     worst_chain = 0.0
     for theta in THETA_SWEEP:
         for problem, letter, degree in _SWEEP:
-            measured = composition.theta_tilde(analysis.effective_degree(problem, degree), theta)
+            predicted = composition.theta_tilde(analysis.effective_degree(problem, degree), theta)
             b_rho, b_sec = analysis.error_bounds(degree, theta, problem)
-            if not (measured <= b_rho + _BOUND_SLACK and b_rho <= b_sec * (1.0 + 1e-15)):
+            if not (predicted <= b_rho + _BOUND_SLACK and b_rho <= b_sec * (1.0 + 1e-15)):
                 bad.append(f"{problem} {letter}={degree} theta={theta:.3f}")
             if problem == "z6":
-                chain = abs(analysis.phase_error_from_Z(analysis.zolotarev_number(degree, theta)) - measured)
+                chain = abs(analysis.phase_error_from_Z(analysis.zolotarev_number(degree, theta)) - predicted)
                 worst_chain = max(worst_chain, chain)
     ok = not bad and worst_chain <= 1e-10
     detail = f"worst Z-chain deviation = {worst_chain:.3e}" + ("; " + "; ".join(bad) if bad else "")

@@ -58,8 +58,9 @@ def node_cases():
 @pytest.mark.parametrize("den", DENS)
 def test_nodes(den):
     for label, k, k_comp, k_sq in node_cases():
-        nums = sample(den)
-        for num, got in zip(nums, el._nodes(nums, den, k, k_comp)):
+        nome = el._nome(k, k_comp)
+        for num in sample(den):
+            got = el._sncndn(num, den, k, k_comp, nome)
             for name, value, ref in zip(("sn", "cn", "dn"), got, mpref.node(num, den, k_sq)):
                 assert mpref.rel_err(value, ref) <= BOUND, f"{name} at {label}, {num}/{den}"
 

@@ -126,6 +126,12 @@ class TestError:
                          "--grid", "32")
         assert code == 2
 
+    @pytest.mark.parametrize("problem", ["z5", "z6"])
+    def test_grid_floor_is_inclusive(self, capsys, problem):
+        res = run_json(capsys, "error", "--problem", problem, "--degree", "8", "--theta", "1.0",
+                       "--grid", "72")["results"]
+        assert res["grid_size"] == 72
+
 
 class TestSizeFlags:
     @pytest.mark.parametrize("value", [2**20 + 1, 10**13])
@@ -137,6 +143,43 @@ class TestSizeFlags:
         code, out, err = run(capsys, *argv, flag, str(value))
         assert (code, out) == (2, "")
         assert err.startswith(f"usage error: {flag} must lie in [") and err.rstrip().endswith(str(value))
+
+
+class TestFlagsCheckedBeforeBuild:
+    """Size and window flags out of range are usage errors raised before any factor is built."""
+
+    @pytest.fixture(autouse=True)
+    def no_build(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("built before the flags were checked")
+
+        monkeypatch.setattr(ap, "build_s", forbidden)
+        monkeypatch.setattr(ap, "build_r", forbidden)
+
+    @pytest.mark.parametrize("problem", ["z5", "z6"])
+    @pytest.mark.parametrize("degree,grid", [(20000, 64), (20000, 160007), (8, 71), (200000, 2**20)])
+    def test_grid_below_the_report_floor(self, capsys, problem, degree, grid):
+        code, out, err = run(capsys, "error", "--problem", problem, "--degree", str(degree),
+                             "--theta", "1.0", "--grid", str(grid))
+        assert (code, out) == (2, "")
+        floor = max(64, 8 * (degree + 1))
+        assert err.strip() == f"usage error: --grid must lie in [{floor}, {2**20}], got {grid}"
+
+    @pytest.mark.parametrize("resolution", [8, 15, 4097])
+    def test_resolution_out_of_range(self, capsys, tmp_path, resolution):
+        out_file = tmp_path / "x.csv"
+        code, out, err = run(capsys, "contour", "--problem", "z6", "--degree", "20000", "--theta", "1.0",
+                             "--resolution", str(resolution), "--out", str(out_file))
+        assert (code, out) == (2, "") and "--resolution must lie in [16, 4096]" in err
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("window", ["1,0,0,1", "0,1,1,0", "0,0,0,1", "0,1,1,1"])
+    def test_degenerate_window(self, capsys, tmp_path, window):
+        out_file = tmp_path / "x.csv"
+        code, out, err = run(capsys, "contour", "--problem", "z5", "--degree", "20000", "--theta", "1.0",
+                             f"--window={window}", "--resolution", "16", "--out", str(out_file))
+        assert (code, out) == (2, "") and "--window must have re_min < re_max" in err
+        assert not out_file.exists()
 
 
 class TestBounds:

@@ -223,13 +223,15 @@ class TestNomeInverse:
 
 class TestComplementaryPair:
     def test_inconsistent_complement_rejected(self):
-        for bad in (0.1, math.nan, -el.complement(0.5)):
-            with pytest.raises(DomainError):
-                el.solve_lambda(0.5, 2, ell_comp=bad)
-            with pytest.raises(DomainError):
-                el.EllipticModulus.from_ell(0.5, bad)
-            with pytest.raises(DomainError):
-                ZolotarevFraction.from_ell(3, 0.5, bad)
+        cases = [(0.5, bad) for bad in (0.1, math.nan, -el.complement(0.5))]
+        cases.append((1.5e-8, math.nextafter(1.0, 2.0)))  # within 4 eps of the unit circle, but above 1
+        for ell, bad in cases:
+            with pytest.raises(DomainError, match="not complementary"):
+                el.solve_lambda(ell, 2, ell_comp=bad)
+            with pytest.raises(DomainError, match="not complementary"):
+                el.EllipticModulus.from_ell(ell, bad)
+            with pytest.raises(DomainError, match="not complementary"):
+                ZolotarevFraction.from_ell(3, ell, bad)
 
     def test_rounded_pairs_accepted(self):
         rng = np.random.default_rng(7)
@@ -286,8 +288,19 @@ class TestSolveLambda:
 
     def test_nome_left_out_of_eq_and_repr(self):
         red = el.solve_lambda(0.62, 3)
-        assert dataclasses.replace(red, nome=None) == red
-        assert "nome" not in repr(red)
+        assert dataclasses.replace(red, nome=None, modulus=None) == red
+        assert "nome" not in repr(red) and "modulus" not in repr(red)
+        mod = red.modulus
+        assert dataclasses.replace(mod, nome=None) == mod
+        assert "nome" not in repr(mod)
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 256])
+    @pytest.mark.parametrize("ell,ell_comp", [(0.62, None), (math.cos(1.0), math.sin(1.0)), (1.5e-8, 1.0)])
+    def test_keeps_the_modulus_it_solved_at(self, ell, ell_comp, m):
+        got, want = el.solve_lambda(ell, m, ell_comp).modulus, el.EllipticModulus.from_ell(ell, ell_comp)
+        assert got == want and got.nome == want.nome == el._nome(want.ell, want.ell_comp)
+        for name in ("K", "K_comp", "mu", "rho"):
+            assert getattr(got, name).hex() == getattr(want, name).hex(), name
 
     def test_degree_equation_residual_by_quadrature(self):
         red = el.solve_lambda(0.5, 2)
@@ -328,10 +341,12 @@ class TestSolveLambda:
 
 
 class TestNomePassedOn:
-    def test_one_nome_per_node_table(self, monkeypatch):
+    def test_one_nome_per_fraction(self, monkeypatch):
         calls = counted(monkeypatch, "_nome")
-        nodes = el._nodes(range(1, 256), 256, math.sin(1.0), math.cos(1.0))
-        assert len(nodes) == 255 and len(calls) == 1
+        for m in (1, 2, 8, 256):
+            calls.clear()
+            zf = ZolotarevFraction.from_ell(m, math.cos(1.0), math.sin(1.0))
+            assert len(zf.cot2_even) + len(zf.cot2_odd) == m - 1 and len(calls) == 1, m
 
     def test_sncndn_derives_no_nome_and_no_theta_constants(self, monkeypatch):
         ell, ell_comp = math.cos(1.0), math.sin(1.0)
