@@ -13,6 +13,7 @@ domain, 4 equioscillation deficiency, 5 composition residual breach.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -29,12 +30,6 @@ SIZE_FLAG_MAX = 2**20  # --grid and --samples: far above any useful size, far be
 
 def _fmt(value) -> str:
     """Serialize to deterministic JSON text."""
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     if isinstance(value, (float, np.floating)):
         x = float(value)
         if math.isnan(x):
@@ -44,6 +39,14 @@ def _fmt(value) -> str:
         if x == 0.0:
             x = 0.0  # normalize -0.0
         return format(x, ".17g")
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(_fmt(v) for v in value) + "]"
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
     if isinstance(value, complex):
         return _fmt([value.real, value.imag])
     if isinstance(value, str):
@@ -51,8 +54,6 @@ def _fmt(value) -> str:
     if isinstance(value, dict):
         inner = ", ".join(f"{_fmt(str(k))}: {_fmt(v)}" for k, v in value.items())
         return "{" + inner + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_fmt(v) for v in value) + "]"
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
@@ -250,14 +251,16 @@ def _cmd_contour(args) -> int:
     grid = analysis.contour_grid(build(args.degree, args.theta), target, window, args.resolution)
     res = np.linspace(window[0], window[1], args.resolution)
     ims = np.linspace(window[2], window[3], args.resolution)
-    re_s = [format(x, ".17g") for x in res.tolist()]
+    # one row template per call, one % per row over its interleaved (im, value) cells
+    row_fmt = "".join(f"{format(x, '.17g')},%s,%.17g\n" for x in res.tolist())
+    cells = [None, None] * args.resolution
     try:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("re,im,value\n")
-            # one %-format per grid row; memory stays at one row of text
             for im, row in zip(ims.tolist(), grid.values):
-                im_s = format(im, ".17g")
-                fh.write("".join(f"{x},{im_s},%.17g\n" for x in re_s) % tuple(row.tolist()))
+                cells[0::2] = [format(im, ".17g")] * args.resolution
+                cells[1::2] = row.tolist()
+                fh.write(row_fmt % tuple(cells))
     except OSError as exc:
         print(f"error: cannot write {args.out!r}: {exc}", file=sys.stderr)
         return 1
@@ -278,6 +281,7 @@ def _cmd_selftest(_args) -> int:
     return 0
 
 
+@functools.cache  # one parser per process: parse_args keeps no state between calls
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zolocirc",
@@ -330,8 +334,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except _UsageError as exc:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -6,6 +7,7 @@ import pytest
 
 from zolocirc import analysis as an
 from zolocirc import approximants as ap
+from zolocirc import cli
 from zolocirc import elliptic as el
 from zolocirc.cli import main
 
@@ -317,6 +319,74 @@ class TestInputsEcho:
         assert list(doc["inputs"]) == keys
 
 
+class TestFmt:
+    @pytest.mark.parametrize(
+        "value,text",
+        [
+            (-0.0, "0"),
+            (math.nan, '"nan"'),
+            (math.inf, '"inf"'),
+            (-math.inf, '"-inf"'),
+            (0.1, "0.10000000000000001"),
+            (np.float64(-1.5), "-1.5"),
+            (np.float32(0.1), "0.10000000149011612"),
+            (np.int64(-7), "-7"),
+            (True, "true"),
+            (False, "false"),
+            (1, "1"),
+            (None, "null"),
+            (complex(1.0, -0.0), "[1, 0]"),
+            (((1, 2.5), (), [np.int32(3)]), "[[1, 2.5], [], [3]]"),
+            ('a"b\\c', '"a\\"b\\\\c"'),
+            ({"k": (None, False), 2: "v"}, '{"k": [null, false], "2": "v"}'),
+        ],
+    )
+    def test_spelling(self, value, text):
+        assert cli._fmt(value) == text
+
+    def test_set_is_refused(self):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            cli._fmt({1.0})
+
+
+class TestSharedParser:
+    """One parser serves every main call in a process; no call sees another's flags."""
+
+    BUILD = ("build", "--problem", "z6", "--degree", "3", "--theta", "1.0")
+
+    def test_absent_flag_echoes_null_after_a_call_that_set_it(self, capsys):
+        run_json(capsys, *self.BUILD)
+        doc = run_json(capsys, "build", "--problem", "z4", "--degree", "3", "--ell", "0.5")
+        assert doc["inputs"] == {"problem": "z4", "degree": 3, "theta": None, "ell": 0.5, "format": "json"}
+
+    def test_usage_errors_leave_the_next_call_unchanged(self, capsys):
+        before = run(capsys, *self.BUILD)
+        errors = []
+        for argv in (["build", "--problem", "z9", "--degree", "1", "--theta", "1.0"],
+                     ["error", "--problem", "z6", "--degree", "x", "--theta", "1.0"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            errors.append((exc.value.code, capsys.readouterr().err))
+        assert [code for code, _ in errors] == [2, 2]
+        assert errors[0][1].startswith("usage: zolocirc build ")
+        assert errors[1][1].startswith("usage: zolocirc error ")
+        assert before[0] == 0 and run(capsys, *self.BUILD) == before
+
+    def test_built_once_across_calls(self, capsys, monkeypatch):
+        builds = []
+        add_subparsers = argparse.ArgumentParser.add_subparsers
+
+        def counting(self, **kwargs):
+            builds.append(self.prog)
+            return add_subparsers(self, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counting)
+        cli._build_parser.cache_clear()
+        for degree in range(5):
+            assert run(capsys, "build", "--problem", "z6", "--degree", str(degree), "--theta", "1.0")[0] == 0
+        assert builds == ["zolocirc"]
+
+
 class TestDeterminism:
     def test_build_byte_identical(self, capsys):
         _, out1, _ = run(capsys, "build", "--problem", "z6", "--degree", "5", "--theta", "0.9")
@@ -340,20 +410,17 @@ class TestDeterminism:
 
 
 def per_cell_contour_csv(problem, degree, theta, window, resolution):
-    """The contour CSV as written one cell at a time, three formats per cell."""
+    """The contour CSV as written one cell at a time."""
     if problem == "z5":
         grid = an.contour_grid(ap.build_r(degree, theta), "sqrt", window, resolution)
     else:
         grid = an.contour_grid(ap.build_s(degree, theta), "sign", window, resolution)
-    res = np.linspace(window[0], window[1], resolution)
-    ims = np.linspace(window[2], window[3], resolution)
+    res = np.linspace(window[0], window[1], resolution).tolist()
+    ims = np.linspace(window[2], window[3], resolution).tolist()
     parts = ["re,im,value\n"]
-    for i in range(resolution):
-        for j in range(resolution):
-            parts.append(
-                f"{format(res[j], '.17g')},{format(ims[i], '.17g')},"
-                f"{format(grid.values[i, j], '.17g')}\n"
-            )
+    for y, row in zip(ims, grid.values.tolist()):
+        for x, v in zip(res, row):
+            parts.append(f"{x:.17g},{y:.17g},{v:.17g}\n")
     return "".join(parts).encode("utf-8")
 
 
