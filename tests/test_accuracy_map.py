@@ -2,9 +2,10 @@
 
 Node sn/cn/dn, s_m coefficients b_j, K and mu are held to 16 eps relative
 (an exact 0 to exactly 0) over an arc grid that includes both window ends,
-THETA_MIN^+ and 1.5707963162581844 (the last Theta whose sine stays below
-1), and over a modulus grid from ELL_MIN^+ to 1 - 1e-7, at node
-denominators 16, 257 and 3000 and degrees 16, 64 and 256.  Large
+0.0001414213571029879 (the first Theta whose cosine falls below ELL_MAX)
+and 1.5707963162581844 (the last Theta whose sine stays below 1), and
+over a modulus grid from ELL_MIN^+ to 1 - 1e-7, at node denominators 16,
+257 and 3000 and degrees 16, 64 and 256.  Large
 denominators are sampled: both ends of each quarter period, its middle
 and an even spread between.
 The reference is tests/mpref.py, which shares no formula with the kernel.
@@ -31,7 +32,7 @@ from zolocirc.approximants import ZolotarevFraction, coeff_b, eval_F_direct, eva
 from zolocirc.errors import PrecisionError
 
 BOUND = 16 * mpref.EPS
-THETAS = [math.nextafter(el.THETA_MIN, 2.0), 2e-4, 1e-3, 0.3, 1.0, 1.5, 0.5 * math.pi - 1e-5, 1.5707963162581844]
+THETAS = [0.0001414213571029879, 2e-4, 1e-3, 0.3, 1.0, 1.5, 0.5 * math.pi - 1e-5, 1.5707963162581844]
 ELLS = [math.nextafter(el.ELL_MIN, 1.0), 1e-6, 1e-4, 0.3, 0.5, 0.9, 0.999, 1.0 - 1e-7]
 DENS = [16, 257, 3000]
 

@@ -135,7 +135,8 @@ class TestBuildS:
         for m in (2, 3, 5, 8):
             assert ap.build_s(m, 1.0)(1j) == pytest.approx(1j, abs=1e-13)
 
-    @pytest.mark.parametrize("theta", [math.nextafter(el.THETA_MIN, 1.0), 0.3, 1.0, 1.5, 1.5707963162581844])
+    # both ends of the accepted window: cos(Theta) < ELL_MAX from the first, sin(Theta) < 1 to the last
+    @pytest.mark.parametrize("theta", [0.0001414213571029879, 0.3, 1.0, 1.5, 1.5707963162581844])
     def test_factor_sign_pattern(self, theta):
         # off the middle node b_j is finite, nonzero and carries (-1)^{mj}
         # times the sign of cn at (2j - 1) K'/m, negative past K'

@@ -1,10 +1,13 @@
-"""The top of the Theta window, where sin(Theta) rounds to 1.
+"""The two ends of the Theta window, where cos(Theta) or sin(Theta) rounds
+onto the edge of the modulus window.
 
 Every node of r_n, s_m and F_m is taken at the modulus ell' = sin(Theta).
 Between 1.5707963162581844, the largest double with sin < 1, and
-THETA_MAX that modulus is 1.0, so ``require_theta``, the one place a
-Theta becomes a modulus pair, rejects the sliver with PrecisionError for
-every entry point alike.
+THETA_MAX that modulus is 1.0.  At the bottom, between THETA_MIN and
+FIRST_GOOD, cos(Theta) rounds to ELL_MAX, which the reduction behind
+theta_tilde and every phase-error report refuses.  ``require_theta``, the
+one place a Theta becomes a modulus pair, rejects both bands with
+PrecisionError for every entry point alike.
 """
 
 import math
@@ -17,6 +20,8 @@ from zolocirc.errors import PrecisionError
 
 LAST_GOOD = 1.5707963162581844
 SLIVER = 1.5707963167948964  # the largest double below THETA_MAX
+FIRST_GOOD = 0.0001414213571029879  # the smallest double with cos(Theta) < ELL_MAX
+BOTTOM = math.nextafter(elliptic.THETA_MIN, 2.0)  # the smallest double above THETA_MIN
 
 CALLS = {
     "build_s(0)": lambda th: approximants.build_s(0, th),
@@ -34,6 +39,9 @@ CALLS = {
     "error_bounds z6": lambda th: analysis.error_bounds(3, th, "z6"),
     "error_bounds z5": lambda th: analysis.error_bounds(1, th, "z5"),
     "zolotarev_number": lambda th: analysis.zolotarev_number(3, th),
+    "require_theta": elliptic.require_theta,
+    "phase_error_sign(3)": lambda th: analysis.phase_error_sign(approximants.build_s(3, 1.0), th, 64),
+    "phase_error_sqrt(2)": lambda th: analysis.phase_error_sqrt(approximants.build_r(2, 1.0), th, 64),
 }
 
 
@@ -66,3 +74,33 @@ def test_cli_build_exits_3(capsys, problem, degree):
     assert code == 3
     assert captured.out == ""
     assert "numeric domain error" in captured.err and "sin(theta) rounds to 1" in captured.err
+
+
+def test_the_bottom_band_bounds():
+    assert math.cos(FIRST_GOOD) < elliptic.ELL_MAX
+    assert math.cos(math.nextafter(FIRST_GOOD, 0.0)) == elliptic.ELL_MAX == math.cos(BOTTOM)
+    assert FIRST_GOOD - elliptic.THETA_MIN == pytest.approx(3.93e-13, rel=1e-3)
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_bottom_band_raises_one_precision_error(name):
+    # the message names the Theta the caller passed, not the modulus it rounds to
+    with pytest.raises(PrecisionError) as info:
+        CALLS[name](BOTTOM)
+    assert str(info.value) == f"theta={BOTTOM!r}: cos(theta) rounds to ELL_MAX in double precision"
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_first_good_theta_still_builds(name):
+    CALLS[name](FIRST_GOOD)
+
+
+@pytest.mark.parametrize(
+    "command", [["error", "--problem", "z6", "--degree", "3"], ["build", "--problem", "z5", "--degree", "2"]]
+)
+def test_cli_bottom_band_exits_3(capsys, command):
+    code = main([*command, "--theta", repr(BOTTOM)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert f"numeric domain error: theta={BOTTOM!r}: cos(theta) rounds to ELL_MAX" in captured.err
