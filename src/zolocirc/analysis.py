@@ -37,6 +37,7 @@ class PhaseErrorReport:
     extrema: tuple[tuple[float, float], ...]  # (angle, signed error), arc by arc
     arcs: tuple[int, ...]  # alternation count per arc
     grid_size: int
+    expected: int  # the count an optimum reaches on each arc: M + 1 at the effective degree M
 
 
 @dataclass(frozen=True)
@@ -217,8 +218,9 @@ def _phase_report(r: UnimodularRational, theta: float, grid_n: int, problem: str
     grid_n = require_degree(grid_n, 8 * (len(r.factors) + 1), "grid_n")
     red = solve_lambda(ell, effective, ell_comp)
     predicted = math.asin(red.lam_comp)  # arccos(lam), stable near lam = 1
-    amplitude, extrema, counts = _certified_measure(_arc_jobs(r, theta, problem), grid_n, effective + 1)
-    return PhaseErrorReport(amplitude, predicted, extrema, counts, grid_n)
+    expected = effective + 1
+    amplitude, extrema, counts = _certified_measure(_arc_jobs(r, theta, problem), grid_n, expected)
+    return PhaseErrorReport(amplitude, predicted, extrema, counts, grid_n, expected)
 
 
 def phase_error_sqrt(r: UnimodularRational, theta: float, grid_n: int) -> PhaseErrorReport:

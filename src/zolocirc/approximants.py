@@ -197,7 +197,7 @@ class ZolotarevFraction:
     Each object builds the table its F/G kernel reads once, in a private
     ``_kernel`` field left out of ``__eq__`` and ``repr``: (ell, lam, M,
     (cot2_even, cot2_odd) pairs, the trailing odd node of even m or None,
-    (dn2_odd, cot2_odd) pairs).
+    (dn2_odd, cot2_odd) pairs).  ``F`` alone reads the F part.
     """
 
     m: int
@@ -235,32 +235,32 @@ class ZolotarevFraction:
     def from_theta(cls, m: int, theta: float) -> "ZolotarevFraction":
         return cls.from_ell(m, *require_theta(theta))
 
+    def F(self, x):
+        """F_m(x) alone, at a float or an ndarray, for any real x (F is rational in x).
 
-def _F_kernel(table: tuple, x):
-    """(F_m(x), s^2) with s = x/ell, read from a ``ZolotarevFraction._kernel`` table.
-
-    F = lam (s/M) prod (1 + s^2 c_e)/(1 + s^2 c_o), with the trailing odd
-    node of even m dividing last.  Every ratio pairs the even node 2k with
-    the odd node 2k - 1 below it, so it lies in (c_e/c_o, 1] and the running
-    product stays finite at any degree.  The same arithmetic serves a float
-    and an ndarray: numpy's float64 + * / round as Python's do, so the two
-    agree bit for bit.
-    """
-    ell, lam, M, ratios, tail, _ = table
-    s = x / ell
-    s2 = s * s
-    f = lam * (s / M)
-    for ce, co in ratios:
-        f *= (1.0 + s2 * ce) / (1.0 + s2 * co)
-    if tail is not None:
-        f /= 1.0 + s2 * tail
-    return f, s2
+        F = lam (s/M) prod (1 + s^2 c_e)/(1 + s^2 c_o), s = x/ell, with the
+        trailing odd node of even m dividing last.  Every ratio pairs the even
+        node 2k with the odd node 2k - 1 below it, so it lies in (c_e/c_o, 1]
+        and the running product stays finite at any degree (until s^2
+        overflows, past |x| ~ 1e154 ell).  The same arithmetic serves a float
+        and an ndarray: numpy's float64 + * / round as Python's do, so the two
+        agree bit for bit.
+        """
+        ell, lam, M, ratios, tail, _ = self._kernel
+        s = x / ell
+        s2 = s * s
+        f = lam * (s / M)
+        for ce, co in ratios:
+            f *= (1.0 + s2 * ce) / (1.0 + s2 * co)
+        if tail is not None:
+            f /= 1.0 + s2 * tail
+        return f
 
 
 def eval_F_product(zf: ZolotarevFraction, x):
     """(F_m(x), G_m(x)) through the rational product identities, at a float or an ndarray.
 
-    F is a rational function of x and is defined for every real x.  G is
+    F is ``zf.F(x)``, rational in x and defined for every real x.  G is
     prod (1 - s^2 d)/(1 + s^2 c_o) over the odd nodes, s = x/ell; for odd m
     it carries a sqrt(1 - x^2) factor and therefore requires |x| <= 1
     (DomainError otherwise, for any point of an array).  A float gives
@@ -269,16 +269,15 @@ def eval_F_product(zf: ZolotarevFraction, x):
     odd = zf.m % 2
     if odd and not np.all(np.abs(x) <= 1.0):
         raise DomainError(f"odd-degree G needs |x| <= 1, got |x| = {float(np.max(np.abs(x)))!r}")
-    F, s2 = _F_kernel(zf._kernel, x)
-    if zf.m == 0:
-        return F, 1.0 + 0.0 * s2
-    G = 1.0
+    s = x / zf.modulus.ell
+    s2 = s * s
+    G = 1.0 + 0.0 * s2  # 1 in the shape of x; m = 0 has no odd node
     for d, co in zf._kernel[-1]:
         G *= (1.0 - s2 * d) / (1.0 + s2 * co)
     if odd:
         sqrt = np.sqrt if isinstance(x, np.ndarray) else math.sqrt
         G *= sqrt((1.0 - x) * (1.0 + x))
-    return F, G
+    return zf.F(x), G
 
 
 def eval_F_direct(zf: ZolotarevFraction, x: float) -> tuple[float, float]:
@@ -316,7 +315,7 @@ class Z4Approximant:
     deviation: float  # max |approx - sign| on [-1,-ell] u [ell,1] = (1-lam)/(1+lam)
 
     def __call__(self, x):
-        return self.scale * _F_kernel(self.fraction._kernel, x)[0]
+        return self.scale * self.fraction.F(x)
 
 
 def z4_solution(m: int, ell: float) -> Z4Approximant:

@@ -47,8 +47,6 @@ def _fmt(value) -> str:
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, complex):
-        return _fmt([value.real, value.imag])
     if isinstance(value, str):
         return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
     if isinstance(value, dict):
@@ -158,7 +156,6 @@ def _cmd_error(args) -> int:
     _check_range("--grid", args.grid, max(64, 8 * (args.degree + 1)), SIZE_FLAG_MAX)
     build, phase_report, _ = analysis._problem_fns(args.problem)
     r = build(args.degree, args.theta)
-    expected = analysis.effective_degree(args.problem, args.degree) + 1
     report = phase_report(r, args.theta, args.grid)
     results = {
         "problem": args.problem,
@@ -167,12 +164,12 @@ def _cmd_error(args) -> int:
         "measured_max_error": report.max_error,
         "predicted_max_error": report.predicted,
         "alternation_counts": list(report.arcs),
-        "expected_per_arc": expected,
+        "expected_per_arc": report.expected,
         "grid_size": report.grid_size,
         "extrema": [[t, e] for t, e in report.extrema],
     }
     print(_envelope(args, results))
-    if any(c < expected for c in report.arcs):
+    if any(c < report.expected for c in report.arcs):
         return 4
     return 0
 

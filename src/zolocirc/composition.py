@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .approximants import ZolotarevFraction, _F_kernel, build_r, build_s
+from .approximants import ZolotarevFraction, build_r, build_s
 from .elliptic import require_degree, require_modulus, require_theta, solve_lambda
 from .errors import DomainError
 
@@ -87,7 +87,4 @@ def compose_F(m_tilde: int, m: int, ell: float, x):
     red = inner.reduction
     outer = ZolotarevFraction.from_ell(m_tilde, red.lam, red.lam_comp)
     direct = ZolotarevFraction.from_ell(m_tilde * m, ell)
-    y = _F_kernel(inner._kernel, x)[0]
-    left = _F_kernel(outer._kernel, y)[0]
-    right = _F_kernel(direct._kernel, x)[0]
-    return left, right
+    return outer.F(inner.F(x)), direct.F(x)

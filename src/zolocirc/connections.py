@@ -9,17 +9,11 @@ the sqrt approximant converges to coefficientwise as the arc shrinks.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
-from .approximants import (
-    Family,
-    UnimodularRational,
-    ZolotarevFraction,
-    build_s,
-    coeff_a,
-    eval_F_product,
-)
+from .approximants import Family, UnimodularRational, ZolotarevFraction, build_s, coeff_a
 from .elliptic import _mu_inverse_pair, _nome, _sncndn, complement, groetzsch_mu
 from .elliptic import require_degree, require_modulus, require_theta, solve_lambda
 from .errors import BranchError, DomainError, PrecisionError
@@ -83,6 +77,8 @@ def _moebius_image(m: int, ell: float, z: complex):
     require_modulus(ell)
     kappa = _kappa(ell)
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"z must be finite, got {z!r}")
     if abs(z + 1.0) < 1e-12:
         raise BranchError("z = -1 is the Moebius pole")
     return m, kappa, z, math.sqrt(kappa) * (z - 1.0) / (z + 1.0)
@@ -131,7 +127,7 @@ def scaled_F_via_blaschke(m: int, ell: float, z: complex) -> tuple[float, float]
         raise BranchError(f"Moebius image {x!r} is not real")
     lhs = _h_side(m, ell, z)
     zf = ZolotarevFraction.from_ell(m, kappa)
-    rhs = 2.0 / (1.0 + zf.reduction.lam) * eval_F_product(zf, x.real)[0]
+    rhs = 2.0 / (1.0 + zf.reduction.lam) * zf.F(x.real)
     return lhs, rhs
 
 

@@ -67,7 +67,7 @@ def oracle_amplitude(u: float, ell: float) -> OracleResult:
     if not 0.0 <= ell <= 1.0 - 1e-6:
         raise DomainError(f"oracle_amplitude requires 0 <= ell <= 1 - 1e-6, got {ell!r}")
     K = oracle_K(ell).value
-    if abs(u) > 2.0 * K + 1e-9:
+    if not abs(u) <= 2.0 * K + 1e-9:  # written so that a NaN u is refused too
         raise DomainError(f"|u| must not exceed 2K = {2 * K!r}, got {u!r}")
     if u == 0.0:
         return OracleResult(0.0, 0.0, 0)
@@ -93,6 +93,10 @@ def oracle_sn(u: float, ell: float) -> OracleResult:
 # this size stay resident.  Larger blocks scan slightly faster but raise
 # the peak RSS of a selftest sweep.
 _BLOCK_CELLS = 1 << 14
+# The minimax search: SCAN_SIZE log-spaced candidates a over SCAN_RANGE, then
+# SCAN_SIZE linear ones in the zoom around the coarse minimum.
+SCAN_RANGE = (1e-4, 1e6)
+SCAN_SIZE = 10_000
 
 
 def _scan_max_phase_errors(a: np.ndarray, theta: float, samples: int) -> np.ndarray:
@@ -147,25 +151,23 @@ def degree1_max_phase_error(a: float, theta: float, samples: int = 8192) -> floa
     return float(_scan_max_phase_errors(np.array([a], dtype=float), theta, samples)[0])
 
 
-def degree1_error_curve(theta: float, search_grid: int = 10_000):
-    """The coarse scan (a values, max errors): 2048 samples per log-spaced a."""
-    grid = np.exp(np.linspace(math.log(1e-4), math.log(1e6), search_grid))
+def degree1_error_curve(theta: float, search_grid: int = SCAN_SIZE):
+    """The coarse scan (a values, max errors): 2048 samples per log-spaced a over SCAN_RANGE."""
+    grid = np.exp(np.linspace(math.log(SCAN_RANGE[0]), math.log(SCAN_RANGE[1]), search_grid))
     return grid, _scan_max_phase_errors(grid, theta, 2048)
 
 
-def oracle_minimax_degree1(theta: float, search_grid: int = 10_000) -> float:
+def oracle_minimax_degree1(theta: float) -> float:
     """Brute-force argmin over a > 0 of the degree-1 sqrt phase error.
 
-    A log-spaced scan over [1e-4, 1e6] followed by a linear zoom around
+    A log-spaced scan over SCAN_RANGE followed by a linear zoom around
     the coarse minimum; returns the refined argmin.
     """
     if not 0.0 < theta < 0.5 * math.pi:
         raise DomainError(f"theta must lie in (0, pi/2), got {theta!r}")
-    if search_grid < 10_000:
-        raise DomainError(f"search_grid must be at least 10^4, got {search_grid!r}")
-    grid, errors = degree1_error_curve(theta, search_grid)
+    grid, errors = degree1_error_curve(theta)
     i = int(np.argmin(errors))
     lo = grid[max(i - 2, 0)]
-    hi = grid[min(i + 2, search_grid - 1)]
-    fine = np.linspace(lo, hi, search_grid)
+    hi = grid[min(i + 2, SCAN_SIZE - 1)]
+    fine = np.linspace(lo, hi, SCAN_SIZE)
     return float(fine[int(np.argmin(_scan_max_phase_errors(fine, theta, 8192)))])

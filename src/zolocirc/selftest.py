@@ -25,8 +25,13 @@ from . import analysis, approximants, composition, connections, elliptic, oracle
 THETA_SWEEP = (0.5, 1.0, 1.4, 0.5 * math.pi - 0.1)
 M_SWEEP = tuple(range(1, 9))
 N_SWEEP = tuple(range(0, 5))
-# (problem, degree letter, degree): the z6 sweep, then the z5 sweep
-_SWEEP = tuple(("z6", "m", m) for m in M_SWEEP) + tuple(("z5", "n", n) for n in N_SWEEP)
+# (theta, problem, degree letter, degree): at each Theta the z6 sweep, then the z5 sweep
+_SWEEP = tuple(
+    (theta, problem, letter, degree)
+    for theta in THETA_SWEEP
+    for problem, letter, degrees in (("z6", "m", M_SWEEP), ("z5", "n", N_SWEEP))
+    for degree in degrees
+)
 _BOUND_SLACK = 1e-12
 
 
@@ -38,11 +43,10 @@ def criterion_1():
     """Measured max phase error equals arccos(lambda) to 1e-9, within 5 s."""
     t0 = time.perf_counter()
     worst = 0.0
-    for theta in THETA_SWEEP:
-        for problem, _, degree in _SWEEP:
-            build, report, _ = analysis._problem_fns(problem)
-            rep = report(build(degree, theta), theta, _grid_for(problem, degree))
-            worst = max(worst, abs(rep.max_error - rep.predicted))
+    for theta, problem, _, degree in _SWEEP:
+        build, report, _ = analysis._problem_fns(problem)
+        rep = report(build(degree, theta), theta, _grid_for(problem, degree))
+        worst = max(worst, abs(rep.max_error - rep.predicted))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-9 and elapsed <= 5.0
     return ("optimal-error identity", ok, f"worst |measured-predicted| = {worst:.3e}, {elapsed:.2f} s")
@@ -51,22 +55,20 @@ def criterion_1():
 def criterion_2():
     """Alternation counts M+1 per arc at the effective degree M, endpoints attained, grid-stable."""
     bad = []
-    for theta in THETA_SWEEP:
-        for problem, letter, degree in _SWEEP:
-            build, report, _ = analysis._problem_fns(problem)
-            r = build(degree, theta)
-            rep = report(r, theta, _grid_for(problem, degree))
-            rep2 = report(r, theta, 2 * _grid_for(problem, degree))
-            label = f"{problem} {letter}={degree} theta={theta:.3f}"
-            arcs = analysis._arc_jobs(r, theta, problem)
-            expected = (analysis.effective_degree(problem, degree) + 1,) * len(arcs)
-            if rep.arcs != expected or rep2.arcs != rep.arcs:
-                bad.append(f"{label}: {rep.arcs}/{rep2.arcs}")
-                continue
-            angles = [x for x, _ in rep.extrema]
-            ends = [e for _, lo, hi in arcs for e in (lo, hi)]
-            if any(min(abs(a - e) for a in angles) > 1e-8 for e in ends):
-                bad.append(f"{label}: endpoint not attained")
+    for theta, problem, letter, degree in _SWEEP:
+        build, report, _ = analysis._problem_fns(problem)
+        r = build(degree, theta)
+        rep = report(r, theta, _grid_for(problem, degree))
+        rep2 = report(r, theta, 2 * _grid_for(problem, degree))
+        label = f"{problem} {letter}={degree} theta={theta:.3f}"
+        arcs = analysis._arc_jobs(r, theta, problem)
+        if rep.arcs != (rep.expected,) * len(arcs) or rep2.arcs != rep.arcs:
+            bad.append(f"{label}: {rep.arcs}/{rep2.arcs}")
+            continue
+        angles = [x for x, _ in rep.extrema]
+        ends = [e for _, lo, hi in arcs for e in (lo, hi)]
+        if any(min(abs(a - e) for a in angles) > 1e-8 for e in ends):
+            bad.append(f"{label}: endpoint not attained")
     return ("equioscillation certificate", not bad, "; ".join(bad) if bad else "all counts exact and stable")
 
 
@@ -74,15 +76,14 @@ def criterion_3():
     """Decay bounds sit above the predicted error arccos(lambda); the Z-number chain closes."""
     bad = []
     worst_chain = 0.0
-    for theta in THETA_SWEEP:
-        for problem, letter, degree in _SWEEP:
-            predicted = composition.theta_tilde(analysis.effective_degree(problem, degree), theta)
-            b_rho, b_sec = analysis.error_bounds(degree, theta, problem)
-            if not (predicted <= b_rho + _BOUND_SLACK and b_rho <= b_sec * (1.0 + 1e-15)):
-                bad.append(f"{problem} {letter}={degree} theta={theta:.3f}")
-            if problem == "z6":
-                chain = abs(analysis.phase_error_from_Z(analysis.zolotarev_number(degree, theta)) - predicted)
-                worst_chain = max(worst_chain, chain)
+    for theta, problem, letter, degree in _SWEEP:
+        predicted = composition.theta_tilde(analysis.effective_degree(problem, degree), theta)
+        b_rho, b_sec = analysis.error_bounds(degree, theta, problem)
+        if not (predicted <= b_rho + _BOUND_SLACK and b_rho <= b_sec * (1.0 + 1e-15)):
+            bad.append(f"{problem} {letter}={degree} theta={theta:.3f}")
+        if problem == "z6":
+            chain = abs(analysis.phase_error_from_Z(analysis.zolotarev_number(degree, theta)) - predicted)
+            worst_chain = max(worst_chain, chain)
     ok = not bad and worst_chain <= 1e-10
     detail = f"worst Z-chain deviation = {worst_chain:.3e}" + ("; " + "; ".join(bad) if bad else "")
     return ("error-bound ordering", ok, detail)
@@ -209,9 +210,10 @@ def criterion_8():
                 abs(dn - math.sqrt(1.0 - (ell * math.sin(phi)) ** 2)),
             )
     theta = 1.0
-    a_star = oracle.oracle_minimax_degree1(theta, 10_000)
+    a_star = oracle.oracle_minimax_degree1(theta)
     a_ref = approximants.coeff_a(1, 1, theta)
-    cell = (math.log(1e6) - math.log(1e-4)) / (10_000 - 1)
+    lo, hi = oracle.SCAN_RANGE
+    cell = (math.log(hi) - math.log(lo)) / (oracle.SCAN_SIZE - 1)  # one step of the coarse scan
     log_gap = abs(math.log(a_star) - math.log(a_ref))
     predicted = composition.theta_tilde(analysis.effective_degree("z5", 1), theta)
     err_gap = abs(oracle.degree1_max_phase_error(a_star, theta, 16384) - predicted)

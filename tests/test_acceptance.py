@@ -143,10 +143,3 @@ class TestFaultInjection:
         bad = analysis.phase_error_sqrt(tampered, theta, 256)
         assert abs(good.max_error - good.predicted) <= 1e-9
         assert abs(bad.max_error - bad.predicted) > 1e-9
-
-    def test_runtime_of_first_criterion(self):
-        t0 = time.perf_counter()
-        name, ok, detail = selftest.criterion_1()
-        elapsed = time.perf_counter() - t0
-        assert ok, detail
-        assert elapsed <= 5.0

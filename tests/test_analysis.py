@@ -72,6 +72,28 @@ class TestPhaseErrorSign:
         assert a.arcs == b.arcs == (m + 1, m + 1)
 
 
+class TestExpectedCount:
+    """A report carries the count an optimum reaches per arc: M + 1 at the effective degree M."""
+
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_sqrt_expects_2n_plus_2(self, n):
+        assert an.phase_error_sqrt(ap.build_r(n, 1.0), 1.0, 128).expected == 2 * n + 2
+
+    @pytest.mark.parametrize("m", [0, 1, 4])
+    def test_sign_expects_m_plus_1(self, m):
+        assert an.phase_error_sign(ap.build_s(m, 1.0), 1.0, 128).expected == m + 1
+
+    def test_a_tampered_factor_keeps_the_count_it_falls_short_of(self):
+        for build, report, degree, expected in ((ap.build_r, an.phase_error_sqrt, 3, 8),
+                                                (ap.build_s, an.phase_error_sign, 4, 5)):
+            r = build(degree, 1.0)
+            params = list(r.factors)
+            params[0] *= 1.2
+            rep = report(ap.UnimodularRational(r.z_power, r.quarter_turns, tuple(params), r.family), 1.0, 256)
+            assert rep.expected == expected
+            assert any(c < rep.expected for c in rep.arcs)
+
+
 class TestMaxPhaseError:
     def test_agrees_with_report(self):
         s = ap.build_s(3, 1.0)

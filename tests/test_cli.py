@@ -335,7 +335,7 @@ class TestFmt:
             (False, "false"),
             (1, "1"),
             (None, "null"),
-            (complex(1.0, -0.0), "[1, 0]"),
+            (1e300, "1.0000000000000001e+300"),
             (((1, 2.5), (), [np.int32(3)]), "[[1, 2.5], [], [3]]"),
             ('a"b\\c', '"a\\"b\\\\c"'),
             ({"k": (None, False), 2: "v"}, '{"k": [null, false], "2": "v"}'),

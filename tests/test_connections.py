@@ -124,6 +124,19 @@ class TestBlaschkeSignRelation:
         with pytest.raises(BranchError):
             cn.blaschke_s_relation(2, 0.25, -1.0)
 
+    @pytest.mark.parametrize("m", [3, 5])
+    def test_F_form_at_odd_degree_past_the_unit_interval(self, m):
+        # x = sqrt(kappa)(z - 1)/(z + 1) = -1.33 at z = -0.6: F is rational there at either parity
+        lhs, rhs = cn.scaled_F_via_blaschke(m, 0.25, -0.6)
+        assert abs(lhs - rhs) <= 1e-14
+
+    @pytest.mark.parametrize("relation", [cn.blaschke_s_relation, cn.scaled_F_via_blaschke])
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("z", [math.nan, complex(0.1, math.nan), math.inf])
+    def test_non_finite_z_is_a_domain_error(self, relation, m, z):
+        with pytest.raises(DomainError, match="z must be finite"):
+            relation(m, 0.25, z)
+
 
 def exact_denominator(n, z):
     """sum_j C(2n+1, 2j+1) z^j, the unnormalized Pade denominator, in exact arithmetic."""

@@ -165,6 +165,21 @@ class TestHighDegreeFinite:
         assert ap.z4_solution(3000, 0.5)(0.7) == pytest.approx(1.0, abs=1e-14)
 
 
+class TestFAlone:
+    @pytest.mark.parametrize("m", DEGREES)
+    def test_is_the_F_of_the_product_pair(self, m):
+        zf = ap.ZolotarevFraction.from_ell(m, ELL)
+        xs = line_grid(ELL)
+        assert np.array_equal(bits(zf.F(xs)), bits(ap.eval_F_product(zf, xs)[0]))
+        assert_bitwise([zf.F(x) for x in xs.tolist()], zf.F(xs))
+
+    @pytest.mark.parametrize("m", [3, 4])
+    @pytest.mark.parametrize("x", [1.5, -3.0])
+    def test_any_real_x_at_either_parity(self, m, x):
+        zf = ap.ZolotarevFraction.from_ell(m, 0.5)
+        assert zf.F(x) == pytest.approx(mp_F(zf, x), abs=(m + 4) * EPS)
+
+
 class TestZ4BeyondOne:
     @pytest.mark.parametrize("m", [3, 4])
     @pytest.mark.parametrize("x", [1.5, -1.5])
