@@ -7,7 +7,7 @@ arrays alike) for both problems and both arcs.  Each arc's grid is one
 array call that only brackets the extrema of the signed error; golden
 refinement on the scalar path computes every reported value.  The extrema
 of the optimal approximants alternate in sign at the common amplitude
-arccos(lam), predicted from the degree reduction at ``effective_degree``:
+arccos(lam), ``theta_tilde`` of the degree reduction at ``effective_degree``:
 the sqrt problem at degree n is the sign problem at 2n + 1.
 """
 
@@ -70,6 +70,20 @@ def _phase_error(r: UnimodularRational, offset: float, half_t: float):
         return x + _TWO_PI if x <= -math.pi else x
 
     return err
+
+
+def theta_tilde(m: int, theta: float) -> float:
+    """The optimal phase error arccos(lam) at degree m, read as asin(lam') (stable near lam = 1).
+
+    It is also |arg s_m(e^{i Theta})|, the arc half-width an outer
+    approximant sees under composition; the closed chain spares downstream
+    constructions the endpoint arg roundoff (the two agree in tests).  It
+    equals theta at m = 1 (the identity map) and is smaller for m >= 2.
+    """
+    m = require_degree(m, 0)
+    ell, ell_comp = require_theta(theta)
+    red = solve_lambda(ell, m, ell_comp)  # m = 0: lam' = 1, asin(1.0) is pi/2 (s_0 = i)
+    return math.asin(min(1.0, red.lam_comp))
 
 
 def effective_degree(problem: str, degree: int) -> int:
@@ -192,7 +206,7 @@ def _measure(arc_jobs, grid_n: int):
 
 
 def _certified_measure(arc_jobs, grid_n: int, expected: int):
-    """Measure, re-measuring on a doubled grid if the count falls short.
+    """(amplitude, extrema, counts, grid size) measured on grid_n or, if a count falls short, on 2 grid_n.
 
     A doubled grid that reaches the expected count certifies the original
     grid as merely marginal; a doubled grid that still falls short is
@@ -207,20 +221,18 @@ def _certified_measure(arc_jobs, grid_n: int, expected: int):
                 f"alternation count not grid-stable: {counts} vs {counts2} "
                 f"(expected {expected} per arc)"
             )
-        amplitude, extrema, counts = amp2, ext2, counts2
-    return amplitude, extrema, counts
+        return amp2, ext2, counts2, 2 * grid_n
+    return amplitude, extrema, counts, grid_n
 
 
 def _phase_report(r: UnimodularRational, theta: float, grid_n: int, problem: str) -> PhaseErrorReport:
     """Report on the arcs of ``problem``: arccos(lam), M + 1 extrema per arc at the effective degree M."""
-    ell, ell_comp = require_theta(theta)
+    require_theta(theta)
     effective = effective_degree(problem, len(r.factors))
     grid_n = require_degree(grid_n, 8 * (len(r.factors) + 1), "grid_n")
-    red = solve_lambda(ell, effective, ell_comp)
-    predicted = math.asin(red.lam_comp)  # arccos(lam), stable near lam = 1
     expected = effective + 1
-    amplitude, extrema, counts = _certified_measure(_arc_jobs(r, theta, problem), grid_n, expected)
-    return PhaseErrorReport(amplitude, predicted, extrema, counts, grid_n, expected)
+    amplitude, extrema, counts, grid_size = _certified_measure(_arc_jobs(r, theta, problem), grid_n, expected)
+    return PhaseErrorReport(amplitude, theta_tilde(effective, theta), extrema, counts, grid_size, expected)
 
 
 def phase_error_sqrt(r: UnimodularRational, theta: float, grid_n: int) -> PhaseErrorReport:

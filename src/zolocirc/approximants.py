@@ -290,8 +290,6 @@ def eval_F_direct(zf: ZolotarevFraction, x: float) -> tuple[float, float]:
     """
     if not abs(x) <= 1.0:
         raise DomainError(f"eval_F_direct requires |x| <= 1, got {x!r}")
-    if zf.m == 0:
-        return 0.0, 1.0
     red = zf.reduction
     if abs(x) <= zf.modulus.ell:
         u = inverse_sn(x / zf.modulus.ell, zf.modulus.ell)

@@ -107,7 +107,8 @@ def _cmd_build(args) -> int:
         ell, ell_comp = require_theta(args.theta)
         build = analysis._problem_fns(args.problem)[0]
         r = build(args.degree, args.theta)
-        red = solve_lambda(ell, analysis.effective_degree(args.problem, args.degree), ell_comp)
+        effective = analysis.effective_degree(args.problem, args.degree)
+        red = solve_lambda(ell, effective, ell_comp)
         results = {
             "problem": args.problem,
             "degree": args.degree,
@@ -115,7 +116,7 @@ def _cmd_build(args) -> int:
             "ell": ell,
             "lambda": red.lam,
             "lambda_comp": red.lam_comp,
-            "predicted_max_error": math.asin(min(1.0, red.lam_comp)),
+            "predicted_max_error": analysis.theta_tilde(effective, args.theta),
         }
         results.update(_rational_payload(r))
     else:  # z4 takes --ell
@@ -139,9 +140,10 @@ def _cmd_build(args) -> int:
             "quarter_turns": 0,
             # per-factor constants of the product form (1 + (x/ell)^2 c):
             # odd nodes carry the pole factors, even nodes the zero factors,
-            # so the zeros/poles sit at +-i ell/sqrt(c)
+            # so the zeros/poles sit at +-i ell/sqrt(c), after F_m's zero at 0
             "factors": list(zf.cot2_odd),
-            "zeros": [[0.0, s * args.ell / math.sqrt(c)] for c in zf.cot2_even for s in (1.0, -1.0)],
+            "zeros": [[0.0, 0.0]]
+            + [[0.0, s * args.ell / math.sqrt(c)] for c in zf.cot2_even for s in (1.0, -1.0)],
             "poles": [[0.0, s * args.ell / math.sqrt(c)] for c in zf.cot2_odd for s in (1.0, -1.0)],
             "exact_type": [2 * ((m - 1) // 2) + 1, 2 * (m // 2)],
         }

@@ -9,29 +9,12 @@ here evaluates both sides of its law so callers can check the residual.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
+from .analysis import theta_tilde
 from .approximants import ZolotarevFraction, build_r, build_s
-from .elliptic import require_degree, require_modulus, require_theta, solve_lambda
+from .elliptic import require_degree, require_modulus
 from .errors import DomainError
-
-
-def theta_tilde(m: int, theta: float) -> float:
-    """Arc half-width seen by an outer approximant: |arg s_m(e^{i Theta})|.
-
-    Produced through the closed chain arccos(lam(m, cos Theta)) rather
-    than by evaluating the product at the arc endpoint, so downstream
-    constructions do not inherit endpoint arg roundoff; evaluating the
-    product there agrees to the stated tolerance (checked in tests).  It
-    equals theta exactly at m = 1 (the identity map) and is strictly
-    smaller for m >= 2.
-    """
-    m = require_degree(m, 0)
-    ell, ell_comp = require_theta(theta)
-    red = solve_lambda(ell, m, ell_comp)  # m = 0: lam' = 1, asin(1.0) is pi/2 (s_0 = i)
-    return math.asin(min(1.0, red.lam_comp))
 
 
 def _compose_law(build, m_tilde: int, m: int, theta: float, z):

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; the CLI `zolocirc selftest` executes the same criteria 1-8 sweep.
 """
 
+import dataclasses
 import math
 import subprocess
 import sys
@@ -143,3 +144,37 @@ class TestFaultInjection:
         bad = analysis.phase_error_sqrt(tampered, theta, 256)
         assert abs(good.max_error - good.predicted) <= 1e-9
         assert abs(bad.max_error - bad.predicted) > 1e-9
+
+    def test_criterion_2_reports_a_deficient_count(self, monkeypatch):
+        build_s = approximants.build_s
+
+        def tampered_s6(m, theta):
+            s = build_s(m, theta)
+            if m != 6 or theta != 1.0:
+                return s
+            return UnimodularRational(s.z_power, s.quarter_turns, (1.05 * s.factors[0],) + s.factors[1:], s.family)
+
+        monkeypatch.setattr(approximants, "build_s", tampered_s6)
+        _, ok, detail = selftest.criterion_2()
+        assert not ok
+        assert detail == "z6 m=6 theta=1.000: (1, 1)/(1, 1)"
+
+    def test_criterion_2_reports_an_endpoint_not_attained(self, monkeypatch):
+        report = analysis.phase_error_sign
+
+        def halved_angles(s, theta, grid_n):
+            rep = report(s, theta, grid_n)
+            return dataclasses.replace(rep, extrema=tuple((0.5 * t, e) for t, e in rep.extrema))
+
+        monkeypatch.setattr(analysis, "phase_error_sign", halved_angles)
+        _, ok, detail = selftest.criterion_2()
+        assert not ok
+        labels = detail.split("; ")
+        assert len(labels) == len(selftest.THETA_SWEEP) * len(selftest.M_SWEEP)
+        assert all(label.startswith("z6 ") and label.endswith(": endpoint not attained") for label in labels)
+
+    def test_criterion_3_reports_a_bound_below_the_error(self, monkeypatch):
+        monkeypatch.setattr(analysis, "error_bounds", lambda degree, theta, problem: (0.0, 0.0))
+        _, ok, detail = selftest.criterion_3()
+        assert not ok
+        assert detail.count("theta=") == len(selftest._SWEEP)

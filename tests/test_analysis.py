@@ -129,6 +129,24 @@ class TestGridValidation:
         assert type(an.phase_error_sign(s, 1.0, np.int64(256)).grid_size) is int
 
 
+def tampered(r, first):
+    """r with its first factor replaced by first(factor)."""
+    return ap.UnimodularRational(r.z_power, r.quarter_turns, (first(r.factors[0]),) + r.factors[1:], r.family)
+
+
+class TestReportedGrid:
+    """grid_size is the grid the counts came from: a short count is measured again on the doubled grid."""
+
+    @pytest.mark.parametrize("report, r", [
+        (an.phase_error_sign, tampered(ap.build_s(6, 1.0), lambda a: 1.05 * a)),
+        (an.phase_error_sqrt, tampered(ap.build_r(3, 1.0), lambda a: a + 1e-3)),
+    ])
+    def test_deficient_count_reports_the_doubled_grid(self, report, r):
+        rep = report(r, 1.0, 256)
+        assert all(c < rep.expected for c in rep.arcs)
+        assert rep.grid_size == 512
+
+
 class TestZolotarevNumber:
     def test_degree_zero_product_form(self):
         assert an.zolotarev_number(0, 1.0) == 4.0
@@ -165,6 +183,8 @@ class TestLambdaFromZ:
     def test_domain(self):
         with pytest.raises(DomainError):
             an.lambda_from_Z(1.0)
+        with pytest.raises(DomainError, match="phase_error_from_Z requires 0 <= Z < 1"):
+            an.phase_error_from_Z(1.0)
 
     @pytest.mark.parametrize("m,theta", [(8, 0.5), (5, 1.0), (2, 1.4)])
     def test_stable_angle_form(self, m, theta):
@@ -293,6 +313,11 @@ class TestContourGrid:
     )
     def test_window_must_be_four_finite_reals(self, window):
         with pytest.raises(DomainError, match="window"):
+            an.contour_grid(ap.build_r(1, 1.0), "sqrt", window, 16)
+
+    @pytest.mark.parametrize("window", [(1, -1, -1, 1), (-1, 1, 0, 0)])
+    def test_degenerate_window(self, window):
+        with pytest.raises(DomainError, match="degenerate window"):
             an.contour_grid(ap.build_r(1, 1.0), "sqrt", window, 16)
 
     def test_window_accepts_numpy_reals(self):

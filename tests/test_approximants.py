@@ -183,6 +183,12 @@ class TestReciprocal:
         z = cmath.exp(1.1j)
         assert abs(r(z) * inv(z) - 1.0) <= 1e-13
 
+    def test_h_family_is_refused(self):
+        from zolocirc.connections import blaschke_h
+
+        with pytest.raises(DomainError, match="H-family"):
+            blaschke_h(3, 0.25).as_rational().reciprocal()
+
 
 class TestEval:
     def test_pole_reports_factor_index(self):

@@ -73,6 +73,28 @@ class TestBuild:
         assert mags == pytest.approx([expected, expected], rel=1e-12)
         assert all(p[0] == 0 for p in res["poles"])
 
+    @pytest.mark.parametrize("argv", [
+        ["--problem", "z4", "--degree", str(m), "--ell", "0.5"] for m in range(1, 7)
+    ] + [
+        ["--problem", problem, "--degree", str(degree), "--theta", "1.0"]
+        for problem in ("z5", "z6") for degree in (0, 1, 2, 3, 6)
+    ])
+    def test_zeros_and_poles_match_the_exact_type(self, capsys, argv):
+        # z4 lists F_m's zero at the origin first, as z5/z6 do theirs
+        res = run_json(capsys, "build", *argv)["results"]
+        assert [len(res["zeros"]), len(res["poles"])] == res["exact_type"]
+        if argv[1] == "z4":
+            assert res["zeros"][0] == [0, 0]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--degree", "3"], "--ell is required for z4"),
+        (["--degree", "0", "--ell", "0.5"], "z4 needs --degree >= 1"),
+    ])
+    def test_z4_usage_errors(self, capsys, argv, message):
+        code, out, err = run(capsys, "build", "--problem", "z4", *argv)
+        assert (code, out) == (2, "")
+        assert message in err
+
     def test_missing_theta_is_usage_error(self, capsys):
         code, _, err = run(capsys, "build", "--problem", "z5", "--degree", "2")
         assert code == 2
@@ -127,6 +149,22 @@ class TestError:
         code, _, _ = run(capsys, "error", "--problem", "z6", "--degree", "2", "--theta", "1.0",
                          "--grid", "32")
         assert code == 2
+
+    def test_deficient_count_exits_4_after_the_report(self, capsys, monkeypatch):
+        s = ap.build_s(6, 1.0)
+        tampered = ap.UnimodularRational(s.z_power, s.quarter_turns, (1.05 * s.factors[0],) + s.factors[1:], s.family)
+        monkeypatch.setattr(ap, "build_s", lambda m, theta: tampered)
+        code, out, _ = run(capsys, "error", "--problem", "z6", "--degree", "6", "--theta", "1.0", "--grid", "256")
+        res = json.loads(out)["results"]
+        assert code == 4
+        assert res["alternation_counts"] == [1, 1] and res["expected_per_arc"] == 7
+        assert res["grid_size"] == 512  # both grids fell short, with the same counts
+
+    def test_count_that_is_not_grid_stable_exits_4_without_a_report(self, capsys, monkeypatch):
+        monkeypatch.setattr(an, "_measure", lambda jobs, grid_n: (1.0, (), (1, 1) if grid_n == 512 else (2, 2)))
+        code, out, err = run(capsys, "error", "--problem", "z6", "--degree", "2", "--theta", "1.0")
+        assert (code, out) == (4, "")
+        assert "not grid-stable: (1, 1) vs (2, 2)" in err
 
     @pytest.mark.parametrize("problem", ["z5", "z6"])
     def test_grid_floor_is_inclusive(self, capsys, problem):
@@ -233,6 +271,13 @@ class TestCompose:
                        "--theta", theta, "--samples", "200")
         assert doc["results"]["passed"] is True
 
+    @pytest.mark.parametrize("degrees", [("0", "2"), ("2", "0")])
+    def test_degree_zero_is_usage_error(self, capsys, degrees):
+        code, out, err = run(capsys, "compose", "--degree", degrees[0], "--degree-tilde", degrees[1],
+                             "--theta", "1.0")
+        assert (code, out) == (2, "")
+        assert "compose needs positive --degree and --degree-tilde" in err
+
     def test_identity_case_tiny_residual(self, capsys):
         doc = run_json(capsys, "compose", "--degree", "4", "--degree-tilde", "1",
                        "--theta", "0.8", "--samples", "100")
@@ -284,6 +329,13 @@ class TestContour:
                          "--theta", "1.0", "--window=1,2,3",
                          "--resolution", "16", "--out", "/tmp/x.csv")
         assert code == 2
+
+    def test_non_numeric_window(self, capsys, tmp_path):
+        out_file = tmp_path / "x.csv"
+        code, out, err = run(capsys, "contour", "--problem", "z5", "--degree", "1", "--theta", "1.0",
+                             "--window=a,b,c,d", "--resolution", "16", "--out", str(out_file))
+        assert (code, out) == (2, "") and "--window must be four comma-separated reals" in err
+        assert not out_file.exists()
 
     @pytest.mark.parametrize("window", ["-inf,2,-2,2", "-2,2,-2,nan"])
     def test_non_finite_window(self, capsys, tmp_path, window):

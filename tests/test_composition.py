@@ -15,6 +15,9 @@ NEAR_RIGHT_ANGLE = 0.5 * math.pi - 0.01
 
 
 class TestThetaTilde:
+    def test_is_the_optimal_error_of_analysis(self):
+        assert co.theta_tilde is an.theta_tilde
+
     def test_identity_degree(self):
         assert co.theta_tilde(1, 1.2) == pytest.approx(1.2, abs=1e-15)
 

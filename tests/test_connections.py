@@ -123,6 +123,8 @@ class TestBlaschkeSignRelation:
             cn.blaschke_s_relation(2, 0.25, 1j)
         with pytest.raises(BranchError):
             cn.blaschke_s_relation(2, 0.25, -1.0)
+        with pytest.raises(BranchError, match="is not real"):
+            cn.scaled_F_via_blaschke(2, 0.25, 1j)
 
     @pytest.mark.parametrize("m", [3, 5])
     def test_F_form_at_odd_degree_past_the_unit_interval(self, m):

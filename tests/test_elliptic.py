@@ -95,6 +95,10 @@ class TestJacobi:
         with pytest.raises(DomainError, match="jacobi modulus"):
             el.jacobi_sncndn(0.5, 1.5)
 
+    def test_nan_argument(self):
+        with pytest.raises(DomainError, match="jacobi argument must be finite"):
+            el.jacobi_sncndn(math.nan, 0.5)
+
 
 class TestInverseSn:
     def test_zero(self):
@@ -118,6 +122,8 @@ class TestInverseSn:
     def test_domain(self):
         with pytest.raises(DomainError):
             el.inverse_sn(1.0001, 0.5)
+        with pytest.raises(DomainError, match="inverse_sn modulus"):
+            el.inverse_sn(0.5, 1.0)
 
 
 class TestGroetzsch:

@@ -180,6 +180,18 @@ class TestFAlone:
         assert zf.F(x) == pytest.approx(mp_F(zf, x), abs=(m + 4) * EPS)
 
 
+class TestDegreeZero:
+    def test_direct_is_the_product_bit_for_bit(self):
+        # F_0 = 0 carries the sign of x: -0.0 at every negative x
+        for ell in (0.05, 0.3, 0.9):
+            zf = ap.ZolotarevFraction.from_ell(0, ell)
+            xs = line_grid(ell).tolist()
+            direct = [ap.eval_F_direct(zf, x) for x in xs]
+            product = [ap.eval_F_product(zf, x) for x in xs]
+            assert np.array_equal(bits(direct), bits(product))
+            assert all(math.copysign(1.0, F) == math.copysign(1.0, x) for x, (F, _) in zip(xs, direct))
+
+
 class TestZ4BeyondOne:
     @pytest.mark.parametrize("m", [3, 4])
     @pytest.mark.parametrize("x", [1.5, -1.5])

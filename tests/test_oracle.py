@@ -38,6 +38,14 @@ class TestOracleSn:
     def test_zero(self):
         assert orc.oracle_sn(0.0, 0.5).value == 0.0
 
+    def test_zero_amplitude_takes_no_evaluations(self):
+        res = orc.oracle_amplitude(0.0, 0.5)
+        assert (res.value, res.evaluations) == (0.0, 0)
+
+    def test_modulus_range(self):
+        with pytest.raises(DomainError, match="oracle_amplitude requires"):
+            orc.oracle_amplitude(0.5, 1.0)
+
     @pytest.mark.parametrize("ell", [0.1, 0.5, 0.9])
     def test_quarter_period(self, ell):
         K = orc.oracle_K(ell).value
