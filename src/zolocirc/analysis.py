@@ -42,12 +42,11 @@ class PhaseErrorReport:
 
 @dataclass(frozen=True)
 class GridField:
-    """Rectangular grid of error magnitudes (poles carry +inf)."""
+    """Rectangular grid of error magnitudes (poles carry +inf) on the axes it was evaluated at."""
 
-    re_range: tuple[float, float]
-    im_range: tuple[float, float]
-    resolution: int
-    values: np.ndarray  # shape (resolution, resolution), rows follow im_range
+    re: np.ndarray  # the real parts, one per column
+    im: np.ndarray  # the imaginary parts, one per row
+    values: np.ndarray  # shape (len(im), len(re))
 
 
 def _phase_error(r: UnimodularRational, offset: float, half_t: float):
@@ -93,7 +92,7 @@ def effective_degree(problem: str, degree: int) -> int:
     share the optimal error arccos(lam), the alternation count 2n + 2 and
     the decay bounds of s_{2n+1}, so z5 maps n to 2n + 1; z6 keeps m.
     """
-    key = problem.lower()
+    key = problem.lower() if isinstance(problem, str) else problem
     if key == "z5":
         return 2 * degree + 1
     if key == "z6":
@@ -102,14 +101,14 @@ def effective_degree(problem: str, degree: int) -> int:
 
 
 def _problem_fns(problem: str):
-    """(builder, equioscillation report, contour target) of z5 or z6; DomainError otherwise.
+    """(builder, equioscillation report) of z5 or z6; DomainError otherwise.
 
     Read from the module attributes at each call, so that wrappers
     installed on them (a layer tracer) see the calls.
     """
     if effective_degree(problem, 0):  # z5 maps degree 0 to 1, z6 keeps 0
-        return approximants.build_r, phase_error_sqrt, "sqrt"
-    return approximants.build_s, phase_error_sign, "sign"
+        return approximants.build_r, phase_error_sqrt
+    return approximants.build_s, phase_error_sign
 
 
 def _arc_jobs(r: UnimodularRational, theta: float, problem: str):
@@ -317,15 +316,15 @@ def error_bounds(m_or_n: int, theta: float, problem: str) -> tuple[float, float]
 
 def contour_grid(
     r: UnimodularRational,
-    target: str,
+    problem: str,
     window: tuple[float, float, float, float],
     resolution: int,
 ) -> GridField:
     """|r(z) - target(z)| on a rectangular grid; pole cells become +inf.
 
-    target 'sqrt' uses the principal branch; 'sign' uses z/sqrt(z^2),
-    which is +-1 off the imaginary axis (the convention at Re z = 0
-    follows sign(Im z), and sign(0) = +1).
+    The target of z5 is sqrt on its principal branch; that of z6 is
+    z/sqrt(z^2), which is +-1 off the imaginary axis (the convention at
+    Re z = 0 follows sign(Im z), and sign(0) = +1).
     """
     resolution = require_degree(resolution, 16, "resolution", 4096)
     if len(window) != 4 or not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in window):
@@ -333,18 +332,17 @@ def contour_grid(
     re_min, re_max, im_min, im_max = window
     if not (re_min < re_max and im_min < im_max):
         raise DomainError(f"degenerate window {window!r}")
-    if target not in ("sqrt", "sign"):
-        raise DomainError(f"target must be 'sqrt' or 'sign', got {target!r}")
+    sqrt_target = effective_degree(problem, 0)  # z5 maps degree 0 to 1, z6 keeps 0
     res = np.linspace(re_min, re_max, resolution)
     ims = np.linspace(im_min, im_max, resolution)
     zz = res[None, :] + 1j * ims[:, None]
     vals = r(zz)
     with np.errstate(divide="ignore", invalid="ignore"):
-        if target == "sqrt":
+        if sqrt_target:
             goal = np.sqrt(zz)
         else:
             goal = zz / np.sqrt(zz * zz)
             goal[~np.isfinite(goal)] = 1.0  # only z = 0
         err = np.abs(vals - goal)
     err[~np.isfinite(err)] = np.inf
-    return GridField((re_min, re_max), (im_min, im_max), resolution, err)
+    return GridField(res, ims, err)

@@ -30,7 +30,6 @@ import numpy as np
 
 from .elliptic import (
     DegreeReduction,
-    EllipticModulus,
     _nome,
     _sncndn,
     inverse_sn,
@@ -200,8 +199,6 @@ class ZolotarevFraction:
     (dn2_odd, cot2_odd) pairs).  ``F`` alone reads the F part.
     """
 
-    m: int
-    modulus: EllipticModulus
     reduction: DegreeReduction
     cot2_even: tuple[float, ...]
     cot2_odd: tuple[float, ...]
@@ -212,7 +209,7 @@ class ZolotarevFraction:
         odd, even = self.cot2_odd, self.cot2_even
         tail = odd[-1] if len(odd) > len(even) else None
         table = (
-            self.modulus.ell,
+            self.reduction.modulus.ell,
             self.reduction.lam,
             self.reduction.M,
             tuple(zip(even, odd)),
@@ -229,11 +226,7 @@ class ZolotarevFraction:
         nodes = [_sncndn(k, m, modulus.ell_comp, modulus.ell, modulus.nome) for k in range(1, m)]
         cot2 = tuple((cn / sn) ** 2 for sn, cn, _ in nodes)
         dn2_odd = tuple(dn**2 for _, _, dn in nodes[::2])
-        return cls(m, modulus, reduction, cot2[1::2], cot2[::2], dn2_odd)
-
-    @classmethod
-    def from_theta(cls, m: int, theta: float) -> "ZolotarevFraction":
-        return cls.from_ell(m, *require_theta(theta))
+        return cls(reduction, cot2[1::2], cot2[::2], dn2_odd)
 
     def F(self, x):
         """F_m(x) alone, at a float or an ndarray, for any real x (F is rational in x).
@@ -266,10 +259,10 @@ def eval_F_product(zf: ZolotarevFraction, x):
     (DomainError otherwise, for any point of an array).  A float gives
     floats, an ndarray gives arrays, bitwise equal elementwise.
     """
-    odd = zf.m % 2
+    odd = zf.reduction.m % 2
     if odd and not np.all(np.abs(x) <= 1.0):
         raise DomainError(f"odd-degree G needs |x| <= 1, got |x| = {float(np.max(np.abs(x)))!r}")
-    s = x / zf.modulus.ell
+    s = x / zf.reduction.modulus.ell
     s2 = s * s
     G = 1.0 + 0.0 * s2  # 1 in the shape of x; m = 0 has no odd node
     for d, co in zf._kernel[-1]:
@@ -291,9 +284,10 @@ def eval_F_direct(zf: ZolotarevFraction, x: float) -> tuple[float, float]:
     if not abs(x) <= 1.0:
         raise DomainError(f"eval_F_direct requires |x| <= 1, got {x!r}")
     red = zf.reduction
-    if abs(x) <= zf.modulus.ell:
-        u = inverse_sn(x / zf.modulus.ell, zf.modulus.ell)
-        sn, _, dn = _sncndn(u, zf.modulus.K, red.lam, red.lam_comp, red.nome)
+    mod = red.modulus
+    if abs(x) <= mod.ell:
+        u = inverse_sn(x / mod.ell, mod.ell)
+        sn, _, dn = _sncndn(u, mod.K, red.lam, red.lam_comp, red.nome)
         return red.lam * sn, dn
     return eval_F_product(zf, x)
 
@@ -306,8 +300,6 @@ class Z4Approximant:
     (F is rational, so |x| > 1 is accepted at either parity).
     """
 
-    m: int
-    ell: float
     fraction: ZolotarevFraction
     scale: float
     deviation: float  # max |approx - sign| on [-1,-ell] u [ell,1] = (1-lam)/(1+lam)
@@ -323,7 +315,7 @@ def z4_solution(m: int, ell: float) -> Z4Approximant:
     one_plus = 1.0 + red.lam
     # (1 - lam)/(1 + lam) without cancellation: 1 - lam = lam'^2/(1 + lam)
     deviation = red.lam_comp**2 / (one_plus * one_plus)
-    return Z4Approximant(m, zf.modulus.ell, zf, 2.0 / one_plus, deviation)
+    return Z4Approximant(zf, 2.0 / one_plus, deviation)
 
 
 def eval_s_via_FG(m: int, theta: float, z):
@@ -335,7 +327,7 @@ def eval_s_via_FG(m: int, theta: float, z):
     m if any point is within 1e-12 of +-i, where only the factored form
     defines the value.
     """
-    zf = ZolotarevFraction.from_theta(m, theta)  # validates m and theta before the points
+    zf = ZolotarevFraction.from_ell(m, *require_theta(theta))  # validates theta and m before the points
     w = np.asarray(z, dtype=complex)
     off = np.abs(np.abs(w) - 1.0)
     if not np.all(off <= 1e-9):

@@ -7,7 +7,8 @@ the string "inf", which strict JSON cannot carry as a number), LF line
 endings.  Exit codes: 0 ok, 1 contour cannot write --out or a selftest
 criterion failed, 2 usage (a negative --degree, or a size or window flag
 out of range, included: each is checked before anything is built), 3 numeric
-domain, 4 equioscillation deficiency, 5 composition residual breach.
+domain (every --theta that elliptic.require_theta refuses among them), 4
+equioscillation deficiency, 5 composition residual breach.
 """
 
 from __future__ import annotations
@@ -20,10 +21,9 @@ import sys
 import numpy as np
 
 from . import __version__, analysis, approximants, composition, selftest
-from .elliptic import THETA_MAX, require_theta, solve_lambda
+from .elliptic import require_theta, solve_lambda
 from .errors import DomainError, ResolutionError
 
-THETA_FLAG_MIN = 1e-8
 COMPOSE_TOLERANCE = 1e-9
 SIZE_FLAG_MAX = 2**20  # --grid and --samples: far above any useful size, far below a memory error
 
@@ -68,11 +68,6 @@ def _envelope(args, results: dict) -> str:
     )
 
 
-def _check_theta_flag(theta: float) -> None:
-    if not (THETA_FLAG_MIN < theta < THETA_MAX):
-        raise _UsageError(f"--theta must lie in ({THETA_FLAG_MIN}, pi/2 - 1e-8), got {theta!r}")
-
-
 def _check_degree_flag(degree: int) -> None:
     if degree < 0:
         raise _UsageError(f"--degree must be >= 0, got {degree!r}")
@@ -102,7 +97,6 @@ def _cmd_build(args) -> int:
     if args.problem in ("z5", "z6"):
         if args.theta is None:
             raise _UsageError(f"--theta is required for {args.problem}")
-        _check_theta_flag(args.theta)
         _check_degree_flag(args.degree)
         ell, ell_comp = require_theta(args.theta)
         build = analysis._problem_fns(args.problem)[0]
@@ -152,11 +146,10 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_error(args) -> int:
-    _check_theta_flag(args.theta)
     _check_degree_flag(args.degree)
     # checked before the build: the phase report refuses fewer than 8 (degree + 1) points
     _check_range("--grid", args.grid, max(64, 8 * (args.degree + 1)), SIZE_FLAG_MAX)
-    build, phase_report, _ = analysis._problem_fns(args.problem)
+    build, phase_report = analysis._problem_fns(args.problem)
     r = build(args.degree, args.theta)
     report = phase_report(r, args.theta, args.grid)
     results = {
@@ -177,7 +170,6 @@ def _cmd_error(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    _check_theta_flag(args.theta)
     _check_range("--max-degree", args.max_degree, 0, 64)
     build = analysis._problem_fns(args.problem)[0]
     rows = []
@@ -215,7 +207,6 @@ def _compose_samples(count: int) -> np.ndarray:
 
 
 def _cmd_compose(args) -> int:
-    _check_theta_flag(args.theta)
     if args.degree < 1 or args.degree_tilde < 1:
         raise _UsageError("compose needs positive --degree and --degree-tilde")
     _check_range("--samples", args.samples, 1, SIZE_FLAG_MAX)
@@ -234,7 +225,6 @@ def _cmd_compose(args) -> int:
 
 
 def _cmd_contour(args) -> int:
-    _check_theta_flag(args.theta)
     _check_degree_flag(args.degree)
     try:
         parts = [float(v) for v in args.window.split(",")]
@@ -246,17 +236,15 @@ def _cmd_contour(args) -> int:
     if not (window[0] < window[1] and window[2] < window[3]):
         raise _UsageError(f"--window must have re_min < re_max and im_min < im_max, got {args.window!r}")
     _check_range("--resolution", args.resolution, 16, 4096)
-    build, _, target = analysis._problem_fns(args.problem)
-    grid = analysis.contour_grid(build(args.degree, args.theta), target, window, args.resolution)
-    res = np.linspace(window[0], window[1], args.resolution)
-    ims = np.linspace(window[2], window[3], args.resolution)
+    build = analysis._problem_fns(args.problem)[0]
+    grid = analysis.contour_grid(build(args.degree, args.theta), args.problem, window, args.resolution)
     # one row template per call, one % per row over its interleaved (im, value) cells
-    row_fmt = "".join(f"{format(x, '.17g')},%s,%.17g\n" for x in res.tolist())
+    row_fmt = "".join(f"{format(x, '.17g')},%s,%.17g\n" for x in grid.re.tolist())
     cells = [None, None] * args.resolution
     try:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("re,im,value\n")
-            for im, row in zip(ims.tolist(), grid.values):
+            for im, row in zip(grid.im.tolist(), grid.values):
                 cells[0::2] = [format(im, ".17g")] * args.resolution
                 cells[1::2] = row.tolist()
                 fh.write(row_fmt % tuple(cells))

@@ -13,23 +13,26 @@ import numpy as np
 
 from .analysis import theta_tilde
 from .approximants import ZolotarevFraction, build_r, build_s
-from .elliptic import require_degree, require_modulus
+from .elliptic import require_degree, require_modulus, require_theta
 from .errors import DomainError
 
 
-def _compose_law(build, m_tilde: int, m: int, theta: float, z):
-    """Both sides of build(m_tilde; Theta-tilde) o build(m; Theta) = build(m_tilde m; Theta) at z."""
-    tt = theta_tilde(m, theta)
-    inner = build(m, theta)
-    outer = build(m_tilde, tt)
-    direct = build(m_tilde * m, theta)
-    return outer(inner(z)), direct(z)
+def _law_factors(build, m_tilde: int, m: int, effective: int, product: int, theta: float):
+    """(inner, outer, direct) = build(m; Theta), build(m_tilde; Theta-tilde), build(product; Theta).
+
+    Theta-tilde = theta_tilde(effective, Theta) at the inner's effective degree.  The
+    caller's Theta is refused first; a Theta-tilde out of the window under its own name.
+    """
+    tt = theta_tilde(effective, theta)
+    require_theta(tt, f"theta_tilde(m={effective}, theta={theta!r})")
+    return build(m, theta), build(m_tilde, tt), build(product, theta)
 
 
 def compose_s(m_tilde: int, m: int, theta: float, z):
     """Both sides of s_mtilde(s_m(z; Theta); Theta-tilde) = s_{mtilde m}(z; Theta)."""
     m, m_tilde = require_degree(m, 1, "m"), require_degree(m_tilde, 1, "m_tilde")
-    return _compose_law(build_s, m_tilde, m, theta, z)
+    inner, outer, direct = _law_factors(build_s, m_tilde, m, m, m_tilde * m, theta)
+    return outer(inner(z)), direct(z)
 
 
 def _s_tilde(m_odd: int, theta: float):
@@ -42,16 +45,15 @@ def _s_tilde(m_odd: int, theta: float):
 def compose_s_tilde(n_tilde: int, n: int, theta: float, z):
     """Both sides of the composition law for s_tilde = s_{2n+1}^((-1)^n), at degrees 2n + 1."""
     n, n_tilde = require_degree(n, 0, "n"), require_degree(n_tilde, 0, "n_tilde")
-    return _compose_law(_s_tilde, 2 * n_tilde + 1, 2 * n + 1, theta, z)
+    m, m_tilde = 2 * n + 1, 2 * n_tilde + 1
+    inner, outer, direct = _law_factors(_s_tilde, m_tilde, m, m, m_tilde * m, theta)
+    return outer(inner(z)), direct(z)
 
 
 def compose_r(n_tilde: int, n: int, theta: float, z):
     """Both sides of r_n(z) r_ntilde(z / r_n(z)^2; Theta-tilde) = r_{2 ntilde n + ntilde + n}(z)."""
     n, n_tilde = require_degree(n, 0, "n"), require_degree(n_tilde, 0, "n_tilde")
-    tt = theta_tilde(2 * n + 1, theta)
-    inner = build_r(n, theta)
-    outer = build_r(n_tilde, tt)
-    direct = build_r(2 * n_tilde * n + n_tilde + n, theta)
+    inner, outer, direct = _law_factors(build_r, n_tilde, n, 2 * n + 1, 2 * n_tilde * n + n_tilde + n, theta)
     rv = inner(z)
     return rv * outer(z / (rv * rv)), direct(z)
 

@@ -54,7 +54,7 @@ def require_modulus(ell: float, name: str = "ell") -> None:
         )
 
 
-def require_theta(theta: float) -> tuple[float, float]:
+def require_theta(theta: float, name: str = "theta") -> tuple[float, float]:
     """The modulus pair (cos theta, sin theta) of an arc half-width, or PrecisionError.
 
     theta must lie in (THETA_MIN, THETA_MAX), cos(theta) below ELL_MAX (on
@@ -62,11 +62,11 @@ def require_theta(theta: float) -> tuple[float, float]:
     the modulus of every node, below 1 (on the top 5.4e-10 it rounds to 1.0).
     """
     if not (THETA_MIN < theta < THETA_MAX):
-        raise PrecisionError(f"theta={theta!r} outside supported range ({THETA_MIN:.6e}, {THETA_MAX!r})")
+        raise PrecisionError(f"{name}={theta!r} outside supported range ({THETA_MIN:.6e}, {THETA_MAX!r})")
     ell, ell_comp = math.cos(theta), math.sin(theta)
     if ell >= ELL_MAX or ell_comp == 1.0:
         edge = "cos(theta) rounds to ELL_MAX" if ell >= ELL_MAX else "sin(theta) rounds to 1"
-        raise PrecisionError(f"theta={theta!r}: {edge} in double precision")
+        raise PrecisionError(f"{name}={theta!r}: {edge} in double precision")
     return ell, ell_comp
 
 

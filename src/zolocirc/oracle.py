@@ -151,22 +151,16 @@ def degree1_max_phase_error(a: float, theta: float, samples: int = 8192) -> floa
     return float(_scan_max_phase_errors(np.array([a], dtype=float), theta, samples)[0])
 
 
-def degree1_error_curve(theta: float, search_grid: int = SCAN_SIZE):
-    """The coarse scan (a values, max errors): 2048 samples per log-spaced a over SCAN_RANGE."""
-    grid = np.exp(np.linspace(math.log(SCAN_RANGE[0]), math.log(SCAN_RANGE[1]), search_grid))
-    return grid, _scan_max_phase_errors(grid, theta, 2048)
-
-
 def oracle_minimax_degree1(theta: float) -> float:
     """Brute-force argmin over a > 0 of the degree-1 sqrt phase error.
 
-    A log-spaced scan over SCAN_RANGE followed by a linear zoom around
-    the coarse minimum; returns the refined argmin.
+    A log-spaced scan over SCAN_RANGE (2048 samples per a) followed by a
+    linear zoom around the coarse minimum; returns the refined argmin.
     """
     if not 0.0 < theta < 0.5 * math.pi:
         raise DomainError(f"theta must lie in (0, pi/2), got {theta!r}")
-    grid, errors = degree1_error_curve(theta)
-    i = int(np.argmin(errors))
+    grid = np.exp(np.linspace(math.log(SCAN_RANGE[0]), math.log(SCAN_RANGE[1]), SCAN_SIZE))
+    i = int(np.argmin(_scan_max_phase_errors(grid, theta, 2048)))
     lo = grid[max(i - 2, 0)]
     hi = grid[min(i + 2, SCAN_SIZE - 1)]
     fine = np.linspace(lo, hi, SCAN_SIZE)

@@ -44,7 +44,7 @@ def criterion_1():
     t0 = time.perf_counter()
     worst = 0.0
     for theta, problem, _, degree in _SWEEP:
-        build, report, _ = analysis._problem_fns(problem)
+        build, report = analysis._problem_fns(problem)
         rep = report(build(degree, theta), theta, _grid_for(problem, degree))
         worst = max(worst, abs(rep.max_error - rep.predicted))
     elapsed = time.perf_counter() - t0
@@ -56,7 +56,7 @@ def criterion_2():
     """Alternation counts M+1 per arc at the effective degree M, endpoints attained, grid-stable."""
     bad = []
     for theta, problem, letter, degree in _SWEEP:
-        build, report, _ = analysis._problem_fns(problem)
+        build, report = analysis._problem_fns(problem)
         r = build(degree, theta)
         rep = report(r, theta, _grid_for(problem, degree))
         rep2 = report(r, theta, 2 * _grid_for(problem, degree))
@@ -117,7 +117,7 @@ def criterion_5():
     worst_fg = 0.0
     for theta in (0.5, 1.0, 1.4):
         for m in M_SWEEP:
-            zf = approximants.ZolotarevFraction.from_theta(m, theta)
+            zf = approximants.ZolotarevFraction.from_ell(m, *elliptic.require_theta(theta))
             Fp, Gp = approximants.eval_F_product(zf, xs)
             for x, fp, gp in zip(xs.tolist(), Fp.tolist(), Gp.tolist()):
                 fd, gd = approximants.eval_F_direct(zf, x)

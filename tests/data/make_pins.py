@@ -55,7 +55,7 @@ def elliptic_pin(family, key):
 def node_pin(family, key):
     side, value, m = _args(key)
     if family == "dn2_odd":
-        zf = ZolotarevFraction.from_theta(m, value) if side == "theta" else ZolotarevFraction.from_ell(m, value)
+        zf = ZolotarevFraction.from_ell(m, *(el.require_theta(value) if side == "theta" else (value,)))
         return list(zf.dn2_odd)
     if family == "blaschke_h":
         return list(blaschke_h(m, value).params)

@@ -121,7 +121,7 @@ def test_direct_F_while_lam_rounds_to_one(m):
 def test_direct_F_at_the_criterion_5_sweep():
     for theta in (0.5, 1.0, 1.4):
         for m in (2, 3, 5, 8, 13):
-            zf = ZolotarevFraction.from_theta(m, theta)
+            zf = ZolotarevFraction.from_ell(m, *el.require_theta(theta))
             for x in np.linspace(-1.0, 1.0, 41).tolist():
                 direct, product = eval_F_direct(zf, x), eval_F_product(zf, x)
                 assert max(abs(d - p) for d, p in zip(direct, product)) <= 1e-14, (theta, m, x)

@@ -235,7 +235,7 @@ class TestErrorBounds:
 class TestContourGrid:
     def test_zero_at_one_for_sqrt(self):
         r = ap.build_r(2, 1.0)
-        grid = an.contour_grid(r, "sqrt", (0.0, 2.0, -1.0, 1.0), 17)
+        grid = an.contour_grid(r, "z5", (0.0, 2.0, -1.0, 1.0), 17)
         res = np.linspace(0.0, 2.0, 17)
         ims = np.linspace(-1.0, 1.0, 17)
         i = int(np.argmin(np.abs(ims)))
@@ -244,7 +244,7 @@ class TestContourGrid:
 
     def test_values_nonnegative_and_shape(self):
         s = ap.build_s(3, 1.0)
-        grid = an.contour_grid(s, "sign", (-2.0, 2.0, -2.0, 2.0), 32)
+        grid = an.contour_grid(s, "z6", (-2.0, 2.0, -2.0, 2.0), 32)
         assert grid.values.shape == (32, 32)
         assert np.all(grid.values >= 0.0)
 
@@ -252,7 +252,7 @@ class TestContourGrid:
         r = ap.build_r(1, 1.0)
         pole = -r.factors[0]
         # window centered so the middle grid node lands exactly on the pole
-        grid = an.contour_grid(r, "sqrt", (pole - 1.0, pole + 1.0, -1.0, 1.0), 17)
+        grid = an.contour_grid(r, "z5", (pole - 1.0, pole + 1.0, -1.0, 1.0), 17)
         assert math.isinf(grid.values[8, 8])
 
     def test_circle_minima_interlace_extrema(self):
@@ -287,7 +287,7 @@ class TestContourGrid:
     def test_resolution_validation(self):
         r = ap.build_r(1, 1.0)
         with pytest.raises(DomainError):
-            an.contour_grid(r, "sqrt", (-1, 1, -1, 1), 8)
+            an.contour_grid(r, "z5", (-1, 1, -1, 1), 8)
         with pytest.raises(DomainError):
             an.contour_grid(r, "nope", (-1, 1, -1, 1), 32)
 
@@ -296,7 +296,7 @@ class TestContourGrid:
         def r(z):
             raise AssertionError("the grid was evaluated")
 
-        with pytest.raises(DomainError, match="target"):
+        with pytest.raises(DomainError, match="problem must be 'z5' or 'z6'"):
             an.contour_grid(r, target, (-1, 1, -1, 1), 4096)
 
     @pytest.mark.parametrize(
@@ -313,25 +313,25 @@ class TestContourGrid:
     )
     def test_window_must_be_four_finite_reals(self, window):
         with pytest.raises(DomainError, match="window"):
-            an.contour_grid(ap.build_r(1, 1.0), "sqrt", window, 16)
+            an.contour_grid(ap.build_r(1, 1.0), "z5", window, 16)
 
     @pytest.mark.parametrize("window", [(1, -1, -1, 1), (-1, 1, 0, 0)])
     def test_degenerate_window(self, window):
         with pytest.raises(DomainError, match="degenerate window"):
-            an.contour_grid(ap.build_r(1, 1.0), "sqrt", window, 16)
+            an.contour_grid(ap.build_r(1, 1.0), "z5", window, 16)
 
     def test_window_accepts_numpy_reals(self):
         window = (np.float64(-1.0), np.int64(1), -1, 1.0)
-        grid = an.contour_grid(ap.build_r(1, 1.0), "sqrt", window, 16)
+        grid = an.contour_grid(ap.build_r(1, 1.0), "z5", window, 16)
         assert np.isfinite(grid.values).any()
 
     def test_resolution_accepts_numpy_integers_not_bool(self):
         s = ap.build_s(5, 1.0)
-        grid = an.contour_grid(s, "sign", (-2, 2, -2, 2), np.int64(64))
-        assert type(grid.resolution) is int
+        grid = an.contour_grid(s, "z6", (-2, 2, -2, 2), np.int64(64))
+        assert grid.re.shape == grid.im.shape == (64,)
         assert grid.values.shape == (64, 64)
         with pytest.raises(DomainError):
-            an.contour_grid(s, "sign", (-2, 2, -2, 2), True)
+            an.contour_grid(s, "z6", (-2, 2, -2, 2), True)
 
 
 class TestPhaseErrorKernel:
@@ -398,6 +398,19 @@ class TestEffectiveDegree:
             lambda: an.error_bounds(1, 1.0, "z7"),
             lambda: an.max_phase_error(s, 1.0, "z7"),
             lambda: an._problem_fns("z7"),
+        )
+        for call in calls:
+            with pytest.raises(DomainError, match="problem must be 'z5' or 'z6'"):
+                call()
+
+    @pytest.mark.parametrize("problem", [None, 5, b"z5"], ids=repr)
+    def test_non_string_problem_is_a_domain_error(self, problem):
+        s = ap.build_s(2, 1.0)
+        calls = (
+            lambda: an.effective_degree(problem, 1),
+            lambda: an.max_phase_error(s, 1.0, problem),
+            lambda: an.error_bounds(3, 1.0, problem),
+            lambda: an.contour_grid(s, problem, (-1, 1, -1, 1), 16),
         )
         for call in calls:
             with pytest.raises(DomainError, match="problem must be 'z5' or 'z6'"):

@@ -153,7 +153,7 @@ class TestBuildS:
     def test_accepts_numpy_integer_degree(self):
         s = ap.build_s(np.int64(3), 1.0)
         assert s == ap.build_s(3, 1.0)
-        assert type(ap.ZolotarevFraction.from_theta(np.int64(3), 1.0).m) is int
+        assert type(ap.ZolotarevFraction.from_ell(np.int64(3), *el.require_theta(1.0)).reduction.m) is int
 
 
 class TestReciprocal:
@@ -214,17 +214,17 @@ class TestEval:
 
 class TestZolotarevFraction:
     def test_direct_at_origin(self):
-        zf = ap.ZolotarevFraction.from_theta(3, 1.0)
+        zf = ap.ZolotarevFraction.from_ell(3, *el.require_theta(1.0))
         assert ap.eval_F_direct(zf, 0.0) == (0.0, 1.0)
 
     def test_direct_at_ell(self):
-        zf = ap.ZolotarevFraction.from_theta(4, 1.0)
-        F, G = ap.eval_F_direct(zf, zf.modulus.ell)
+        zf = ap.ZolotarevFraction.from_ell(4, *el.require_theta(1.0))
+        F, G = ap.eval_F_direct(zf, zf.reduction.modulus.ell)
         assert F == pytest.approx(zf.reduction.lam, abs=1e-12)
         assert G == pytest.approx(zf.reduction.lam_comp, abs=1e-12)
 
     def test_product_basics(self):
-        zf = ap.ZolotarevFraction.from_theta(1, 0.9)
+        zf = ap.ZolotarevFraction.from_ell(1, *el.require_theta(0.9))
         for x in (-0.8, -0.2, 0.4, 1.0):
             F, G = ap.eval_F_product(zf, x)
             assert F == pytest.approx(x, abs=1e-15)
@@ -233,7 +233,7 @@ class TestZolotarevFraction:
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_direct_vs_product(self, m):
-        zf = ap.ZolotarevFraction.from_theta(m, 1.0472975)  # ell ~ 0.5
+        zf = ap.ZolotarevFraction.from_ell(m, *el.require_theta(1.0472975))  # ell ~ 0.5
         for x in np.linspace(-1.0, 1.0, 101):
             fd = ap.eval_F_direct(zf, float(x))
             fp = ap.eval_F_product(zf, float(x))
@@ -246,7 +246,7 @@ class TestZolotarevFraction:
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_parity_and_circle_identity(self, m):
-        zf = ap.ZolotarevFraction.from_theta(m, 1.1)
+        zf = ap.ZolotarevFraction.from_ell(m, *el.require_theta(1.1))
         for x in np.linspace(0.0, 1.0, 41):
             Fp, Gp = ap.eval_F_product(zf, float(x))
             Fm, Gm = ap.eval_F_product(zf, float(-x))
@@ -256,17 +256,17 @@ class TestZolotarevFraction:
 
     def test_endpoint_values_by_parity(self):
         # odd degree: F(1) = 1, G(1) = 0; even degree: F(1) = lam, |G(1)| = lam'
-        zf3 = ap.ZolotarevFraction.from_theta(3, 1.0)
+        zf3 = ap.ZolotarevFraction.from_ell(3, *el.require_theta(1.0))
         F, G = ap.eval_F_product(zf3, 1.0)
         assert F == pytest.approx(1.0, abs=1e-12)
         assert G == pytest.approx(0.0, abs=1e-12)
-        zf4 = ap.ZolotarevFraction.from_theta(4, 1.0)
+        zf4 = ap.ZolotarevFraction.from_ell(4, *el.require_theta(1.0))
         F, G = ap.eval_F_product(zf4, 1.0)
         assert F == pytest.approx(zf4.reduction.lam, abs=1e-12)
         assert abs(G) == pytest.approx(zf4.reduction.lam_comp, abs=1e-12)
 
     def test_domain(self):
-        zf = ap.ZolotarevFraction.from_theta(2, 1.0)
+        zf = ap.ZolotarevFraction.from_ell(2, *el.require_theta(1.0))
         with pytest.raises(DomainError):
             ap.eval_F_direct(zf, 1.2)
 

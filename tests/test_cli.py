@@ -101,17 +101,21 @@ class TestBuild:
         assert "theta" in err
 
     def test_theta_flag_window(self, capsys):
-        code, _, _ = run(capsys, "build", "--problem", "z5", "--degree", "2", "--theta", "1.8")
-        assert code == 2
-        code, _, _ = run(capsys, "build", "--problem", "z5", "--degree", "2", "--theta", "0")
-        assert code == 2
-        # the upper edge is elliptic.THETA_MAX; the double below it passes the
-        # flag and reaches the library, where sin Theta rounds to 1 (exit 3)
+        # the window is elliptic.require_theta's alone: its refusals exit 3 with its message
+        window = f"outside supported range ({el.THETA_MIN:.6e}, {el.THETA_MAX!r})"
+        code, _, err = run(capsys, "build", "--problem", "z5", "--degree", "2", "--theta", "1.8")
+        assert code == 3
+        assert err.strip().endswith(f"theta=1.8 {window}")
+        code, _, err = run(capsys, "build", "--problem", "z5", "--degree", "2", "--theta", "0")
+        assert code == 3
+        assert err.strip().endswith(f"theta=0.0 {window}")
         code, _, err = run(capsys, "build", "--problem", "z5", "--degree", "2", "--theta", repr(el.THETA_MAX))
-        assert code == 2
-        assert err.strip().endswith(f"--theta must lie in (1e-08, pi/2 - 1e-8), got {el.THETA_MAX!r}")
+        assert code == 3
+        assert err.strip().endswith(f"theta={el.THETA_MAX!r} {window}")
         below = math.nextafter(el.THETA_MAX, 0.0)
-        assert run(capsys, "build", "--problem", "z5", "--degree", "2", "--theta", repr(below))[0] == 3
+        code, _, err = run(capsys, "build", "--problem", "z5", "--degree", "2", "--theta", repr(below))
+        assert code == 3
+        assert err.strip().endswith(f"theta={below!r}: sin(theta) rounds to 1 in double precision")
 
     @pytest.mark.parametrize("problem", ["z5", "z6"])
     @pytest.mark.parametrize("command", ["build", "error", "contour"])
@@ -278,6 +282,14 @@ class TestCompose:
         assert (code, out) == (2, "")
         assert "compose needs positive --degree and --degree-tilde" in err
 
+    def test_derived_theta_tilde_out_of_the_window_exits_3(self, capsys):
+        code, out, err = run(capsys, "compose", "--degree", "2", "--degree-tilde", "2", "--theta", "1e-3")
+        assert (code, out) == (3, "")
+        assert err == (
+            "numeric domain error: theta_tilde(m=2, theta=0.001)=2.50000041666675e-07 "
+            f"outside supported range ({el.THETA_MIN:.6e}, {el.THETA_MAX!r})\n"
+        )
+
     def test_identity_case_tiny_residual(self, capsys):
         doc = run_json(capsys, "compose", "--degree", "4", "--degree-tilde", "1",
                        "--theta", "0.8", "--samples", "100")
@@ -317,6 +329,20 @@ class TestContour:
             window, "--resolution", "17", "--out", str(out_file))
         values = [line.split(",")[2] for line in out_file.read_text().strip().split("\n")[1:]]
         assert "inf" in values
+
+    def test_csv_axes_are_the_grid_axes(self, capsys, tmp_path):
+        window, resolution = (-1.5, 0.5, -0.25, 2.0), 24
+        grid = an.contour_grid(ap.build_s(3, 1.0), "z6", window, resolution)
+        assert np.array_equal(grid.re, np.linspace(window[0], window[1], resolution))
+        assert np.array_equal(grid.im, np.linspace(window[2], window[3], resolution))
+        path = tmp_path / "grid.csv"
+        code, _, _ = run(capsys, "contour", "--problem", "z6", "--degree", "3", "--theta", "1.0",
+                         "--window=-1.5,0.5,-0.25,2.0", "--resolution", str(resolution), "--out", str(path))
+        assert code == 0
+        rows = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert np.array_equal(rows[:, 0], np.tile(grid.re, resolution))
+        assert np.array_equal(rows[:, 1], np.repeat(grid.im, resolution))
+        assert np.array_equal(rows[:, 2], grid.values.ravel())
 
     def test_unwritable_path(self, capsys):
         code, _, _ = run(capsys, "contour", "--problem", "z5", "--degree", "1",
@@ -464,9 +490,9 @@ class TestDeterminism:
 def per_cell_contour_csv(problem, degree, theta, window, resolution):
     """The contour CSV as written one cell at a time."""
     if problem == "z5":
-        grid = an.contour_grid(ap.build_r(degree, theta), "sqrt", window, resolution)
+        grid = an.contour_grid(ap.build_r(degree, theta), "z5", window, resolution)
     else:
-        grid = an.contour_grid(ap.build_s(degree, theta), "sign", window, resolution)
+        grid = an.contour_grid(ap.build_s(degree, theta), "z6", window, resolution)
     res = np.linspace(window[0], window[1], resolution).tolist()
     ims = np.linspace(window[2], window[3], resolution).tolist()
     parts = ["re,im,value\n"]

@@ -162,6 +162,33 @@ class TestComposeF:
             co.compose_F(2, m, ell, 0.5)
 
 
+class TestDerivedThetaTilde:
+    # (law, outer degree, inner degree, theta, the inner's effective degree)
+    CASES = {
+        "compose_s(2, 2)": (co.compose_s, 2, 2, 1e-3, 2),
+        "compose_s(2, 400)": (co.compose_s, 2, 400, 1.0, 400),
+        "compose_s_tilde(1, 1)": (co.compose_s_tilde, 1, 1, 1e-3, 3),
+        "compose_r(1, 1)": (co.compose_r, 1, 1, 1e-3, 3),
+    }
+    WINDOW = f"outside supported range ({el.THETA_MIN:.6e}, {el.THETA_MAX!r})"
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_out_of_window_width_is_named_as_derived(self, case):
+        law, outer, inner, theta, effective = self.CASES[case]
+        tt = co.theta_tilde(effective, theta)
+        assert 0.0 <= tt < el.THETA_MIN
+        with pytest.raises(PrecisionError) as info:
+            law(outer, inner, theta, CIRCLE_200)
+        assert str(info.value) == f"theta_tilde(m={effective}, theta={theta!r})={tt!r} {self.WINDOW}"
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_callers_theta_is_refused_first(self, case):
+        law, outer, inner, _, _ = self.CASES[case]
+        with pytest.raises(PrecisionError) as info:
+            law(outer, inner, 1e-9, CIRCLE_200)
+        assert str(info.value) == f"theta=1e-09 {self.WINDOW}"
+
+
 class TestDegreeValidation:
     # (law taking the outer and the inner degree, their names, smallest degree)
     LAWS = {

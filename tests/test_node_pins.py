@@ -12,6 +12,7 @@ import os
 import pytest
 
 from zolocirc import ZolotarevFraction, blaschke_h
+from zolocirc.elliptic import require_theta
 
 with open(os.path.join(os.path.dirname(__file__), "data", "node_pins.json")) as fh:
     PINS = json.load(fh)
@@ -26,7 +27,7 @@ def _args(key):
 @pytest.mark.parametrize("key", sorted(PINS["dn2_odd"]))
 def test_dn2_odd(key):
     side, value, m = _args(key)
-    zf = ZolotarevFraction.from_theta(m, value) if side == "theta" else ZolotarevFraction.from_ell(m, value)
+    zf = ZolotarevFraction.from_ell(m, *(require_theta(value) if side == "theta" else (value,)))
     assert list(zf.dn2_odd) == PINS["dn2_odd"][key]
 
 

@@ -119,7 +119,8 @@ class TestDegreeOneScan:
     @pytest.mark.parametrize("theta", KERNEL_THETAS)
     def test_blocked_curve_matches_the_literal_formula(self, theta):
         # 61 candidates fill several blocks at 2048 samples, the last one partial
-        grid, errs = orc.degree1_error_curve(theta, 61)
+        grid = np.exp(np.linspace(math.log(orc.SCAN_RANGE[0]), math.log(orc.SCAN_RANGE[1]), 61))
+        errs = orc._scan_max_phase_errors(grid, theta, 2048)
         literal = [literal_max_phase_error(a, theta, 2048) for a in grid]
         assert np.max(np.abs(errs - literal)) <= 1e-13
 
@@ -132,7 +133,8 @@ class TestDegreeOneScan:
         assert abs(orc.degree1_max_phase_error(a_star, theta, 16384) - optimum) <= 1e-6
 
     def test_error_curve_unimodal(self):
-        grid, errs = orc.degree1_error_curve(1.0, 300)
+        grid = np.exp(np.linspace(math.log(orc.SCAN_RANGE[0]), math.log(orc.SCAN_RANGE[1]), 300))
+        errs = orc._scan_max_phase_errors(grid, 1.0, 2048)
         d = np.diff(errs)
         d = d[d != 0.0]
         sign_changes = int(np.sum(np.abs(np.diff(np.sign(d))) > 0))

@@ -7,7 +7,7 @@ THETA_MAX that modulus is 1.0.  At the bottom, between THETA_MIN and
 FIRST_GOOD, cos(Theta) rounds to ELL_MAX, which the reduction behind
 theta_tilde and every phase-error report refuses.  ``require_theta``, the
 one place a Theta becomes a modulus pair, rejects both bands with
-PrecisionError for every entry point alike.
+PrecisionError for every entry point alike, the CLI's --theta included.
 """
 
 import math
@@ -33,7 +33,7 @@ CALLS = {
     "build_r(256)": lambda th: approximants.build_r(256, th),
     "coeff_b(1, 3)": lambda th: approximants.coeff_b(1, 3, th),
     "coeff_a(1, 1)": lambda th: approximants.coeff_a(1, 1, th),
-    "ZolotarevFraction(5)": lambda th: approximants.ZolotarevFraction.from_theta(5, th),
+    "ZolotarevFraction(5)": lambda th: approximants.ZolotarevFraction.from_ell(5, *elliptic.require_theta(th)),
     "theta_tilde(0)": lambda th: composition.theta_tilde(0, th),
     "theta_tilde(3)": lambda th: composition.theta_tilde(3, th),
     "error_bounds z6": lambda th: analysis.error_bounds(3, th, "z6"),
@@ -104,3 +104,28 @@ def test_cli_bottom_band_exits_3(capsys, command):
     assert code == 3
     assert captured.out == ""
     assert f"numeric domain error: theta={BOTTOM!r}: cos(theta) rounds to ELL_MAX" in captured.err
+
+
+REFUSED = [-1.0, 0.0, math.nan, 1e-9, 1e-5, BOTTOM, math.nextafter(LAST_GOOD, 2.0), elliptic.THETA_MAX, 1.8]
+COMMANDS = {
+    "build z5": ["build", "--problem", "z5", "--degree", "2"],
+    "build z6": ["build", "--problem", "z6", "--degree", "3"],
+    "error": ["error", "--problem", "z6", "--degree", "3"],
+    "bounds": ["bounds", "--problem", "z5", "--max-degree", "2"],
+    "compose": ["compose", "--degree", "2", "--degree-tilde", "2"],
+    "contour": ["contour", "--problem", "z6", "--degree", "2", "--resolution", "16"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("theta", REFUSED, ids=repr)
+def test_cli_theta_window_is_require_theta(capsys, tmp_path, command, theta):
+    with pytest.raises(PrecisionError) as info:
+        elliptic.require_theta(theta)
+    out = tmp_path / "grid.csv"
+    argv = [*COMMANDS[command], f"--theta={theta!r}"] + (["--out", str(out)] if command == "contour" else [])
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == f"numeric domain error: {info.value}\n"
+    assert not out.exists()
