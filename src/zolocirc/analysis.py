@@ -1,26 +1,41 @@
 """Phase-error measurement, equioscillation counts, Zolotarev numbers, bounds.
 
 The phase error of an approximant R against sqrt or sign is the wrapped
-argument of R(e^{i t}) / target(e^{i t}) over the arc domain, computed by
-one kernel (``_phase_error``, one exact 2 pi shift wrapping scalars and
-arrays alike) for both problems and both arcs.  Each arc's grid is one
-array call that only brackets the extrema of the signed error; golden
-refinement on the scalar path computes every reported value.  The extrema
+argument of R(e^{i t}) / target(e^{i t}) over the arc domain.  The extrema
 of the optimal approximants alternate in sign at the common amplitude
 arccos(lam), ``theta_tilde`` of the degree reduction at ``effective_degree``:
-the sqrt problem at degree n is the sign problem at 2n + 1.
+the sqrt problem at degree n is the sign problem at 2n + 1.  A report
+takes one of two routes and names it in ``method``:
+
+- ``"nodes"``, for the builder's own optimum (R equal to ``build_s`` or
+  ``build_r`` at its degree and Theta, effective degree M >= 1).  Its M + 1
+  alternation points per arc are known in closed form, from the even nodes
+  of the ``ZolotarevFraction`` at M; the errors there are read in relative
+  precision through the lift F + i sign(Im z)^M G and their sign
+  alternations counted.  One lift call per arc over the ``grid_n``-point
+  grid checks that no point exceeds the amplitude by more than
+  ``node_bound``; ``grid_size`` is ``grid_n``, and nothing is refined or
+  doubled.  A short count or a failed check hands the report to the grid.
+- ``"grid"``, for every other rational and for s_0 = i: one kernel
+  (``_phase_error``, one exact 2 pi shift wrapping scalars and arrays
+  alike) serves both problems and both arcs; each arc's grid is one array
+  call that only brackets the extrema of the signed error, and golden
+  refinement on the scalar path computes every reported value.  A short
+  count is measured again on the doubled grid, and ``grid_size`` names the
+  grid the counts came from.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import approximants
-from .approximants import UnimodularRational
+from .approximants import UnimodularRational, ZolotarevFraction, build_r, build_s, eval_F_product
 from .elliptic import EllipticModulus, _mu_inverse_pair, _mu_pair, require_degree, require_theta, solve_lambda
 from .errors import DomainError, ResolutionError
 
@@ -38,6 +53,7 @@ class PhaseErrorReport:
     arcs: tuple[int, ...]  # alternation count per arc
     grid_size: int
     expected: int  # the count an optimum reaches on each arc: M + 1 at the effective degree M
+    method: str  # "nodes" (closed-form alternation points) or "grid" (grid search and refinement)
 
 
 @dataclass(frozen=True)
@@ -188,9 +204,9 @@ def _collapse(points, joined):
     return out
 
 
-def _alternating(extrema, amplitude: float):
-    """Keep amplitude-attaining extrema and collapse same-sign neighbours."""
-    kept = [(x, v) for x, v in extrema if abs(v) >= amplitude * (1.0 - 1e-3)]
+def _alternating(extrema, amplitude: float, rel: float = 1e-3):
+    """Keep the extrema within ``rel`` of the amplitude and collapse same-sign neighbours."""
+    kept = [(x, v) for x, v in extrema if abs(v) >= amplitude * (1.0 - rel)]
     return _collapse(kept, lambda last, p: (p[1] >= 0.0) == (last[1] >= 0.0))
 
 
@@ -224,14 +240,78 @@ def _certified_measure(arc_jobs, grid_n: int, expected: int):
     return amplitude, extrema, counts, grid_n
 
 
+def node_bound(m: int, theta: float) -> float:
+    """Relative bound 4 eps ((m + 1)/sin Theta)^2 on the lift's phase error of the optimum of degree m.
+
+    G's factors 1 - (x/ell)^2 dn^2 each round to eps over their distance to
+    a zero, which near an extremum is of order (sin Theta/(m + 1))^2 in
+    (x/ell)^2.  A scan of the window against mpmath put the node errors
+    within 1.6 of the 4 eps of arccos(lam); tests/test_node_route.py holds
+    them to the bound at both window ends.  Wherever arccos(lam) is a
+    normal double the bound is below 2.2e-4 (its largest, at the bottom
+    of the window and m = 69).
+    """
+    return 4.0 * sys.float_info.epsilon * ((m + 1) / math.sin(theta)) ** 2
+
+
+def _node_measure(theta: float, problem: str, effective: int, grid_n: int):
+    """(amplitude, extrema, counts, grid_n) of the optimum of degree M = ``effective`` at its alternation points.
+
+    On the arc around +1 the error of s_M alternates at t with
+    x = cos t = ell sqrt((1 + c)/(ell^2 + c)), t = atan2(ell' sqrt(c), ell sqrt(1 + c)),
+    for c in the fraction's ``cot2_even``, c = inf (the arc ends +-Theta)
+    and, for even M, c = 0 (the centre): M + 1 points.  On the arc around -1
+    they sit at pi + t; z5 reads s_M at tau = 2t through
+    s_{2n+1}(z)^{(-1)^n} r_n(z^2) = z.  None unless every arc counts M + 1
+    and no point of its grid_n-point grid exceeds the amplitude by ``node_bound``.
+    """
+    ell, ell_comp = require_theta(theta)
+    zf = ZolotarevFraction.from_ell(effective, ell, ell_comp)
+    centre = 1 - effective % 2
+    c = np.array((0.0,) * centre + zf.cot2_even[::-1])  # ascending in t
+    half_t = np.append(np.arctan2(ell_comp * np.sqrt(c), ell * np.sqrt(1.0 + c)), theta)
+    half_x = np.append(np.minimum(ell * np.sqrt((1.0 + c) / (ell * ell + c)), 1.0), ell)
+    t = np.concatenate([-half_t[centre:][::-1], half_t])
+    x = np.concatenate([half_x[centre:][::-1], half_x])
+    if effective_degree(problem, 0):  # (target +-1, centre angle, angle per t, sign of the error) of each arc
+        arcs = [(1.0, 0.0, 2.0, 1.0 if effective % 4 == 3 else -1.0)]  # -(-1)^n at M = 2n + 1
+    else:
+        arcs = [(1.0, 0.0, 1.0, 1.0), (-1.0, math.pi, 1.0, 1.0)]
+    per_arc, peak = [], 0.0
+    for turn, mid, scale, sign in arcs:
+        w = np.linspace(mid - scale * theta, mid + scale * theta, grid_n) / scale  # the grid's z = e^{i w}
+        # one lift call F + i sign(Im z)^M G: the nodes, then the grid with Re z kept on the arc
+        F, G = eval_F_product(zf, np.concatenate([turn * x, turn * np.maximum(turn * np.cos(w), ell)]))
+        if effective % 2:
+            G = np.where(np.concatenate([turn * t >= 0.0, np.sin(w) >= 0.0]), G, -G)
+        e = sign * np.arctan2(turn * G, turn * F)  # the target -1 divides out as atan2(-G, -F)
+        per_arc.append(list(zip((mid + scale * t).tolist(), e[: t.size].tolist())))
+        peak = max(peak, float(np.abs(e[t.size :]).max()))
+    amplitude = max(abs(v) for ext in per_arc for _, v in ext)
+    bound = node_bound(effective, theta)
+    if not sys.float_info.min <= amplitude or peak > amplitude * (1.0 + bound):
+        return None
+    if any(len(_alternating(ext, amplitude, bound)) <= effective for ext in per_arc):
+        return None
+    return amplitude, tuple(p for ext in per_arc for p in ext), (effective + 1,) * len(arcs), grid_n
+
+
 def _phase_report(r: UnimodularRational, theta: float, grid_n: int, problem: str) -> PhaseErrorReport:
-    """Report on the arcs of ``problem``: arccos(lam), M + 1 extrema per arc at the effective degree M."""
+    """Report on the arcs of ``problem``: arccos(lam), M + 1 extrema per arc at the effective degree M.
+
+    The builder is this module's own binding: a builder swapped on
+    ``approximants`` (a tampered optimum) does not pass for the optimum.
+    """
     require_theta(theta)
-    effective = effective_degree(problem, len(r.factors))
-    grid_n = require_degree(grid_n, 8 * (len(r.factors) + 1), "grid_n")
+    degree = len(r.factors)
+    effective = effective_degree(problem, degree)
+    grid_n = require_degree(grid_n, 8 * (degree + 1), "grid_n")
     expected = effective + 1
-    amplitude, extrema, counts, grid_size = _certified_measure(_arc_jobs(r, theta, problem), grid_n, expected)
-    return PhaseErrorReport(amplitude, theta_tilde(effective, theta), extrema, counts, grid_size, expected)
+    build = build_r if effective_degree(problem, 0) else build_s
+    nodes = effective and r == build(degree, theta) and _node_measure(theta, problem, effective, grid_n)
+    amplitude, extrema, counts, grid_size = nodes or _certified_measure(_arc_jobs(r, theta, problem), grid_n, expected)
+    method = "nodes" if nodes else "grid"
+    return PhaseErrorReport(amplitude, theta_tilde(effective, theta), extrema, counts, grid_size, expected, method)
 
 
 def phase_error_sqrt(r: UnimodularRational, theta: float, grid_n: int) -> PhaseErrorReport:

@@ -70,6 +70,7 @@ def compose_F(m_tilde: int, m: int, ell: float, x):
         raise DomainError(f"compose_F requires |x| <= 1, got {x!r}")
     inner = ZolotarevFraction.from_ell(m, ell)
     red = inner.reduction
+    require_modulus(red.lam, f"lam(m={m}, ell={ell!r})")  # the derived outer modulus, under its own name
     outer = ZolotarevFraction.from_ell(m_tilde, red.lam, red.lam_comp)
     direct = ZolotarevFraction.from_ell(m_tilde * m, ell)
     return outer.F(inner.F(x)), direct.F(x)

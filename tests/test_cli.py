@@ -165,10 +165,27 @@ class TestError:
         assert res["grid_size"] == 512  # both grids fell short, with the same counts
 
     def test_count_that_is_not_grid_stable_exits_4_without_a_report(self, capsys, monkeypatch):
+        # a tampered s_2 takes the grid route, whose measurement this test replaces
+        s = ap.build_s(2, 1.0)
+        tampered = ap.UnimodularRational(s.z_power, s.quarter_turns, (1.05 * s.factors[0],) + s.factors[1:], s.family)
+        monkeypatch.setattr(ap, "build_s", lambda m, theta: tampered)
         monkeypatch.setattr(an, "_measure", lambda jobs, grid_n: (1.0, (), (1, 1) if grid_n == 512 else (2, 2)))
         code, out, err = run(capsys, "error", "--problem", "z6", "--degree", "2", "--theta", "1.0")
         assert (code, out) == (4, "")
         assert "not grid-stable: (1, 1) vs (2, 2)" in err
+
+    @pytest.mark.parametrize("problem, degree", [("z6", 24), ("z6", 25), ("z6", 30), ("z6", 64), ("z5", 12)])
+    def test_built_optimum_reaches_the_full_count(self, capsys, problem, degree):
+        # a grid search read these as short (or, at z6 degree 24, not grid-stable) and exited 4
+        code, out, _ = run(capsys, "error", "--problem", problem, "--degree", str(degree), "--theta", "1.0",
+                           "--grid", "1024")
+        res = json.loads(out)["results"]
+        M = an.effective_degree(problem, degree)
+        assert code == 0
+        assert res["alternation_counts"] == [M + 1] * (1 if problem == "z5" else 2)
+        assert res["grid_size"] == 1024
+        predicted = res["predicted_max_error"]
+        assert abs(res["measured_max_error"] - predicted) <= an.node_bound(M, 1.0) * predicted
 
     @pytest.mark.parametrize("problem", ["z5", "z6"])
     def test_grid_floor_is_inclusive(self, capsys, problem):

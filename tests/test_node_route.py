@@ -1,0 +1,120 @@
+"""The node route of the phase reports, against the mpmath reference of tests/mpref.py.
+
+A built optimum's error alternates at amplitude arccos(lam) at M + 1
+points per arc known in closed form: t = +-arccos(ell / dn(2j K'/M, ell'))
+on the arc around +1, pi + t on the arc around -1, tau = 2t for z5.  A
+report on a built optimum reads its errors there through the F/G lift.
+Each value must lie within ``analysis.node_bound`` of arccos(lam) (taken
+as asin(lam') from ``mpref.mp_reduction``), each angle within 4 ulps of
+the mpmath point, and the signs must alternate on every arc.
+"""
+
+import math
+import sys
+
+import mpmath as mp
+import pytest
+
+import mpref
+from zolocirc import analysis as an
+from zolocirc import approximants as ap
+
+EPS = sys.float_info.epsilon
+BOTTOM = 0.0001414213571029879  # the smallest Theta whose cosine falls below ELL_MAX
+TOP = 1.5707963162581844  # the largest Theta whose sine falls below 1
+
+# (Theta, m) of s_m and (Theta, n) of r_n, with both ends of the window
+Z6 = [(1.0, 8), (1.0, 24), (1.0, 25), (1.0, 64), (0.3, 40), (1.5, 129),
+      (BOTTOM, 1), (BOTTOM, 8), (BOTTOM, 40), (TOP, 8), (TOP, 64), (TOP, 256)]
+Z5 = [(0.5, 3), (0.7, 10), (0.4, 17), (BOTTOM, 3), (TOP, 20)]
+
+
+def reference(theta, M):
+    """(arccos(lam), the M + 1 alternation angles of the arc around +1, ascending), as mpf."""
+    ell_sq, ell_comp_sq = mpref.theta_squares(theta)
+    _, lam_comp, _, V = mpref.mp_reduction(ell_sq, ell_comp_sq, M)
+    with mp.workdps(int(0.87 * V) + 30):
+        amplitude = mp.asin(lam_comp)
+    with mp.workdps(mpref.DPS):
+        ell = mp.sqrt(ell_sq)
+        # j = M/2 of even M is the centre, where ell/dn is 1 up to the last digits
+        half = [mp.acos(min(mp.mpf(1), ell / mpref.node(2 * j, M, ell_comp_sq)[2])) for j in range(M // 2, -1, -1)]
+    return amplitude, [-t for t in half[1 - M % 2 :][::-1]] + half
+
+
+def check_arc(extrema, angles, amplitude, bound):
+    assert len(extrema) == len(angles)
+    for (angle, value), ref in zip(extrema, angles):
+        assert abs(angle - ref) <= 4 * EPS * max(abs(ref), 1.0)
+        assert mpref.rel_err(abs(value), amplitude) <= bound
+    assert all((a < 0) != (b < 0) for (_, a), (_, b) in zip(extrema, extrema[1:]))
+
+
+@pytest.mark.parametrize("theta, m", Z6)
+def test_sign_node_errors_on_both_arcs(theta, m):
+    grid = 8 * (m + 1)
+    rep = an.phase_error_sign(ap.build_s(m, theta), theta, grid)
+    assert (rep.method, rep.arcs, rep.grid_size) == ("nodes", (m + 1, m + 1), grid)
+    amplitude, angles = reference(theta, m)
+    bound = an.node_bound(m, theta)
+    with mp.workdps(mpref.DPS):
+        check_arc(rep.extrema[: m + 1], angles, amplitude, bound)
+        check_arc(rep.extrema[m + 1 :], [mp.pi + t for t in angles], amplitude, bound)
+    assert mpref.rel_err(rep.max_error, amplitude) <= bound
+    assert mpref.rel_err(rep.predicted, amplitude) <= bound
+
+
+@pytest.mark.parametrize("theta, n", Z5)
+def test_sqrt_node_errors(theta, n):
+    M = 2 * n + 1
+    rep = an.phase_error_sqrt(ap.build_r(n, theta), theta, 8 * (n + 1))
+    assert (rep.method, rep.arcs) == ("nodes", (M + 1,))
+    amplitude, angles = reference(theta, M)
+    bound = an.node_bound(M, theta)
+    with mp.workdps(mpref.DPS):
+        check_arc(rep.extrema, [2 * t for t in angles], amplitude, bound)
+    assert mpref.rel_err(rep.max_error, amplitude) <= bound
+
+
+@pytest.mark.parametrize("report, build, degree", [
+    (an.phase_error_sign, ap.build_s, 8),
+    (an.phase_error_sqrt, ap.build_r, 3),
+])
+def test_node_and_grid_routes_agree_where_the_grid_resolves(report, build, degree):
+    theta, grid = 1.0, 512
+    r = build(degree, theta)
+    rep = report(r, theta, grid)
+    problem = "z5" if build is ap.build_r else "z6"
+    amplitude, extrema, counts, size = an._certified_measure(an._arc_jobs(r, theta, problem), grid, rep.expected)
+    assert rep.method == "nodes" and (counts, size) == (rep.arcs, rep.grid_size)
+    assert abs(amplitude - rep.max_error) <= 1e-9 * rep.max_error
+    # the golden search locates a flat extremum to about the root of eps
+    assert max(abs(a - b) for (a, _), (b, _) in zip(extrema, rep.extrema)) <= 1e-6
+    assert max(abs(u - v) for (_, u), (_, v) in zip(extrema, rep.extrema)) <= 1e-9 * rep.max_error
+
+
+@pytest.mark.parametrize("r", [
+    ap.build_s(0, 1.0),  # s_0 = i is flat
+    ap.build_s(4, 1.0).reciprocal(),
+    ap.UnimodularRational(0, 1, ap.build_s(3, 1.0).factors, ap.Family.S_FAMILY),  # a quarter turn off
+])
+def test_other_rationals_take_the_grid_route(r):
+    assert an.phase_error_sign(r, 1.0, 128).method == "grid"
+
+
+@pytest.mark.parametrize("m", [86, 90])
+def test_an_amplitude_below_the_normal_doubles_takes_the_grid_route(m):
+    # arccos(lam) is subnormal at m = 86 and underflows to 0 at m = 90: no relative precision is left
+    assert an.theta_tilde(m, 1e-3) < sys.float_info.min
+    assert an.phase_error_sign(ap.build_s(m, 1e-3), 1e-3, 8 * (m + 1)).method == "grid"
+
+
+def test_a_failed_grid_check_hands_the_report_to_the_grid(monkeypatch):
+    monkeypatch.setattr(an, "node_bound", lambda m, theta: -1.0)  # every grid point exceeds
+    rep = an.phase_error_sign(ap.build_s(5, 1.0), 1.0, 128)
+    assert (rep.method, rep.arcs) == ("grid", (6, 6))
+
+
+def test_node_bound_is_stated_in_theta_and_degree():
+    assert an.node_bound(0, 0.5 * math.pi) == 4 * EPS
+    assert an.node_bound(64, 1.0) == 4 * EPS * (65 / math.sin(1.0)) ** 2
