@@ -4,18 +4,22 @@ The phase error of an approximant R against sqrt or sign is the wrapped
 argument of R(e^{i t}) / target(e^{i t}) over the arc domain.  The extrema
 of the optimal approximants alternate in sign at the common amplitude
 arccos(lam), ``theta_tilde`` of the degree reduction at ``effective_degree``:
-the sqrt problem at degree n is the sign problem at 2n + 1.  A report
-takes one of two routes and names it in ``method``:
+the sqrt problem at degree n is the sign problem at 2n + 1.  ``_arcs`` is
+the one table of the domain, a (centre, scale) pair per arc whose angles
+are centre + scale t, |t| <= Theta: z6 has arcs at 0 and pi, z5 one at 0
+of scale 2.  ``_tally`` turns per-arc (angle, error) candidates into the
+amplitude, the largest |error|, and each arc's alternating extrema and
+their count.  A report reads both and names its route in ``method``:
 
 - ``"nodes"``, for the builder's own optimum (R equal to ``build_s`` or
   ``build_r`` at its degree and Theta, effective degree M >= 1).  Its M + 1
   alternation points per arc are known in closed form, from the even nodes
   of the ``ZolotarevFraction`` at M; the errors there are read in relative
-  precision through the lift F + i sign(Im z)^M G and their sign
-  alternations counted.  One lift call per arc over the ``grid_n``-point
-  grid checks that no point exceeds the amplitude by more than
-  ``node_bound``; ``grid_size`` is ``grid_n``, and nothing is refined or
-  doubled.  A short count or a failed check hands the report to the grid.
+  precision through the lift F + i sign(Im z)^M G.  One lift call per arc
+  over the ``grid_n``-point grid checks that no point exceeds the amplitude
+  by more than ``node_bound``; ``grid_size`` is ``grid_n``, and nothing is
+  refined or doubled.  A short count or a failed check hands the report
+  to the grid.
 - ``"grid"``, for every other rational and for s_0 = i: one kernel
   (``_phase_error``, one exact 2 pi shift wrapping scalars and arrays
   alike) serves both problems and both arcs; each arc's grid is one array
@@ -35,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import approximants
-from .approximants import UnimodularRational, ZolotarevFraction, build_r, build_s, eval_F_product
+from .approximants import UnimodularRational, ZolotarevFraction, _lift, build_r, build_s
 from .elliptic import EllipticModulus, _mu_inverse_pair, _mu_pair, require_degree, require_theta, solve_lambda
 from .errors import DomainError, ResolutionError
 
@@ -127,14 +131,20 @@ def _problem_fns(problem: str):
     return approximants.build_s, phase_error_sign
 
 
+def _orientation(m: int) -> int:
+    """(-1)^n, the power of s_m (m = 2n + 1) in s_{2n+1}(z)^{(-1)^n} r_n(z^2) = z."""
+    return (-1) ** ((m - 1) // 2)
+
+
+def _arcs(problem: str):
+    """(centre, scale) of each arc of the z5 or z6 domain: the angles centre + scale t, |t| <= Theta."""
+    return ((0.0, 2.0),) if effective_degree(problem, 0) else ((0.0, 1.0), (math.pi, 1.0))
+
+
 def _arc_jobs(r: UnimodularRational, theta: float, problem: str):
     """(error kernel, lo, hi) of each arc of the z5 or z6 domain."""
-    if effective_degree(problem, 0):
-        return [(_phase_error(r, 0.0, 0.5), -2.0 * theta, 2.0 * theta)]
-    return [
-        (_phase_error(r, 0.0, 0.0), -theta, theta),
-        (_phase_error(r, math.pi, 0.0), math.pi - theta, math.pi + theta),
-    ]
+    half_t = 0.5 if effective_degree(problem, 0) else 0.0  # the target sqrt turns at half the angle
+    return [(_phase_error(r, mid, half_t), mid - scale * theta, mid + scale * theta) for mid, scale in _arcs(problem)]
 
 
 def _golden_max(f, lo: float, hi: float):
@@ -210,14 +220,11 @@ def _alternating(extrema, amplitude: float, rel: float = 1e-3):
     return _collapse(kept, lambda last, p: (p[1] >= 0.0) == (last[1] >= 0.0))
 
 
-def _measure(arc_jobs, grid_n: int):
-    """Run extrema detection over each (err_fn, lo, hi) triple."""
-    per_arc = [_arc_extrema(fn, lo, hi, grid_n) for fn, lo, hi in arc_jobs]
+def _tally(per_arc, rel: float = 1e-3):
+    """(amplitude, extrema, counts) of per-arc (angle, error) candidates, kept by ``_alternating`` at ``rel``."""
     amplitude = max(abs(v) for ext in per_arc for _, v in ext)
-    reports = [_alternating(ext, amplitude) for ext in per_arc]
-    counts = tuple(len(seq) for seq in reports)
-    extrema = tuple((x, v) for seq in reports for x, v in seq)
-    return amplitude, extrema, counts
+    reports = [_alternating(ext, amplitude, rel) for ext in per_arc]
+    return amplitude, tuple(p for seq in reports for p in seq), tuple(len(seq) for seq in reports)
 
 
 def _certified_measure(arc_jobs, grid_n: int, expected: int):
@@ -228,9 +235,9 @@ def _certified_measure(arc_jobs, grid_n: int, expected: int):
     accepted only when it reproduces the first count (a real deficiency,
     e.g. a tampered approximant), and anything else is unresolvable.
     """
-    amplitude, extrema, counts = _measure(arc_jobs, grid_n)
+    amplitude, extrema, counts = _tally([_arc_extrema(fn, lo, hi, grid_n) for fn, lo, hi in arc_jobs])
     if any(c < expected for c in counts):
-        amp2, ext2, counts2 = _measure(arc_jobs, 2 * grid_n)
+        amp2, ext2, counts2 = _tally([_arc_extrema(fn, lo, hi, 2 * grid_n) for fn, lo, hi in arc_jobs])
         if any(c < expected for c in counts2) and counts2 != counts:
             raise ResolutionError(
                 f"alternation count not grid-stable: {counts} vs {counts2} "
@@ -257,13 +264,11 @@ def node_bound(m: int, theta: float) -> float:
 def _node_measure(theta: float, problem: str, effective: int, grid_n: int):
     """(amplitude, extrema, counts, grid_n) of the optimum of degree M = ``effective`` at its alternation points.
 
-    On the arc around +1 the error of s_M alternates at t with
-    x = cos t = ell sqrt((1 + c)/(ell^2 + c)), t = atan2(ell' sqrt(c), ell sqrt(1 + c)),
-    for c in the fraction's ``cot2_even``, c = inf (the arc ends +-Theta)
-    and, for even M, c = 0 (the centre): M + 1 points.  On the arc around -1
-    they sit at pi + t; z5 reads s_M at tau = 2t through
-    s_{2n+1}(z)^{(-1)^n} r_n(z^2) = z.  None unless every arc counts M + 1
-    and no point of its grid_n-point grid exceeds the amplitude by ``node_bound``.
+    On each arc the error of s_M alternates at the M + 1 values of t with
+    cos t = ell sqrt((1 + c)/(ell^2 + c)), t = atan2(ell' sqrt(c), ell sqrt(1 + c)),
+    for c in the fraction's ``cot2_even``, c = inf (the arc ends) and, for even M,
+    c = 0 (the centre); z5 reads s_M through s_{2n+1}(z)^{(-1)^n} r_n(z^2) = z.
+    None unless every arc counts M + 1 and no point of its grid exceeds the amplitude by ``node_bound``.
     """
     ell, ell_comp = require_theta(theta)
     zf = ZolotarevFraction.from_ell(effective, ell, ell_comp)
@@ -273,27 +278,22 @@ def _node_measure(theta: float, problem: str, effective: int, grid_n: int):
     half_x = np.append(np.minimum(ell * np.sqrt((1.0 + c) / (ell * ell + c)), 1.0), ell)
     t = np.concatenate([-half_t[centre:][::-1], half_t])
     x = np.concatenate([half_x[centre:][::-1], half_x])
-    if effective_degree(problem, 0):  # (target +-1, centre angle, angle per t, sign of the error) of each arc
-        arcs = [(1.0, 0.0, 2.0, 1.0 if effective % 4 == 3 else -1.0)]  # -(-1)^n at M = 2n + 1
-    else:
-        arcs = [(1.0, 0.0, 1.0, 1.0), (-1.0, math.pi, 1.0, 1.0)]
+    sign = -_orientation(effective) if effective_degree(problem, 0) else 1  # z5: arg r_n(z^2) - arg z = -(-1)^n arg s_M
     per_arc, peak = [], 0.0
-    for turn, mid, scale, sign in arcs:
+    for mid, scale in _arcs(problem):
+        turn = math.cos(mid)  # the target +-1 of the arc
         w = np.linspace(mid - scale * theta, mid + scale * theta, grid_n) / scale  # the grid's z = e^{i w}
-        # one lift call F + i sign(Im z)^M G: the nodes, then the grid with Re z kept on the arc
-        F, G = eval_F_product(zf, np.concatenate([turn * x, turn * np.maximum(turn * np.cos(w), ell)]))
-        if effective % 2:
-            G = np.where(np.concatenate([turn * t >= 0.0, np.sin(w) >= 0.0]), G, -G)
+        # one lift call: the nodes, then the grid with Re z kept on the arc
+        F, G = _lift(zf, np.concatenate([turn * x, turn * np.maximum(turn * np.cos(w), ell)]),
+                     np.concatenate([turn * t, np.sin(w)]))
         e = sign * np.arctan2(turn * G, turn * F)  # the target -1 divides out as atan2(-G, -F)
         per_arc.append(list(zip((mid + scale * t).tolist(), e[: t.size].tolist())))
         peak = max(peak, float(np.abs(e[t.size :]).max()))
-    amplitude = max(abs(v) for ext in per_arc for _, v in ext)
     bound = node_bound(effective, theta)
-    if not sys.float_info.min <= amplitude or peak > amplitude * (1.0 + bound):
+    amplitude, extrema, counts = _tally(per_arc, bound)
+    if not sys.float_info.min <= amplitude or peak > amplitude * (1.0 + bound) or min(counts) <= effective:
         return None
-    if any(len(_alternating(ext, amplitude, bound)) <= effective for ext in per_arc):
-        return None
-    return amplitude, tuple(p for ext in per_arc for p in ext), (effective + 1,) * len(arcs), grid_n
+    return amplitude, extrema, counts, grid_n
 
 
 def _phase_report(r: UnimodularRational, theta: float, grid_n: int, problem: str) -> PhaseErrorReport:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -186,6 +187,16 @@ def build_s(m: int, theta: float) -> UnimodularRational:
     return UnimodularRational(0, (1 - m) % 4, params, Family.S_FAMILY)
 
 
+def _square_limit(c: float) -> float:
+    """The largest s at which s * s * c is finite, for c > 0."""
+    s = math.sqrt(sys.float_info.max / max(c, 1.0))
+    while s * s * c < math.inf:
+        s = math.nextafter(s, math.inf)
+    while s * s * c == math.inf:
+        s = math.nextafter(s, 0.0)
+    return s
+
+
 @dataclass(frozen=True)
 class ZolotarevFraction:
     """F_m/G_m evaluation data at a modulus: F = lam sn(u/M, lam), G = dn(u/M, lam).
@@ -196,6 +207,7 @@ class ZolotarevFraction:
     Each object builds the table its F/G kernel reads once, in a private
     ``_kernel`` field left out of ``__eq__`` and ``repr``: (ell, lam, M,
     (cot2_even, cot2_odd) pairs, the trailing odd node of even m or None,
+    the largest s at which s^2 times the largest node stays finite,
     (dn2_odd, cot2_odd) pairs).  ``F`` alone reads the F part.
     """
 
@@ -214,6 +226,7 @@ class ZolotarevFraction:
             self.reduction.M,
             tuple(zip(even, odd)),
             tail,
+            _square_limit(odd[0] if odd else 1.0),  # cot^2 falls with k: the first odd node is the largest
             tuple(zip(self.dn2_odd, odd)),
         )
         object.__setattr__(self, "_kernel", table)
@@ -234,19 +247,28 @@ class ZolotarevFraction:
         F = lam (s/M) prod (1 + s^2 c_e)/(1 + s^2 c_o), s = x/ell, with the
         trailing odd node of even m dividing last.  Every ratio pairs the even
         node 2k with the odd node 2k - 1 below it, so it lies in (c_e/c_o, 1]
-        and the running product stays finite at any degree (until s^2
-        overflows, past |x| ~ 1e154 ell).  The same arithmetic serves a float
-        and an ndarray: numpy's float64 + * / round as Python's do, so the two
-        agree bit for bit.
+        and the running product stays finite at any degree.  Where s^2 c
+        overflows for a node c, the ratios are taken in 1/s^2 and even m leads
+        with 1/s; every other point keeps the arithmetic above.  The same
+        arithmetic serves a float and an ndarray: numpy's float64 + * / round
+        as Python's do, so the two agree bit for bit.
         """
-        ell, lam, M, ratios, tail, _ = self._kernel
+        ell, lam, M, ratios, tail, limit, _ = self._kernel
         s = x / ell
+        one, lead = 1.0, s
+        far = abs(s) > limit
+        if far is True or far is not False and far.any():
+            if not isinstance(x, np.ndarray):
+                return float(self.F(np.array([x]))[0])
+            u = 1.0 / np.where(far, s, 1.0)
+            one, s = np.where(far, u * u, 1.0), np.where(far, 1.0, s)
+            lead = lead if tail is None else np.where(far, u, lead)
         s2 = s * s
-        f = lam * (s / M)
+        f = lam * (lead / M)
         for ce, co in ratios:
-            f *= (1.0 + s2 * ce) / (1.0 + s2 * co)
+            f *= (one + s2 * ce) / (one + s2 * co)
         if tail is not None:
-            f /= 1.0 + s2 * tail
+            f /= one + s2 * tail
         return f
 
 
@@ -334,9 +356,12 @@ def eval_s_via_FG(m: int, theta: float, z):
         raise DomainError(f"eval_s_via_FG requires |z| = 1, got ||z| - 1| = {float(np.max(off))!r}")
     if m % 2 and np.any(np.abs(w.real) < 1e-12):
         raise DomainError("the F/G lift is not defined at z = +-i for odd degree")
-    x = np.clip(((w + 1.0 / w) / 2.0).real, -1.0, 1.0)
-    F, G = eval_F_product(zf, x)
     out = np.empty(w.shape, dtype=complex)
-    out.real = F
-    out.imag = np.where(w.imag < 0.0, -G, G) if m % 2 else G
+    out.real, out.imag = _lift(zf, np.clip(((w + 1.0 / w) / 2.0).real, -1.0, 1.0), w.imag)
     return out if isinstance(z, np.ndarray) else complex(out)
+
+
+def _lift(zf: ZolotarevFraction, x: np.ndarray, im: np.ndarray):
+    """(F(x), sign(im)^m G(x)), the real and imaginary parts of the lift at arrays; sign(0) = +1."""
+    F, G = eval_F_product(zf, x)
+    return F, (np.where(im < 0.0, -G, G) if zf.reduction.m % 2 else G)

@@ -121,10 +121,14 @@ def _cmd_build(args) -> int:
         approx = approximants.z4_solution(args.degree, args.ell)
         zf = approx.fraction
         red = zf.reduction
-        m = args.degree
+        # per-factor constants of the product form (1 + (x/ell)^2 c):
+        # odd nodes carry the pole factors, even nodes the zero factors,
+        # so the zeros/poles sit at +-i ell/sqrt(c), after F_m's zero at 0
+        zeros = [[0.0, 0.0]] + [[0.0, s * args.ell / math.sqrt(c)] for c in zf.cot2_even for s in (1.0, -1.0)]
+        poles = [[0.0, s * args.ell / math.sqrt(c)] for c in zf.cot2_odd for s in (1.0, -1.0)]
         results = {
             "problem": "z4",
-            "degree": m,
+            "degree": args.degree,
             "ell": args.ell,
             "lambda": red.lam,
             "lambda_comp": red.lam_comp,
@@ -132,14 +136,10 @@ def _cmd_build(args) -> int:
             "scale": approx.scale,
             "z_power": 1,
             "quarter_turns": 0,
-            # per-factor constants of the product form (1 + (x/ell)^2 c):
-            # odd nodes carry the pole factors, even nodes the zero factors,
-            # so the zeros/poles sit at +-i ell/sqrt(c), after F_m's zero at 0
             "factors": list(zf.cot2_odd),
-            "zeros": [[0.0, 0.0]]
-            + [[0.0, s * args.ell / math.sqrt(c)] for c in zf.cot2_even for s in (1.0, -1.0)],
-            "poles": [[0.0, s * args.ell / math.sqrt(c)] for c in zf.cot2_odd for s in (1.0, -1.0)],
-            "exact_type": [2 * ((m - 1) // 2) + 1, 2 * (m // 2)],
+            "zeros": zeros,
+            "poles": poles,
+            "exact_type": [len(zeros), len(poles)],
         }
     print(_envelope(args, results))
     return 0

@@ -13,7 +13,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-from .approximants import Family, UnimodularRational, ZolotarevFraction, build_s, coeff_a
+from .approximants import Family, UnimodularRational, build_s, coeff_a, z4_solution
 from .elliptic import _mu_inverse_pair, _nome, _sncndn, complement, groetzsch_mu
 from .elliptic import require_degree, require_modulus, require_theta, solve_lambda
 from .errors import BranchError, DomainError, PrecisionError
@@ -125,10 +125,7 @@ def scaled_F_via_blaschke(m: int, ell: float, z: complex) -> tuple[float, float]
     m, kappa, z, x = _moebius_image(m, ell, z)
     if abs(x.imag) > 1e-9:
         raise BranchError(f"Moebius image {x!r} is not real")
-    lhs = _h_side(m, ell, z)
-    zf = ZolotarevFraction.from_ell(m, kappa)
-    rhs = 2.0 / (1.0 + zf.reduction.lam) * zf.F(x.real)
-    return lhs, rhs
+    return _h_side(m, ell, z), z4_solution(m, kappa)(x.real)
 
 
 @dataclass(frozen=True)

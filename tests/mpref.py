@@ -75,6 +75,10 @@ def mp_pair(v):
     the form whose right side V is >= pi/2 is solved for its small modulus,
     with mpmath.findroot on mpmath.ellipk in y = -log of the small modulus,
     at a working precision that grows with V so that 1 - ell^2 resolves.
+    The residual is mu(e^{-y}) - V, and mu(x) < log(4/x) puts its root in
+    the bracket [V - log 4, V + 1 - log 4], which the Anderson-Bjorck solver
+    keeps: a secant from V - log 4 alone can step off once the residual is
+    down to the rounding of 1 - x^2, and never return.
     """
     V = _big_target(v)
     with mp.workdps(int(0.87 * V) + 30):
@@ -84,7 +88,8 @@ def mp_pair(v):
             x2 = mp.exp(-2 * y)
             return mp.pi / 2 * mp.ellipk(1 - x2) / mp.ellipk(x2) - V
 
-        small = mp.exp(-mp.findroot(residual, float(V) - math.log(4), tol=mp.mpf(10) ** -60))
+        y = float(V) - math.log(4)
+        small = mp.exp(-mp.findroot(residual, (y, y + 1), solver="anderson", tol=mp.mpf(10) ** -60))
         large = mp.sqrt(1 - small**2)
     return (small, large) if v >= mp.pi / 2 else (large, small)
 

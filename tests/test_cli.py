@@ -169,7 +169,8 @@ class TestError:
         s = ap.build_s(2, 1.0)
         tampered = ap.UnimodularRational(s.z_power, s.quarter_turns, (1.05 * s.factors[0],) + s.factors[1:], s.family)
         monkeypatch.setattr(ap, "build_s", lambda m, theta: tampered)
-        monkeypatch.setattr(an, "_measure", lambda jobs, grid_n: (1.0, (), (1, 1) if grid_n == 512 else (2, 2)))
+        counts = iter([(1, 1), (2, 2)])  # the grid of 512 points, then the doubled grid
+        monkeypatch.setattr(an, "_tally", lambda per_arc, rel=1e-3: (1.0, (), next(counts)))
         code, out, err = run(capsys, "error", "--problem", "z6", "--degree", "2", "--theta", "1.0")
         assert (code, out) == (4, "")
         assert "not grid-stable: (1, 1) vs (2, 2)" in err

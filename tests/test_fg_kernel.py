@@ -181,6 +181,24 @@ class TestFAlone:
         assert zf.F(x) == pytest.approx(mp_F(zf, x), abs=(m + 4) * EPS)
 
 
+class TestFPastTheOverflow:
+    # (x/ell)^2 overflows past |x| ~ 1.3e154 ell; F there is about 1e160 (odd m) or 1e-160 (even m)
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_float_and_array_within_m_plus_4_eps(self, m):
+        zf = ap.ZolotarevFraction.from_ell(m, 0.5)
+        xs = [1e160, -1e160]
+        scalars = [zf.F(x) for x in xs]
+        assert_bitwise(scalars, zf.F(np.array(xs)))
+        for x, F in zip(xs, scalars):
+            assert F == pytest.approx(mp_F(zf, x), rel=(m + 4) * EPS, abs=0.0)
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_z4_inherits_it(self, m):
+        z4 = ap.z4_solution(m, 0.5)
+        assert z4(1e160) == pytest.approx(z4.scale * mp_F(z4.fraction, 1e160), rel=(m + 4) * EPS, abs=0.0)
+        assert np.array_equal(bits(z4(np.array([1e160, 0.5]))), bits([z4(1e160), z4(0.5)]))
+
+
 class TestDegreeZero:
     def test_direct_is_the_product_bit_for_bit(self):
         # F_0 = 0 carries the sign of x: -0.0 at every negative x

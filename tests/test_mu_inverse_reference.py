@@ -19,6 +19,8 @@ from zolocirc import elliptic as el
 HALF_PI = 0.5 * math.pi
 THETAS = [2e-4, 1e-3, 0.3, 1.0, 1.5, HALF_PI - 1e-5, HALF_PI - 1e-7]
 DEGREES = [2, 3, 7, 16, 64, 256]
+# (Theta, m) at which the reference's root search once stepped off its root
+REFERENCE_HARD = [(0.37922565933637603, 77), (0.892288135962512, 69), (0.00367215435797645, 31)]
 # ell near 1 with m = 256 and ell = 0.5 past m = 600 underflow lam'
 UNDERFLOW_CASES = [(0.5, 600), (0.5, 800), (0.5, 3000), (1.0 - 1e-7, 256), (1e-7, 3000)]
 
@@ -42,13 +44,12 @@ def test_small_member_of_the_pair(v):
 @pytest.fixture(scope="module")
 def theta_grid():
     rows = []
-    for theta in THETAS:
+    for theta, m in [(theta, m) for theta in THETAS for m in DEGREES] + REFERENCE_HARD:
         with mp.workdps(40):
             t = mp.mpf(theta)
             ell_sq, ell_comp_sq = mp.cos(t) ** 2, mp.sin(t) ** 2
-        for m in DEGREES:
-            red = el.solve_lambda(math.cos(theta), m, math.sin(theta))
-            rows.append((theta, m, red, mp_reduction(ell_sq, ell_comp_sq, m)))
+        red = el.solve_lambda(math.cos(theta), m, math.sin(theta))
+        rows.append((theta, m, red, mp_reduction(ell_sq, ell_comp_sq, m)))
     return rows
 
 

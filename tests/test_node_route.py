@@ -118,3 +118,22 @@ def test_a_failed_grid_check_hands_the_report_to_the_grid(monkeypatch):
 def test_node_bound_is_stated_in_theta_and_degree():
     assert an.node_bound(0, 0.5 * math.pi) == 4 * EPS
     assert an.node_bound(64, 1.0) == 4 * EPS * (65 / math.sin(1.0)) ** 2
+
+
+def test_a_short_count_on_the_nodes_hands_the_report_to_the_grid(monkeypatch):
+    theta, grid = 1.0, 128
+    r = ap.build_s(5, theta)
+    alternating, rels = an._alternating, []
+
+    def drop_one_on_the_first_node_arc(extrema, amplitude, rel=1e-3):
+        rels.append(rel)
+        kept = alternating(extrema, amplitude, rel)
+        return kept[:-1] if len(rels) == 1 else kept
+
+    monkeypatch.setattr(an, "_alternating", drop_one_on_the_first_node_arc)
+    rep = an.phase_error_sign(r, theta, grid)
+    assert rels[0] == an.node_bound(5, theta)  # the first call came from the node route
+    monkeypatch.undo()
+    amplitude, extrema, counts, size = an._certified_measure(an._arc_jobs(r, theta, "z6"), grid, rep.expected)
+    assert (rep.method, rep.arcs, rep.grid_size) == ("grid", counts, size)
+    assert (rep.max_error, rep.extrema) == (amplitude, extrema)
