@@ -72,21 +72,19 @@ class GridField:
 def _phase_error(r: UnimodularRational, offset: float, half_t: float):
     """Signed error t -> arg r(e^{i t}) - offset - half_t t, wrapped to (-pi, pi].
 
-    An ndarray of angles is evaluated with one array call of r; a float
-    takes the scalar path and gives a float.  On the arcs the unwrapped
-    difference lies in [-2 pi, 3 pi/2]: one exact 2 pi shift wraps both.
+    An ndarray of angles takes one array call of r; a float, the scalar path.
+    On the arcs the unwrapped difference lies in [-2 pi, 3 pi/2]: x - k 2 pi,
+    k in {-1, 0, 1}, wraps both exactly (k = 0 keeps x, -0.0 included).
     """
 
     def err(t):
         if isinstance(t, np.ndarray):
             w = r(np.exp(1j * t))
             x = np.arctan2(w.imag, w.real) - (offset + half_t * t)
-            x = np.where(x > math.pi, x - _TWO_PI, x)
-            return np.where(x <= -math.pi, x + _TWO_PI, x)
-        w = r(complex(math.cos(t), math.sin(t)))
-        x = math.atan2(w.imag, w.real) - float(offset + half_t * t)
-        x = x - _TWO_PI if x > math.pi else x
-        return x + _TWO_PI if x <= -math.pi else x
+        else:
+            w = r(complex(math.cos(t), math.sin(t)))
+            x = math.atan2(w.imag, w.real) - float(offset + half_t * t)
+        return x - _TWO_PI * (1.0 * (x > math.pi) - (x <= -math.pi))
 
     return err
 
@@ -235,16 +233,13 @@ def _certified_measure(arc_jobs, grid_n: int, expected: int):
     accepted only when it reproduces the first count (a real deficiency,
     e.g. a tampered approximant), and anything else is unresolvable.
     """
-    amplitude, extrema, counts = _tally([_arc_extrema(fn, lo, hi, grid_n) for fn, lo, hi in arc_jobs])
-    if any(c < expected for c in counts):
-        amp2, ext2, counts2 = _tally([_arc_extrema(fn, lo, hi, 2 * grid_n) for fn, lo, hi in arc_jobs])
-        if any(c < expected for c in counts2) and counts2 != counts:
-            raise ResolutionError(
-                f"alternation count not grid-stable: {counts} vs {counts2} "
-                f"(expected {expected} per arc)"
-            )
-        return amp2, ext2, counts2, 2 * grid_n
-    return amplitude, extrema, counts, grid_n
+    counts = None
+    for n in (grid_n, 2 * grid_n):
+        first = counts
+        amplitude, extrema, counts = _tally([_arc_extrema(fn, lo, hi, n) for fn, lo, hi in arc_jobs])
+        if min(counts) >= expected or counts == first:
+            return amplitude, extrema, counts, n
+    raise ResolutionError(f"alternation count not grid-stable: {first} vs {counts} (expected {expected} per arc)")
 
 
 def node_bound(m: int, theta: float) -> float:
@@ -261,7 +256,7 @@ def node_bound(m: int, theta: float) -> float:
     return 4.0 * sys.float_info.epsilon * ((m + 1) / math.sin(theta)) ** 2
 
 
-def _node_measure(theta: float, problem: str, effective: int, grid_n: int):
+def _node_measure(theta: float, ell: float, ell_comp: float, problem: str, effective: int, grid_n: int):
     """(amplitude, extrema, counts, grid_n) of the optimum of degree M = ``effective`` at its alternation points.
 
     On each arc the error of s_M alternates at the M + 1 values of t with
@@ -270,7 +265,6 @@ def _node_measure(theta: float, problem: str, effective: int, grid_n: int):
     c = 0 (the centre); z5 reads s_M through s_{2n+1}(z)^{(-1)^n} r_n(z^2) = z.
     None unless every arc counts M + 1 and no point of its grid exceeds the amplitude by ``node_bound``.
     """
-    ell, ell_comp = require_theta(theta)
     zf = ZolotarevFraction.from_ell(effective, ell, ell_comp)
     centre = 1 - effective % 2
     c = np.array((0.0,) * centre + zf.cot2_even[::-1])  # ascending in t
@@ -302,13 +296,13 @@ def _phase_report(r: UnimodularRational, theta: float, grid_n: int, problem: str
     The builder is this module's own binding: a builder swapped on
     ``approximants`` (a tampered optimum) does not pass for the optimum.
     """
-    require_theta(theta)
+    ell, ell_comp = require_theta(theta)
     degree = len(r.factors)
     effective = effective_degree(problem, degree)
     grid_n = require_degree(grid_n, 8 * (degree + 1), "grid_n")
     expected = effective + 1
     build = build_r if effective_degree(problem, 0) else build_s
-    nodes = effective and r == build(degree, theta) and _node_measure(theta, problem, effective, grid_n)
+    nodes = effective and r == build(degree, theta) and _node_measure(theta, ell, ell_comp, problem, effective, grid_n)
     amplitude, extrema, counts, grid_size = nodes or _certified_measure(_arc_jobs(r, theta, problem), grid_n, expected)
     method = "nodes" if nodes else "grid"
     return PhaseErrorReport(amplitude, theta_tilde(effective, theta), extrema, counts, grid_size, expected, method)

@@ -128,8 +128,7 @@ class UnimodularRational:
 
     def exact_type(self) -> tuple[int, int]:
         """(numerator degree, denominator degree) after cancelling at z = 0."""
-        regular, order = len(self._regular()), self._origin_order()
-        return regular + max(order, 0), regular + max(-order, 0)
+        return len(self.zeros()), len(self.poles())
 
     def zeros(self) -> tuple[complex, ...]:
         """Finite zeros -v/u, with the net multiplicity at z = 0."""
@@ -260,8 +259,7 @@ class ZolotarevFraction:
         if far is True or far is not False and far.any():
             if not isinstance(x, np.ndarray):
                 return float(self.F(np.array([x]))[0])
-            u = 1.0 / np.where(far, s, 1.0)
-            one, s = np.where(far, u * u, 1.0), np.where(far, 1.0, s)
+            u, one, s = _reciprocal_squares(s, far)
             lead = lead if tail is None else np.where(far, u, lead)
         s2 = s * s
         f = lam * (lead / M)
@@ -272,23 +270,38 @@ class ZolotarevFraction:
         return f
 
 
+def _reciprocal_squares(s: np.ndarray, far: np.ndarray):
+    """(1/s, one, s) that take ratios (one + s^2 c)/(one + s^2 c') in 1/s^2 where ``far``: one = 1/s^2, s = 1."""
+    u = 1.0 / np.where(far, s, 1.0)
+    return u, np.where(far, u * u, 1.0), np.where(far, 1.0, s)
+
+
 def eval_F_product(zf: ZolotarevFraction, x):
     """(F_m(x), G_m(x)) through the rational product identities, at a float or an ndarray.
 
     F is ``zf.F(x)``, rational in x and defined for every real x.  G is
     prod (1 - s^2 d)/(1 + s^2 c_o) over the odd nodes, s = x/ell; for odd m
     it carries a sqrt(1 - x^2) factor and therefore requires |x| <= 1
-    (DomainError otherwise, for any point of an array).  A float gives
-    floats, an ndarray gives arrays, bitwise equal elementwise.
+    (DomainError otherwise, for any point of an array).  Where s^2 c_o
+    overflows (even m, past |x| ~ 1e154 ell) G's ratios are taken in 1/s^2,
+    as F's are.  A float gives floats, an ndarray gives arrays, bitwise
+    equal elementwise.
     """
     odd = zf.reduction.m % 2
     if odd and not np.all(np.abs(x) <= 1.0):
         raise DomainError(f"odd-degree G needs |x| <= 1, got |x| = {float(np.max(np.abs(x)))!r}")
-    s = x / zf.reduction.modulus.ell
+    ell, _, _, _, _, limit, nodes = zf._kernel
+    s, one = x / ell, 1.0
+    far = abs(s) > limit
+    if far is True or far is not False and far.any():
+        if not isinstance(x, np.ndarray):
+            F, G = eval_F_product(zf, np.array([x]))
+            return float(F[0]), float(G[0])
+        _, one, s = _reciprocal_squares(s, far)
     s2 = s * s
     G = 1.0 + 0.0 * s2  # 1 in the shape of x; m = 0 has no odd node
-    for d, co in zf._kernel[-1]:
-        G *= (1.0 - s2 * d) / (1.0 + s2 * co)
+    for d, co in nodes:
+        G *= (one - s2 * d) / (one + s2 * co)
     if odd:
         sqrt = np.sqrt if isinstance(x, np.ndarray) else math.sqrt
         G *= sqrt((1.0 - x) * (1.0 + x))

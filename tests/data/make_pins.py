@@ -3,7 +3,7 @@
     PYTHONPATH=src python tests/data/make_pins.py
 
 For each existing key of elliptic_pins.json, node_pins.json,
-cli_build_golden.json and cli_report_pins.json the value is recomputed
+cli_build_golden.json, cli_report_pins.json and grid_pins.json the value is recomputed
 exactly as the pin test computes it, and the file is rewritten in place;
 no key is added or removed.  Pins guard refactors: run this only for a
 change that is meant to move pinned bits, and check the moved values
@@ -22,6 +22,7 @@ sys.path.insert(0, os.path.dirname(HERE))  # the tests, for their key parsers
 
 from test_cli_report_pins import parse
 from test_elliptic_pins import _fields
+from test_grid_pins import measure
 from test_node_pins import _args
 
 from zolocirc import elliptic as el
@@ -95,6 +96,7 @@ def main():
     rewrite("node_pins.json", lambda p: {fam: {k: node_pin(fam, k) for k in p[fam]} for fam in p})
     rewrite("cli_build_golden.json", lambda p: {argv: build_pin(argv) for argv in p})
     rewrite("cli_report_pins.json", lambda p: {argv: report_pin(argv) for argv in p})
+    rewrite("grid_pins.json", lambda p: {key: measure(key) for key in p})
 
 
 if __name__ == "__main__":

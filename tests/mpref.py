@@ -55,12 +55,25 @@ def node(num, den, ell_sq):
         return sn, cn, dn
 
 
-def coeff_b(j, m, theta):
-    """b_j of s_m at theta: (-1)^{mj} base^{(-1)^j}, base = (ell sn + dn)/cn at (2j - 1) K(ell')/m."""
+def _base(num, den, theta):
+    """(ell sn + dn)/cn at num K(ell')/den, ell = cos Theta: the base of a_j and b_j."""
     ell_sq, ell_comp_sq = theta_squares(theta)
-    sn, cn, dn = node(2 * j - 1, m, ell_comp_sq)
+    sn, cn, dn = node(num, den, ell_comp_sq)
     with mp.workdps(DPS):
-        base = (mp.sqrt(ell_sq) * sn + dn) / cn
+        return (mp.sqrt(ell_sq) * sn + dn) / cn
+
+
+def coeff_a(j, n, theta):
+    """a_j of r_n at theta: base^{2 (-1)^{j+n}}, base at (2j - 1) K(ell')/(2n + 1)."""
+    base = _base(2 * j - 1, 2 * n + 1, theta)
+    with mp.workdps(DPS):
+        return base**2 if (j + n) % 2 == 0 else base**-2
+
+
+def coeff_b(j, m, theta):
+    """b_j of s_m at theta: (-1)^{mj} base^{(-1)^j}, base at (2j - 1) K(ell')/m."""
+    base = _base(2 * j - 1, m, theta)
+    with mp.workdps(DPS):
         return (-1) ** (m * j) * (base if j % 2 == 0 else 1 / base)
 
 

@@ -1,11 +1,12 @@
 """The elliptic kernel against a 50-digit mpmath reference across the window.
 
-Node sn/cn/dn, s_m coefficients b_j, K and mu are held to 16 eps relative
-(an exact 0 to exactly 0) over an arc grid that includes both window ends,
+Node sn/cn/dn, r_n coefficients a_j, s_m coefficients b_j, K and mu are
+held to 16 eps relative (an exact 0 to exactly 0) over an arc grid that
+includes both window ends,
 0.0001414213571029879 (the first Theta whose cosine falls below ELL_MAX)
 and 1.5707963162581844 (the last Theta whose sine stays below 1), and
 over a modulus grid from ELL_MIN^+ to 1 - 1e-7, at node denominators 16,
-257 and 3000 and degrees 16, 64 and 256.  Large
+257 and 3000 and degrees 16, 64 and 256 (a_j also at n = 300).  Large
 denominators are sampled: both ends of each quarter period, its middle
 and an even spread between.
 The reference is tests/mpref.py, which shares no formula with the kernel.
@@ -28,7 +29,7 @@ import pytest
 
 from zolocirc import elliptic as el
 from zolocirc.analysis import zolotarev_number
-from zolocirc.approximants import ZolotarevFraction, coeff_b, eval_F_direct, eval_F_product
+from zolocirc.approximants import ZolotarevFraction, coeff_a, coeff_b, eval_F_direct, eval_F_product
 from zolocirc.errors import PrecisionError
 
 BOUND = 16 * mpref.EPS
@@ -73,6 +74,15 @@ def test_coeff_b(m):
         for j in js:
             b = coeff_b(j, m, theta)
             assert mpref.rel_err(b, mpref.coeff_b(j, m, theta)) <= BOUND, f"b_{j} at theta={theta!r}, m={m}"
+
+
+@pytest.mark.parametrize("n", [16, 64, 256, 300])
+def test_coeff_a(n):
+    js = [j for j in sample(n, 6) if 1 <= j <= n]
+    for theta in THETAS:
+        for j in js:
+            a = coeff_a(j, n, theta)
+            assert mpref.rel_err(a, mpref.coeff_a(j, n, theta)) <= BOUND, f"a_{j} at theta={theta!r}, n={n}"
 
 
 def test_complete_K_and_mu():

@@ -354,6 +354,22 @@ class TestPhaseErrorKernel:
             assert grid.shape == (1024,)
             assert np.max(np.abs(grid - scalar)) <= 4e-15
 
+    @staticmethod
+    def literal_wrap(x):
+        """The wrap into (-pi, pi] written out: one conditional shift down, then one up."""
+        x = x - 2.0 * math.pi if x > math.pi else x
+        return x + 2.0 * math.pi if x <= -math.pi else x
+
+    @pytest.mark.parametrize("offset", [0.0, math.pi, 0.5 * math.pi, -0.5 * math.pi])
+    def test_one_wrap_for_floats_and_arrays(self, offset):
+        # a constant r at w: the error atan2(w) - offset meets both edges of (-pi, pi] and -0.0
+        for w in (complex(1.0, -0.0), complex(1.0, 0.0), complex(-1.0, 0.0), complex(-1.0, -0.0), -1j, 1j, 1 + 1j):
+            err = an._phase_error(lambda z, w=w: np.full(z.shape, w) if isinstance(z, np.ndarray) else w, offset, 0.0)
+            want = self.literal_wrap(math.atan2(w.imag, w.real) - offset)
+            assert -math.pi < want <= math.pi
+            got = [err(0.0), float(err(np.zeros(1))[0])]
+            assert np.array_equal(np.array(got).view(np.uint64), np.array([want, want]).view(np.uint64)), (w, offset)
+
     @pytest.mark.parametrize("problem", ["z5", "z6"])
     def test_reported_errors_are_python_floats(self, problem):
         # the grid brackets hand numpy scalars to the scalar branch

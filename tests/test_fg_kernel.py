@@ -49,7 +49,7 @@ def mp_F(zf, x):
 
 
 def mp_G(zf, x):
-    """G from the undivided product formula, in 60-digit arithmetic (|x| <= 1)."""
+    """G from the undivided product formula, in 60-digit arithmetic (|x| <= 1 for odd m)."""
     with mp.workdps(60):
         s = mp.mpf(x) / mp.mpf(zf.reduction.modulus.ell)
         G = mp.mpf(1)
@@ -197,6 +197,18 @@ class TestFPastTheOverflow:
         z4 = ap.z4_solution(m, 0.5)
         assert z4(1e160) == pytest.approx(z4.scale * mp_F(z4.fraction, 1e160), rel=(m + 4) * EPS, abs=0.0)
         assert np.array_equal(bits(z4(np.array([1e160, 0.5]))), bits([z4(1e160), z4(0.5)]))
+
+
+class TestGPastTheOverflow:
+    # past the same overflow G of even m is about +-1; odd m needs |x| <= 1
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_float_and_array_within_m_plus_4_eps(self, m):
+        zf = ap.ZolotarevFraction.from_ell(m, 0.5)
+        xs = [1e160, -1e160]
+        scalars = [ap.eval_F_product(zf, x)[1] for x in xs]
+        assert_bitwise(scalars, ap.eval_F_product(zf, np.array(xs))[1])
+        for x, G in zip(xs, scalars):
+            assert G == pytest.approx(mp_G(zf, x), rel=(m + 4) * EPS, abs=0.0)
 
 
 class TestDegreeZero:
