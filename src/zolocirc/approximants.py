@@ -186,16 +186,6 @@ def build_s(m: int, theta: float) -> UnimodularRational:
     return UnimodularRational(0, (1 - m) % 4, params, Family.S_FAMILY)
 
 
-def _square_limit(c: float) -> float:
-    """The largest s at which s * s * c is finite, for c > 0."""
-    s = math.sqrt(sys.float_info.max / max(c, 1.0))
-    while s * s * c < math.inf:
-        s = math.nextafter(s, math.inf)
-    while s * s * c == math.inf:
-        s = math.nextafter(s, 0.0)
-    return s
-
-
 @dataclass(frozen=True)
 class ZolotarevFraction:
     """F_m/G_m evaluation data at a modulus: F = lam sn(u/M, lam), G = dn(u/M, lam).
@@ -206,7 +196,8 @@ class ZolotarevFraction:
     Each object builds the table its F/G kernel reads once, in a private
     ``_kernel`` field left out of ``__eq__`` and ``repr``: (ell, lam, M,
     (cot2_even, cot2_odd) pairs, the trailing odd node of even m or None,
-    the largest s at which s^2 times the largest node stays finite,
+    the far-field limit (1 - 8 eps) sqrt(DBL_MAX / max(c, 1)) for the largest
+    node c, below which rounding cannot carry s * s * c past DBL_MAX,
     (dn2_odd, cot2_odd) pairs).  ``F`` alone reads the F part.
     """
 
@@ -219,13 +210,14 @@ class ZolotarevFraction:
     def __post_init__(self):
         odd, even = self.cot2_odd, self.cot2_even
         tail = odd[-1] if len(odd) > len(even) else None
+        top = max(odd[0], 1.0) if odd else 1.0  # cot^2 falls with k: the first odd node is the largest
         table = (
             self.reduction.modulus.ell,
             self.reduction.lam,
             self.reduction.M,
             tuple(zip(even, odd)),
             tail,
-            _square_limit(odd[0] if odd else 1.0),  # cot^2 falls with k: the first odd node is the largest
+            (1.0 - 8.0 * sys.float_info.epsilon) * math.sqrt(sys.float_info.max / top),
             tuple(zip(self.dn2_odd, odd)),
         )
         object.__setattr__(self, "_kernel", table)
@@ -246,21 +238,20 @@ class ZolotarevFraction:
         F = lam (s/M) prod (1 + s^2 c_e)/(1 + s^2 c_o), s = x/ell, with the
         trailing odd node of even m dividing last.  Every ratio pairs the even
         node 2k with the odd node 2k - 1 below it, so it lies in (c_e/c_o, 1]
-        and the running product stays finite at any degree.  Where s^2 c
-        overflows for a node c, the ratios are taken in 1/s^2 and even m leads
-        with 1/s; every other point keeps the arithmetic above.  The same
-        arithmetic serves a float and an ndarray: numpy's float64 + * / round
-        as Python's do, so the two agree bit for bit.
+        and the running product stays finite at any degree.  Past the kernel's
+        closed-form limit on |s|, where s^2 c may overflow for a node c, the
+        ratios are taken in 1/s^2 and even m leads with 1/s; every other point
+        keeps the arithmetic above.  The same arithmetic serves a float and an
+        ndarray, near and far: numpy's float64 + * / round as Python's do, so
+        the two agree bit for bit.
         """
         ell, lam, M, ratios, tail, limit, _ = self._kernel
         s = x / ell
         one, lead = 1.0, s
         far = abs(s) > limit
         if far is True or far is not False and far.any():
-            if not isinstance(x, np.ndarray):
-                return float(self.F(np.array([x]))[0])
-            u, one, s = _reciprocal_squares(s, far)
-            lead = lead if tail is None else np.where(far, u, lead)
+            inverse, one, s = _reciprocal_squares(s, far)
+            lead = lead if tail is None else inverse
         s2 = s * s
         f = lam * (lead / M)
         for ce, co in ratios:
@@ -270,10 +261,13 @@ class ZolotarevFraction:
         return f
 
 
-def _reciprocal_squares(s: np.ndarray, far: np.ndarray):
-    """(1/s, one, s) that take ratios (one + s^2 c)/(one + s^2 c') in 1/s^2 where ``far``: one = 1/s^2, s = 1."""
+def _reciprocal_squares(s, far):
+    """(lead, one, s) = (1/s, 1/s^2, 1) where ``far`` (a mask, or True for a float s), for ratios in 1/s^2."""
+    if not isinstance(far, np.ndarray):
+        u = 1.0 / s
+        return u, u * u, 1.0
     u = 1.0 / np.where(far, s, 1.0)
-    return u, np.where(far, u * u, 1.0), np.where(far, 1.0, s)
+    return np.where(far, u, s), np.where(far, u * u, 1.0), np.where(far, 1.0, s)
 
 
 def eval_F_product(zf: ZolotarevFraction, x):
@@ -282,10 +276,10 @@ def eval_F_product(zf: ZolotarevFraction, x):
     F is ``zf.F(x)``, rational in x and defined for every real x.  G is
     prod (1 - s^2 d)/(1 + s^2 c_o) over the odd nodes, s = x/ell; for odd m
     it carries a sqrt(1 - x^2) factor and therefore requires |x| <= 1
-    (DomainError otherwise, for any point of an array).  Where s^2 c_o
-    overflows (even m, past |x| ~ 1e154 ell) G's ratios are taken in 1/s^2,
-    as F's are.  A float gives floats, an ndarray gives arrays, bitwise
-    equal elementwise.
+    (DomainError otherwise, for any point of an array).  Past the kernel's
+    closed-form limit (even m, |x| ~ 1e154 ell) G's ratios are taken in
+    1/s^2, as F's are, in float arithmetic for a float.  A float gives
+    floats, an ndarray gives arrays, bitwise equal elementwise.
     """
     odd = zf.reduction.m % 2
     if odd and not np.all(np.abs(x) <= 1.0):
@@ -294,9 +288,6 @@ def eval_F_product(zf: ZolotarevFraction, x):
     s, one = x / ell, 1.0
     far = abs(s) > limit
     if far is True or far is not False and far.any():
-        if not isinstance(x, np.ndarray):
-            F, G = eval_F_product(zf, np.array([x]))
-            return float(F[0]), float(G[0])
         _, one, s = _reciprocal_squares(s, far)
     s2 = s * s
     G = 1.0 + 0.0 * s2  # 1 in the shape of x; m = 0 has no odd node

@@ -180,11 +180,7 @@ def _cmd_bounds(args) -> int:
         b_rho, b_sec = analysis.error_bounds(degree, args.theta, args.problem)
         rows.append((degree, measured, b_rho, b_sec))
     if args.format == "csv":
-        lines = ["degree,measured,bound_rho,bound_secant"]
-        for degree, measured, b_rho, b_sec in rows:
-            lines.append(
-                f"{degree},{format(measured, '.17g')},{format(b_rho, '.17g')},{format(b_sec, '.17g')}"
-            )
+        lines = ["degree,measured,bound_rho,bound_secant"] + [",".join(map(_fmt, row)) for row in rows]
         sys.stdout.write("\n".join(lines) + "\n")
     else:
         results = {

@@ -64,7 +64,7 @@ def compose_F(m_tilde: int, m: int, ell: float, x):
     three fractions are built once per call.
     """
     m, m_tilde = require_degree(m, 1, "m"), require_degree(m_tilde, 1, "m_tilde")
-    require_modulus(ell)
+    ell = require_modulus(ell)
     if not np.all(np.abs(x) <= 1.0):
         raise DomainError(f"compose_F requires |x| <= 1, got {x!r}")
     inner = ZolotarevFraction.from_ell(m, ell)

@@ -41,7 +41,7 @@ class BlaschkeProduct:
 def blaschke_h(m: int, ell: float) -> BlaschkeProduct:
     """Ng-Tsang product with c_j = sqrt(ell) cn(v_j, ell)/dn(v_j, ell), v_j = (2j-1)K(ell)/m."""
     m = require_degree(m, 1)
-    require_modulus(ell)
+    ell = require_modulus(ell)
     root, ell_comp = math.sqrt(ell), complement(ell)
     nome = _nome(ell, ell_comp)
     params = []
@@ -67,14 +67,14 @@ def blaschke_composition_modulus(m: int, ell: float) -> float:
     = mu^{-1}(m pi^2 / mu(kappa)) is the modulus with mu(ell-tilde) = m mu(ell).
     """
     m = require_degree(m, 1)
-    require_modulus(ell)
+    ell = require_modulus(ell)
     return _mu_inverse_pair(m * groetzsch_mu(ell))[0]
 
 
 def _moebius_image(m: int, ell: float, z: complex):
     """Validated (m, kappa, z) and the image x = sqrt(kappa) (z - 1)/(z + 1)."""
     m = require_degree(m, 1)
-    require_modulus(ell)
+    ell = require_modulus(ell)
     kappa = _kappa(ell)
     z = complex(z)
     if not cmath.isfinite(z):

@@ -46,12 +46,11 @@ def complement(x: float) -> float:
     return math.sqrt((1.0 - x) * (1.0 + x))
 
 
-def require_modulus(ell: float, name: str = "ell") -> None:
-    """Reject moduli outside the supported precision window."""
+def require_modulus(ell: float, name: str = "ell") -> float:
+    """Return a modulus inside the supported precision window as a plain float, or raise PrecisionError."""
     if not (ELL_MIN < ell < ELL_MAX):
-        raise PrecisionError(
-            f"{name}={ell!r} outside supported range ({ELL_MIN}, {ELL_MAX})"
-        )
+        raise PrecisionError(f"{name}={ell!r} outside supported range ({ELL_MIN}, {ELL_MAX})")
+    return float(ell)
 
 
 def require_theta(theta: float, name: str = "theta") -> tuple[float, float]:
@@ -325,7 +324,7 @@ def solve_lambda(ell: float, m: int, ell_comp: float | None = None) -> DegreeRed
     nothing is raised.  M = K(ell)/K(lam) takes K(lam) from the nome of lam.
     """
     m = require_degree(m, 0)
-    require_modulus(ell)
+    ell = require_modulus(ell)
     mod = EllipticModulus.from_ell(ell, ell_comp)
     if m <= 1:
         lam, lam_comp, nome = (ell, mod.ell_comp, mod.nome) if m else (0.0, 1.0, _nome(0.0, 1.0))

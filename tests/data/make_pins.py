@@ -13,54 +13,18 @@ against tests/mpref.py.  pytest does not collect this file.
 import contextlib
 import io
 import json
-import math
 import os
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-sys.path.insert(0, os.path.dirname(HERE))  # the tests, for their key parsers
+sys.path.insert(0, os.path.dirname(HERE))  # the tests, for their pin bodies and key parsers
 
 from test_cli_report_pins import parse
-from test_elliptic_pins import _fields
+from test_elliptic_pins import pin as elliptic_pin
 from test_grid_pins import measure
-from test_node_pins import _args
+from test_node_pins import pin as node_pin
 
-from zolocirc import elliptic as el
-from zolocirc.approximants import ZolotarevFraction, eval_F_direct
 from zolocirc.cli import main as cli_main
-from zolocirc.connections import blaschke_h
-
-
-def elliptic_pin(family, key):
-    f = _fields(key)
-    if family == "complete_K":
-        return el.complete_K(float(key))
-    if family == "groetzsch_mu":
-        return el.groetzsch_mu(float(key))
-    if family == "from_ell":
-        mod = el.EllipticModulus.from_ell(float(key))
-        return [mod.K, mod.K_comp, mod.mu, mod.rho]
-    if family == "solve_lambda":
-        if "theta" in f:
-            red = el.solve_lambda(math.cos(f["theta"]), int(f["m"]), math.sin(f["theta"]))
-        else:
-            red = el.solve_lambda(f["ell"], int(f["m"]))
-        return [red.lam, red.lam_comp, red.M]
-    if family == "jacobi_sncndn":
-        return list(el.jacobi_sncndn(f["u"] * el.complete_K(f["ell"]), f["ell"]))
-    if family == "eval_F_direct":
-        return list(eval_F_direct(ZolotarevFraction.from_ell(int(f["m"]), f["ell"]), f["x"]))
-    raise KeyError(family)
-
-
-def node_pin(family, key):
-    side, value, m = _args(key)
-    if family == "dn2_odd":
-        zf = ZolotarevFraction.from_ell(m, *(el.require_theta(value) if side == "theta" else (value,)))
-        return list(zf.dn2_odd)
-    if family == "blaschke_h":
-        return list(blaschke_h(m, value).params)
-    raise KeyError(family)
 
 
 def run(argv):

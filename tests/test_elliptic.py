@@ -1,12 +1,15 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from zolocirc import elliptic as el
 from zolocirc import oracle as orc
-from zolocirc.approximants import ZolotarevFraction, eval_F_direct
+from zolocirc.approximants import ZolotarevFraction, eval_F_direct, z4_solution
+from zolocirc.composition import compose_F
+from zolocirc.connections import blaschke_composition_modulus, blaschke_h
 from zolocirc.errors import DomainError, PrecisionError
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -392,3 +395,32 @@ class TestRequireDegree:
         assert el.require_degree(4, 1, "j", 4) == 4
         with pytest.raises(DomainError):
             el.require_degree(5, 1, "j", 4)
+
+
+class TestRequireModulus:
+    def test_returns_a_plain_float(self):
+        ell = el.require_modulus(np.float64(0.5))
+        assert ell == 0.5 and type(ell) is float
+
+    def test_numpy_modulus_gives_the_float_results(self):
+        # a numpy scalar modulus leaves the validator as a float, so nothing
+        # downstream runs numpy scalar arithmetic or warns
+        def results(ell, quarter):
+            z4 = z4_solution(4, ell)
+            return [
+                z4.scale,
+                z4.deviation,
+                z4(0.7),
+                z4(1e160),
+                *compose_F(2, 2, ell, 0.3),
+                *blaschke_h(3, quarter).params,
+                blaschke_composition_modulus(3, quarter),
+                el.solve_lambda(ell, 5).lam,
+            ]
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = results(np.float64(0.5), np.float64(0.25))
+        want = results(0.5, 0.25)
+        assert all(type(v) is float for v in got)
+        assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))

@@ -6,6 +6,7 @@ rounding, not the accuracy of the constants.
 """
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -209,6 +210,32 @@ class TestGPastTheOverflow:
         assert_bitwise(scalars, ap.eval_F_product(zf, np.array(xs))[1])
         for x, G in zip(xs, scalars):
             assert G == pytest.approx(mp_G(zf, x), rel=(m + 4) * EPS, abs=0.0)
+
+
+class TestFloatPastTheQuotientOverflow:
+    # at ell = 1e-3, x/ell itself overflows to +-inf; a float stays a float
+    # there, where numpy would warn on the array's divide
+    @pytest.mark.parametrize("x", [1e308, -1e308])
+    def test_F_and_G_match_the_array_path_without_a_warning(self, x):
+        fractions = [ap.ZolotarevFraction.from_ell(m, 1e-3) for m in (2, 3, 4)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scalars = [zf.F(x) for zf in fractions] + [ap.eval_F_product(fractions[-1], x)[1]]
+        with np.errstate(over="ignore"):
+            arrays = [zf.F(np.array([x])) for zf in fractions] + [ap.eval_F_product(fractions[-1], np.array([x]))[1]]
+        assert_bitwise(scalars, np.concatenate(arrays))
+
+
+class TestFarFieldLimit:
+    # the kernel's closed-form limit on |x/ell|: below it, s * s * c stays
+    # finite for every node constant c of the fraction (and for c = 1)
+    @pytest.mark.parametrize("ell", [1.0000001e-8, 1e-6, 1e-3, 0.3, 0.5, 0.9, 1.0 - 1.0000001e-8])
+    def test_limit_squared_times_every_node_is_finite(self, ell):
+        for m in [*range(40), 64, 255, 300]:
+            zf = ap.ZolotarevFraction.from_ell(m, ell)
+            limit = zf._kernel[5]
+            nodes = zf.cot2_even + zf.cot2_odd + zf.dn2_odd + (1.0,)
+            assert all(math.isfinite(limit * limit * c) for c in nodes), m
 
 
 class TestDegreeZero:
