@@ -293,6 +293,7 @@ class EllipticModulus:
             ell_comp = complement(ell)
         elif not (0.0 < ell_comp <= 1.0 and abs(ell * ell + ell_comp * ell_comp - 1.0) <= 4.0 * _EPS):
             raise DomainError(f"ell={ell!r} and ell_comp={ell_comp!r} are not complementary")
+        ell_comp = float(ell_comp)
         mu, K, K_comp, nome = _mu_pair(ell, ell_comp)
         return cls(ell, ell_comp, K, K_comp, mu, math.exp(math.pi * K / K_comp), nome)
 

@@ -6,7 +6,11 @@ from Newton's method on the incomplete integral F(phi, ell) = u, and the
 degree-1 optimality check from a brute-force scan over the factor family.
 The scan reads the error as twice the argument of P(t) = a e^{it/4} +
 e^{-3it/4} (on the circle the factor times e^{-it/2} is P^2/|P|^2), a
-real-arithmetic form independent of the complex path it checks.
+real-arithmetic form independent of the complex path it checks.  The
+search is a coarse scan of SCAN_SIZE log-spaced candidates at 2048 samples
+each, then nested zooms: 100 linear candidates per level at 8192 samples,
+over the four steps around the previous argmin, until the step is no
+coarser than the coarse bracket over SCAN_SIZE - 1 (three levels).
 """
 
 from __future__ import annotations
@@ -94,9 +98,12 @@ def oracle_sn(u: float, ell: float) -> OracleResult:
 # the peak RSS of a selftest sweep.
 _BLOCK_CELLS = 1 << 14
 # The minimax search: SCAN_SIZE log-spaced candidates a over SCAN_RANGE, then
-# SCAN_SIZE linear ones in the zoom around the coarse minimum.
+# nested zooms of _ZOOM_SIZE linear ones over the four steps around the last
+# argmin until the step is at most the coarse bracket / (SCAN_SIZE - 1); each
+# level divides the step by 99/4 or more, so three levels stop, 6 times finer.
 SCAN_RANGE = (1e-4, 1e6)
 SCAN_SIZE = 10_000
+_ZOOM_SIZE = 100
 
 
 def _scan_max_phase_errors(a: np.ndarray, theta: float, samples: int) -> np.ndarray:
@@ -154,14 +161,20 @@ def degree1_max_phase_error(a: float, theta: float, samples: int = 8192) -> floa
 def oracle_minimax_degree1(theta: float) -> float:
     """Brute-force argmin over a > 0 of the degree-1 sqrt phase error.
 
-    A log-spaced scan over SCAN_RANGE (2048 samples per a) followed by a
-    linear zoom around the coarse minimum; returns the refined argmin.
+    A log-spaced scan over SCAN_RANGE (2048 samples per a), then nested
+    zooms of 100 linear candidates (8192 samples per a) over the four steps
+    around the previous argmin, clipped at the ends, until the step is no
+    coarser than the coarse bracket over SCAN_SIZE - 1 (three levels);
+    returns the last argmin.  It relies on the error curve being unimodal
+    near the coarse minimum.
     """
     if not 0.0 < theta < 0.5 * math.pi:
         raise DomainError(f"theta must lie in (0, pi/2), got {theta!r}")
     grid = np.exp(np.linspace(math.log(SCAN_RANGE[0]), math.log(SCAN_RANGE[1]), SCAN_SIZE))
     i = int(np.argmin(_scan_max_phase_errors(grid, theta, 2048)))
-    lo = grid[max(i - 2, 0)]
-    hi = grid[min(i + 2, SCAN_SIZE - 1)]
-    fine = np.linspace(lo, hi, SCAN_SIZE)
-    return float(fine[int(np.argmin(_scan_max_phase_errors(fine, theta, 8192)))])
+    finest = (grid[min(i + 2, SCAN_SIZE - 1)] - grid[max(i - 2, 0)]) / (SCAN_SIZE - 1)
+    while True:
+        grid = np.linspace(grid[max(i - 2, 0)], grid[min(i + 2, len(grid) - 1)], _ZOOM_SIZE)
+        i = int(np.argmin(_scan_max_phase_errors(grid, theta, 8192)))
+        if grid[1] - grid[0] <= finest:
+            return float(grid[i])

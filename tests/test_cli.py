@@ -9,6 +9,7 @@ from zolocirc import analysis as an
 from zolocirc import approximants as ap
 from zolocirc import cli
 from zolocirc import elliptic as el
+from zolocirc import selftest
 from zolocirc.cli import main
 
 
@@ -503,6 +504,21 @@ class TestDeterminism:
                 "--window=-1.5,1.5,-1.5,1.5", "--resolution", "24", "--out", str(path))
             files.append(path.read_bytes())
         assert files[0] == files[1]
+
+
+class TestSelftest:
+    def test_every_criterion_passes(self, capsys):
+        code, out, _ = run(capsys, "selftest")
+        *criteria, last = out.splitlines()
+        assert code == 0
+        assert [line.split(" ", 2)[:2] for line in criteria] == [["PASS", f"criterion-{i}"] for i in range(1, 9)]
+        assert last == "all criteria passed"
+
+    def test_a_failing_criterion_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(selftest, "CRITERIA", (lambda: ("stub", False, "always fails"),))
+        code, out, _ = run(capsys, "selftest")
+        assert code == 1
+        assert out.splitlines() == ["FAIL criterion-1 stub: always fails", "1 criterion(s) failed"]
 
 
 def per_cell_contour_csv(problem, degree, theta, window, resolution):

@@ -424,3 +424,17 @@ class TestRequireModulus:
         want = results(0.5, 0.25)
         assert all(type(v) is float for v in got)
         assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))
+
+    def test_numpy_complement_gives_the_float_results(self):
+        # an explicit ell_comp leaves the complementarity check as a float too
+        def results(ell_comp):
+            frac = ZolotarevFraction.from_ell(3, 0.5, ell_comp)
+            modulus = el.solve_lambda(0.5, 3, ell_comp).modulus
+            return [modulus.ell_comp, modulus.K_comp, *frac.cot2_even, *frac.cot2_odd, *frac.dn2_odd]
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = results(np.float64(el.complement(0.5)))
+        want = results(el.complement(0.5))
+        assert all(type(v) is float for v in got)
+        assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))

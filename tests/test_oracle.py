@@ -130,7 +130,28 @@ class TestDegreeOneScan:
         cell = (math.log(1e6) - math.log(1e-4)) / (10_000 - 1)
         assert abs(math.log(a_star) - math.log(ap.coeff_a(1, 1, theta))) <= cell
         optimum = math.asin(el.solve_lambda(math.cos(theta), 3, math.sin(theta)).lam_comp)
-        assert abs(orc.degree1_max_phase_error(a_star, theta, 16384) - optimum) <= 1e-6
+        # worst 1.54e-7, at Theta = 1.5
+        assert abs(orc.degree1_max_phase_error(a_star, theta, 16384) - optimum) <= 4e-7
+
+    @pytest.mark.parametrize("theta", [0.3, 1.0, 1.5])
+    def test_nested_zooms_scan_few_candidates_to_a_fine_step(self, monkeypatch, theta):
+        calls, inner = [], orc._scan_max_phase_errors
+
+        def counted(a, theta, samples):
+            errs = inner(a, theta, samples)
+            calls.append((a.copy(), samples, errs))
+            return errs
+
+        monkeypatch.setattr(orc, "_scan_max_phase_errors", counted)
+        orc.oracle_minimax_degree1(theta)
+        (coarse, samples, errs), *zooms = calls
+        assert (len(coarse), samples) == (orc.SCAN_SIZE, 2048)
+        assert {samples for _, samples, _ in zooms} == {8192}
+        assert sum(len(a) for a, _, _ in zooms) <= 400
+        # no coarser than the step of one SCAN_SIZE-point zoom over the coarse bracket
+        i = int(np.argmin(errs))
+        single = (coarse[min(i + 2, len(coarse) - 1)] - coarse[max(i - 2, 0)]) / (orc.SCAN_SIZE - 1)
+        assert np.all(np.diff(zooms[-1][0]) <= single)
 
     def test_error_curve_unimodal(self):
         grid = np.exp(np.linspace(math.log(orc.SCAN_RANGE[0]), math.log(orc.SCAN_RANGE[1]), 300))
