@@ -61,14 +61,14 @@ class Family(enum.Enum):
 
 @dataclass(frozen=True)
 class UnimodularRational:
-    """i^q * z^k * prod of one-parameter factors, |value| = 1 on |z| = 1.
+    """i^q * prod of one-parameter factors, |value| = 1 on |z| = 1.
 
-    ``factors`` holds the family's real parameters (math.inf marks the
-    -1/z factor of the S family); every operation reads the table of
-    (u, v, conj(v), conj(u)) that ``Family.pair`` derives from them.
+    ``factors`` holds the family's real parameters; a zero or pole at z = 0
+    is an S factor, b = 0 for z and b = math.inf for -1/z.  Every operation
+    reads the table of (u, v, conj(v), conj(u)) that ``Family.pair``
+    derives from them.
     """
 
-    z_power: int
     quarter_turns: int
     factors: tuple[float, ...]
     family: Family
@@ -81,8 +81,8 @@ class UnimodularRational:
     def __call__(self, z):
         """Value at a Python scalar or an ndarray of points.
 
-        A scalar raises PoleError at a vanishing denominator (the factor
-        index, or -1 for z^k); an array yields inf/nan there instead.
+        A scalar raises PoleError at a vanishing denominator (with the
+        factor's index); an array yields inf/nan there instead.
         """
         unit = _I_POWERS[self.quarter_turns % 4]
         if isinstance(z, np.ndarray):
@@ -91,10 +91,6 @@ class UnimodularRational:
         return self._product(complex(z), unit, True)
 
     def _product(self, z, w, raise_poles: bool):
-        if self.z_power:
-            if raise_poles and self.z_power < 0 and abs(z) ** (-self.z_power) < _DEN_TINY:
-                raise PoleError(f"pole of z^{self.z_power} at z={z!r}", -1)
-            w = w * z**self.z_power
         for idx, (u, v, cv, cu) in enumerate(self._pairs):
             # unit multipliers are skipped: one array multiply less per factor
             num = (z if u == 1 else u * z) + v
@@ -116,7 +112,7 @@ class UnimodularRational:
             raise DomainError("reciprocal of an H-family product is not factored")
         inv = tuple(math.inf if p == 0.0 else 0.0 if math.isinf(p) else 1.0 / p for p in self.factors)
         turns = 2 * len(inv) if self.family is Family.S_FAMILY else 0
-        return UnimodularRational(-self.z_power, (turns - self.quarter_turns) % 4, inv, self.family)
+        return UnimodularRational((turns - self.quarter_turns) % 4, inv, self.family)
 
     def _regular(self):
         """Pairs with a zero and a pole off the origin (u != 0 and v != 0)."""
@@ -124,7 +120,7 @@ class UnimodularRational:
 
     def _origin_order(self) -> int:
         """Net zero order at z = 0: a v = 0 factor is z, a u = 0 factor is 1/z."""
-        return self.z_power + sum((v == 0) - (u == 0) for u, v, _, _ in self._pairs)
+        return sum((v == 0) - (u == 0) for u, v, _, _ in self._pairs)
 
     def exact_type(self) -> tuple[int, int]:
         """(numerator degree, denominator degree) after cancelling at z = 0."""
@@ -156,7 +152,7 @@ def build_r(n: int, theta: float) -> UnimodularRational:
     n = require_degree(n, 0)
     require_theta(theta)
     params = tuple(coeff_a(j, n, theta) for j in range(1, n + 1))
-    return UnimodularRational(0, 0, params, Family.R_FAMILY)
+    return UnimodularRational(0, params, Family.R_FAMILY)
 
 
 def coeff_b(j: int, m: int, theta: float) -> float:
@@ -183,7 +179,7 @@ def build_s(m: int, theta: float) -> UnimodularRational:
     m = require_degree(m, 0)
     require_theta(theta)
     params = tuple(coeff_b(j, m, theta) for j in range(1, m + 1))
-    return UnimodularRational(0, (1 - m) % 4, params, Family.S_FAMILY)
+    return UnimodularRational((1 - m) % 4, params, Family.S_FAMILY)
 
 
 @dataclass(frozen=True)

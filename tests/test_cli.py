@@ -157,7 +157,7 @@ class TestError:
 
     def test_deficient_count_exits_4_after_the_report(self, capsys, monkeypatch):
         s = ap.build_s(6, 1.0)
-        tampered = ap.UnimodularRational(s.z_power, s.quarter_turns, (1.05 * s.factors[0],) + s.factors[1:], s.family)
+        tampered = ap.UnimodularRational(s.quarter_turns, (1.05 * s.factors[0],) + s.factors[1:], s.family)
         monkeypatch.setattr(ap, "build_s", lambda m, theta: tampered)
         code, out, _ = run(capsys, "error", "--problem", "z6", "--degree", "6", "--theta", "1.0", "--grid", "256")
         res = json.loads(out)["results"]
@@ -168,7 +168,7 @@ class TestError:
     def test_count_that_is_not_grid_stable_exits_4_without_a_report(self, capsys, monkeypatch):
         # a tampered s_2 takes the grid route, whose measurement this test replaces
         s = ap.build_s(2, 1.0)
-        tampered = ap.UnimodularRational(s.z_power, s.quarter_turns, (1.05 * s.factors[0],) + s.factors[1:], s.family)
+        tampered = ap.UnimodularRational(s.quarter_turns, (1.05 * s.factors[0],) + s.factors[1:], s.family)
         monkeypatch.setattr(ap, "build_s", lambda m, theta: tampered)
         counts = iter([(1, 1), (2, 2)])  # the grid of 512 points, then the doubled grid
         monkeypatch.setattr(an, "_tally", lambda per_arc, rel=1e-3: (1.0, (), next(counts)))

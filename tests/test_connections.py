@@ -24,9 +24,12 @@ class TestBlaschke:
         assert worst <= 1e-12
 
     def test_params_inside_disk(self):
-        for m in (2, 4, 7):
-            for c in cn.blaschke_h(m, 0.5).params:
-                assert abs(c) < 1.0
+        # |cn| <= dn at a real argument, so |c_j| <= sqrt(ell) < 1 across the modulus window and
+        # blaschke_h needs no disk check; |c|/sqrt(ell) peaks at j = 1 of the largest m (1 - 1.1e-12 at the top)
+        for ell in (math.nextafter(el.ELL_MIN, 1.0), 0.5, math.nextafter(el.ELL_MAX, 0.0)):
+            root = math.sqrt(ell)
+            for m in list(range(1, 101)) + list(range(110, 1001, 10)) + [999]:
+                assert max(abs(c) for c in cn.blaschke_h(m, ell).params) <= root < 1.0
 
     # above ell ~ 0.9996, kappa < 1e-8 and acos(kappa) would lie past THETA_MAX
     @pytest.mark.parametrize(

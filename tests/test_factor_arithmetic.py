@@ -37,8 +37,6 @@ def literal_value(r, z):
             w = np.full(z.shape, I_POWERS[r.quarter_turns % 4], dtype=complex)
         else:
             w = I_POWERS[r.quarter_turns % 4]
-        if r.z_power:
-            w = w * z**r.z_power
         for p in r.factors:
             num, den = literal_num_den(r.family, p, z)
             w = w * (num / den)
@@ -47,7 +45,7 @@ def literal_value(r, z):
 
 def literal_roots(r):
     """(zeros, poles, exact type) from the per-family cases."""
-    zeros, poles, order = [], [], r.z_power
+    zeros, poles, order = [], [], 0
     for p in r.factors:
         if r.family is R:
             zeros.append(complex(-1.0 / p))
@@ -84,9 +82,10 @@ def _cases():
             cases[f"1/s{m}@{theta}"] = s.reciprocal()
     for m in (1, 4, 7):
         cases[f"h{m}"] = blaschke_h(m, 0.3).as_rational()
-    cases["h with c = 0"] = ap.UnimodularRational(0, 0, (0.3, 0.0, -0.5), H)
-    cases["z^-2 s"] = ap.UnimodularRational(-2, 3, (0.4, math.inf, 0.0, -1.7), S)
-    cases["z^3 r"] = ap.UnimodularRational(3, 1, (0.6, 2.5), R)
+    cases["h with c = 0"] = ap.UnimodularRational(0, (0.3, 0.0, -0.5), H)
+    # z = 0 is a factor: b = inf twice is a double pole there, b = 0 and inf cancel
+    cases["z^-2 s"] = ap.UnimodularRational(3, (0.4, math.inf, math.inf, -1.7), S)
+    cases["s with b = 0 and inf"] = ap.UnimodularRational(1, (0.4, math.inf, 0.0, -1.7), S)
     return cases
 
 
@@ -144,4 +143,13 @@ def test_pairs_stay_out_of_equality_and_repr():
     a, b = ap.build_s(5, 1.0), ap.build_s(5, 1.0)
     assert a == b and hash(a) == hash(b)
     assert "_pairs" not in repr(a)
-    assert ap.UnimodularRational(0, 0, (0.5,), R) != ap.UnimodularRational(0, 0, (0.5,), H)
+    assert ap.UnimodularRational(0, (0.5,), R) != ap.UnimodularRational(0, (0.5,), H)
+
+
+def test_double_pole_at_the_origin():
+    r = CASES["z^-2 s"]
+    assert r._origin_order() == -2
+    assert r.poles()[:2] == (0j, 0j) and r.exact_type() == (2, 4)
+    assert CASES["s with b = 0 and inf"]._origin_order() == 0
+    z = np.array([1e-3, 0.2 - 0.1j, 1j])
+    np.testing.assert_array_equal(r(z), literal_value(r, z))

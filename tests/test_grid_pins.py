@@ -36,11 +36,11 @@ def rational(key):
     r = (ap.build_r if problem == "z5" else ap.build_s)(int(degree), theta)
     if kind == "tampered":
         first = r.factors[0] + 1e-3 if problem == "z5" else 1.05 * r.factors[0]
-        r = ap.UnimodularRational(r.z_power, r.quarter_turns, (first,) + r.factors[1:], r.family)
+        r = ap.UnimodularRational(r.quarter_turns, (first,) + r.factors[1:], r.family)
     elif kind == "reciprocal":
         r = r.reciprocal()
     elif kind == "quarter":
-        r = ap.UnimodularRational(r.z_power, (r.quarter_turns + 1) % 4, r.factors, r.family)
+        r = ap.UnimodularRational((r.quarter_turns + 1) % 4, r.factors, r.family)
     return r, theta, problem, int(grid_n)
 
 

@@ -96,7 +96,7 @@ def test_node_and_grid_routes_agree_where_the_grid_resolves(report, build, degre
 @pytest.mark.parametrize("r", [
     ap.build_s(0, 1.0),  # s_0 = i is flat
     ap.build_s(4, 1.0).reciprocal(),
-    ap.UnimodularRational(0, 1, ap.build_s(3, 1.0).factors, ap.Family.S_FAMILY),  # a quarter turn off
+    ap.UnimodularRational(1, ap.build_s(3, 1.0).factors, ap.Family.S_FAMILY),  # a quarter turn off
 ])
 def test_other_rationals_take_the_grid_route(r):
     assert an.phase_error_sign(r, 1.0, 128).method == "grid"
