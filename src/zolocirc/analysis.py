@@ -90,7 +90,7 @@ def _phase_error(r: UnimodularRational, offset: float, half_t: float):
 
 
 def theta_tilde(m: int, theta: float) -> float:
-    """The optimal phase error arccos(lam) at degree m, read as asin(lam') (stable near lam = 1).
+    """The optimal phase error arccos(lam) at degree m, read as atan2(lam', lam): accurate at both ends.
 
     It is also |arg s_m(e^{i Theta})|, the arc half-width an outer
     approximant sees under composition; the closed chain spares downstream
@@ -99,8 +99,8 @@ def theta_tilde(m: int, theta: float) -> float:
     """
     m = require_degree(m, 0)
     ell, ell_comp = require_theta(theta)
-    red = solve_lambda(ell, m, ell_comp)  # m = 0: lam' = 1, asin(1.0) is pi/2 (s_0 = i)
-    return math.asin(min(1.0, red.lam_comp))
+    red = solve_lambda(ell, m, ell_comp)  # m = 0: lam = 0, lam' = 1 gives pi/2 (s_0 = i)
+    return math.atan2(red.lam_comp, red.lam)
 
 
 def effective_degree(problem: str, degree: int) -> int:
@@ -363,15 +363,15 @@ def phase_error_from_Z(zm: float) -> float:
     """arccos(lambda_from_Z(zm)) evaluated without the near-1 arccos loss.
 
     With s = sqrt(Z), the complement of lam = ((1-s)/(1+s))^2 satisfies
-    lam'^2 = 8 s (1 + s^2)/(1 + s)^4, so the error angle is the arcsine
-    of that root; for tiny Z this preserves full relative accuracy where
-    acos(lam) would lose six digits to rounding of lam.
+    lam'^2 = 8 s (1 + s^2)/(1 + s)^4, and the angle is atan2(lam', lam): full
+    relative accuracy for tiny Z, where acos(lam) would lose six digits to the
+    rounding of lam, and none of asin(lam')'s loss as lam' -> 1.
     """
     if not 0.0 <= zm < 1.0:
         raise DomainError(f"phase_error_from_Z requires 0 <= Z < 1, got {zm!r}")
     s = math.sqrt(zm)
     lam_comp = math.sqrt(8.0 * s * (1.0 + s * s)) / ((1.0 + s) * (1.0 + s))
-    return math.asin(min(1.0, lam_comp))
+    return math.atan2(lam_comp, ((1.0 - s) / (1.0 + s)) ** 2)
 
 
 def error_bounds(m_or_n: int, theta: float, problem: str) -> tuple[float, float]:

@@ -4,13 +4,12 @@ Commands: build | error | bounds | compose | contour | selftest.
 All structured output goes through a deterministic serializer: fixed key
 order, floats at 17 significant digits (infinite factor parameters become
 the string "inf", which strict JSON cannot carry as a number), LF line
-endings.  A build reports its power of z as 0 for z5/z6 (their zero or pole
-at the origin is a factor) and 1 for z4.  Exit codes: 0 ok, 1 contour cannot
-write --out or a selftest criterion failed, 2 usage (a negative --degree, or
-a size or window flag out of range, included: each is checked before anything
-is built), 3 numeric domain (every --theta that elliptic.require_theta
-refuses among them), 4 equioscillation deficiency, 5 composition residual
-breach.
+endings.  A build reports its power of z as 0 for z5/z6 (z = 0 is a factor)
+and 1 for z4.  Exit codes: 0 ok, 1 contour cannot write --out or a selftest
+criterion failed, 2 usage (a negative --degree, or a size or window flag out
+of range, included: each is checked before anything is built), 3 numeric
+domain (every --theta that elliptic.require_theta refuses among them), 4
+equioscillation deficiency, 5 composition residual breach.
 """
 
 from __future__ import annotations

@@ -10,7 +10,6 @@ sine, and for a float modulus ell they are ell^2 and 1 - ell^2 of that
 float.  Zolotarev's number is the paper's infinite product, at 60 digits.
 """
 
-import math
 import sys
 
 import mpmath as mp
@@ -91,7 +90,10 @@ def mp_pair(v):
     The residual is mu(e^{-y}) - V, and mu(x) < log(4/x) puts its root in
     the bracket [V - log 4, V + 1 - log 4], which the Anderson-Bjorck solver
     keeps: a secant from V - log 4 alone can step off once the residual is
-    down to the rounding of 1 - x^2, and never return.
+    down to the rounding of 1 - x^2, and never return.  The bracket ends are
+    taken at the working precision: the residual at V - log 4 is only about
+    -x^2/4, and the rounding of float(V) - log(4) put both ends past the root
+    at Theta = 0.0001414213571029879, m = 4.
     """
     V = _big_target(v)
     with mp.workdps(int(0.87 * V) + 30):
@@ -101,7 +103,7 @@ def mp_pair(v):
             x2 = mp.exp(-2 * y)
             return mp.pi / 2 * mp.ellipk(1 - x2) / mp.ellipk(x2) - V
 
-        y = float(V) - math.log(4)
+        y = V - mp.log(4)
         small = mp.exp(-mp.findroot(residual, (y, y + 1), solver="anderson", tol=mp.mpf(10) ** -60))
         large = mp.sqrt(1 - small**2)
     return (small, large) if v >= mp.pi / 2 else (large, small)

@@ -13,6 +13,9 @@ The reference is tests/mpref.py, which shares no formula with the kernel.
 
 Also here: Zolotarev's number Z_m against the paper's product, held to
 4 (1 + V) eps with V = m pi^2 / mu(ell) wherever Z_m is a normal double;
+the optimal error angle arccos(lam), from ``theta_tilde`` and through
+``phase_error_from_Z`` of Z_m, held to the same bound at both window ends
+(exactly 0 where the reference underflows);
 the F/G Pythagorean identity at small moduli, where the node
 constants sit at modulus ell' -> 1, and the direct F/G evaluation, which
 reads the reduced modulus lam through its complement and must agree with
@@ -23,12 +26,13 @@ the product identities while lam rounds to 1, and whose G holds
 import math
 import sys
 
+import mpmath as mp
 import mpref
 import numpy as np
 import pytest
 
 from zolocirc import elliptic as el
-from zolocirc.analysis import zolotarev_number
+from zolocirc.analysis import phase_error_from_Z, theta_tilde, zolotarev_number
 from zolocirc.approximants import ZolotarevFraction, coeff_a, coeff_b, eval_F_direct, eval_F_product
 from zolocirc.errors import PrecisionError
 
@@ -110,6 +114,21 @@ def test_zolotarev_number_against_the_product(m):
         assert mpref.rel_err(got, ref) <= 4 * (1 + V) * mpref.EPS, f"Z_{m} at theta={theta!r}"
         checked += 1
     assert checked
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 8, 32, 128, 256])
+def test_optimal_error_angle_at_the_window_ends(m):
+    # at the top, asin(lam') lost up to 2e6 times this bound as lam' -> 1 (m = 1-3)
+    for theta in (THETAS[0], THETAS[-1]):
+        lam, lam_comp, _, _ = mpref.mp_reduction(*mpref.theta_squares(theta), m)
+        zm, V = mpref.zolotarev_product(theta, m)
+        with mp.workdps(mpref.DPS):
+            ref = mp.atan2(lam_comp, lam)
+        for got, underflows in ((theta_tilde(m, theta), ref), (phase_error_from_Z(zolotarev_number(m, theta)), zm)):
+            if float(underflows) == 0.0:
+                assert got == 0.0, (theta, m)
+            else:
+                assert mpref.rel_err(got, ref) <= 4 * (1 + V) * mpref.EPS, (theta, m)
 
 
 @pytest.mark.parametrize("ell", [1.0000001e-8, 1e-6, 1e-4])
