@@ -92,8 +92,8 @@ def mp_pair(v):
     keeps: a secant from V - log 4 alone can step off once the residual is
     down to the rounding of 1 - x^2, and never return.  The bracket ends are
     taken at the working precision: the residual at V - log 4 is only about
-    -x^2/4, and the rounding of float(V) - log(4) put both ends past the root
-    at Theta = 0.0001414213571029879, m = 4.
+    -x^2/4, which a double's rounding of that end can outweigh, putting both
+    ends past the root (Theta = 0.0001414213571029879 at m = 4 did).
     """
     V = _big_target(v)
     with mp.workdps(int(0.87 * V) + 30):

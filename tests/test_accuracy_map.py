@@ -118,7 +118,7 @@ def test_zolotarev_number_against_the_product(m):
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 8, 32, 128, 256])
 def test_optimal_error_angle_at_the_window_ends(m):
-    # at the top, asin(lam') lost up to 2e6 times this bound as lam' -> 1 (m = 1-3)
+    # at the top lam' -> 1, where asin(lam') would miss this bound by up to 2e6 times (m = 1-3)
     for theta in (THETAS[0], THETAS[-1]):
         lam, lam_comp, _, _ = mpref.mp_reduction(*mpref.theta_squares(theta), m)
         zm, V = mpref.zolotarev_product(theta, m)
