@@ -83,12 +83,12 @@ class _UsageError(Exception):
     pass
 
 
-def _rational_payload(r: approximants.UnimodularRational) -> dict:
-    zeros, poles = r.zeros(), r.poles()
+def _factor_block(z_power: int, quarter_turns: int, factors, zeros, poles) -> dict:
+    """The six keys that end every build payload; ``zeros`` and ``poles`` are complex numbers."""
     return {
-        "z_power": 0,
-        "quarter_turns": r.quarter_turns,
-        "factors": list(r.factors),
+        "z_power": z_power,
+        "quarter_turns": quarter_turns,
+        "factors": list(factors),
         "zeros": [[w.real, w.imag] for w in zeros],
         "poles": [[w.real, w.imag] for w in poles],
         "exact_type": [len(zeros), len(poles)],
@@ -114,7 +114,7 @@ def _cmd_build(args) -> int:
             "lambda_comp": red.lam_comp,
             "predicted_max_error": analysis.theta_tilde(effective, args.theta),
         }
-        results.update(_rational_payload(r))
+        results.update(_factor_block(0, r.quarter_turns, r.factors, r.zeros(), r.poles()))
     else:  # z4 takes --ell
         if args.ell is None:
             raise _UsageError("--ell is required for z4")
@@ -126,8 +126,8 @@ def _cmd_build(args) -> int:
         # per-factor constants of the product form (1 + (x/ell)^2 c):
         # odd nodes carry the pole factors, even nodes the zero factors,
         # so the zeros/poles sit at +-i ell/sqrt(c), after F_m's zero at 0
-        zeros = [[0.0, 0.0]] + [[0.0, s * args.ell / math.sqrt(c)] for c in zf.cot2_even for s in (1.0, -1.0)]
-        poles = [[0.0, s * args.ell / math.sqrt(c)] for c in zf.cot2_odd for s in (1.0, -1.0)]
+        zeros = [0j] + [complex(0.0, s * args.ell / math.sqrt(c)) for c in zf.cot2_even for s in (1.0, -1.0)]
+        poles = [complex(0.0, s * args.ell / math.sqrt(c)) for c in zf.cot2_odd for s in (1.0, -1.0)]
         results = {
             "problem": "z4",
             "degree": args.degree,
@@ -136,12 +136,7 @@ def _cmd_build(args) -> int:
             "lambda_comp": red.lam_comp,
             "predicted_max_error": approx.deviation,
             "scale": approx.scale,
-            "z_power": 1,
-            "quarter_turns": 0,
-            "factors": list(zf.cot2_odd),
-            "zeros": zeros,
-            "poles": poles,
-            "exact_type": [len(zeros), len(poles)],
+            **_factor_block(1, 0, zf.cot2_odd, zeros, poles),
         }
     print(_envelope(args, results))
     return 0
@@ -181,17 +176,12 @@ def _cmd_bounds(args) -> int:
         measured = analysis.max_phase_error(r, args.theta, args.problem, grid_n)
         b_rho, b_sec = analysis.error_bounds(degree, args.theta, args.problem)
         rows.append((degree, measured, b_rho, b_sec))
+    columns = ("degree", "measured", "bound_rho", "bound_secant")
     if args.format == "csv":
-        lines = ["degree,measured,bound_rho,bound_secant"] + [",".join(map(_fmt, row)) for row in rows]
+        lines = [",".join(columns)] + [",".join(map(_fmt, row)) for row in rows]
         sys.stdout.write("\n".join(lines) + "\n")
     else:
-        results = {
-            "rows": [
-                {"degree": d, "measured": m, "bound_rho": b1, "bound_secant": b2}
-                for d, m, b1, b2 in rows
-            ]
-        }
-        print(_envelope(args, results))
+        print(_envelope(args, {"rows": [dict(zip(columns, row)) for row in rows]}))
     return 0
 
 

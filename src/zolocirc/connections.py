@@ -102,8 +102,7 @@ def blaschke_s_relation(m: int, ell: float, z: complex) -> tuple[float, float]:
     m, kappa, z, x = _moebius_image(m, ell, z)
     if abs(x.imag) > 1e-9 or abs(x.real) > 1.0:
         raise BranchError(f"Moebius image {x!r} leaves [-1, 1]; no unit-circle w")
-    xr = x.real
-    w = complex(xr, math.sqrt(max(0.0, (1.0 - xr) * (1.0 + xr))))
+    w = complex(x.real, complement(x.real))
     require_modulus(kappa, "kappa")  # s_m is built at acos(kappa)
     lhs = _h_side(m, ell, z)
     lam_kappa = solve_lambda(kappa, m).lam

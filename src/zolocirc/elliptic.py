@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 
 from .errors import DomainError, PrecisionError
 
-_EPS = 2.220446049250313e-16
 _QUARTER_PI_SQ = (0.5 * math.pi) ** 2  # (pi/2)^2, the mu(x)*mu(x') product
 
 # Moduli accepted at the public entry points of higher modules: the window
@@ -291,7 +290,7 @@ class EllipticModulus:
             raise DomainError(f"modulus must lie in (0, 1), got {ell!r}")
         if ell_comp is None:
             ell_comp = complement(ell)
-        elif not (0.0 < ell_comp <= 1.0 and abs(ell * ell + ell_comp * ell_comp - 1.0) <= 4.0 * _EPS):
+        elif not (0.0 < ell_comp <= 1.0 and abs(ell * ell + ell_comp * ell_comp - 1.0) <= 4.0 * sys.float_info.epsilon):
             raise DomainError(f"ell={ell!r} and ell_comp={ell_comp!r} are not complementary")
         ell_comp = float(ell_comp)
         mu, K, K_comp, nome = _mu_pair(ell, ell_comp)
