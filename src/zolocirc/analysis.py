@@ -19,7 +19,8 @@ their count.  A report reads both and names its route in ``method``:
   over the ``grid_n``-point grid checks that no point exceeds the amplitude
   by more than ``node_bound``; ``grid_size`` is ``grid_n``, and nothing is
   refined or doubled.  A short count or a failed check hands the report
-  to the grid.
+  to the grid; an amplitude below the normal doubles, which no grid
+  resolves, raises PrecisionError.
 - ``"grid"``, for every other rational and for s_0 = i: one kernel
   (``_phase_error``, one exact 2 pi shift wrapping scalars and arrays
   alike) serves both problems and both arcs; each arc's grid is one array
@@ -41,7 +42,7 @@ import numpy as np
 from . import approximants
 from .approximants import UnimodularRational, ZolotarevFraction, _lift, build_r, build_s
 from .elliptic import EllipticModulus, _mu_inverse_pair, _mu_pair, require_degree, require_theta, solve_lambda
-from .errors import DomainError, ResolutionError
+from .errors import DomainError, PrecisionError, ResolutionError
 
 _TWO_PI = 2.0 * math.pi
 _INV_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
@@ -263,7 +264,8 @@ def _node_measure(theta: float, ell: float, ell_comp: float, problem: str, effec
     cos t = ell sqrt((1 + c)/(ell^2 + c)), t = atan2(ell' sqrt(c), ell sqrt(1 + c)),
     for c in the fraction's ``cot2_even``, c = inf (the arc ends) and, for even M,
     c = 0 (the centre); z5 reads s_M through s_{2n+1}(z)^{(-1)^n} r_n(z^2) = z.
-    None unless every arc counts M + 1 and no point of its grid exceeds the amplitude by ``node_bound``.
+    None unless every arc counts M + 1 and no point of its grid exceeds the amplitude by ``node_bound``;
+    PrecisionError if the amplitude is below the normal doubles, where no grid can resolve it either.
     """
     zf = ZolotarevFraction.from_ell(effective, ell, ell_comp)
     centre = 1 - effective % 2
@@ -285,7 +287,9 @@ def _node_measure(theta: float, ell: float, ell_comp: float, problem: str, effec
         peak = max(peak, float(np.abs(e[t.size :]).max()))
     bound = node_bound(effective, theta)
     amplitude, extrema, counts = _tally(per_arc, bound)
-    if not sys.float_info.min <= amplitude or peak > amplitude * (1.0 + bound) or min(counts) <= effective:
+    if not sys.float_info.min <= amplitude:
+        raise PrecisionError(f"optimal error {amplitude!r} at effective degree {effective} is below the normal doubles")
+    if peak > amplitude * (1.0 + bound) or min(counts) <= effective:
         return None
     return amplitude, extrema, counts, grid_n
 

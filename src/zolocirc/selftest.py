@@ -161,15 +161,13 @@ def criterion_7():
             worst_pade = max(worst_pade, float(w))
     worst_dev = max(connections.pade_limit_check(n, [1e-3])[0] for n in range(1, 5))
     worst_h = 0.0
+    z = np.exp(2j * math.pi * (np.arange(100) + 0.43) / 100)
     for m_tilde, m, ell in ((2, 2, 0.25), (2, 3, 0.25), (3, 2, 0.4)):
         lt = connections.blaschke_composition_modulus(m, ell)
         h_in = connections.blaschke_h(m, ell)
         h_out = connections.blaschke_h(m_tilde, lt)
         h_dir = connections.blaschke_h(m_tilde * m, ell)
-        for k in range(100):
-            zz = complex(math.cos(2 * math.pi * (k + 0.43) / 100),
-                         math.sin(2 * math.pi * (k + 0.43) / 100))
-            worst_h = max(worst_h, abs(h_out(h_in(zz)) - h_dir(zz)))
+        worst_h = max(worst_h, float(np.max(np.abs(h_out(h_in(z)) - h_dir(z)))))
     worst_rel = 0.0
     for ell in (0.25, 0.5):
         root = math.sqrt(ell)

@@ -189,6 +189,13 @@ class TestError:
         predicted = res["predicted_max_error"]
         assert abs(res["measured_max_error"] - predicted) <= an.node_bound(M, 1.0) * predicted
 
+    @pytest.mark.parametrize("problem, degree, theta, grid", [("z6", "86", "1e-3", "1024"), ("z5", "64", "0.0002", "1040")])
+    def test_optimal_error_below_the_normal_doubles_exits_3(self, capsys, problem, degree, theta, grid):
+        # built optima whose arccos(lam) is subnormal (z6) or 0 (z5): no grid can resolve it, so the report is refused
+        code, out, err = run(capsys, "error", "--problem", problem, "--degree", degree, "--theta", theta, "--grid", grid)
+        assert (code, out) == (3, "")
+        assert "numeric domain error" in err and "below the normal doubles" in err
+
     @pytest.mark.parametrize("problem", ["z5", "z6"])
     def test_grid_floor_is_inclusive(self, capsys, problem):
         res = run_json(capsys, "error", "--problem", problem, "--degree", "8", "--theta", "1.0",

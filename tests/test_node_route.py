@@ -18,6 +18,7 @@ import pytest
 import mpref
 from zolocirc import analysis as an
 from zolocirc import approximants as ap
+from zolocirc.errors import PrecisionError
 
 EPS = sys.float_info.epsilon
 BOTTOM = 0.0001414213571029879  # the smallest Theta whose cosine falls below ELL_MAX
@@ -103,10 +104,12 @@ def test_other_rationals_take_the_grid_route(r):
 
 
 @pytest.mark.parametrize("m", [86, 90])
-def test_an_amplitude_below_the_normal_doubles_takes_the_grid_route(m):
-    # arccos(lam) is subnormal at m = 86 and underflows to 0 at m = 90: no relative precision is left
+def test_an_amplitude_below_the_normal_doubles_is_refused(m):
+    # arccos(lam) is subnormal at m = 86 and underflows to 0 at m = 90: no relative precision is
+    # left, and the grid route could only read rounding noise
     assert an.theta_tilde(m, 1e-3) < sys.float_info.min
-    assert an.phase_error_sign(ap.build_s(m, 1e-3), 1e-3, 8 * (m + 1)).method == "grid"
+    with pytest.raises(PrecisionError, match="below the normal doubles"):
+        an.phase_error_sign(ap.build_s(m, 1e-3), 1e-3, 8 * (m + 1))
 
 
 def test_a_failed_grid_check_hands_the_report_to_the_grid(monkeypatch):

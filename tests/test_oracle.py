@@ -9,7 +9,7 @@ import pytest
 from zolocirc import approximants as ap
 from zolocirc import elliptic as el
 from zolocirc import oracle as orc
-from zolocirc.errors import DomainError
+from zolocirc.errors import ConvergenceError, DomainError
 
 
 class TestOracleK:
@@ -32,6 +32,12 @@ class TestOracleK:
     def test_rejects_near_one(self):
         with pytest.raises(DomainError):
             orc.oracle_K(1.0 - 1e-8)
+
+    def test_an_unconverged_rule_raises_at_its_node_cap(self, monkeypatch):
+        # a non-periodic integrand: the rule converges only like 1/n, far from 4e-16 at 2^15 nodes
+        monkeypatch.setattr(orc, "_integrand", lambda t, ell: t)
+        with pytest.raises(ConvergenceError, match="unconverged at 32768 nodes"):
+            orc.oracle_K(0.5)
 
 
 class TestOracleSn:
@@ -72,6 +78,13 @@ class TestOracleSn:
         # a NaN used to pass the range check and run out the Newton budget
         with pytest.raises(DomainError, match="must not exceed 2K"):
             orc.oracle_amplitude(u, 0.5)
+
+    def test_an_unconverged_newton_iteration_raises_at_its_step_cap(self, monkeypatch):
+        # a NaN integrand: no Newton step falls below 1e-12; K is kept, or the range check would refuse u
+        monkeypatch.setattr(orc, "oracle_K", lambda ell: orc.OracleResult(el.complete_K(ell), 0.0, 0))
+        monkeypatch.setattr(orc, "_integrand", lambda t, ell: np.full(np.shape(t), math.nan))
+        with pytest.raises(ConvergenceError, match="amplitude Newton iteration unconverged"):
+            orc.oracle_amplitude(1.0, 0.5)
 
 
 KERNEL_THETAS = [1e-3, 0.3, 1.0, 1.4, 0.5 * math.pi - 1e-3]
