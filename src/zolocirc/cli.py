@@ -113,8 +113,8 @@ def _cmd_build(args) -> int:
             "lambda": red.lam,
             "lambda_comp": red.lam_comp,
             "predicted_max_error": analysis.theta_tilde(effective, args.theta),
+            **_factor_block(0, r.quarter_turns, r.factors, r.zeros(), r.poles()),
         }
-        results.update(_factor_block(0, r.quarter_turns, r.factors, r.zeros(), r.poles()))
     else:  # z4 takes --ell
         if args.ell is None:
             raise _UsageError("--ell is required for z4")
