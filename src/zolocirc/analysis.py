@@ -18,9 +18,8 @@ their count.  A report reads both and names its route in ``method``:
   precision through the lift F + i sign(Im z)^M G.  One lift call per arc
   over the ``grid_n``-point grid checks that no point exceeds the amplitude
   by more than ``node_bound``; ``grid_size`` is ``grid_n``, and nothing is
-  refined or doubled.  A short count or a failed check hands the report
-  to the grid; an amplitude below the normal doubles, which no grid
-  resolves, raises PrecisionError.
+  refined or doubled.  A short count, a failed check or an amplitude below
+  the normal doubles raises PrecisionError.
 - ``"grid"``, for every other rational and for s_0 = i: one kernel
   (``_phase_error``, one exact 2 pi shift wrapping scalars and arrays
   alike) serves both problems and both arcs; each arc's grid is one array
@@ -264,8 +263,8 @@ def _node_measure(theta: float, ell: float, ell_comp: float, problem: str, effec
     cos t = ell sqrt((1 + c)/(ell^2 + c)), t = atan2(ell' sqrt(c), ell sqrt(1 + c)),
     for c in the fraction's ``cot2_even``, c = inf (the arc ends) and, for even M,
     c = 0 (the centre); z5 reads s_M through s_{2n+1}(z)^{(-1)^n} r_n(z^2) = z.
-    None unless every arc counts M + 1 and no point of its grid exceeds the amplitude by ``node_bound``;
-    PrecisionError if the amplitude is below the normal doubles, where no grid can resolve it either.
+    PrecisionError if an arc counts fewer than M + 1, a grid point tops the amplitude by ``node_bound``
+    or the amplitude is below the normal doubles: the grid route could read only rounding noise there.
     """
     zf = ZolotarevFraction.from_ell(effective, ell, ell_comp)
     centre = 1 - effective % 2
@@ -290,7 +289,7 @@ def _node_measure(theta: float, ell: float, ell_comp: float, problem: str, effec
     if not sys.float_info.min <= amplitude:
         raise PrecisionError(f"optimal error {amplitude!r} at effective degree {effective} is below the normal doubles")
     if peak > amplitude * (1.0 + bound) or min(counts) <= effective:
-        return None
+        raise PrecisionError(f"unresolved nodes at effective degree {effective}: counts {counts}, grid peak {peak!r}")
     return amplitude, extrema, counts, grid_n
 
 

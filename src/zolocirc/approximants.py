@@ -128,12 +128,12 @@ class UnimodularRational:
 
     def zeros(self) -> tuple[complex, ...]:
         """Finite zeros -v/u, with the net multiplicity at z = 0."""
-        out = [complex(-v if u == 1 else -v / u) for u, v, _, _ in self._regular()]
+        out = [complex(-v / u) for u, v, _, _ in self._regular()]
         return tuple([0j] * max(self._origin_order(), 0) + out)
 
     def poles(self) -> tuple[complex, ...]:
         """Finite poles -conj(u)/conj(v), with the net multiplicity at z = 0."""
-        out = [complex(-cu if cv == 1 else -cu / cv) for _, _, cv, cu in self._regular()]
+        out = [complex(-cu / cv) for _, _, cv, cu in self._regular()]
         return tuple([0j] * max(-self._origin_order(), 0) + out)
 
 

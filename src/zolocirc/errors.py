@@ -8,11 +8,11 @@ class DomainError(ValueError):
 class PrecisionError(DomainError):
     """A modulus or angle falls in a range where double precision degrades.
 
-    Moduli are accepted only in (1e-8, 1 - 1e-8) at the public entry
-    points of the higher-level modules, the window tested against a
-    50-digit reference.  Arc half-widths above 1.5707963162581844 (node
-    modulus sin(theta) rounds to 1) are rejected, and sn/cn/dn raise at a
-    complement that underflows to 0 (the direct F/G at a large degree).
+    Moduli are accepted only in (1e-8, 1 - 1e-8) at the public entry points of the higher-level modules,
+    the window tested against a 50-digit reference.  Arc half-widths above 1.5707963162581844 (node modulus
+    sin(theta) rounds to 1) are rejected, and sn/cn/dn raise at a complement that underflows to 0 (the
+    direct F/G at a large degree).  A phase report refuses a built optimum whose optimal error is below the
+    normal doubles, or whose alternation points are short or topped on the grid by ``analysis.node_bound``.
     """
 
 

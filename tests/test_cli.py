@@ -196,6 +196,13 @@ class TestError:
         assert (code, out) == (3, "")
         assert "numeric domain error" in err and "below the normal doubles" in err
 
+    def test_unresolved_nodes_exit_3_without_a_report(self, capsys, monkeypatch):
+        # a built optimum whose nodes fail the grid check is refused, not measured again on the grid
+        monkeypatch.setattr(an, "node_bound", lambda m, theta: -1.0)
+        code, out, err = run(capsys, "error", "--problem", "z6", "--degree", "5", "--theta", "1.0")
+        assert (code, out) == (3, "")
+        assert "numeric domain error" in err and "unresolved nodes at effective degree 5: counts" in err
+
     @pytest.mark.parametrize("problem", ["z5", "z6"])
     def test_grid_floor_is_inclusive(self, capsys, problem):
         res = run_json(capsys, "error", "--problem", problem, "--degree", "8", "--theta", "1.0",

@@ -26,8 +26,8 @@ TOP = 1.5707963162581844  # the largest Theta whose sine falls below 1
 
 # (Theta, m) of s_m and (Theta, n) of r_n, with both ends of the window
 Z6 = [(1.0, 8), (1.0, 24), (1.0, 25), (1.0, 64), (0.3, 40), (1.5, 129),
-      (BOTTOM, 1), (BOTTOM, 8), (BOTTOM, 40), (TOP, 8), (TOP, 64), (TOP, 256)]
-Z5 = [(0.5, 3), (0.7, 10), (0.4, 17), (BOTTOM, 3), (TOP, 20)]
+      (BOTTOM, 1), (BOTTOM, 8), (BOTTOM, 40), (TOP, 8), (TOP, 64), (TOP, 256), (1e-3, 85)]
+Z5 = [(0.5, 3), (0.7, 10), (0.4, 17), (BOTTOM, 3), (TOP, 20), (1e-3, 42)]  # 1e-3: the last normal optima
 
 
 def reference(theta, M):
@@ -112,10 +112,10 @@ def test_an_amplitude_below_the_normal_doubles_is_refused(m):
         an.phase_error_sign(ap.build_s(m, 1e-3), 1e-3, 8 * (m + 1))
 
 
-def test_a_failed_grid_check_hands_the_report_to_the_grid(monkeypatch):
+def test_a_failed_grid_check_is_refused(monkeypatch):
     monkeypatch.setattr(an, "node_bound", lambda m, theta: -1.0)  # every grid point exceeds
-    rep = an.phase_error_sign(ap.build_s(5, 1.0), 1.0, 128)
-    assert (rep.method, rep.arcs) == ("grid", (6, 6))
+    with pytest.raises(PrecisionError, match=r"unresolved nodes at effective degree 5: counts \(0, 0\), grid peak"):
+        an.phase_error_sign(ap.build_s(5, 1.0), 1.0, 128)
 
 
 def test_node_bound_is_stated_in_theta_and_degree():
@@ -123,9 +123,7 @@ def test_node_bound_is_stated_in_theta_and_degree():
     assert an.node_bound(64, 1.0) == 4 * EPS * (65 / math.sin(1.0)) ** 2
 
 
-def test_a_short_count_on_the_nodes_hands_the_report_to_the_grid(monkeypatch):
-    theta, grid = 1.0, 128
-    r = ap.build_s(5, theta)
+def test_a_short_count_on_the_nodes_is_refused(monkeypatch):
     alternating, rels = an._alternating, []
 
     def drop_one_on_the_first_node_arc(extrema, amplitude, rel=1e-3):
@@ -134,9 +132,6 @@ def test_a_short_count_on_the_nodes_hands_the_report_to_the_grid(monkeypatch):
         return kept[:-1] if len(rels) == 1 else kept
 
     monkeypatch.setattr(an, "_alternating", drop_one_on_the_first_node_arc)
-    rep = an.phase_error_sign(r, theta, grid)
-    assert rels[0] == an.node_bound(5, theta)  # the first call came from the node route
-    monkeypatch.undo()
-    amplitude, extrema, counts, size = an._certified_measure(an._arc_jobs(r, theta, "z6"), grid, rep.expected)
-    assert (rep.method, rep.arcs, rep.grid_size) == ("grid", counts, size)
-    assert (rep.max_error, rep.extrema) == (amplitude, extrema)
+    with pytest.raises(PrecisionError, match=r"unresolved nodes at effective degree 5: counts \(5, 6\)"):
+        an.phase_error_sign(ap.build_s(5, 1.0), 1.0, 128)
+    assert rels == [an.node_bound(5, 1.0)] * 2  # both arcs were tallied on the node route, and no grid ran
