@@ -11,16 +11,17 @@ of scale 2.  ``_tally`` turns per-arc (angle, error) candidates into the
 amplitude, the largest |error|, and each arc's alternating extrema and
 their count.  A report reads both and names its route in ``method``:
 
-- ``"nodes"``, for the builder's own optimum (R equal to ``build_s`` or
-  ``build_r`` at its degree and Theta, effective degree M >= 1).  Its M + 1
-  alternation points per arc are known in closed form, from the even nodes
-  of the ``ZolotarevFraction`` at M; the errors there are read in relative
-  precision through the lift F + i sign(Im z)^M G.  One lift call per arc
-  over the ``grid_n``-point grid checks that no point exceeds the amplitude
-  by more than ``node_bound``; ``grid_size`` is ``grid_n``, and nothing is
-  refined or doubled.  A short count, a failed check or an amplitude below
-  the normal doubles raises PrecisionError.
-- ``"grid"``, for every other rational and for s_0 = i: one kernel
+- ``"nodes"``, for an optimum: R equal to ``build_s`` or ``build_r`` at its
+  degree and Theta (orientation +1), or to the reciprocal of ``build_s``'s,
+  the second optimum of z6 (orientation -1).  Its M + 1 alternation points
+  per arc are known in closed form, from the even nodes of the
+  ``ZolotarevFraction`` at M; the errors there are read in relative precision
+  through the lift F +- i sign(Im z)^M G.  One lift call per arc over the
+  ``grid_n``-point grid checks that no point exceeds the amplitude by more
+  than ``node_bound``; ``grid_size`` is ``grid_n``, and nothing is refined or
+  doubled.  A short count, a failed check or an amplitude below the normal
+  doubles raises PrecisionError.
+- ``"grid"``, for every rational that is not an optimum: one kernel
   (``_phase_error``, one exact 2 pi shift wrapping scalars and arrays
   alike) serves both problems and both arcs; each arc's grid is one array
   call that only brackets the extrema of the signed error, and golden
@@ -169,8 +170,7 @@ def _arc_extrema(err_fn, lo: float, hi: float, n: int):
 
     ``err_fn`` takes an array of angles (the grid, evaluated at once) or a
     float (the refinement).  Endpoints always enter as candidates.  Returns
-    the refined list sorted by angle; a flat curve (degree-0 approximants)
-    collapses to its midpoint.
+    the refined list sorted by angle; a flat curve collapses to its midpoint.
     """
     ths = np.linspace(lo, hi, n)
     e = err_fn(ths)
@@ -256,13 +256,14 @@ def node_bound(m: int, theta: float) -> float:
     return 4.0 * sys.float_info.epsilon * ((m + 1) / math.sin(theta)) ** 2
 
 
-def _node_measure(theta: float, ell: float, ell_comp: float, problem: str, effective: int, grid_n: int):
+def _node_measure(theta: float, ell: float, ell_comp: float, problem: str, effective: int, grid_n: int,
+                  orientation: int):
     """(amplitude, extrema, counts, grid_n) of the optimum of degree M = ``effective`` at its alternation points.
 
-    On each arc the error of s_M alternates at the M + 1 values of t with
-    cos t = ell sqrt((1 + c)/(ell^2 + c)), t = atan2(ell' sqrt(c), ell sqrt(1 + c)),
-    for c in the fraction's ``cot2_even``, c = inf (the arc ends) and, for even M,
-    c = 0 (the centre); z5 reads s_M through s_{2n+1}(z)^{(-1)^n} r_n(z^2) = z.
+    On each arc the error of s_M alternates at the M + 1 values of t with cos t = ell sqrt((1 + c)/(ell^2 + c)),
+    t = atan2(ell' sqrt(c), ell sqrt(1 + c)), for c in the fraction's ``cot2_even``, c = inf (the arc ends)
+    and, for even M, c = 0 (the centre).  z5 reads -(-1)^n arg s_M through s_{2n+1}(z)^{(-1)^n} r_n(z^2) = z;
+    ``orientation`` -1 reads 1/s_M, the conjugate lift F - i sign(Im z)^M G: every error negated.
     PrecisionError if an arc counts fewer than M + 1, a grid point tops the amplitude by ``node_bound``
     or the amplitude is below the normal doubles: the grid route could read only rounding noise there.
     """
@@ -273,7 +274,7 @@ def _node_measure(theta: float, ell: float, ell_comp: float, problem: str, effec
     half_x = np.append(np.minimum(ell * np.sqrt((1.0 + c) / (ell * ell + c)), 1.0), ell)
     t = np.concatenate([-half_t[centre:][::-1], half_t])
     x = np.concatenate([half_x[centre:][::-1], half_x])
-    sign = -_orientation(effective) if effective_degree(problem, 0) else 1  # z5: arg r_n(z^2) - arg z = -(-1)^n arg s_M
+    sign = orientation * (-_orientation(effective) if effective_degree(problem, 0) else 1)
     per_arc, peak = [], 0.0
     for mid, scale in _arcs(problem):
         turn = math.cos(mid)  # the target +-1 of the arc
@@ -296,16 +297,17 @@ def _node_measure(theta: float, ell: float, ell_comp: float, problem: str, effec
 def _phase_report(r: UnimodularRational, theta: float, grid_n: int, problem: str) -> PhaseErrorReport:
     """Report on the arcs of ``problem``: arccos(lam), M + 1 extrema per arc at the effective degree M.
 
-    The builder is this module's own binding: a builder swapped on
-    ``approximants`` (a tampered optimum) does not pass for the optimum.
+    R equal to the builder's output (orientation +1) or, for z6, its reciprocal (-1) goes to the nodes, anything else
+    to the grid.  The builder is this module's own binding, so a builder swapped on ``approximants`` is no optimum.
     """
     ell, ell_comp = require_theta(theta)
     degree = len(r.factors)
     effective = effective_degree(problem, degree)
     grid_n = require_degree(grid_n, 8 * (degree + 1), "grid_n")
     expected = effective + 1
-    build = build_r if effective_degree(problem, 0) else build_s
-    nodes = effective and r == build(degree, theta) and _node_measure(theta, ell, ell_comp, problem, effective, grid_n)
+    optimum = (build_r if effective_degree(problem, 0) else build_s)(degree, theta)
+    orientation = 1 if r == optimum else -1 if not effective_degree(problem, 0) and r == optimum.reciprocal() else 0
+    nodes = orientation and _node_measure(theta, ell, ell_comp, problem, effective, grid_n, orientation)
     amplitude, extrema, counts, grid_size = nodes or _certified_measure(_arc_jobs(r, theta, problem), grid_n, expected)
     method = "nodes" if nodes else "grid"
     return PhaseErrorReport(amplitude, theta_tilde(effective, theta), extrema, counts, grid_size, expected, method)

@@ -11,8 +11,8 @@ class PrecisionError(DomainError):
     Moduli are accepted only in (1e-8, 1 - 1e-8) at the public entry points of the higher-level modules,
     the window tested against a 50-digit reference.  Arc half-widths above 1.5707963162581844 (node modulus
     sin(theta) rounds to 1) are rejected, and sn/cn/dn raise at a complement that underflows to 0 (the
-    direct F/G at a large degree).  A phase report refuses a built optimum whose optimal error is below the
-    normal doubles, or whose alternation points are short or topped on the grid by ``analysis.node_bound``.
+    direct F/G at a large degree).  A phase report refuses an optimum (built, or the reciprocal 1/s_m) whose
+    optimal error is below the normal doubles, or whose nodes are short or topped by ``analysis.node_bound``.
     """
 
 

@@ -16,6 +16,10 @@ Also here: Zolotarev's number Z_m against the paper's product, held to
 the optimal error angle arccos(lam), from ``theta_tilde`` and through
 ``phase_error_from_Z`` of Z_m, held to the same bound at both window ends
 (exactly 0 where the reference underflows);
+the z4 deviation (1 - lam)/(1 + lam) of ``z4_solution``, held to the same
+bound where it is a normal double, to 4 subnormal steps below that and
+to exactly 0 where the reference underflows, and its scale 2/(1 + lam) to
+2 eps, for m = 1..64 at both ends of the modulus window and inside it;
 the F/G Pythagorean identity at small moduli, where the node
 constants sit at modulus ell' -> 1, and the direct F/G evaluation, which
 reads the reduced modulus lam through its complement and must agree with
@@ -33,7 +37,7 @@ import pytest
 
 from zolocirc import elliptic as el
 from zolocirc.analysis import phase_error_from_Z, theta_tilde, zolotarev_number
-from zolocirc.approximants import ZolotarevFraction, coeff_a, coeff_b, eval_F_direct, eval_F_product
+from zolocirc.approximants import ZolotarevFraction, coeff_a, coeff_b, eval_F_direct, eval_F_product, z4_solution
 from zolocirc.errors import PrecisionError
 
 BOUND = 16 * mpref.EPS
@@ -129,6 +133,26 @@ def test_optimal_error_angle_at_the_window_ends(m):
                 assert got == 0.0, (theta, m)
             else:
                 assert mpref.rel_err(got, ref) <= 4 * (1 + V) * mpref.EPS, (theta, m)
+
+
+@pytest.mark.parametrize("ell", [math.nextafter(el.ELL_MIN, 1.0), 1e-4, 0.3, 0.9, 0.999999, 1.0 - 1.0000001e-8,
+                                 math.nextafter(el.ELL_MAX, 0.0)])
+def test_z4_deviation_and_scale(ell):
+    # the largest deviation error was 2.41 (1 + V) eps (1 - 1.0000001e-8, m = 28), and 1.2 subnormal steps
+    # below the normals (0.999999, m = 45)
+    ell_sq, ell_comp_sq = mpref.ell_squares(ell)
+    for m in range(1, 65):
+        lam, lam_comp, _, V = mpref.mp_reduction(ell_sq, ell_comp_sq, m)
+        with mp.workdps(int(0.87 * V) + 30):
+            deviation, scale = lam_comp**2 / (1 + lam) ** 2, 2 / (1 + lam)
+        got = z4_solution(m, ell)
+        assert mpref.rel_err(got.scale, scale) <= 2 * mpref.EPS, m
+        if deviation >= sys.float_info.min:
+            assert mpref.rel_err(got.deviation, deviation) <= 4 * (1 + V) * mpref.EPS, m
+        elif float(deviation) == 0.0:
+            assert got.deviation == 0.0, m
+        else:
+            assert abs(got.deviation - deviation) <= 4 * 2.0**-1074, m
 
 
 @pytest.mark.parametrize("ell", [1.0000001e-8, 1e-6, 1e-4])

@@ -6,11 +6,14 @@ on the arc around +1, pi + t on the arc around -1, tau = 2t for z5.  A
 report on a built optimum reads its errors there through the F/G lift.
 Each value must lie within ``analysis.node_bound`` of arccos(lam) (taken
 as asin(lam') from ``mpref.mp_reduction``), each angle within 4 ulps of
-the mpmath point, and the signs must alternate on every arc.
+the mpmath point, and the signs must alternate on every arc.  The second
+optimum of z6, 1/s_m, is the conjugate lift: its report is that of s_m
+with every error negated.
 """
 
 import math
 import sys
+from dataclasses import replace
 
 import mpmath as mp
 import pytest
@@ -65,6 +68,35 @@ def test_sign_node_errors_on_both_arcs(theta, m):
     assert mpref.rel_err(rep.predicted, amplitude) <= bound
 
 
+@pytest.mark.parametrize("theta, m", Z6)
+def test_the_second_optimum_reads_the_negated_nodes(theta, m):
+    grid = 8 * (m + 1)
+    rep = an.phase_error_sign(ap.build_s(m, theta).reciprocal(), theta, grid)
+    amplitude, angles = reference(theta, m)
+    bound = an.node_bound(m, theta)
+    with mp.workdps(mpref.DPS):
+        check_arc(rep.extrema[: m + 1], angles, amplitude, bound)
+        check_arc(rep.extrema[m + 1 :], [mp.pi + t for t in angles], amplitude, bound)
+    own = an.phase_error_sign(ap.build_s(m, theta), theta, grid)
+    assert rep == replace(own, extrema=tuple((t, -e) for t, e in own.extrema))
+
+
+@pytest.mark.parametrize("theta", [BOTTOM, 1.0, TOP])
+def test_s0_reads_a_quarter_turn_at_its_nodes(theta):
+    rep = an.phase_error_sign(ap.build_s(0, theta), theta, 64)
+    assert (rep.method, rep.arcs) == ("nodes", (1, 1))
+    assert rep.max_error == rep.predicted == math.pi / 2
+    # the first node of each arc: the arc end -Theta, and pi - Theta
+    assert rep.extrema == ((-theta, math.pi / 2), (math.pi - theta, -math.pi / 2))
+
+
+def test_the_second_optimum_at_the_rounding_floor():
+    # the grid route's flat-curve rule read (1, 0) at 1.2e-16 here, on a doubled grid of 2048
+    rep = an.phase_error_sign(ap.build_s(25, 1.0).reciprocal(), 1.0, 1024)
+    assert (rep.method, rep.arcs, rep.grid_size) == ("nodes", (26, 26), 1024)
+    assert abs(rep.max_error - 4.341523031440975e-14) <= an.node_bound(25, 1.0) * rep.max_error
+
+
 @pytest.mark.parametrize("theta, n", Z5)
 def test_sqrt_node_errors(theta, n):
     M = 2 * n + 1
@@ -94,13 +126,17 @@ def test_node_and_grid_routes_agree_where_the_grid_resolves(report, build, degre
     assert max(abs(u - v) for (_, u), (_, v) in zip(extrema, rep.extrema)) <= 1e-9 * rep.max_error
 
 
+S4 = ap.build_s(4, 1.0)
+
+
 @pytest.mark.parametrize("r", [
-    ap.build_s(0, 1.0),  # s_0 = i is flat
-    ap.build_s(4, 1.0).reciprocal(),
+    replace(S4, factors=(1.05 * S4.factors[0],) + S4.factors[1:]),  # tampered
+    ap.build_r(2, 1.0).reciprocal(),  # 1/r_n approximates 1/sqrt, not sqrt
     ap.UnimodularRational(1, ap.build_s(3, 1.0).factors, ap.Family.S_FAMILY),  # a quarter turn off
 ])
 def test_other_rationals_take_the_grid_route(r):
-    assert an.phase_error_sign(r, 1.0, 128).method == "grid"
+    report = an.phase_error_sqrt if r.family is ap.Family.R_FAMILY else an.phase_error_sign
+    assert report(r, 1.0, 128).method == "grid"
 
 
 @pytest.mark.parametrize("m", [86, 90])
