@@ -261,7 +261,7 @@ def _node_measure(theta: float, ell: float, ell_comp: float, problem: str, effec
     """(amplitude, extrema, counts, grid_n) of the optimum of degree M = ``effective`` at its alternation points.
 
     On each arc the error of s_M alternates at the M + 1 values of t with cos t = ell sqrt((1 + c)/(ell^2 + c)),
-    t = atan2(ell' sqrt(c), ell sqrt(1 + c)), for c in the fraction's ``cot2_even``, c = inf (the arc ends)
+    sin t = ell' sqrt(c/(ell^2 + c)), for c in the fraction's ``cot2_even``, c = inf (the arc ends)
     and, for even M, c = 0 (the centre).  z5 reads -(-1)^n arg s_M through s_{2n+1}(z)^{(-1)^n} r_n(z^2) = z;
     ``orientation`` -1 reads 1/s_M, the conjugate lift F - i sign(Im z)^M G: every error negated.
     PrecisionError if an arc counts fewer than M + 1, a grid point tops the amplitude by ``node_bound``
@@ -272,8 +272,10 @@ def _node_measure(theta: float, ell: float, ell_comp: float, problem: str, effec
     c = np.array((0.0,) * centre + zf.cot2_even[::-1])  # ascending in t
     half_t = np.append(np.arctan2(ell_comp * np.sqrt(c), ell * np.sqrt(1.0 + c)), theta)
     half_x = np.append(np.minimum(ell * np.sqrt((1.0 + c) / (ell * ell + c)), 1.0), ell)
+    half_y = np.append(ell_comp * np.sqrt(c / (ell * ell + c)), ell_comp)  # sin t
     t = np.concatenate([-half_t[centre:][::-1], half_t])
     x = np.concatenate([half_x[centre:][::-1], half_x])
+    y = np.concatenate([-half_y[centre:][::-1], half_y])
     sign = orientation * (-_orientation(effective) if effective_degree(problem, 0) else 1)
     per_arc, peak = [], 0.0
     for mid, scale in _arcs(problem):
@@ -281,7 +283,7 @@ def _node_measure(theta: float, ell: float, ell_comp: float, problem: str, effec
         w = np.linspace(mid - scale * theta, mid + scale * theta, grid_n) / scale  # the grid's z = e^{i w}
         # one lift call: the nodes, then the grid with Re z kept on the arc
         F, G = _lift(zf, np.concatenate([turn * x, turn * np.maximum(turn * np.cos(w), ell)]),
-                     np.concatenate([turn * t, np.sin(w)]))
+                     np.concatenate([turn * y, np.sin(w)]))
         e = sign * np.arctan2(turn * G, turn * F)  # the target -1 divides out as atan2(-G, -F)
         per_arc.append(list(zip((mid + scale * t).tolist(), e[: t.size].tolist())))
         peak = max(peak, float(np.abs(e[t.size :]).max()))

@@ -17,12 +17,14 @@ its pair (u, v): R gives (a, 1), S gives (1, -i b) with b = inf giving
 Also provided: evaluation of the underlying real pair (F_m, G_m) by the
 direct elliptic formula and by the rational product identities, the
 classical scaled sign approximant built from F_m, and the circle lift
-s = F + i sign(Im z)^m G.
+s = F + i sign(Im z)^m G, through which the optima that ``build_s`` and
+``build_r`` return are evaluated on the unit circle.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -42,6 +44,7 @@ from .errors import DomainError, PoleError
 
 _I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
 _DEN_TINY = 1e-300
+_ON_CIRCLE = 8.0 * sys.float_info.epsilon  # |x^2 + y^2 - 1| at a circle point x + i y
 
 
 class Family(enum.Enum):
@@ -67,12 +70,21 @@ class UnimodularRational:
     is an S factor, b = 0 for z and b = math.inf for -1/z.  Every operation
     reads the table of (u, v, conj(v), conj(u)) that ``Family.pair``
     derives from them.
+
+    ``build_s`` (m >= 1) and ``build_r`` (n >= 1) record on their output
+    the optimum it is, (M, ell, ell', orientation, problem), in a private
+    ``_optimum`` field, and the reciprocal of ``build_s``'s output keeps it
+    with orientation -1.  Every other rational (a constructor call,
+    ``dataclasses.replace``, quarter turns, compositions, 1/r_n) has none,
+    and equality, hashing and repr never read it.
     """
 
     quarter_turns: int
     factors: tuple[float, ...]
     family: Family
     _pairs: tuple = field(init=False, repr=False, compare=False)
+    _optimum: tuple | None = field(init=False, repr=False, compare=False, default=None)
+    _fraction: ZolotarevFraction | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         pairs = tuple(self.family.pair(p) for p in self.factors)
@@ -81,14 +93,30 @@ class UnimodularRational:
     def __call__(self, z):
         """Value at a Python scalar or an ndarray of points.
 
-        A scalar raises PoleError at a vanishing denominator (with the
-        factor's index); an array yields inf/nan there instead.
+        A recorded optimum whose points all lie on the unit circle, each
+        z = x + i y with |x^2 + y^2 - 1| <= 8 eps, is read through the F/G
+        lift of the ``ZolotarevFraction`` at M, built on the first such call
+        and kept: its value there is the optimum's at z/|z|, and a scalar
+        equals the array value bit for bit.  Any other rational or point set
+        takes the product of the factors: a scalar raises PoleError at a
+        vanishing denominator (with the factor's index), an array yields
+        inf/nan there.
         """
+        array = isinstance(z, np.ndarray)
+        z = z if array else complex(z)
+        if self._optimum is not None:
+            x, y = z.real, z.imag
+            near = abs(x * x + y * y - 1.0) <= _ON_CIRCLE
+            if near.all() if array else near:
+                M, ell, ell_comp, orientation, problem = self._optimum
+                if self._fraction is None:
+                    object.__setattr__(self, "_fraction", ZolotarevFraction.from_ell(M, ell, ell_comp))
+                return _lifted(self._fraction, x, y, orientation, problem == "z5")
         unit = _I_POWERS[self.quarter_turns % 4]
-        if isinstance(z, np.ndarray):
+        if array:
             with np.errstate(divide="ignore", invalid="ignore"):
                 return self._product(z, np.full(z.shape, unit, dtype=complex), False)
-        return self._product(complex(z), unit, True)
+        return self._product(z, unit, True)
 
     def _product(self, z, w, raise_poles: bool):
         for idx, (u, v, cv, cu) in enumerate(self._pairs):
@@ -106,13 +134,18 @@ class UnimodularRational:
         R factors invert inside the family, (1+az)/(z+a) -> parameter 1/a;
         S factors invert up to a half turn, 1/S(b) = -S(1/b) with 0 <-> inf,
         so each contributes two quarter turns.  H factors do not invert
-        inside the family.
+        inside the family.  The reciprocal of ``build_s``'s output is the
+        second optimum, the conjugate lift, and keeps the record with
+        orientation -1.
         """
         if self.family is Family.H_FAMILY:
             raise DomainError("reciprocal of an H-family product is not factored")
         inv = tuple(math.inf if p == 0.0 else 0.0 if math.isinf(p) else 1.0 / p for p in self.factors)
         turns = 2 * len(inv) if self.family is Family.S_FAMILY else 0
-        return UnimodularRational((turns - self.quarter_turns) % 4, inv, self.family)
+        out = UnimodularRational((turns - self.quarter_turns) % 4, inv, self.family)
+        if self._optimum is not None and self._optimum[3:] == (1, "z6"):
+            object.__setattr__(out, "_optimum", (*self._optimum[:3], -1, "z6"))
+        return out
 
     def _regular(self):
         """Pairs with a zero and a pole off the origin (u != 0 and v != 0)."""
@@ -150,9 +183,10 @@ def coeff_a(j: int, n: int, theta: float) -> float:
 def build_r(n: int, theta: float) -> UnimodularRational:
     """Optimal unimodular approximant of sqrt(z) on the arc of half-width 2 Theta."""
     n = require_degree(n, 0)
-    require_theta(theta)
+    ell, ell_comp = require_theta(theta)
     params = tuple(coeff_a(j, n, theta) for j in range(1, n + 1))
-    return UnimodularRational(0, params, Family.R_FAMILY)
+    # r_n(z^2) = z s_M(z)^{-(-1)^n}, M = 2n + 1
+    return _recorded(UnimodularRational(0, params, Family.R_FAMILY), (2 * n + 1, ell, ell_comp, -(-1) ** n, "z5"))
 
 
 def coeff_b(j: int, m: int, theta: float) -> float:
@@ -177,9 +211,16 @@ def coeff_b(j: int, m: int, theta: float) -> float:
 def build_s(m: int, theta: float) -> UnimodularRational:
     """Optimal unimodular approximant of sign(z) on the arc pair of half-width Theta."""
     m = require_degree(m, 0)
-    require_theta(theta)
+    ell, ell_comp = require_theta(theta)
     params = tuple(coeff_b(j, m, theta) for j in range(1, m + 1))
-    return UnimodularRational((1 - m) % 4, params, Family.S_FAMILY)
+    return _recorded(UnimodularRational((1 - m) % 4, params, Family.S_FAMILY), (m, ell, ell_comp, 1, "z6"))
+
+
+def _recorded(r: UnimodularRational, optimum: tuple) -> UnimodularRational:
+    """r with its ``_optimum`` record; s_0 = i and r_0 = 1, which have no factors, are left constants."""
+    if r.factors:
+        object.__setattr__(r, "_optimum", optimum)
+    return r
 
 
 @dataclass(frozen=True)
@@ -194,7 +235,8 @@ class ZolotarevFraction:
     (cot2_even, cot2_odd) pairs, the trailing odd node of even m or None,
     the far-field limit (1 - 8 eps) sqrt(DBL_MAX / max(c, 1)) for the largest
     node c, below which rounding cannot carry s * s * c past DBL_MAX,
-    (dn2_odd, cot2_odd) pairs).  ``F`` alone reads the F part.
+    (cot2_even or None, cot2_odd, dn2_odd) per odd node, None at the
+    trailing one).  ``F`` alone reads the F part.
     """
 
     reduction: DegreeReduction
@@ -214,7 +256,7 @@ class ZolotarevFraction:
             tuple(zip(even, odd)),
             tail,
             (1.0 - 8.0 * sys.float_info.epsilon) * math.sqrt(sys.float_info.max / top),
-            tuple(zip(self.dn2_odd, odd)),
+            tuple(itertools.zip_longest(even, odd, self.dn2_odd)),
         )
         object.__setattr__(self, "_kernel", table)
 
@@ -287,7 +329,7 @@ def eval_F_product(zf: ZolotarevFraction, x):
         _, one, s = _reciprocal_squares(s, far)
     s2 = s * s
     G = 1.0 + 0.0 * s2  # 1 in the shape of x; m = 0 has no odd node
-    for d, co in nodes:
+    for _, co, d in nodes:
         G *= (one - s2 * d) / (one + s2 * co)
     if odd:
         sqrt = np.sqrt if isinstance(x, np.ndarray) else math.sqrt
@@ -341,27 +383,81 @@ def z4_solution(m: int, ell: float) -> Z4Approximant:
 
 
 def eval_s_via_FG(m: int, theta: float, z):
-    """Circle lift F(x) + i sign(Im z)^m G(x), x = (z + 1/z)/2 = Re z on |z| = 1.
+    """Circle lift F(x) + i sign(Im z)^m G(x) of s_m at z = x + i y, read as ``build_s(m, theta)`` reads it.
 
     Takes a complex scalar (returns a complex) or an ndarray (returns a
-    complex ndarray); the fraction is built once per call.  sign(0) is taken
-    as +1.  Raises DomainError if any point is off the circle, and for odd
-    m if any point is within 1e-12 of +-i, where only the factored form
-    defines the value.
+    complex ndarray, bitwise equal elementwise); the fraction is built once
+    per call.  x and y are taken as they are, so a point off the circle by
+    d moves the value by O(d).  Raises DomainError if any point is off the
+    circle by more than 1e-9, or is NaN.
     """
     zf = ZolotarevFraction.from_ell(m, *require_theta(theta))  # validates theta and m before the points
-    w = np.asarray(z, dtype=complex)
-    off = np.abs(np.abs(w) - 1.0)
+    off = np.abs(np.abs(z) - 1.0)
     if not np.all(off <= 1e-9):
         raise DomainError(f"eval_s_via_FG requires |z| = 1, got ||z| - 1| = {float(np.max(off))!r}")
-    if m % 2 and np.any(np.abs(w.real) < 1e-12):
-        raise DomainError("the F/G lift is not defined at z = +-i for odd degree")
-    out = np.empty(w.shape, dtype=complex)
-    out.real, out.imag = _lift(zf, np.clip(((w + 1.0 / w) / 2.0).real, -1.0, 1.0), w.imag)
-    return out if isinstance(z, np.ndarray) else complex(out)
+    z = z if isinstance(z, np.ndarray) else complex(z)
+    return _lifted(zf, z.real, z.imag, 1, False)
 
 
-def _lift(zf: ZolotarevFraction, x: np.ndarray, im: np.ndarray):
-    """(F(x), sign(im)^m G(x)), the real and imaginary parts of the lift at arrays; sign(0) = +1."""
-    F, G = eval_F_product(zf, x)
-    return F, (np.where(im < 0.0, -G, G) if zf.reduction.m % 2 else G)
+def _lifted(zf: ZolotarevFraction, x, y, orientation: int, root: bool):
+    """s_M (orientation +1) or 1/s_M (-1) at circle points x + i y, or with ``root`` r_n = z s_M(z)^orientation.
+
+    The root is the principal z = sqrt(x + i y), in a real form without
+    cancellation: a = sqrt((1 + |x|)/2) and b = y/(2a) give z = a + i b for
+    x >= 0 and |b| + i copysign(a, y) otherwise.  Floats give a complex,
+    arrays a complex array, bitwise equal elementwise.
+    """
+    array = isinstance(x, np.ndarray)
+    if root:
+        a = (np.sqrt if array else math.sqrt)((1.0 + abs(x)) / 2.0)
+        b = y / (2.0 * a)
+        right = x >= 0.0
+        if array:
+            x, y = np.where(right, a, abs(b)), np.where(right, b, np.copysign(a, y))
+        else:
+            x, y = (a, b) if right else (abs(b), math.copysign(a, y))
+    F, G = _lift(zf, x, y)
+    G = orientation * G
+    re, im = (x * F - y * G, y * F + x * G) if root else (F, G)
+    if not array:
+        return complex(re, im)
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _lift(zf: ZolotarevFraction, x, y):
+    """(F(x), sign(y)^m G(x)), the real and imaginary parts of s_m at circle points x + i y.
+
+    On the circle sign(y) sqrt(1 - x^2) = y, so odd m multiplies G's odd-node
+    product by y itself: no square root loses digits near x = +-1.  F and G
+    share the denominators 1 + s^2 c_o and multiply in the order of
+    ``ZolotarevFraction.F`` and ``eval_F_product``, bit for bit; |x| near 1
+    is far below their far-field limit.  An array runs in preallocated
+    buffers, a float the same operations, so the two agree bit for bit.
+    """
+    ell, lam, M, _, _, _, nodes = zf._kernel
+    s = x / ell
+    s2 = s * s
+    f = lam * (s / M)
+    if isinstance(s2, np.ndarray):
+        g, den, num = np.ones_like(s2), np.empty_like(s2), np.empty_like(s2)
+        for ce, co, d in nodes:
+            np.add(1.0, np.multiply(s2, co, out=den), out=den)
+            if ce is None:
+                f /= den
+            else:
+                f *= np.divide(np.add(1.0, np.multiply(s2, ce, out=num), out=num), den, out=num)
+            g *= np.divide(np.subtract(1.0, np.multiply(s2, d, out=num), out=num), den, out=num)
+    else:
+        g = 1.0
+        for ce, co, d in nodes:
+            den = 1.0 + s2 * co
+            if ce is None:
+                f /= den
+            else:
+                f *= (1.0 + s2 * ce) / den
+            g *= (1.0 - s2 * d) / den
+    if zf.reduction.m % 2:
+        g *= y
+    return f, g

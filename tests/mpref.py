@@ -76,6 +76,35 @@ def coeff_b(j, m, theta):
         return (-1) ** (m * j) * (base if j % 2 == 0 else 1 / base)
 
 
+def optimum_values(problem, degree, theta, points):
+    """Values of the optimum at z/|z| for each complex double z of ``points``, from the parameters above.
+
+    z6: i^(1 - m) prod (z - i b_j)/(1 + i b_j z), where the middle node 2j - 1 = m
+    gives the factor -1/z (j even, b = inf) or z (j odd, b = 0); z5: prod (1 + a_j z)/(z + a_j).
+    """
+    with mp.workdps(DPS):
+        if problem == "z6":
+            params = [None if 2 * j - 1 == degree else coeff_b(j, degree, theta) for j in range(1, degree + 1)]
+            unit = (1, 1j, -1, -1j)[(1 - degree) % 4]
+        else:
+            params = [coeff_a(j, degree, theta) for j in range(1, degree + 1)]
+            unit = 1
+        out = []
+        for z in points:
+            z = mp.mpc(z.real, z.imag)
+            z /= abs(z)
+            value = mp.mpc(unit)
+            for j, p in enumerate(params, start=1):
+                if problem == "z5":
+                    value *= (1 + p * z) / (z + p)
+                elif p is None:
+                    value *= -1 / z if j % 2 == 0 else z
+                else:
+                    value *= (z - 1j * p) / (1 + 1j * p * z)
+            out.append(value)
+        return out
+
+
 def _big_target(v):
     return max(v, (mp.pi / 2) ** 2 / v)
 

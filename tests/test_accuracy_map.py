@@ -20,6 +20,9 @@ the z4 deviation (1 - lam)/(1 + lam) of ``z4_solution``, held to the same
 bound where it is a normal double, to 4 subnormal steps below that and
 to exactly 0 where the reference underflows, and its scale 2/(1 + lam) to
 2 eps, for m = 1..64 at both ends of the modulus window and inside it;
+the values of s_m, 1/s_m and r_n on the unit circle, which read the F/G
+lift, held to 4 (M + 1) eps at the effective degree M on and off the arcs
+from the bottom of the window to just below THETA_MAX;
 the F/G Pythagorean identity at small moduli, where the node
 constants sit at modulus ell' -> 1, and the direct F/G evaluation, which
 reads the reduced modulus lam through its complement and must agree with
@@ -27,6 +30,7 @@ the product identities while lam rounds to 1, and whose G holds
 2 (1 + V) eps against the reference while lam' is subnormal.
 """
 
+import cmath
 import math
 import sys
 
@@ -36,8 +40,18 @@ import numpy as np
 import pytest
 
 from zolocirc import elliptic as el
-from zolocirc.analysis import phase_error_from_Z, theta_tilde, zolotarev_number
-from zolocirc.approximants import ZolotarevFraction, coeff_a, coeff_b, eval_F_direct, eval_F_product, z4_solution
+from zolocirc.analysis import _arcs, effective_degree, phase_error_from_Z, theta_tilde, zolotarev_number
+from zolocirc.approximants import (
+    ZolotarevFraction,
+    build_r,
+    build_s,
+    coeff_a,
+    coeff_b,
+    eval_F_direct,
+    eval_F_product,
+    eval_s_via_FG,
+    z4_solution,
+)
 from zolocirc.errors import PrecisionError
 
 BOUND = 16 * mpref.EPS
@@ -153,6 +167,38 @@ def test_z4_deviation_and_scale(ell):
             assert got.deviation == 0.0, m
         else:
             assert abs(got.deviation - deviation) <= 4 * 2.0**-1074, m
+
+
+def _worst(values, refs):
+    with mp.workdps(mpref.DPS):
+        return max(float(abs(mp.mpc(v.real, v.imag) - ref)) for v, ref in zip(values, refs))
+
+
+@pytest.mark.parametrize("problem,degree",
+                         [("z6", m) for m in (1, 7, 32, 256)] + [("z5", n) for n in (1, 3, 16, 64, 128)])
+def test_optimum_values_on_the_circle(problem, degree):
+    # worst 2.71 (M + 1) eps (z5, n = 1, just below THETA_MAX); there the product of the factors reaches
+    # 1.24e6 (M + 1) eps (z6, m = 256), while mid-window the lift errs up to 4.3 times the product (8.5
+    # against 2.0 eps at z5, n = 3, Theta = 0.3)
+    M = effective_degree(problem, degree)
+    rng = np.random.default_rng(degree)
+    for theta in (1.0001 * THETAS[0], 0.3, 1.0, 1.4, 1.5707, el.THETA_MAX * (1.0 - 1e-9)):
+        optimum = (build_s if problem == "z6" else build_r)(degree, theta)
+        on_arcs = [mid + scale * np.linspace(-theta, theta, 7) for mid, scale in _arcs(problem)]
+        z = np.exp(1j * np.concatenate(on_arcs + [rng.uniform(-math.pi, math.pi, 12)]))
+        optima = [optimum, optimum.reciprocal()] if problem == "z6" else [optimum]
+        refs = mpref.optimum_values(problem, degree, theta, z.tolist())
+        for r, ref in zip(optima, (refs, [1 / v for v in refs])):
+            assert r._optimum is not None
+            assert _worst(r(z), ref) <= 4 * (M + 1) * mpref.EPS, (theta, r._optimum[3])
+
+
+@pytest.mark.parametrize("w", [cmath.exp(-1.7e-4j), cmath.exp(1e-6j)])
+def test_r1_and_s3_near_w_one(w):
+    # an odd-degree G read as sign(y) sqrt((1 - x)(1 + x)) put s_3 2.1e-13 and 5.0e-12 off here
+    z = cmath.sqrt(w)
+    assert _worst([eval_s_via_FG(3, 1.0, z)], mpref.optimum_values("z6", 3, 1.0, [z])) <= 16 * mpref.EPS
+    assert _worst([build_r(1, 1.0)(w)], mpref.optimum_values("z5", 1, 1.0, [w])) <= 16 * mpref.EPS
 
 
 @pytest.mark.parametrize("ell", [1.0000001e-8, 1e-6, 1e-4])

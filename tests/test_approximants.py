@@ -342,9 +342,10 @@ class TestLift:
         with pytest.raises(DomainError):
             ap.eval_s_via_FG(2, 1.0, 1.2 + 0.0j)
 
-    def test_rejects_imaginary_axis_for_odd_degree(self):
-        with pytest.raises(DomainError):
-            ap.eval_s_via_FG(3, 1.0, 1j)
+    def test_imaginary_axis_for_odd_degree(self):
+        s = ap.build_s(3, 1.0)
+        product = ap.UnimodularRational(s.quarter_turns, s.factors, s.family)
+        assert ap.eval_s_via_FG(3, 1.0, 1j) == pytest.approx(product(1j), abs=1e-15)
 
     def test_degree_validated_before_the_points(self):
         with pytest.raises(DomainError, match="degree must be an integer >= 0"):

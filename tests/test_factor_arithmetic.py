@@ -3,9 +3,13 @@
 Every factor is evaluated as the Moebius map (u z + v)/(conj(v) z + conj(u)).
 The reference below writes out the three families' numerators and
 denominators as the paper states them; values must agree with ``==`` (not
-approximately), zeros and poles to the last bit.
+approximately), zeros and poles to the last bit.  The built optima enter
+as plain rationals with the same factors: ``build_s`` and ``build_r``
+output reads circle points through the F/G lift instead, which the last
+tests here hold to the product wherever it does not apply.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -68,18 +72,23 @@ def literal_roots(r):
     )
 
 
+def plain(r):
+    """r with the same factors but no optimum record: always the product of its factors."""
+    return ap.UnimodularRational(r.quarter_turns, r.factors, r.family)
+
+
 def _cases():
     cases = {}
     for theta in (0.3, 1.5):
         for n in (0, 1, 9):
             r = ap.build_r(n, theta)
-            cases[f"r{n}@{theta}"] = r
-            cases[f"1/r{n}@{theta}"] = r.reciprocal()
+            cases[f"r{n}@{theta}"] = plain(r)
+            cases[f"1/r{n}@{theta}"] = plain(r.reciprocal())
         # m = 1, 5 carry b = 0 and m = 3, 7 carry b = inf at the middle node
         for m in (0, 1, 3, 5, 7, 8):
             s = ap.build_s(m, theta)
-            cases[f"s{m}@{theta}"] = s
-            cases[f"1/s{m}@{theta}"] = s.reciprocal()
+            cases[f"s{m}@{theta}"] = plain(s)
+            cases[f"1/s{m}@{theta}"] = plain(s.reciprocal())
     for m in (1, 4, 7):
         cases[f"h{m}"] = blaschke_h(m, 0.3).as_rational()
     cases["h with c = 0"] = ap.UnimodularRational(0, (0.3, 0.0, -0.5), H)
@@ -152,3 +161,63 @@ def test_double_pole_at_the_origin():
     assert r._origin_order() == -2
     assert r.poles()[:2] == (0j, 0j) and r.exact_type() == (2, 4)
     assert CASES["s with b = 0 and inf"]._origin_order() == 0
+
+
+def bits(values):
+    values = np.ascontiguousarray(values, dtype=complex)
+    return values.view(np.float64).view(np.uint64)
+
+
+CIRCLE = np.exp(1j * np.linspace(-math.pi, math.pi, 301))
+
+
+@pytest.mark.parametrize("theta", [0.3, 1.5])
+@pytest.mark.parametrize("build,degree", [(ap.build_s, 1), (ap.build_s, 8), (ap.build_s, 33), (ap.build_r, 1),
+                                          (ap.build_r, 9)])
+def test_a_routed_optimum_reads_scalars_as_its_array(build, degree, theta):
+    optima = [build(degree, theta)]
+    if build is ap.build_s:
+        optima.append(optima[0].reciprocal())
+    for r in optima:
+        assert r._optimum is not None
+        scalars = [r(z) for z in CIRCLE.tolist()]
+        assert all(type(v) is complex for v in scalars)
+        assert np.array_equal(bits(scalars), bits(r(CIRCLE)))
+
+
+def _unrouted():
+    """Rationals made from optima that are not optima themselves, by name."""
+    s, r = ap.build_s(7, 1.0), ap.build_r(3, 1.0)
+    tampered = (math.nextafter(s.factors[0], math.inf),) + s.factors[1:]
+    return {
+        "tampered s7": dataclasses.replace(s, factors=tampered),
+        "replaced s7": dataclasses.replace(s),
+        "quarter-turned s7": dataclasses.replace(s, quarter_turns=s.quarter_turns + 1),
+        "1/(1/s7)": s.reciprocal().reciprocal(),
+        "1/r3": r.reciprocal(),
+        "s0": ap.build_s(0, 1.0),
+        "r0": ap.build_r(0, 1.0),
+        "s3 s5": ap.UnimodularRational(0, ap.build_s(3, 1.0).factors + ap.build_s(5, 1.0).factors, ap.Family.S_FAMILY),
+        "h3": blaschke_h(3, 0.3).as_rational(),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_unrouted()))
+def test_what_is_not_an_optimum_is_the_product(name):
+    r = _unrouted()[name]
+    assert r._optimum is None
+    np.testing.assert_array_equal(r(CIRCLE), literal_value(r, CIRCLE))
+    for z in SCALARS:
+        assert r(z) == literal_value(r, z)
+
+
+@pytest.mark.parametrize("r", [ap.build_s(8, 1.0), ap.build_s(8, 1.0).reciprocal(), ap.build_r(9, 1.0)],
+                         ids=["s8", "1/s8", "r9"])
+def test_an_optimum_off_the_circle_is_the_product(r):
+    # one point off the circle sends the whole array to the product, as any contour grid does
+    for z in (np.append(CIRCLE, 1.0 + 1e-14), _pole_grid(r), 1.0001 * CIRCLE):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert np.array_equal(bits(r(z)), bits(plain(r)(z)))
+    for z in SCALARS:
+        if abs(abs(z) - 1.0) > 1e-3:
+            assert np.array_equal(bits([r(z)]), bits([plain(r)(z)]))

@@ -80,13 +80,28 @@ class TestScalarArrayBitwise:
     @pytest.mark.parametrize("m", DEGREES)
     def test_eval_s_via_FG(self, m):
         z = np.exp(1j * np.concatenate([np.linspace(-3.0, 3.0, 25), [0.0, math.pi, THETA, -THETA]]))
-        if m % 2 == 0:
-            z = np.concatenate([z, [1j, -1j]])
+        z = np.concatenate([z, [1j, -1j]])
         lift = ap.eval_s_via_FG(m, THETA, z)
         scalars = [ap.eval_s_via_FG(m, THETA, w) for w in z.tolist()]
         assert all(type(v) is complex for v in scalars)
         assert np.array_equal(bits([v.real for v in scalars]), bits(lift.real))
         assert np.array_equal(bits([v.imag for v in scalars]), bits(lift.imag))
+        if m:  # the built optimum reads the same kernel; s_0 = i is a constant
+            s = ap.build_s(m, THETA)(z)
+            assert np.array_equal(bits(s.real), bits(lift.real)) and np.array_equal(bits(s.imag), bits(lift.imag))
+
+    @pytest.mark.parametrize("m", DEGREES)
+    def test_lift_kernel_is_the_product_pair(self, m):
+        # F and G share one denominator per odd node, and y = sqrt((1 - x)(1 + x)) is the odd G's own factor
+        zf = ap.ZolotarevFraction.from_ell(m, ELL)
+        xs = line_grid(ELL)
+        ys = np.sqrt((1.0 - xs) * (1.0 + xs))
+        F, G = ap._lift(zf, xs, ys)
+        assert np.array_equal(bits(F), bits(zf.F(xs)))
+        assert np.array_equal(bits(G), bits(ap.eval_F_product(zf, xs)[1]))
+        pairs = [ap._lift(zf, x, y) for x, y in zip(xs.tolist(), ys.tolist())]
+        assert_bitwise([p[0] for p in pairs], F)
+        assert_bitwise([p[1] for p in pairs], G)
 
     # lam(255, ell) rounds past the modulus window at every ell, so the
     # outer fraction of degree 255 cannot be built
@@ -108,12 +123,15 @@ class TestArrayDomain:
             ap.eval_s_via_FG(2, 1.0, z)
 
     @pytest.mark.parametrize("axis_point", [1j, -1j])
-    def test_lift_rejects_the_imaginary_axis_for_odd_degree(self, axis_point):
+    def test_lift_agrees_with_the_product_on_the_imaginary_axis(self, axis_point):
+        # the odd-degree G reads y = Im z, not sign(y) sqrt(1 - x^2): +-i is an ordinary point
         z = np.exp(1j * np.linspace(0.1, 1.0, 8))
         z[5] = axis_point
-        with pytest.raises(DomainError):
-            ap.eval_s_via_FG(3, 1.0, z)
-        assert np.all(np.isfinite(ap.eval_s_via_FG(4, 1.0, z)))
+        for theta in (0.3, 1.0, 1.4):
+            for m in (1, 3, 4, 5, 9, 17, 33):
+                s = ap.build_s(m, theta)
+                product = ap.UnimodularRational(s.quarter_turns, s.factors, s.family)(z)
+                assert float(np.max(np.abs(ap.eval_s_via_FG(m, theta, z) - product))) <= 4 * (m + 1) * EPS
 
     def test_odd_G_rejects_an_array_point_beyond_one(self):
         zf = ap.ZolotarevFraction.from_ell(3, 0.5)
