@@ -10,7 +10,11 @@ real-arithmetic form independent of the complex path it checks.  The
 search is a coarse scan of SCAN_SIZE log-spaced candidates at 2048 samples
 each, then nested zooms: 100 linear candidates per level at 8192 samples,
 over the four steps around the previous argmin, until the step is no
-coarser than the coarse bracket over SCAN_SIZE - 1 (three levels).
+coarser than the coarse bracket over SCAN_SIZE - 1 (three levels).  Each
+level finds its argmin with a bound pass first: every 16th sample of every
+candidate, cells of the full scan bit for bit, bounds its error from below,
+and only the candidates whose bound does not exceed the error of the least
+bound one are scanned in full.  The argmin is the full scan's, unchanged.
 """
 
 from __future__ import annotations
@@ -97,6 +101,9 @@ def oracle_sn(u: float, ell: float) -> OracleResult:
 # this size stay resident.  Larger blocks scan slightly faster but raise
 # the peak RSS of a selftest sweep.
 _BLOCK_CELLS = 1 << 14
+# The argmin's bound pass reads every _BOUND_STRIDE-th sample and the last;
+# finer strides bound closer but cost more cells.
+_BOUND_STRIDE = 16
 # The minimax search: SCAN_SIZE log-spaced candidates a over SCAN_RANGE, then
 # nested zooms of _ZOOM_SIZE linear ones over the four steps around the last
 # argmin until the step is at most the coarse bracket / (SCAN_SIZE - 1); each
@@ -104,6 +111,38 @@ _BLOCK_CELLS = 1 << 14
 SCAN_RANGE = (1e-4, 1e6)
 SCAN_SIZE = 10_000
 _ZOOM_SIZE = 100
+
+
+def _require_theta(theta: float) -> None:
+    if not 0.0 < theta < 0.5 * math.pi:  # written so that a NaN theta is refused too
+        raise DomainError(f"theta must lie in (0, pi/2), got {theta!r}")
+
+
+def _sqrt_arc(theta: float, samples: int):
+    """cos and sin of t/4 and 3t/4 at the scan's samples t of [-2 theta, 2 theta]."""
+    ts = np.linspace(-2.0 * theta, 2.0 * theta, samples)
+    return np.cos(0.25 * ts), np.sin(0.25 * ts), np.cos(0.75 * ts), np.sin(0.75 * ts)
+
+
+def _reduce_ratios(a, c1, s1, c3, s3, reduce, dtype) -> np.ndarray:
+    """reduce(|Im P|/|Re P|, axis=1) of every candidate a, _BLOCK_CELLS cells at a time."""
+    samples = len(c1)
+    rows = max(1, min(len(a), _BLOCK_CELLS // samples))
+    re = np.empty((rows, samples))
+    im = np.empty((rows, samples))
+    out = np.empty(len(a), dtype=dtype)
+    with np.errstate(divide="ignore"):
+        for lo in range(0, len(a), rows):
+            block = a[lo:lo + rows, None]
+            r, q = re[: len(block)], im[: len(block)]
+            np.multiply(block, c1, out=r)
+            r += c3
+            np.multiply(block, s1, out=q)
+            q -= s3
+            np.divide(q, r, out=q)
+            np.abs(q, out=q)
+            out[lo:lo + len(block)] = reduce(q, axis=1)
+    return out
 
 
 def _scan_max_phase_errors(a: np.ndarray, theta: float, samples: int) -> np.ndarray:
@@ -116,24 +155,8 @@ def _scan_max_phase_errors(a: np.ndarray, theta: float, samples: int) -> np.ndar
     without any transcendental call; atan2 runs only at the peak and its
     two neighbours, which feed the parabolic refinement.
     """
-    ts = np.linspace(-2.0 * theta, 2.0 * theta, samples)
-    c1, s1 = np.cos(0.25 * ts), np.sin(0.25 * ts)
-    c3, s3 = np.cos(0.75 * ts), np.sin(0.75 * ts)
-    rows = max(1, min(len(a), _BLOCK_CELLS // samples))
-    re = np.empty((rows, samples))
-    im = np.empty((rows, samples))
-    peak = np.empty(len(a), dtype=np.intp)
-    with np.errstate(divide="ignore"):
-        for lo in range(0, len(a), rows):
-            block = a[lo:lo + rows, None]
-            r, q = re[: len(block)], im[: len(block)]
-            np.multiply(block, c1, out=r)
-            r += c3
-            np.multiply(block, s1, out=q)
-            q -= s3
-            np.divide(q, r, out=q)
-            np.abs(q, out=q)
-            peak[lo:lo + len(block)] = np.argmax(q, axis=1)
+    c1, s1, c3, s3 = _sqrt_arc(theta, samples)
+    peak = _reduce_ratios(a, c1, s1, c3, s3, np.argmax, np.intp)
 
     def error_at(i):
         return 2.0 * np.arctan2(np.abs(a * s1[i] - s3[i]), np.abs(a * c1[i] + c3[i]))
@@ -147,14 +170,41 @@ def _scan_max_phase_errors(a: np.ndarray, theta: float, samples: int) -> np.ndar
     return np.where(edge, error_at(peak), refined)
 
 
+def _argmin_max_phase_error(a: np.ndarray, theta: float, samples: int) -> int:
+    """int(np.argmin(_scan_max_phase_errors(a, theta, samples))), with few candidates scanned in full.
+
+    The bound pass reads each candidate's ratio at every _BOUND_STRIDE-th
+    sample and the last, indexed from the full grid's arrays, so each is a
+    cell of its full scan bit for bit; 2 atan of their max is then at most
+    the candidate's refined error, up to a few ulps (the parabola through
+    the peak only raises it).  The least bound candidate is scanned in full
+    for `best`; any candidate whose bound exceeds best by more than 1e-12
+    relative has a larger error and cannot be the argmin.  The rest, NaN
+    bounds among them, are scanned in full, and the first argmin among them
+    in their original order is returned.
+    """
+    c1, s1, c3, s3 = _sqrt_arc(theta, samples)
+    sub = np.append(np.arange(0, samples, _BOUND_STRIDE), samples - 1)
+    bound = 2.0 * np.arctan(_reduce_ratios(a, c1[sub], s1[sub], c3[sub], s3[sub], np.max, float))
+    i = int(np.argmin(bound))
+    best = _scan_max_phase_errors(a[i:i + 1], theta, samples)[0]
+    kept = np.flatnonzero(~(bound > best + 1e-12 * abs(best)))
+    return int(kept[np.argmin(_scan_max_phase_errors(a[kept], theta, samples))])
+
+
 def degree1_max_phase_error(a: float, theta: float, samples: int = 8192) -> float:
     """Max over the sqrt arc of |arg((1 + a e^{it})/(e^{it} + a) e^{-it/2})|.
 
     Dense sampling with a parabolic refinement of the peak; self-contained
     on purpose (this is the measuring stick of the brute-force oracle).
+    theta must lie in (0, pi/2), a be positive and finite, and samples be
+    an integer of at least 3; anything else is a DomainError.
     """
-    if samples < 3:
-        raise DomainError(f"samples must be at least 3, got {samples!r}")
+    _require_theta(theta)
+    if not 0.0 < a < math.inf:  # written so that a NaN a is refused too
+        raise DomainError(f"a must be positive and finite, got {a!r}")
+    if not isinstance(samples, (int, np.integer)) or samples < 3:  # a bool is an int below 3
+        raise DomainError(f"samples must be an integer of at least 3, got {samples!r}")
     return float(_scan_max_phase_errors(np.array([a], dtype=float), theta, samples)[0])
 
 
@@ -166,15 +216,17 @@ def oracle_minimax_degree1(theta: float) -> float:
     around the previous argmin, clipped at the ends, until the step is no
     coarser than the coarse bracket over SCAN_SIZE - 1 (three levels);
     returns the last argmin.  It relies on the error curve being unimodal
-    near the coarse minimum.
+    near the coarse minimum.  Each level's argmin comes from
+    _argmin_max_phase_error: a bound pass over every 16th sample of every
+    candidate, then full scans of only the candidates the bound cannot rule
+    out; the argmin, and so the result, is that of the full scan, bit for bit.
     """
-    if not 0.0 < theta < 0.5 * math.pi:
-        raise DomainError(f"theta must lie in (0, pi/2), got {theta!r}")
+    _require_theta(theta)
     grid = np.exp(np.linspace(math.log(SCAN_RANGE[0]), math.log(SCAN_RANGE[1]), SCAN_SIZE))
-    i = int(np.argmin(_scan_max_phase_errors(grid, theta, 2048)))
+    i = _argmin_max_phase_error(grid, theta, 2048)
     finest = (grid[min(i + 2, SCAN_SIZE - 1)] - grid[max(i - 2, 0)]) / (SCAN_SIZE - 1)
     while True:
         grid = np.linspace(grid[max(i - 2, 0)], grid[min(i + 2, len(grid) - 1)], _ZOOM_SIZE)
-        i = int(np.argmin(_scan_max_phase_errors(grid, theta, 8192)))
+        i = _argmin_max_phase_error(grid, theta, 8192)
         if grid[1] - grid[0] <= finest:
             return float(grid[i])

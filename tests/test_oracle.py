@@ -2,6 +2,7 @@ import math
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -115,6 +116,28 @@ class TestDegreeOneScan:
         with pytest.raises(DomainError):
             orc.degree1_max_phase_error(1.0, 1.0, 2)
 
+    @pytest.mark.parametrize("samples", [2048.0, np.float64(64), True, "2048"])
+    def test_samples_must_be_an_integer(self, samples):
+        with pytest.raises(DomainError, match="samples must be an integer"):
+            orc.degree1_max_phase_error(1.0, 1.0, samples)
+
+    def test_numpy_integer_samples_are_accepted(self):
+        assert orc.degree1_max_phase_error(1.0, 1.0, np.int64(64)) == orc.degree1_max_phase_error(1.0, 1.0, 64)
+
+    @pytest.mark.parametrize("theta", [math.nan, 2.0, 0.0, 0.5 * math.pi, -1.0])
+    def test_measuring_stick_refuses_theta_outside_the_window(self, theta):
+        # a NaN theta used to return NaN, and theta = 2.0 an error of 2.0
+        with pytest.raises(DomainError, match="theta must lie in"):
+            orc.degree1_max_phase_error(1.0, theta)
+
+    @pytest.mark.parametrize("a", [-1.0, 0.0, math.inf, -math.inf, math.nan])
+    def test_measuring_stick_refuses_a_not_positive_and_finite(self, a):
+        # a = -1 used to return pi (a pole on the arc), a = inf an "invalid value" warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="a must be positive and finite"):
+                orc.degree1_max_phase_error(a, 1.0)
+
     def test_measuring_stick_on_known_case(self):
         # degree-0 behaviour: a -> infinity collapses the factor to a constant
         err = orc.degree1_max_phase_error(1e9, 0.8)
@@ -148,21 +171,29 @@ class TestDegreeOneScan:
 
     @pytest.mark.parametrize("theta", [0.3, 1.0, 1.5])
     def test_nested_zooms_scan_few_candidates_to_a_fine_step(self, monkeypatch, theta):
-        calls, inner = [], orc._scan_max_phase_errors
+        levels, scans = [], []
+        argmin, inner = orc._argmin_max_phase_error, orc._scan_max_phase_errors
+
+        def level(a, theta, samples):
+            levels.append((a.copy(), samples))
+            return argmin(a, theta, samples)
 
         def counted(a, theta, samples):
-            errs = inner(a, theta, samples)
-            calls.append((a.copy(), samples, errs))
-            return errs
+            scans.append((len(a), samples))
+            return inner(a, theta, samples)
 
+        monkeypatch.setattr(orc, "_argmin_max_phase_error", level)
         monkeypatch.setattr(orc, "_scan_max_phase_errors", counted)
         orc.oracle_minimax_degree1(theta)
-        (coarse, samples, errs), *zooms = calls
+        (coarse, samples), *zooms = levels
         assert (len(coarse), samples) == (orc.SCAN_SIZE, 2048)
-        assert {samples for _, samples, _ in zooms} == {8192}
-        assert sum(len(a) for a, _, _ in zooms) <= 400
-        # no coarser than the step of one SCAN_SIZE-point zoom over the coarse bracket
-        i = int(np.argmin(errs))
+        assert {samples for _, samples in zooms} == {8192}
+        assert sum(len(a) for a, _ in zooms) <= 400
+        # the bound pass leaves at most 1% of the coarse candidates to full scans
+        assert {samples for _, samples in scans} == {2048, 8192}
+        assert sum(n for n, samples in scans if samples == 2048) <= orc.SCAN_SIZE // 100
+        # no coarser than the step of one SCAN_SIZE-point zoom over the bracket of a full coarse scan
+        i = int(np.argmin(inner(coarse, theta, 2048)))
         single = (coarse[min(i + 2, len(coarse) - 1)] - coarse[max(i - 2, 0)]) / (orc.SCAN_SIZE - 1)
         assert np.all(np.diff(zooms[-1][0]) <= single)
 
@@ -174,6 +205,62 @@ class TestDegreeOneScan:
         sign_changes = int(np.sum(np.abs(np.diff(np.sign(d))) > 0))
         print(f"degree-1 scan: {sign_changes} sign change(s) in discrete differences")
         assert sign_changes == 1
+
+
+ARGMIN_THETAS = [1e-6, 1e-3, 0.3, 0.7, 1.0, 1.4, 1.5707, 0.5 * math.pi - 1e-4]
+
+
+def full_scan_argmin(a, theta, samples):
+    return int(np.argmin(orc._scan_max_phase_errors(a, theta, samples)))
+
+
+def full_scan_minimax(theta):
+    """The minimax search with each level's argmin taken from a full scan of all its candidates."""
+    grid = np.exp(np.linspace(math.log(orc.SCAN_RANGE[0]), math.log(orc.SCAN_RANGE[1]), orc.SCAN_SIZE))
+    i = int(np.argmin(orc._scan_max_phase_errors(grid, theta, 2048)))
+    finest = (grid[min(i + 2, orc.SCAN_SIZE - 1)] - grid[max(i - 2, 0)]) / (orc.SCAN_SIZE - 1)
+    while True:
+        grid = np.linspace(grid[max(i - 2, 0)], grid[min(i + 2, len(grid) - 1)], orc._ZOOM_SIZE)
+        i = int(np.argmin(orc._scan_max_phase_errors(grid, theta, 8192)))
+        if grid[1] - grid[0] <= finest:
+            return float(grid[i])
+
+
+class TestBoundedArgmin:
+    # 3, 17, 100 and 2049 samples are not multiples of the stride (17 and 2049 end on a strided sample)
+    @pytest.mark.parametrize("samples", [3, 17, 64, 100, 2048, 2049, 8192])
+    @pytest.mark.parametrize("theta", ARGMIN_THETAS)
+    def test_is_the_argmin_of_the_full_scan(self, theta, samples):
+        rng = np.random.default_rng([samples, round(theta * 1e6)])
+        lo, hi = math.log(orc.SCAN_RANGE[0]), math.log(orc.SCAN_RANGE[1])
+        # 1e9 and SCAN_RANGE[0] are near the degree-0 limits, whose error peaks at the arc's ends
+        a = np.r_[np.exp(rng.uniform(lo, hi, 150)), 1e9, orc.SCAN_RANGE[0]]
+        rng.shuffle(a)
+        first = full_scan_argmin(a, theta, samples)
+        assert orc._argmin_max_phase_error(a, theta, samples) == first
+        # a later copy of the argmin ties with it: the first index wins
+        a = np.insert(a, rng.integers(first + 1, len(a) + 1), a[first])
+        assert full_scan_argmin(a, theta, samples) == first
+        assert orc._argmin_max_phase_error(a, theta, samples) == first
+
+    @pytest.mark.parametrize("theta", ARGMIN_THETAS)
+    def test_an_edge_peak_candidate_can_win(self, theta):
+        # near the degree-0 limits the error peaks at the arc's ends; of these a, 1e9 errs least
+        a = np.array([5e9, 1e9, 2e9, orc.SCAN_RANGE[0]])
+        ts = np.linspace(-2.0 * theta, 2.0 * theta, 2048)
+        z = np.exp(1j * ts)
+        assert np.argmax(np.abs(np.angle((1.0 + 1e9 * z) / (z + 1e9)) - 0.5 * ts)) in (0, 2047)
+        assert orc._argmin_max_phase_error(a, theta, 2048) == full_scan_argmin(a, theta, 2048) == 1
+
+    def test_a_nan_bound_is_kept(self):
+        # inf and NaN candidates have NaN ratios, so NaN bounds; the NaN one errs NaN, which np.argmin returns
+        a = np.array([2.0, math.inf, math.nan, 1.0])
+        with np.errstate(invalid="ignore"):
+            assert orc._argmin_max_phase_error(a, 1.0, 2048) == full_scan_argmin(a, 1.0, 2048) == 2
+
+    @pytest.mark.parametrize("theta", np.linspace(1e-6, 0.5 * math.pi - 1e-4, 12))
+    def test_minimax_is_the_full_scan_search_bit_for_bit(self, theta):
+        assert orc.oracle_minimax_degree1(theta) == full_scan_minimax(theta)
 
 
 def test_oracles_do_not_import_the_paths_they_check():
