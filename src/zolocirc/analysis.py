@@ -11,17 +11,18 @@ of scale 2.  ``_tally`` turns per-arc (angle, error) candidates into the
 amplitude, the largest |error|, and each arc's alternating extrema and
 their count.  A report reads both and names its route in ``method``:
 
-- ``"nodes"``, for an optimum: R equal to ``build_s`` or ``build_r`` at its
-  degree and Theta (orientation +1), or to the reciprocal of ``build_s``'s,
-  the second optimum of z6 (orientation -1).  Its M + 1 alternation points
-  per arc are known in closed form, from the even nodes of the
-  ``ZolotarevFraction`` at M; the errors there are read in relative precision
-  through the lift F +- i sign(Im z)^M G.  One lift call per arc over the
-  ``grid_n``-point grid checks that no point exceeds the amplitude by more
-  than ``node_bound``; ``grid_size`` is ``grid_n``, and nothing is refined or
-  doubled.  A short count, a failed check or an amplitude below the normal
-  doubles raises PrecisionError.
-- ``"grid"``, for every rational that is not an optimum: one kernel
+- ``"nodes"``, for an optimum: R whose private ``_optimum`` record, which
+  ``approximants`` sets on the s_m and r_n it builds and on 1/s_m (the
+  second optimum of z6), names the report's problem and Theta.  Its M + 1
+  alternation points per arc are known in closed form, from the even nodes
+  of the optimum's ``ZolotarevFraction`` at M; the errors there are read in
+  relative precision through the lift F +- i sign(Im z)^M G.  One lift call
+  per arc over the ``grid_n``-point grid checks that no point exceeds the
+  amplitude by more than ``node_bound``; ``grid_size`` is ``grid_n``, and
+  nothing is refined or doubled.  A short count, a failed check or an
+  amplitude below the normal doubles raises PrecisionError.
+- ``"grid"``, for every other rational (a copy equal in value to an optimum,
+  an optimum reported at another Theta or problem): one kernel
   (``_phase_error``, one exact 2 pi shift wrapping scalars and arrays
   alike) serves both problems and both arcs; each arc's grid is one array
   call that only brackets the extrema of the signed error, and golden
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import approximants
-from .approximants import UnimodularRational, ZolotarevFraction, _lift, build_r, build_s
+from .approximants import UnimodularRational, _lift
 from .elliptic import EllipticModulus, _mu_inverse_pair, _mu_pair, require_degree, require_theta, solve_lambda
 from .errors import DomainError, PrecisionError, ResolutionError
 
@@ -128,11 +129,6 @@ def _problem_fns(problem: str):
     if effective_degree(problem, 0):  # z5 maps degree 0 to 1, z6 keeps 0
         return approximants.build_r, phase_error_sqrt
     return approximants.build_s, phase_error_sign
-
-
-def _orientation(m: int) -> int:
-    """(-1)^n, the power of s_m (m = 2n + 1) in s_{2n+1}(z)^{(-1)^n} r_n(z^2) = z."""
-    return (-1) ** ((m - 1) // 2)
 
 
 def _arcs(problem: str):
@@ -256,18 +252,18 @@ def node_bound(m: int, theta: float) -> float:
     return 4.0 * sys.float_info.epsilon * ((m + 1) / math.sin(theta)) ** 2
 
 
-def _node_measure(theta: float, ell: float, ell_comp: float, problem: str, effective: int, grid_n: int,
-                  orientation: int):
-    """(amplitude, extrema, counts, grid_n) of the optimum of degree M = ``effective`` at its alternation points.
+def _node_measure(r: UnimodularRational, theta: float, problem: str, grid_n: int):
+    """(amplitude, extrema, counts, grid_n) of the optimum r at its alternation points, read from its record.
 
     On each arc the error of s_M alternates at the M + 1 values of t with cos t = ell sqrt((1 + c)/(ell^2 + c)),
     sin t = ell' sqrt(c/(ell^2 + c)), for c in the fraction's ``cot2_even``, c = inf (the arc ends)
-    and, for even M, c = 0 (the centre).  z5 reads -(-1)^n arg s_M through s_{2n+1}(z)^{(-1)^n} r_n(z^2) = z;
-    ``orientation`` -1 reads 1/s_M, the conjugate lift F - i sign(Im z)^M G: every error negated.
+    and, for even M, c = 0 (the centre).  The record's orientation is the sign of every error: -(-1)^n for
+    r_n, read through s_{2n+1}(z)^{(-1)^n} r_n(z^2) = z, and -1 for 1/s_M, the conjugate lift.
     PrecisionError if an arc counts fewer than M + 1, a grid point tops the amplitude by ``node_bound``
     or the amplitude is below the normal doubles: the grid route could read only rounding noise there.
     """
-    zf = ZolotarevFraction.from_ell(effective, ell, ell_comp)
+    effective, ell, ell_comp, sign, _ = r._optimum
+    zf = r._optimum_fraction()
     centre = 1 - effective % 2
     c = np.array((0.0,) * centre + zf.cot2_even[::-1])  # ascending in t
     half_t = np.append(np.arctan2(ell_comp * np.sqrt(c), ell * np.sqrt(1.0 + c)), theta)
@@ -276,7 +272,6 @@ def _node_measure(theta: float, ell: float, ell_comp: float, problem: str, effec
     t = np.concatenate([-half_t[centre:][::-1], half_t])
     x = np.concatenate([half_x[centre:][::-1], half_x])
     y = np.concatenate([-half_y[centre:][::-1], half_y])
-    sign = orientation * (-_orientation(effective) if effective_degree(problem, 0) else 1)
     per_arc, peak = [], 0.0
     for mid, scale in _arcs(problem):
         turn = math.cos(mid)  # the target +-1 of the arc
@@ -299,17 +294,15 @@ def _node_measure(theta: float, ell: float, ell_comp: float, problem: str, effec
 def _phase_report(r: UnimodularRational, theta: float, grid_n: int, problem: str) -> PhaseErrorReport:
     """Report on the arcs of ``problem``: arccos(lam), M + 1 extrema per arc at the effective degree M.
 
-    R equal to the builder's output (orientation +1) or, for z6, its reciprocal (-1) goes to the nodes, anything else
-    to the grid.  The builder is this module's own binding, so a builder swapped on ``approximants`` is no optimum.
+    R whose ``_optimum`` record names ``problem`` at this Theta goes to the nodes, anything else to the grid.
     """
-    ell, ell_comp = require_theta(theta)
+    modulus = require_theta(theta)
     degree = len(r.factors)
     effective = effective_degree(problem, degree)
     grid_n = require_degree(grid_n, 8 * (degree + 1), "grid_n")
     expected = effective + 1
-    optimum = (build_r if effective_degree(problem, 0) else build_s)(degree, theta)
-    orientation = 1 if r == optimum else -1 if not effective_degree(problem, 0) and r == optimum.reciprocal() else 0
-    nodes = orientation and _node_measure(theta, ell, ell_comp, problem, effective, grid_n, orientation)
+    optimum = r._optimum
+    nodes = optimum and optimum[1:3] == modulus and optimum[4] == problem and _node_measure(r, theta, problem, grid_n)
     amplitude, extrema, counts, grid_size = nodes or _certified_measure(_arc_jobs(r, theta, problem), grid_n, expected)
     method = "nodes" if nodes else "grid"
     return PhaseErrorReport(amplitude, theta_tilde(effective, theta), extrema, counts, grid_size, expected, method)

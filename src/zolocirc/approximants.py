@@ -10,9 +10,9 @@ ell' = sin(Theta).  Nothing here ever expands to polynomial coefficients.
 Every factor, including the Ng-Tsang factor (z - c)/(1 - c z) of the
 Blaschke bridge, is one Moebius map (u z + v)/(conj(v) z + conj(u)), which
 has modulus one on |z| = 1 by construction.  The family maps a parameter to
-its pair (u, v): R gives (a, 1), S gives (1, -i b) with b = inf giving
-(0, i), which is -1/z, and H gives (1, -c).  Evaluation, zeros -v/u, poles
--conj(u)/conj(v) and the exact type read only the pairs.
+its pair (u, v): R gives (a, 1) and S (1, -i b), with a = inf giving (1, 0),
+which is z, and b = inf (0, i), which is -1/z; H gives (1, -c).  Evaluation,
+zeros -v/u, poles -conj(u)/conj(v) and the exact type read only the pairs.
 
 Also provided: evaluation of the underlying real pair (F_m, G_m) by the
 direct elliptic formula and by the rational product identities, the
@@ -48,14 +48,14 @@ _ON_CIRCLE = 8.0 * sys.float_info.epsilon  # |x^2 + y^2 - 1| at a circle point x
 
 
 class Family(enum.Enum):
-    R_FAMILY = "R"  # (1 + a z)/(z + a), a > 0
+    R_FAMILY = "R"  # (1 + a z)/(z + a), a > 0; a = 0 is 1/z, a = inf is z
     S_FAMILY = "S"  # (z - i b)/(1 + i b z); b = 0 is z, b = inf is -1/z
     H_FAMILY = "H"  # (z - c)/(1 - c z), c in (-1, 1)
 
     def pair(self, p: float) -> tuple:
         """Coefficients (u, v) of the factor (u z + v)/(conj(v) z + conj(u))."""
         if self is Family.R_FAMILY:
-            return p, 1.0
+            return (1.0, 0.0) if math.isinf(p) else (p, 1.0)
         if self is Family.S_FAMILY:
             # -(i b), not (-i) b: z + v then rounds exactly as z - i b does
             return (0.0, 1j) if math.isinf(p) else (1.0, -(1j * p))
@@ -71,12 +71,13 @@ class UnimodularRational:
     reads the table of (u, v, conj(v), conj(u)) that ``Family.pair``
     derives from them.
 
-    ``build_s`` (m >= 1) and ``build_r`` (n >= 1) record on their output
-    the optimum it is, (M, ell, ell', orientation, problem), in a private
-    ``_optimum`` field, and the reciprocal of ``build_s``'s output keeps it
-    with orientation -1.  Every other rational (a constructor call,
-    ``dataclasses.replace``, quarter turns, compositions, 1/r_n) has none,
-    and equality, hashing and repr never read it.
+    ``build_s`` and ``build_r`` record on their output the optimum it is,
+    (M, ell, ell', orientation, problem), in a private ``_optimum`` field,
+    and the reciprocal of ``build_s``'s output keeps it with orientation -1.
+    The record alone makes an optimum, to circle calls and phase reports:
+    a value-equal copy (the constructor, ``dataclasses.replace``, 1/(1/s_m))
+    has none, as quarter turns, compositions and 1/r_n have none, and
+    equality, hashing and repr never read it.
     """
 
     quarter_turns: int
@@ -93,30 +94,35 @@ class UnimodularRational:
     def __call__(self, z):
         """Value at a Python scalar or an ndarray of points.
 
-        A recorded optimum whose points all lie on the unit circle, each
-        z = x + i y with |x^2 + y^2 - 1| <= 8 eps, is read through the F/G
-        lift of the ``ZolotarevFraction`` at M, built on the first such call
-        and kept: its value there is the optimum's at z/|z|, and a scalar
-        equals the array value bit for bit.  Any other rational or point set
-        takes the product of the factors: a scalar raises PoleError at a
-        vanishing denominator (with the factor's index), an array yields
-        inf/nan there.
+        A recorded optimum with factors whose points all lie on the unit
+        circle, each z = x + i y with |x^2 + y^2 - 1| <= 8 eps, is read
+        through the F/G lift of ``_optimum_fraction()``: its value there is
+        the optimum's at z/|z|, and a scalar equals the array value bit for
+        bit.  Any other rational or point set, and the constants s_0 = i and
+        r_0 = 1 (which the lift would round), takes the product of the
+        factors: a scalar raises PoleError at a vanishing denominator (with
+        the factor's index), an array yields inf/nan there.
         """
         array = isinstance(z, np.ndarray)
         z = z if array else complex(z)
-        if self._optimum is not None:
+        if self._optimum is not None and self.factors:
             x, y = z.real, z.imag
             near = abs(x * x + y * y - 1.0) <= _ON_CIRCLE
             if near.all() if array else near:
-                M, ell, ell_comp, orientation, problem = self._optimum
-                if self._fraction is None:
-                    object.__setattr__(self, "_fraction", ZolotarevFraction.from_ell(M, ell, ell_comp))
-                return _lifted(self._fraction, x, y, orientation, problem == "z5")
+                _, _, _, orientation, problem = self._optimum
+                return _lifted(self._optimum_fraction(), x, y, orientation, problem == "z5")
         unit = _I_POWERS[self.quarter_turns % 4]
         if array:
             with np.errstate(divide="ignore", invalid="ignore"):
                 return self._product(z, np.full(z.shape, unit, dtype=complex), False)
         return self._product(z, unit, True)
+
+    def _optimum_fraction(self) -> ZolotarevFraction:
+        """The recorded optimum's ``ZolotarevFraction`` at M, built on first use and kept in ``_fraction``."""
+        if self._fraction is None:
+            M, ell, ell_comp, _, _ = self._optimum
+            object.__setattr__(self, "_fraction", ZolotarevFraction.from_ell(M, ell, ell_comp))
+        return self._fraction
 
     def _product(self, z, w, raise_poles: bool):
         for idx, (u, v, cv, cu) in enumerate(self._pairs):
@@ -185,8 +191,10 @@ def build_r(n: int, theta: float) -> UnimodularRational:
     n = require_degree(n, 0)
     ell, ell_comp = require_theta(theta)
     params = tuple(coeff_a(j, n, theta) for j in range(1, n + 1))
+    r = UnimodularRational(0, params, Family.R_FAMILY)
     # r_n(z^2) = z s_M(z)^{-(-1)^n}, M = 2n + 1
-    return _recorded(UnimodularRational(0, params, Family.R_FAMILY), (2 * n + 1, ell, ell_comp, -(-1) ** n, "z5"))
+    object.__setattr__(r, "_optimum", (2 * n + 1, ell, ell_comp, -(-1) ** n, "z5"))
+    return r
 
 
 def coeff_b(j: int, m: int, theta: float) -> float:
@@ -213,14 +221,9 @@ def build_s(m: int, theta: float) -> UnimodularRational:
     m = require_degree(m, 0)
     ell, ell_comp = require_theta(theta)
     params = tuple(coeff_b(j, m, theta) for j in range(1, m + 1))
-    return _recorded(UnimodularRational((1 - m) % 4, params, Family.S_FAMILY), (m, ell, ell_comp, 1, "z6"))
-
-
-def _recorded(r: UnimodularRational, optimum: tuple) -> UnimodularRational:
-    """r with its ``_optimum`` record; s_0 = i and r_0 = 1, which have no factors, are left constants."""
-    if r.factors:
-        object.__setattr__(r, "_optimum", optimum)
-    return r
+    s = UnimodularRational((1 - m) % 4, params, Family.S_FAMILY)
+    object.__setattr__(s, "_optimum", (m, ell, ell_comp, 1, "z6"))
+    return s
 
 
 @dataclass(frozen=True)

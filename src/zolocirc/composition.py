@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .analysis import _orientation, theta_tilde
+from .analysis import theta_tilde
 from .approximants import ZolotarevFraction, build_r, build_s
 from .elliptic import require_degree, require_modulus, require_theta
 from .errors import DomainError
@@ -38,7 +38,7 @@ def compose_s(m_tilde: int, m: int, theta: float, z):
 def _s_tilde(m_odd: int, theta: float):
     """s_tilde of odd degree 2n+1: s^((-1)^n)."""
     s = build_s(m_odd, theta)
-    return s if _orientation(m_odd) > 0 else s.reciprocal()
+    return s if m_odd % 4 == 1 else s.reciprocal()
 
 
 def compose_s_tilde(n_tilde: int, n: int, theta: float, z):

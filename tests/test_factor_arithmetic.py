@@ -186,7 +186,10 @@ def test_a_routed_optimum_reads_scalars_as_its_array(build, degree, theta):
 
 
 def _unrouted():
-    """Rationals made from optima that are not optima themselves, by name."""
+    """Rationals made from optima that the circle call does not lift, by name.
+
+    s_0 = i and r_0 = 1 are optima and carry the record, but have no factors to lift.
+    """
     s, r = ap.build_s(7, 1.0), ap.build_r(3, 1.0)
     tampered = (math.nextafter(s.factors[0], math.inf),) + s.factors[1:]
     return {
@@ -205,7 +208,7 @@ def _unrouted():
 @pytest.mark.parametrize("name", sorted(_unrouted()))
 def test_what_is_not_an_optimum_is_the_product(name):
     r = _unrouted()[name]
-    assert r._optimum is None
+    assert (r._optimum is not None) == (name in ("s0", "r0"))
     np.testing.assert_array_equal(r(CIRCLE), literal_value(r, CIRCLE))
     for z in SCALARS:
         assert r(z) == literal_value(r, z)
@@ -221,3 +224,12 @@ def test_an_optimum_off_the_circle_is_the_product(r):
     for z in SCALARS:
         if abs(abs(z) - 1.0) > 1e-3:
             assert np.array_equal(bits([r(z)]), bits([plain(r)(z)]))
+
+
+def test_an_r_factor_at_infinity_is_z():
+    # 1/(1/z): the R factor a = 0 is 1/z, and its reciprocal a = inf is (1 z + 0)/(0 z + 1)
+    z_r = ap.UnimodularRational(0, (0.0,), R).reciprocal()
+    assert z_r.factors == (math.inf,)
+    assert z_r(0.5) == 0.5 and all(z_r(z) == z for z in SCALARS)
+    np.testing.assert_array_equal(z_r(CIRCLE), CIRCLE)
+    assert (z_r.zeros(), z_r.poles(), z_r.exact_type()) == ((0j,), (), (1, 0))

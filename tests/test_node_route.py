@@ -8,7 +8,9 @@ Each value must lie within ``analysis.node_bound`` of arccos(lam) (taken
 as asin(lam') from ``mpref.mp_reduction``), each angle within 4 ulps of
 the mpmath point, and the signs must alternate on every arc.  The second
 optimum of z6, 1/s_m, is the conjugate lift: its report is that of s_m
-with every error negated.
+with every error negated.  The route is read from the ``_optimum`` record
+that the builders set: a copy equal in value to an optimum, or an optimum
+reported at another Theta or problem, is measured on the grid.
 """
 
 import math
@@ -16,6 +18,7 @@ import sys
 from dataclasses import replace
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 import mpref
@@ -137,6 +140,71 @@ S4 = ap.build_s(4, 1.0)
 def test_other_rationals_take_the_grid_route(r):
     report = an.phase_error_sqrt if r.family is ap.Family.R_FAMILY else an.phase_error_sign
     assert report(r, 1.0, 128).method == "grid"
+
+
+S7 = ap.build_s(7, 1.0)
+
+
+@pytest.mark.parametrize("r, optimum", [
+    (replace(S7), S7),
+    (ap.UnimodularRational(S7.quarter_turns, S7.factors, S7.family), S7),
+    (S7.reciprocal().reciprocal(), S7),
+    (ap.UnimodularRational(1, (), ap.Family.S_FAMILY), ap.build_s(0, 1.0)),
+    (ap.UnimodularRational(0, (), ap.Family.R_FAMILY), ap.build_r(0, 1.0)),
+], ids=["replaced s7", "constructed s7", "1/(1/s7)", "hand-made s0", "hand-made r0"])
+def test_value_equal_copies_take_the_grid_route_at_full_counts(r, optimum):
+    # only the record that the builders set makes an optimum; a copy equal in value has none
+    assert r == optimum and r._optimum is None and optimum._optimum is not None
+    report = an.phase_error_sqrt if r.family is ap.Family.R_FAMILY else an.phase_error_sign
+    rep = report(r, 1.0, 64)
+    assert (rep.method, rep.grid_size) == ("grid", 64)
+    assert rep.arcs == (rep.expected,) * len(rep.arcs)
+    assert abs(rep.max_error - rep.predicted) <= 1e-9 * rep.predicted
+
+
+@pytest.mark.parametrize("report, r, theta", [
+    (an.phase_error_sign, ap.build_s(4, 1.0), 1.1),
+    (an.phase_error_sign, ap.build_s(4, 1.0), math.nextafter(1.0, 2.0)),  # another modulus pair by an ulp
+    (an.phase_error_sqrt, ap.build_r(3, 1.0), 0.9),
+    (an.phase_error_sqrt, ap.build_s(4, 1.0), 1.0),
+    (an.phase_error_sign, ap.build_r(3, 1.0), 1.0),
+    (an.phase_error_sqrt, ap.build_s(0, 1.0), 1.0),
+])
+def test_an_optimum_reported_at_another_theta_or_problem_takes_the_grid_route(report, r, theta):
+    assert report(r, theta, 128).method == "grid"
+
+
+@pytest.mark.parametrize("theta", [BOTTOM, 1.0, TOP])
+def test_r0_reads_the_arc_ends_at_its_nodes(theta):
+    rep = an.phase_error_sqrt(ap.build_r(0, theta), theta, 64)
+    assert (rep.method, rep.arcs, rep.grid_size) == ("nodes", (2,), 64)
+    # r_0 = 1 against sqrt(e^{i tau}): the error -tau/2 peaks at the arc ends tau = -+2 Theta
+    assert rep.extrema == ((-2 * theta, rep.max_error), (2 * theta, -rep.max_error))
+    assert rep.max_error == rep.predicted
+    assert abs(rep.max_error - theta) <= 4 * EPS * theta
+
+
+def test_a_report_on_an_optimum_builds_nothing_and_keeps_one_fraction(monkeypatch):
+    s, r = ap.build_s(7, 1.0), ap.build_r(3, 1.0)
+    from_ell, calls = ap.ZolotarevFraction.from_ell, []
+
+    def forbidden(*args):
+        raise AssertionError("an optimum was built again to be recognised")
+
+    def counted(cls, *args):
+        calls.append(args)
+        return from_ell(*args)
+
+    for module in (ap, an):
+        for name in ("build_s", "build_r", "coeff_a", "coeff_b"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    monkeypatch.setattr(ap.ZolotarevFraction, "from_ell", classmethod(counted))
+    s(np.exp(1j * np.linspace(-1.0, 1.0, 9)))  # the lift builds the fraction ...
+    first = an.phase_error_sign(s, 1.0, 64)  # ... and both reports read it
+    assert first.method == "nodes" and an.phase_error_sign(s, 1.0, 64) == first
+    assert an.phase_error_sqrt(r, 1.0, 64).method == "nodes"
+    assert calls == [s._optimum[:3], r._optimum[:3]]
 
 
 @pytest.mark.parametrize("m", [86, 90])
