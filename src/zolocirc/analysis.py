@@ -169,7 +169,7 @@ def _arc_extrema(err_fn, lo: float, hi: float, n: int):
     the refined list sorted by angle; a flat curve collapses to its midpoint.
     """
     ths = np.linspace(lo, hi, n)
-    e = err_fn(ths)
+    e, grid = err_fn(ths), ths.tolist()  # angles are read as Python floats
     if float(e.max() - e.min()) < 1e-13:
         mid = 0.5 * (lo + hi)
         return [(mid, err_fn(mid))]
@@ -180,12 +180,12 @@ def _arc_extrema(err_fn, lo: float, hi: float, n: int):
     out = []
     for i in np.flatnonzero(peak).tolist():
         left, right = max(i - 1, 0), min(i + 1, last)
-        a, b = ths[left], ths[right]
+        a, b = grid[left], grid[right]
         sign = 1.0 if e[i] >= e[left] and e[i] >= e[right] else -1.0
         x, v = _golden_max(lambda t: sign * err_fn(t), a, b)
         if i == 0 or i == last:
             # arc endpoints are candidate extrema in their own right
-            end = ths[i]
+            end = grid[i]
             ve = sign * err_fn(end)
             if ve >= v:
                 x, v = end, ve

@@ -24,6 +24,7 @@ s = F + i sign(Im z)^m G, through which the optima that ``build_s`` and
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 import sys
@@ -120,8 +121,7 @@ class UnimodularRational:
     def _optimum_fraction(self) -> ZolotarevFraction:
         """The recorded optimum's ``ZolotarevFraction`` at M, built on first use and kept in ``_fraction``."""
         if self._fraction is None:
-            M, ell, ell_comp, _, _ = self._optimum
-            object.__setattr__(self, "_fraction", ZolotarevFraction.from_ell(M, ell, ell_comp))
+            object.__setattr__(self, "_fraction", ZolotarevFraction.from_ell(*self._optimum[:3]))
         return self._fraction
 
     def _product(self, z, w, raise_poles: bool):
@@ -142,7 +142,7 @@ class UnimodularRational:
         so each contributes two quarter turns.  H factors do not invert
         inside the family.  The reciprocal of ``build_s``'s output is the
         second optimum, the conjugate lift, and keeps the record with
-        orientation -1.
+        orientation -1 and the fraction built so far, which has the same nodes.
         """
         if self.family is Family.H_FAMILY:
             raise DomainError("reciprocal of an H-family product is not factored")
@@ -151,6 +151,7 @@ class UnimodularRational:
         out = UnimodularRational((turns - self.quarter_turns) % 4, inv, self.family)
         if self._optimum is not None and self._optimum[3:] == (1, "z6"):
             object.__setattr__(out, "_optimum", (*self._optimum[:3], -1, "z6"))
+            object.__setattr__(out, "_fraction", self._fraction)
         return out
 
     def _regular(self):
@@ -176,13 +177,30 @@ class UnimodularRational:
         return tuple([0j] * max(-self._origin_order(), 0) + out)
 
 
+@functools.lru_cache(maxsize=1)
+def _nodes(M: int, ell: float, ell_comp: float) -> tuple:
+    """(sn, cn, dn)(k K(ell')/M, ell') at k = 0..2M-1 from one nome, each ``_sncndn``'s bit for bit.
+
+    Past M/2, node M - k reflected by the quarter period (DLMF Table 22.4.3); past M, node 2M - k
+    with cn negated.  One table is kept: a build's m coefficient reads and its first circle call share it.
+    """
+    nome = _nome(ell, ell_comp)
+    nodes = [_sncndn(k, M, ell_comp, ell, nome) for k in range(M // 2 + 1)]
+    nodes += [(cn / dn, ell * sn / dn, ell / dn) for sn, cn, dn in nodes[M - M // 2 - 1 :: -1]]
+    return tuple(nodes + [(sn, -cn, dn) for sn, cn, dn in nodes[M - 1 : 0 : -1]])
+
+
+def _base(k: int, M: int, ell: float, ell_comp: float) -> float:
+    """(ell sn + dn)/cn at node k of ``_nodes``, the root of both a_j and b_j."""
+    sn, cn, dn = _nodes(M, ell, ell_comp)[k]
+    return (ell * sn + dn) / cn
+
+
 def coeff_a(j: int, n: int, theta: float) -> float:
     """Parameter a_j > 0 of the j-th sqrt-approximant factor (1 + a_j z)/(z + a_j)."""
     n = require_degree(n, 1, "n")
     j = require_degree(j, 1, "j", n)
-    ell, ell_comp = require_theta(theta)
-    sn, cn, dn = _sncndn(2 * j - 1, 2 * n + 1, ell_comp, ell, _nome(ell, ell_comp))
-    base = (ell * sn + dn) / cn
+    base = _base(2 * j - 1, 2 * n + 1, *require_theta(theta))
     return base**2 if (j + n) % 2 == 0 else base**-2
 
 
@@ -211,8 +229,7 @@ def coeff_b(j: int, m: int, theta: float) -> float:
     if 2 * j - 1 == m:
         # cn((2j-1)/m K', ell') = cn(K', ell') = 0: the ratio degenerates.
         return math.inf if j % 2 == 0 else 0.0
-    sn, cn, dn = _sncndn(2 * j - 1, m, ell_comp, ell, _nome(ell, ell_comp))
-    base = (ell * sn + dn) / cn
+    base = _base(2 * j - 1, m, ell, ell_comp)
     return sign * (base if j % 2 == 0 else 1.0 / base)
 
 
@@ -268,7 +285,7 @@ class ZolotarevFraction:
         # degree, window, then complement: a modulus that rounds to 1.0 is past ELL_MAX like any other
         reduction = solve_lambda(ell, m, ell_comp)
         m, modulus = reduction.m, reduction.modulus
-        nodes = [_sncndn(k, m, modulus.ell_comp, modulus.ell, modulus.nome) for k in range(1, m)]
+        nodes = _nodes(m, modulus.ell, modulus.ell_comp)[1:m] if m else ()
         cot2 = tuple((cn / sn) ** 2 for sn, cn, _ in nodes)
         dn2_odd = tuple(dn**2 for _, _, dn in nodes[::2])
         return cls(reduction, cot2[1::2], cot2[::2], dn2_odd)

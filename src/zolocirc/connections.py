@@ -13,8 +13,8 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-from .approximants import Family, UnimodularRational, build_s, coeff_a, z4_solution
-from .elliptic import _mu_inverse_pair, _nome, _sncndn, complement, groetzsch_mu
+from .approximants import Family, UnimodularRational, _nodes, build_s, coeff_a, z4_solution
+from .elliptic import _mu_inverse_pair, complement, groetzsch_mu
 from .elliptic import require_degree, require_modulus, require_theta, solve_lambda
 from .errors import BranchError, DomainError, PrecisionError
 
@@ -46,9 +46,7 @@ def blaschke_h(m: int, ell: float) -> BlaschkeProduct:
     m = require_degree(m, 1)
     ell = require_modulus(ell)
     root, ell_comp = math.sqrt(ell), complement(ell)
-    nome = _nome(ell, ell_comp)
-    nodes = (_sncndn(2 * j - 1, m, ell, ell_comp, nome) for j in range(1, m + 1))
-    return BlaschkeProduct(m, ell, tuple(root * cn / dn for _, cn, dn in nodes))
+    return BlaschkeProduct(m, ell, tuple(root * cn / dn for _, cn, dn in _nodes(m, ell_comp, ell)[1::2]))
 
 
 def _kappa(ell: float) -> float:

@@ -207,6 +207,28 @@ def test_a_report_on_an_optimum_builds_nothing_and_keeps_one_fraction(monkeypatc
     assert calls == [s._optimum[:3], r._optimum[:3]]
 
 
+def test_the_second_optimum_keeps_the_first_ones_fraction(monkeypatch):
+    s, from_ell, calls = ap.build_s(7, 1.0), ap.ZolotarevFraction.from_ell, []
+
+    def counted(cls, *args):
+        calls.append(args)
+        return from_ell(*args)
+
+    monkeypatch.setattr(ap.ZolotarevFraction, "from_ell", classmethod(counted))
+    first = an.phase_error_sign(s, 1.0, 64)
+    inverse = s.reciprocal()
+    second = an.phase_error_sign(inverse, 1.0, 64)
+    assert calls == [s._optimum[:3]] and inverse._fraction is s._fraction
+    assert second.method == "nodes" and second.extrema == tuple((t, -e) for t, e in first.extrema)
+
+
+def test_grid_route_angles_are_python_floats():
+    grid = an.phase_error_sqrt(ap.UnimodularRational(0, (), ap.Family.R_FAMILY), 1.0, 64)
+    nodes = an.phase_error_sqrt(ap.build_r(0, 1.0), 1.0, 64)
+    assert grid.method == "grid" and grid.extrema == nodes.extrema
+    assert all(type(t) is float for t, _ in grid.extrema)
+
+
 @pytest.mark.parametrize("m", [86, 90])
 def test_an_amplitude_below_the_normal_doubles_is_refused(m):
     # arccos(lam) is subnormal at m = 86 and underflows to 0 at m = 90: no relative precision is
