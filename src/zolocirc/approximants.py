@@ -256,7 +256,7 @@ class ZolotarevFraction:
     the far-field limit (1 - 8 eps) sqrt(DBL_MAX / max(c, 1)) for the largest
     node c, below which rounding cannot carry s * s * c past DBL_MAX,
     (cot2_even or None, cot2_odd, dn2_odd) per odd node, None at the
-    trailing one).  ``F`` alone reads the F part.
+    trailing one).  ``F`` alone reads the pairs, ``_lift`` the triples.
     """
 
     reduction: DegreeReduction
@@ -331,30 +331,18 @@ def _reciprocal_squares(s, far):
 def eval_F_product(zf: ZolotarevFraction, x):
     """(F_m(x), G_m(x)) through the rational product identities, at a float or an ndarray.
 
-    F is ``zf.F(x)``, rational in x and defined for every real x.  G is
-    prod (1 - s^2 d)/(1 + s^2 c_o) over the odd nodes, s = x/ell; for odd m
-    it carries a sqrt(1 - x^2) factor and therefore requires |x| <= 1
-    (DomainError otherwise, for any point of an array).  Past the kernel's
-    closed-form limit (even m, |x| ~ 1e154 ell) G's ratios are taken in
-    1/s^2, as F's are, in float arithmetic for a float.  A float gives
-    floats, an ndarray gives arrays, bitwise equal elementwise.
+    This is the circle lift ``_lift`` at y = sqrt(1 - x^2): F is rational in
+    x and defined for every real x, and G is prod (1 - s^2 d)/(1 + s^2 c_o)
+    over the odd nodes, s = x/ell, times y for odd m, which therefore
+    requires |x| <= 1 (DomainError otherwise, for any point of an array).
+    A float gives floats, an ndarray gives arrays, bitwise equal elementwise.
     """
-    odd = zf.reduction.m % 2
-    if odd and not np.all(np.abs(x) <= 1.0):
+    if not zf.reduction.m % 2:
+        return _lift(zf, x, None)
+    if not np.all(np.abs(x) <= 1.0):
         raise DomainError(f"odd-degree G needs |x| <= 1, got |x| = {float(np.max(np.abs(x)))!r}")
-    ell, _, _, _, _, limit, nodes = zf._kernel
-    s, one = x / ell, 1.0
-    far = abs(s) > limit
-    if far is True or far is not False and far.any():
-        _, one, s = _reciprocal_squares(s, far)
-    s2 = s * s
-    G = 1.0 + 0.0 * s2  # 1 in the shape of x; m = 0 has no odd node
-    for _, co, d in nodes:
-        G *= (one - s2 * d) / (one + s2 * co)
-    if odd:
-        sqrt = np.sqrt if isinstance(x, np.ndarray) else math.sqrt
-        G *= sqrt((1.0 - x) * (1.0 + x))
-    return zf.F(x), G
+    sqrt = np.sqrt if isinstance(x, np.ndarray) else math.sqrt
+    return _lift(zf, x, sqrt((1.0 - x) * (1.0 + x)))
 
 
 def eval_F_direct(zf: ZolotarevFraction, x: float) -> tuple[float, float]:
@@ -450,34 +438,40 @@ def _lift(zf: ZolotarevFraction, x, y):
     """(F(x), sign(y)^m G(x)), the real and imaginary parts of s_m at circle points x + i y.
 
     On the circle sign(y) sqrt(1 - x^2) = y, so odd m multiplies G's odd-node
-    product by y itself: no square root loses digits near x = +-1.  F and G
-    share the denominators 1 + s^2 c_o and multiply in the order of
-    ``ZolotarevFraction.F`` and ``eval_F_product``, bit for bit; |x| near 1
-    is far below their far-field limit.  An array runs in preallocated
+    product by y itself: no square root loses digits near x = +-1.  Even m
+    reads no y and takes every real x.  F and G share the denominators
+    1 + s^2 c_o and F multiplies in the order of ``ZolotarevFraction.F``, bit
+    for bit.  Past F's far-field limit on |s| the ratios are taken in 1/s^2,
+    as F's are; circle points never reach it.  An array runs in preallocated
     buffers, a float the same operations, so the two agree bit for bit.
     """
-    ell, lam, M, _, _, _, nodes = zf._kernel
+    ell, lam, M, _, tail, limit, nodes = zf._kernel
     s = x / ell
+    one, lead = 1.0, s
+    far = abs(s) > limit
+    if far is True or far is not False and far.any():
+        inverse, one, s = _reciprocal_squares(s, far)
+        lead = lead if tail is None else inverse
     s2 = s * s
-    f = lam * (s / M)
+    f = lam * (lead / M)
+    g = 1.0 + 0.0 * s2  # 1 in the shape of x, NaN at a NaN x; m = 0 has no odd node
     if isinstance(s2, np.ndarray):
-        g, den, num = np.ones_like(s2), np.empty_like(s2), np.empty_like(s2)
+        den, num = np.empty_like(s2), np.empty_like(s2)
         for ce, co, d in nodes:
-            np.add(1.0, np.multiply(s2, co, out=den), out=den)
+            np.add(one, np.multiply(s2, co, out=den), out=den)
             if ce is None:
                 f /= den
             else:
-                f *= np.divide(np.add(1.0, np.multiply(s2, ce, out=num), out=num), den, out=num)
-            g *= np.divide(np.subtract(1.0, np.multiply(s2, d, out=num), out=num), den, out=num)
+                f *= np.divide(np.add(one, np.multiply(s2, ce, out=num), out=num), den, out=num)
+            g *= np.divide(np.subtract(one, np.multiply(s2, d, out=num), out=num), den, out=num)
     else:
-        g = 1.0
         for ce, co, d in nodes:
-            den = 1.0 + s2 * co
+            den = one + s2 * co
             if ce is None:
                 f /= den
             else:
-                f *= (1.0 + s2 * ce) / den
-            g *= (1.0 - s2 * d) / den
+                f *= (one + s2 * ce) / den
+            g *= (one - s2 * d) / den
     if zf.reduction.m % 2:
         g *= y
     return f, g

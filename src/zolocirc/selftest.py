@@ -105,8 +105,8 @@ def criterion_4():
 def criterion_5():
     """Factored product vs F/G lift (1e-11); direct vs product F (1e-10).
 
-    The product side is a plain rational with ``build_s``'s factors: the
-    built optimum itself would read the circle through the lift.
+    The lift side is the built optimum, which reads the circle through the
+    lift; the product side is a plain rational with its factors.
     """
     angles = -math.pi + 2.0 * math.pi * (np.arange(100) + 0.41) / 100
     circle = np.cos(angles) + 1j * np.sin(angles)
@@ -115,7 +115,7 @@ def criterion_5():
         for m in M_SWEEP:
             s = approximants.build_s(m, theta)
             product = approximants.UnimodularRational(s.quarter_turns, s.factors, s.family)(circle)
-            worst_lift = max(worst_lift, float(np.max(np.abs(product - approximants.eval_s_via_FG(m, theta, circle)))))
+            worst_lift = max(worst_lift, float(np.max(np.abs(product - s(circle)))))
     xs = np.linspace(-1.0, 1.0, 201)
     worst_fg = 0.0
     for theta in (0.5, 1.0, 1.4):

@@ -115,6 +115,29 @@ class TestScalarArrayBitwise:
         assert_bitwise([p[1] for p in pairs], right)
 
 
+class TestProductIsTheLift:
+    # the real-line pair is the circle lift at y = sqrt((1 - x)(1 + x)); even m reads no y
+    @pytest.mark.parametrize("m", [m for m in DEGREES if m % 2])
+    def test_odd_degree_bit_for_bit(self, m):
+        zf = ap.ZolotarevFraction.from_ell(m, ELL)
+        xs = line_grid(ELL)
+        F, G = ap.eval_F_product(zf, xs)
+        lF, lG = ap._lift(zf, xs, np.sqrt((1.0 - xs) * (1.0 + xs)))
+        assert np.array_equal(bits(F), bits(lF)) and np.array_equal(bits(G), bits(lG))
+        for x in xs.tolist():
+            pair, lifted = ap.eval_F_product(zf, x), ap._lift(zf, x, math.sqrt((1.0 - x) * (1.0 + x)))
+            assert_bitwise(pair, lifted)
+            assert_bitwise(lifted, pair)
+
+    @pytest.mark.parametrize("m", [m for m in DEGREES if m % 2 == 0])
+    def test_even_degree_F_is_F_alone_past_one_and_the_far_field(self, m):
+        # the lift and F each hold the far-field rule: they must agree where it applies
+        zf = ap.ZolotarevFraction.from_ell(m, ELL)
+        xs = np.array([1.5, -3.0, 1e100, 1e160, -1e160])
+        assert np.array_equal(bits(ap.eval_F_product(zf, xs)[0]), bits(zf.F(xs)))
+        assert_bitwise([ap.eval_F_product(zf, x)[0] for x in xs.tolist()], zf.F(xs))
+
+
 class TestArrayDomain:
     def test_lift_rejects_a_point_off_the_circle(self):
         z = np.exp(1j * np.linspace(0.1, 3.0, 8))
@@ -266,6 +289,16 @@ class TestDegreeZero:
             product = [ap.eval_F_product(zf, x) for x in xs]
             assert np.array_equal(bits(direct), bits(product))
             assert all(math.copysign(1.0, F) == math.copysign(1.0, x) for x, (F, _) in zip(xs, direct))
+
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_nan_gives_nan_for_F_and_G(self, as_array):
+        # with no odd node, G is 1 in the shape of x: NaN at a NaN x, not 1.0
+        zf = ap.ZolotarevFraction.from_ell(0, ELL)
+        F, G = ap.eval_F_product(zf, np.array([math.nan, 0.5]) if as_array else math.nan)
+        if as_array:
+            assert np.isnan(F[0]) and np.isnan(G[0]) and F[1] == 0.0 and G[1] == 1.0
+        else:
+            assert type(F) is float and type(G) is float and math.isnan(F) and math.isnan(G)
 
 
 class TestZ4BeyondOne:
