@@ -9,9 +9,10 @@ the sqrt approximant converges to coefficientwise as the arc shrinks.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .approximants import Family, UnimodularRational, _nodes, build_s, coeff_a, z4_solution
 from .elliptic import _mu_inverse_pair, complement, groetzsch_mu
@@ -66,27 +67,32 @@ def blaschke_composition_modulus(m: int, ell: float) -> float:
     return _mu_inverse_pair(m * groetzsch_mu(ell))[0]
 
 
-def _moebius_image(m: int, ell: float, z: complex):
-    """Validated (m, kappa, z) and the image x = sqrt(kappa) (z - 1)/(z + 1)."""
+def _refuse(bad, error, message: str, z) -> None:
+    """Raise error(message) at the first point of z (a complex or an ndarray) where the mask ``bad`` holds."""
+    if np.any(bad):
+        raise error(message.format(complex(np.ravel(z)[np.ravel(bad)][0])))
+
+
+def _moebius_image(m: int, ell: float, z):
+    """Validated (m, kappa, z) and the image x = sqrt(kappa) (z - 1)/(z + 1), at a complex z or an ndarray."""
     m = require_degree(m, 1)
     ell = require_modulus(ell)
     kappa = _kappa(ell)
-    z = complex(z)
-    if not cmath.isfinite(z):
-        raise DomainError(f"z must be finite, got {z!r}")
-    if abs(z + 1.0) < 1e-12:
+    z = z.astype(complex) if isinstance(z, np.ndarray) else complex(z)
+    _refuse(~np.isfinite(z), DomainError, "z must be finite, got {!r}", z)
+    if np.any(np.abs(z + 1.0) < 1e-12):
         raise BranchError("z = -1 is the Moebius pole")
     return m, kappa, z, math.sqrt(kappa) * (z - 1.0) / (z + 1.0)
 
 
-def _h_side(m: int, ell: float, z: complex) -> float:
+def _h_side(m: int, ell: float, z):
     """(1 - ell-tilde)/(1 + ell-tilde) (h_m(z) - 1)/(h_m(z) + 1), the left side of both identities."""
     ell_tilde = blaschke_composition_modulus(m, ell)
     h = blaschke_h(m, ell)(z)
     return ((1.0 - ell_tilde) / (1.0 + ell_tilde) * (h - 1.0) / (h + 1.0)).real
 
 
-def blaschke_s_relation(m: int, ell: float, z: complex) -> tuple[float, float]:
+def blaschke_s_relation(m: int, ell: float, z):
     """Both sides of the identity tying h_m to the sign approximant s_m.
 
     Left: (1 - ell-tilde)/(1 + ell-tilde) (h_m(z) - 1)/(h_m(z) + 1).
@@ -95,12 +101,17 @@ def blaschke_s_relation(m: int, ell: float, z: complex) -> tuple[float, float]:
     sqrt(kappa) (z - 1)/(z + 1), taking the root with Im w >= 0.  A
     BranchError signals that the Moebius image left [-1, 1], where no
     unit-circle w exists; as s_m is built at acos(kappa), PrecisionError
-    is raised once kappa < 1e-8 (ell above about 0.9996).
+    is raised once kappa < 1e-8 (ell above about 0.9996).  z is a complex
+    number (two floats back) or an ndarray (two float arrays, h_m and s_m
+    built once); any bad point raises for the whole array.
     """
     m, kappa, z, x = _moebius_image(m, ell, z)
-    if abs(x.imag) > 1e-9 or abs(x.real) > 1.0:
-        raise BranchError(f"Moebius image {x!r} leaves [-1, 1]; no unit-circle w")
-    w = complex(x.real, complement(x.real))
+    off = (np.abs(x.imag) > 1e-9) | (np.abs(x.real) > 1.0)
+    _refuse(off, BranchError, "Moebius image {!r} leaves [-1, 1]; no unit-circle w", x)
+    if isinstance(x, np.ndarray):
+        w = x.real + 1j * np.sqrt((1.0 - x.real) * (1.0 + x.real))
+    else:
+        w = complex(x.real, complement(x.real))
     require_modulus(kappa, "kappa")  # s_m is built at acos(kappa)
     lhs = _h_side(m, ell, z)
     lam_kappa = solve_lambda(kappa, m).lam
@@ -110,15 +121,15 @@ def blaschke_s_relation(m: int, ell: float, z: complex) -> tuple[float, float]:
     return lhs, rhs.real
 
 
-def scaled_F_via_blaschke(m: int, ell: float, z: complex) -> tuple[float, float]:
+def scaled_F_via_blaschke(m: int, ell: float, z):
     """Both sides of the F-form of the same identity (through F_m(x; kappa)).
 
     Left as in blaschke_s_relation; right is (2/(1 + F_m(kappa; kappa)))
-    F_m(x; kappa) at x = sqrt(kappa)(z - 1)/(z + 1).
+    F_m(x; kappa) at x = sqrt(kappa)(z - 1)/(z + 1).  z is a complex number
+    or an ndarray, as there.
     """
     m, kappa, z, x = _moebius_image(m, ell, z)
-    if abs(x.imag) > 1e-9:
-        raise BranchError(f"Moebius image {x!r} is not real")
+    _refuse(np.abs(x.imag) > 1e-9, BranchError, "Moebius image {!r} is not real", x)
     return _h_side(m, ell, z), z4_solution(m, kappa)(x.real)
 
 

@@ -74,7 +74,11 @@ def oracle_amplitude(u: float, ell: float) -> OracleResult:
     """
     if not 0.0 <= ell <= 1.0 - 1e-6:
         raise DomainError(f"oracle_amplitude requires 0 <= ell <= 1 - 1e-6, got {ell!r}")
-    K = oracle_K(ell).value
+    return _amplitude(u, ell, oracle_K(ell).value)
+
+
+def _amplitude(u: float, ell: float, K: float) -> OracleResult:
+    """oracle_amplitude's Newton body at a modulus already checked, its K = oracle_K(ell).value given."""
     if not abs(u) <= 2.0 * K + 1e-9:  # written so that a NaN u is refused too
         raise DomainError(f"|u| must not exceed 2K = {2 * K!r}, got {u!r}")
     if u == 0.0:
@@ -118,10 +122,19 @@ def _require_theta(theta: float) -> None:
         raise DomainError(f"theta must lie in (0, pi/2), got {theta!r}")
 
 
+@functools.lru_cache(maxsize=1)
 def _sqrt_arc(theta: float, samples: int):
-    """cos and sin of t/4 and 3t/4 at the scan's samples t of [-2 theta, 2 theta]."""
+    """cos and sin of t/4 and 3t/4 at the scan's samples t of [-2 theta, 2 theta], read-only.
+
+    One grid is kept while a search runs: a level's bound pass and its full
+    scans share it, and so do the zoom levels.  The public entry points drop
+    it when they return, so no grid stays resident or serves a later call.
+    """
     ts = np.linspace(-2.0 * theta, 2.0 * theta, samples)
-    return np.cos(0.25 * ts), np.sin(0.25 * ts), np.cos(0.75 * ts), np.sin(0.75 * ts)
+    arc = np.cos(0.25 * ts), np.sin(0.25 * ts), np.cos(0.75 * ts), np.sin(0.75 * ts)
+    for a in arc:
+        a.flags.writeable = False
+    return arc
 
 
 def _reduce_ratios(a, c1, s1, c3, s3, reduce, dtype) -> np.ndarray:
@@ -205,7 +218,9 @@ def degree1_max_phase_error(a: float, theta: float, samples: int = 8192) -> floa
         raise DomainError(f"a must be positive and finite, got {a!r}")
     if not isinstance(samples, (int, np.integer)) or samples < 3:  # a bool is an int below 3
         raise DomainError(f"samples must be an integer of at least 3, got {samples!r}")
-    return float(_scan_max_phase_errors(np.array([a], dtype=float), theta, samples)[0])
+    error = float(_scan_max_phase_errors(np.array([a], dtype=float), theta, samples)[0])
+    _sqrt_arc.cache_clear()
+    return error
 
 
 def oracle_minimax_degree1(theta: float) -> float:
@@ -229,4 +244,5 @@ def oracle_minimax_degree1(theta: float) -> float:
         grid = np.linspace(grid[max(i - 2, 0)], grid[min(i + 2, len(grid) - 1)], _ZOOM_SIZE)
         i = _argmin_max_phase_error(grid, theta, 8192)
         if grid[1] - grid[0] <= finest:
+            _sqrt_arc.cache_clear()
             return float(grid[i])

@@ -106,7 +106,10 @@ def criterion_5():
     """Factored product vs F/G lift (1e-11); direct vs product F (1e-10).
 
     The lift side is the built optimum, which reads the circle through the
-    lift; the product side is a plain rational with its factors.
+    lift; the product side is a plain rational with its factors.  The
+    direct side reads the u grid u_k = k K(ell)/64, k = 0..64: at
+    x = +-ell sn(u_k, ell), covering [-ell, ell], F = +-lam sn(u_k/M, lam)
+    and G = dn(u_k/M, lam), and u_k/M = k K(lam)/64, so no sn is inverted.
     """
     angles = -math.pi + 2.0 * math.pi * (np.arange(100) + 0.41) / 100
     circle = np.cos(angles) + 1j * np.sin(angles)
@@ -116,16 +119,21 @@ def criterion_5():
             s = approximants.build_s(m, theta)
             product = approximants.UnimodularRational(s.quarter_turns, s.factors, s.family)(circle)
             worst_lift = max(worst_lift, float(np.max(np.abs(product - s(circle)))))
-    xs = np.linspace(-1.0, 1.0, 201)
+
+    def u_grid(ell, ell_comp, nome):  # rows sn, cn, dn at u_k = k K(ell)/64, k = 0..64
+        return np.array([elliptic._sncndn(k, 64, ell, ell_comp, nome) for k in range(65)]).T
+
     worst_fg = 0.0
     for theta in (0.5, 1.0, 1.4):
-        for m in M_SWEEP:
-            zf = approximants.ZolotarevFraction.from_ell(m, *elliptic.require_theta(theta))
-            inner = xs[np.abs(xs) <= zf.reduction.modulus.ell]  # beyond ell the direct F is the product itself
-            Fp, Gp = approximants.eval_F_product(zf, inner)
-            for x, fp, gp in zip(inner.tolist(), Fp.tolist(), Gp.tolist()):
-                fd, gd = approximants.eval_F_direct(zf, x)
-                worst_fg = max(worst_fg, abs(fd - fp), abs(gd - gp))
+        fractions = [approximants.ZolotarevFraction.from_ell(m, *elliptic.require_theta(theta)) for m in M_SWEEP]
+        mod = fractions[0].reduction.modulus
+        x = mod.ell * u_grid(mod.ell, mod.ell_comp, mod.nome)[0]
+        for zf in fractions:
+            red = zf.reduction
+            sn, _, dn = u_grid(red.lam, red.lam_comp, red.nome)
+            for sign in (1.0, -1.0):  # F is odd and G even
+                F, G = approximants.eval_F_product(zf, sign * x)
+                worst_fg = max(worst_fg, float(np.max(np.abs([sign * red.lam * sn - F, dn - G]))))
     ok = worst_lift <= 1e-11 and worst_fg <= 1e-10
     return ("circle-lift agreement", ok, f"lift = {worst_lift:.3e}, direct-vs-product = {worst_fg:.3e}")
 
@@ -175,13 +183,11 @@ def criterion_7():
     worst_rel = 0.0
     for ell in (0.25, 0.5):
         root = math.sqrt(ell)
-        pts = list(np.linspace(-0.999 * root, 0.999 * root, 16)) + \
-              list(np.linspace(1.001 / root, 3.0 / root, 8)) + \
-              list(-np.linspace(1.001 / root, 3.0 / root, 8))
-        for zz in pts:
-            lhs, rhs = connections.blaschke_s_relation(2, ell, float(zz))
-            lhs2, rhs2 = connections.scaled_F_via_blaschke(2, ell, float(zz))
-            worst_rel = max(worst_rel, abs(lhs - rhs), abs(lhs2 - rhs2), abs(rhs - rhs2))
+        pts = np.concatenate((np.linspace(-0.999 * root, 0.999 * root, 16),
+                              np.linspace(1.001 / root, 3.0 / root, 8), -np.linspace(1.001 / root, 3.0 / root, 8)))
+        lhs, rhs = connections.blaschke_s_relation(2, ell, pts)
+        lhs2, rhs2 = connections.scaled_F_via_blaschke(2, ell, pts)
+        worst_rel = max(worst_rel, float(np.max(np.abs([lhs - rhs, lhs2 - rhs2, rhs - rhs2]))))
     ok = worst_pade <= 1e-12 and worst_dev <= 1e-4 and worst_h <= 1e-9 and worst_rel <= 1e-9
     return (
         "pade and blaschke connections",
@@ -198,9 +204,10 @@ def criterion_8():
     worst_j = 0.0
     for ell in (0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95):
         quarter = elliptic.complete_K(ell)
+        K = oracle.oracle_K(ell).value  # once per modulus: oracle_amplitude(u, ell) is _amplitude(u, ell, K)
         for frac in (-2.0, -1.5, -0.7, -0.2, 0.3, 0.6, 1.0, 1.4, 1.9):
             u = frac * quarter
-            phi = oracle.oracle_amplitude(u, ell).value
+            phi = oracle._amplitude(u, ell, K).value
             sn, cn, dn = elliptic.jacobi_sncndn(u, ell)
             worst_j = max(
                 worst_j,

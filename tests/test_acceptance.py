@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from zolocirc import analysis, approximants, selftest
+from zolocirc import analysis, approximants, connections, elliptic, oracle, selftest
 from zolocirc.approximants import UnimodularRational
 
 
@@ -178,3 +178,70 @@ class TestFaultInjection:
         _, ok, detail = selftest.criterion_3()
         assert not ok
         assert detail.count("theta=") == len(selftest._SWEEP)
+
+
+class TestOneSetupPerItem:
+    @pytest.mark.parametrize("part", [0, 1])
+    def test_criterion_5_fails_on_a_scaled_product(self, monkeypatch, part):
+        product = approximants.eval_F_product
+
+        def scaled(zf, x):
+            pair = list(product(zf, x))
+            pair[part] = pair[part] * (1.0 + 1e-9)
+            return tuple(pair)
+
+        monkeypatch.setattr(approximants, "eval_F_product", scaled)
+        _, ok, detail = selftest.criterion_5()
+        assert not ok
+        assert float(detail.rpartition("direct-vs-product = ")[2]) > 1e-10
+
+    def test_criterion_7_fails_on_a_moved_blaschke_parameter(self, monkeypatch):
+        blaschke_h = connections.blaschke_h
+
+        def moved(m, ell):  # h_2 at ell = 0.5 feeds only the s <-> h bridges
+            h = blaschke_h(m, ell)
+            if (m, ell) != (2, 0.5):
+                return h
+            return connections.BlaschkeProduct(m, ell, (h.params[0] + 1e-8,) + h.params[1:])
+
+        monkeypatch.setattr(connections, "blaschke_h", moved)
+        _, ok, detail = selftest.criterion_7()
+        assert not ok
+        assert float(detail.rpartition("s<->h = ")[2]) > 1e-9
+
+    def test_criterion_8_amplitudes_are_the_public_ones(self, monkeypatch):
+        calls, body = [], oracle._amplitude
+
+        def recorded(u, ell, K):
+            calls.append((u, ell, body(u, ell, K)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(oracle, "_amplitude", recorded)
+        assert selftest.criterion_8()[1]
+        monkeypatch.undo()
+        assert len(calls) == 63
+        for u, ell, result in calls:
+            assert oracle.oracle_amplitude(u, ell) == result
+
+    def test_one_sweep_does_each_setup_once(self, monkeypatch):
+        counts = {}
+
+        def count(module, name):
+            fn = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+            return counted
+
+        monkeypatch.setattr(approximants, "inverse_sn", count(elliptic, "inverse_sn"))
+        for module, name in ((approximants, "eval_F_direct"), (elliptic, "_carlson_rf"),
+                             (connections, "blaschke_h"), (oracle, "oracle_K")):
+            count(module, name)
+        assert all(ok for _, _, ok, _ in selftest.run_all())
+        # no sn is inverted; criterion 7 builds h 9 times for its composition law and once
+        # per bridge call, criterion 8 runs the trapezoid rule at 20 moduli, then once at each of 7
+        limits = {"inverse_sn": 0, "eval_F_direct": 0, "_carlson_rf": 0, "blaschke_h": 13, "oracle_K": 27}
+        assert all(counts.get(name, 0) <= limit for name, limit in limits.items()), counts

@@ -143,6 +143,67 @@ class TestBlaschkeSignRelation:
             relation(m, 0.25, z)
 
 
+def criterion_7_points(ell):
+    root = math.sqrt(ell)
+    return np.concatenate((np.linspace(-0.999 * root, 0.999 * root, 16),
+                           np.linspace(1.001 / root, 3.0 / root, 8), -np.linspace(1.001 / root, 3.0 / root, 8)))
+
+
+@pytest.mark.parametrize("relation", [cn.blaschke_s_relation, cn.scaled_F_via_blaschke])
+class TestBridgeArrays:
+    @pytest.mark.parametrize("m,ell", [(2, 0.25), (2, 0.5), (3, 0.25)])
+    def test_array_agrees_with_the_scalar_loop(self, relation, m, ell):
+        # h is a numpy complex product on an array, so the left side agrees to rounding, not bit for bit
+        z = criterion_7_points(ell)
+        lhs, rhs = relation(m, ell, z)
+        assert lhs.shape == rhs.shape == z.shape and lhs.dtype == rhs.dtype == float
+        loop = np.array([relation(m, ell, float(p)) for p in z])
+        assert np.max(np.abs(lhs - loop[:, 0])) <= 1e-14
+        assert np.max(np.abs(rhs - loop[:, 1])) <= 1e-14
+
+    def test_complex_array_on_the_real_sets(self, relation):
+        z = criterion_7_points(0.25)
+        lhs, rhs = relation(2, 0.25, z + 0j)
+        assert np.max(np.abs(lhs - rhs)) <= 1e-9
+
+    def test_one_point_at_the_moebius_pole(self, relation):
+        with pytest.raises(BranchError, match="Moebius pole"):
+            relation(2, 0.25, np.array([0.1, -1.0, 0.2]))
+
+    def test_one_nan_point(self, relation):
+        with pytest.raises(DomainError, match=r"z must be finite, got \(nan\+0j\)"):
+            relation(2, 0.25, np.array([0.1, math.nan, 0.2]))
+
+    def test_scalar_floats_are_the_pinned_ones(self, relation):
+        # both sides at three of selftest criterion 7's points (m = 2, ell = 0.25), as floats
+        pinned = {
+            cn.blaschke_s_relation: {
+                -0.29969999999999997: (-1.0439566107649934, -1.0439566107649936),
+                3.144285714285714: (1.0203584713635139, 1.0203584713635137),
+                -4.857714285714286: (1.1483631923965618, 1.1483631923965623),
+            },
+            cn.scaled_F_via_blaschke: {
+                -0.29969999999999997: (-1.0439566107649934, -1.0439566107649934),
+                3.144285714285714: (1.0203584713635139, 1.0203584713635134),
+                -4.857714285714286: (1.1483631923965618, 1.148363192396562),
+            },
+        }[relation]
+        for z, sides in pinned.items():
+            got = relation(2, 0.25, z)
+            assert all(type(v) is float for v in got)
+            assert got == sides
+
+
+def test_array_point_whose_image_leaves_the_unit_interval():
+    # x = sqrt(kappa)(z - 1)/(z + 1) = -1.33 at z = -0.6: no unit-circle w; off the real line at z = i
+    with pytest.raises(BranchError, match=r"Moebius image \(-1\.33"):
+        cn.blaschke_s_relation(2, 0.25, np.array([0.1, -0.6, 0.2]))
+    with pytest.raises(BranchError, match="leaves"):
+        cn.blaschke_s_relation(2, 0.25, np.array([0.1, 1j]))
+    with pytest.raises(BranchError, match="is not real"):
+        cn.scaled_F_via_blaschke(2, 0.25, np.array([0.1, 1j]))
+
+
 def exact_denominator(n, z):
     """sum_j C(2n+1, 2j+1) z^j, the unnormalized Pade denominator, in exact arithmetic."""
     return sum(math.comb(2 * n + 1, 2 * j + 1) * z**j for j in range(n + 1))

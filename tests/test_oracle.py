@@ -263,6 +263,33 @@ class TestBoundedArgmin:
         assert orc.oracle_minimax_degree1(theta) == full_scan_minimax(theta)
 
 
+class TestOneArcPerLevel:
+    def test_the_arc_is_kept_once_and_read_only(self):
+        arc = orc._sqrt_arc(1.0, 64)
+        assert all(not part.flags.writeable for part in arc)
+        assert orc._sqrt_arc(1.0, 64) is arc
+        orc._sqrt_arc(1.0, 65)  # one entry: the next key evicts it
+        assert orc._sqrt_arc(1.0, 64) is not arc
+
+    def test_a_minimax_search_builds_one_arc_per_sample_count(self, monkeypatch):
+        levels, argmin = [], orc._argmin_max_phase_error
+
+        def level(a, theta, samples):
+            index = argmin(a, theta, samples)
+            levels.append(orc._sqrt_arc.cache_info()[:2])  # (hits, misses) so far
+            return index
+
+        monkeypatch.setattr(orc, "_argmin_max_phase_error", level)
+        orc._sqrt_arc.cache_clear()
+        # the pinned argmin at Theta = 1, unchanged from the search that built its arc at every use
+        assert orc.oracle_minimax_degree1(1.0).hex() == "0x1.2179814da0aadp+1"
+        # 2048 samples at the coarse level, 8192 at the three zooms: one miss each, three calls per level
+        assert levels == [(2, 1), (4, 2), (7, 2), (10, 2)]
+        assert orc._sqrt_arc.cache_info().currsize == 0
+        orc.degree1_max_phase_error(3.0, 1.0, 16384)
+        assert orc._sqrt_arc.cache_info().currsize == 0
+
+
 def test_oracles_do_not_import_the_paths_they_check():
     import ast
 
