@@ -46,6 +46,12 @@ from .errors import DomainError, PoleError
 _I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
 _DEN_TINY = 1e-300
 _ON_CIRCLE = 8.0 * sys.float_info.epsilon  # |x^2 + y^2 - 1| at a circle point x + i y
+# ``_lift`` takes an array's odd nodes in (nodes x points) blocks, of at most _BLOCK_CELLS cells, when it
+# has at most _BLOCK_POINTS points and at least _BLOCK_NODES odd nodes: where tests/data/lift_crossover.py
+# (table in CHANGES.md) puts the blocks ahead of the sweep
+_BLOCK_POINTS = 1024
+_BLOCK_NODES = 8
+_BLOCK_CELLS = 1 << 15
 
 
 class Family(enum.Enum):
@@ -102,10 +108,18 @@ class UnimodularRational:
         bit.  Any other rational or point set, and the constants s_0 = i and
         r_0 = 1 (which the lift would round), takes the product of the
         factors: a scalar raises PoleError at a vanishing denominator (with
-        the factor's index), an array yields inf/nan there.
+        the factor's index), an array yields inf/nan there.  A point that is
+        neither a number nor an ndarray (a list, None, a string) raises
+        DomainError.
         """
         array = isinstance(z, np.ndarray)
-        z = z if array else complex(z)
+        if not array:
+            try:
+                if isinstance(z, str):  # complex() would parse it
+                    raise TypeError
+                z = complex(z)
+            except TypeError:
+                raise DomainError(f"an evaluation point is a number or an ndarray, got {z!r}") from None
         if self._optimum is not None and self.factors:
             x, y = z.real, z.imag
             near = abs(x * x + y * y - 1.0) <= _ON_CIRCLE
@@ -256,7 +270,10 @@ class ZolotarevFraction:
     the far-field limit (1 - 8 eps) sqrt(DBL_MAX / max(c, 1)) for the largest
     node c, below which rounding cannot carry s * s * c past DBL_MAX,
     (cot2_even or None, cot2_odd, dn2_odd) per odd node, None at the
-    trailing one).  ``F`` alone reads the pairs, ``_lift`` the triples.
+    trailing one).  ``F`` alone reads the pairs, ``_lift``'s sweeps the
+    triples.  Its node blocks (``_node_block``) read the same constants as
+    arrays, ``_columns``, built on the first block and kept: a fraction that
+    never takes one (a scalar, a small degree, a large batch) pays nothing.
     """
 
     reduction: DegreeReduction
@@ -279,6 +296,11 @@ class ZolotarevFraction:
             tuple(itertools.zip_longest(even, odd, self.dn2_odd)),
         )
         object.__setattr__(self, "_kernel", table)
+
+    @functools.cached_property
+    def _columns(self) -> tuple:
+        """(cot2_even, cot2_odd, dn2_odd) as arrays, the node columns of ``_node_block``."""
+        return np.array(self.cot2_even), np.array(self.cot2_odd), np.array(self.dn2_odd)
 
     @classmethod
     def from_ell(cls, m: int, ell: float, ell_comp: float | None = None) -> "ZolotarevFraction":
@@ -439,23 +461,40 @@ def _lift(zf: ZolotarevFraction, x, y):
 
     On the circle sign(y) sqrt(1 - x^2) = y, so odd m multiplies G's odd-node
     product by y itself: no square root loses digits near x = +-1.  Even m
-    reads no y and takes every real x.  F and G share the denominators
-    1 + s^2 c_o and F multiplies in the order of ``ZolotarevFraction.F``, bit
-    for bit.  Past F's far-field limit on |s| the ratios are taken in 1/s^2,
-    as F's are; circle points never reach it.  An array runs in preallocated
-    buffers, a float the same operations, so the two agree bit for bit.
+    reads no y (None: the real line) and takes every real x.  F and G share
+    the denominators 1 + s^2 c_o and F multiplies in the order of
+    ``ZolotarevFraction.F``, bit for bit.  Off the circle (y None) and past
+    F's far-field limit on |s| the ratios are taken in 1/s^2, as F's are.
+    Circle points, |x| <= 1 + 1e-9, have |s| < 1.0e8 since ell > ELL_MIN,
+    while the limit is about 1.3e154 K(ell')/m (7.0e152 at m = 40, Theta =
+    1.0), so the test is skipped there.  A float sweeps the odd nodes; an
+    array of at most ``_BLOCK_POINTS`` points with at least ``_BLOCK_NODES``
+    odd nodes takes them as blocks (``_node_block``), any other array sweeps
+    them in preallocated buffers: every order does the same operations in
+    the same order, so all agree bit for bit.
     """
     ell, lam, M, _, tail, limit, nodes = zf._kernel
     s = x / ell
     one, lead = 1.0, s
-    far = abs(s) > limit
-    if far is True or far is not False and far.any():
-        inverse, one, s = _reciprocal_squares(s, far)
-        lead = lead if tail is None else inverse
+    if y is None:
+        far = abs(s) > limit
+        if far is True or far is not False and far.any():
+            inverse, one, s = _reciprocal_squares(s, far)
+            lead = lead if tail is None else inverse
     s2 = s * s
     f = lam * (lead / M)
     g = 1.0 + 0.0 * s2  # 1 in the shape of x, NaN at a NaN x; m = 0 has no odd node
-    if isinstance(s2, np.ndarray):
+    if not isinstance(s2, np.ndarray):
+        for ce, co, d in nodes:
+            den = one + s2 * co
+            if ce is None:
+                f /= den
+            else:
+                f *= (one + s2 * ce) / den
+            g *= (one - s2 * d) / den
+    elif s2.size <= _BLOCK_POINTS and len(nodes) >= _BLOCK_NODES:
+        f, g = _node_block(f, g, one, s2, tail is not None, zf._columns)
+    else:
         den, num = np.empty_like(s2), np.empty_like(s2)
         for ce, co, d in nodes:
             np.add(one, np.multiply(s2, co, out=den), out=den)
@@ -464,14 +503,37 @@ def _lift(zf: ZolotarevFraction, x, y):
             else:
                 f *= np.divide(np.add(one, np.multiply(s2, ce, out=num), out=num), den, out=num)
             g *= np.divide(np.subtract(one, np.multiply(s2, d, out=num), out=num), den, out=num)
-    else:
-        for ce, co, d in nodes:
-            den = one + s2 * co
-            if ce is None:
-                f /= den
-            else:
-                f *= (one + s2 * ce) / den
-            g *= (one - s2 * d) / den
     if zf.reduction.m % 2:
         g *= y
+    return f, g
+
+
+def _node_block(f, g, one, s2, tail: bool, columns):
+    """``_lift``'s node sweep on an array s2, up to ``_BLOCK_CELLS // s2.size`` odd nodes per block.
+
+    Each block forms its factors 1 + s^2 c_o, 1 + s^2 c_e and 1 - s^2 d as
+    (nodes x points) arrays against the node columns of ``columns`` and takes
+    the ratios in place.  ``np.multiply.reduce`` over the rows [f, ratio_1,
+    ..., ratio_k] multiplies in row order, so F and G take the sweep's
+    products bit for bit, and each block carries them into the next; the
+    trailing odd node of even m (``tail``) divides F last.
+    """
+    ce, co, d = (c.reshape((-1,) + (1,) * s2.ndim) for c in columns)
+    step = max(_BLOCK_CELLS // s2.size, 1)
+    rows = np.empty((min(step, len(co)) + 1,) + s2.shape)
+    dens = np.empty_like(rows[1:])
+    for a in range(0, len(co), step):
+        k = len(co[a : a + step])
+        den = np.add(one, np.multiply(co[a : a + step], s2, out=dens[:k]), out=dens[:k])
+        ratios = rows[1 : k + 1]
+        np.divide(np.subtract(one, np.multiply(d[a : a + step], s2, out=ratios), out=ratios), den, out=ratios)
+        rows[0] = g
+        g = np.multiply.reduce(rows[: k + 1], axis=0)
+        k = len(ce[a : a + step])  # the trailing odd node has no even partner
+        ratios = rows[1 : k + 1]
+        np.divide(np.add(one, np.multiply(ce[a : a + step], s2, out=ratios), out=ratios), den[:k], out=ratios)
+        rows[0] = f
+        f = np.multiply.reduce(rows[: k + 1], axis=0)
+    if tail:
+        f /= den[-1]
     return f, g

@@ -204,6 +204,18 @@ class TestEval:
             inv_z(0.0 + 0.0j)
         assert exc.value.factor_index == 0
 
+    @pytest.mark.parametrize("point", [[1j, 1], (0.6, 0.8), None, "1j", b"1"])
+    def test_refuses_a_point_that_is_neither_a_number_nor_an_array(self, point):
+        # complex() would parse the string "1j", an optimum's point on the circle
+        for r in (ap.build_s(5, 1.0), ap.build_r(2, 1.0), ap.UnimodularRational(0, (0.5,), ap.Family.R_FAMILY)):
+            with pytest.raises(DomainError, match="a number or an ndarray"):
+                r(point)
+
+    def test_any_number_is_a_point(self):
+        s = ap.build_s(5, 1.0)
+        for point in (1, True, 0.5, np.float64(0.5), np.complex64(0.6 + 0.8j), np.int8(-1)):
+            assert s(point) == s(complex(point))
+
     def test_array_scalar_agree(self):
         s = ap.build_s(5, 0.8)
         pts = circle(17)

@@ -115,6 +115,91 @@ class TestScalarArrayBitwise:
         assert_bitwise([p[1] for p in pairs], right)
 
 
+def complex_bits(values):
+    values = np.asarray(values, dtype=complex)
+    return bits(values.real), bits(values.imag)
+
+
+# an array takes its odd nodes in blocks at most _BLOCK_POINTS points with at least _BLOCK_NODES
+# odd nodes, and sweeps them otherwise: batch sizes and degrees on both sides of each threshold
+SIZES = (ap._BLOCK_POINTS, ap._BLOCK_POINTS + 1)
+NODES = (ap._BLOCK_NODES - 1, ap._BLOCK_NODES)
+
+
+def ring(size):
+    """``size`` circle points, +-1 and +-i among them."""
+    return np.concatenate([np.exp(1j * np.linspace(-3.1, 3.1, size - 4)), [1.0, -1.0, 1j, -1j]])
+
+
+def blocks_taken(monkeypatch):
+    """The batch size of every ``_node_block`` call from now on."""
+    taken, block = [], ap._node_block
+
+    def counted(*args):
+        taken.append(args[3].size)
+        return block(*args)
+
+    monkeypatch.setattr(ap, "_node_block", counted)
+    return taken
+
+
+class TestBlockThresholds:
+    @pytest.mark.parametrize("size", SIZES)
+    @pytest.mark.parametrize("nodes", NODES)
+    @pytest.mark.parametrize("which", ["s_M", "1/s_M", "r_n"])
+    def test_scalar_and_array_agree_bit_for_bit(self, size, nodes, which, monkeypatch):
+        # s_M at M = 2 nodes (even, with the trailing odd node) and 2 nodes + 1; r_n at M = 2n + 1 = 2 nodes + 1
+        taken = blocks_taken(monkeypatch)
+        for m in (2 * nodes, 2 * nodes + 1):
+            r = {"s_M": ap.build_s(m, THETA), "1/s_M": ap.build_s(m, THETA).reciprocal(),
+                 "r_n": ap.build_r(m // 2, THETA)}[which]
+            z = ring(size)
+            scalars = [r(w) for w in z.tolist()]
+            taken.clear()
+            values = r(z)
+            assert taken == ([size] if size <= ap._BLOCK_POINTS and nodes >= ap._BLOCK_NODES else [])
+            assert all(type(v) is complex for v in scalars)
+            assert all(np.array_equal(a, b) for a, b in zip(complex_bits(scalars), complex_bits(values)))
+
+    @pytest.mark.parametrize("size", SIZES)
+    @pytest.mark.parametrize("nodes", NODES)
+    def test_even_F_product_past_the_far_field_and_at_nan(self, size, nodes):
+        zf = ap.ZolotarevFraction.from_ell(2 * nodes, ELL)
+        extra = [1.5, -3.0, 1e100, 1e160, -1e160, 1e200, math.nan]
+        xs = np.concatenate([np.linspace(-1.0, 1.0, size - len(extra)), extra])
+        F, G = ap.eval_F_product(zf, xs)
+        pairs = [ap.eval_F_product(zf, x) for x in xs.tolist()]
+        assert_bitwise([p[0] for p in pairs], F)
+        assert_bitwise([p[1] for p in pairs], G)
+        assert np.isnan(F[-1]) and np.isnan(G[-1]) and np.isfinite(F[:-1]).all() and np.isfinite(G[:-1]).all()
+
+    @pytest.mark.parametrize("shape", [(16, 64), (31, 33)])
+    @pytest.mark.parametrize("m", [2 * ap._BLOCK_NODES, 2 * ap._BLOCK_NODES + 1])
+    def test_a_2d_array_on_the_circle(self, shape, m):
+        # (16, 64) holds _BLOCK_POINTS points, (31, 33) one more than that
+        s = ap.build_s(m, THETA)
+        z = ring(shape[0] * shape[1])
+        values = s(z.reshape(shape))
+        assert values.shape == shape
+        scalars = [s(w) for w in z.tolist()]
+        assert all(np.array_equal(a, b) for a, b in zip(complex_bits(scalars), complex_bits(values.ravel())))
+
+    @pytest.mark.parametrize("m", [2, 3, 16, 17, 33, 64])
+    @pytest.mark.parametrize("per_block", [1, 3, 7, 8, 1000])
+    def test_blocks_carry_F_and_G_in_node_order(self, m, per_block, monkeypatch):
+        # blocks of per_block odd nodes (7 puts the trailing node of m = 16 alone in the last one)
+        # against the sweep: np.multiply.reduce must multiply the rows in order
+        zf = ap.ZolotarevFraction.from_ell(m, ELL)
+        xs = np.concatenate([line_grid(ELL), [math.nan]])
+        xy = (xs, np.sqrt((1.0 - xs) * (1.0 + xs)))
+        monkeypatch.setattr(ap, "_BLOCK_NODES", 1 << 62)
+        swept = ap._lift(zf, *xy)
+        monkeypatch.setattr(ap, "_BLOCK_NODES", 1)
+        monkeypatch.setattr(ap, "_BLOCK_CELLS", per_block * xs.size)
+        blocked = ap._lift(zf, *xy)
+        assert all(np.array_equal(bits(a), bits(b)) for a, b in zip(swept, blocked))
+
+
 class TestProductIsTheLift:
     # the real-line pair is the circle lift at y = sqrt((1 - x)(1 + x)); even m reads no y
     @pytest.mark.parametrize("m", [m for m in DEGREES if m % 2])
