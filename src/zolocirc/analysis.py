@@ -16,11 +16,13 @@ their count.  A report reads both and names its route in ``method``:
   second optimum of z6), names the report's problem and Theta.  Its M + 1
   alternation points per arc are known in closed form, from the even nodes
   of the optimum's ``ZolotarevFraction`` at M; the errors there are read in
-  relative precision through the lift F +- i sign(Im z)^M G.  One lift call
-  per arc over the ``grid_n``-point grid checks that no point exceeds the
-  amplitude by more than ``node_bound``; ``grid_size`` is ``grid_n``, and
-  nothing is refined or doubled.  A short count, a failed check or an
-  amplitude below the normal doubles raises PrecisionError.
+  relative precision through the lift F +- i sign(Im z)^M G.  The same lift
+  call, one for all arcs, reads each arc's ``grid_n``-point grid and checks
+  that no point exceeds the amplitude by more than ``node_bound``;
+  ``grid_size`` is ``grid_n``, and nothing is refined or doubled.  The
+  ``predicted`` arccos(lam) is read from the fraction's own reduction.  A
+  short count, a failed check or an amplitude below the normal doubles
+  raises PrecisionError.
 - ``"grid"``, for every other rational (a copy equal in value to an optimum,
   an optimum reported at another Theta or problem): one kernel
   (``_phase_error``, one exact 2 pi shift wrapping scalars and arrays
@@ -272,16 +274,18 @@ def _node_measure(r: UnimodularRational, theta: float, problem: str, grid_n: int
     t = np.concatenate([-half_t[centre:][::-1], half_t])
     x = np.concatenate([half_x[centre:][::-1], half_x])
     y = np.concatenate([-half_y[centre:][::-1], half_y])
-    per_arc, peak = [], 0.0
-    for mid, scale in _arcs(problem):
+    arcs, xs, ys, turns = _arcs(problem), [], [], []
+    for mid, scale in arcs:  # per arc the nodes, then the grid with Re z kept on the arc
         turn = math.cos(mid)  # the target +-1 of the arc
         w = np.linspace(mid - scale * theta, mid + scale * theta, grid_n) / scale  # the grid's z = e^{i w}
-        # one lift call: the nodes, then the grid with Re z kept on the arc
-        F, G = _lift(zf, np.concatenate([turn * x, turn * np.maximum(turn * np.cos(w), ell)]),
-                     np.concatenate([turn * y, np.sin(w)]))
-        e = sign * np.arctan2(turn * G, turn * F)  # the target -1 divides out as atan2(-G, -F)
-        per_arc.append(list(zip((mid + scale * t).tolist(), e[: t.size].tolist())))
-        peak = max(peak, float(np.abs(e[t.size :]).max()))
+        xs += [turn * x, turn * np.maximum(turn * np.cos(w), ell)]
+        ys += [turn * y, np.sin(w)]
+        turns.append([turn])
+    F, G = (v.reshape(len(arcs), -1) for v in _lift(zf, np.concatenate(xs), np.concatenate(ys)))  # a row per arc
+    turns = np.array(turns)
+    e = sign * np.arctan2(turns * G, turns * F)  # the target -1 divides out as atan2(-G, -F)
+    per_arc = [list(zip((mid + scale * t).tolist(), row[: t.size].tolist())) for (mid, scale), row in zip(arcs, e)]
+    peak = float(np.abs(e[:, t.size :]).max())
     bound = node_bound(effective, theta)
     amplitude, extrema, counts = _tally(per_arc, bound)
     if not sys.float_info.min <= amplitude:
@@ -304,8 +308,12 @@ def _phase_report(r: UnimodularRational, theta: float, grid_n: int, problem: str
     optimum = r._optimum
     nodes = optimum and optimum[1:3] == modulus and optimum[4] == problem and _node_measure(r, theta, problem, grid_n)
     amplitude, extrema, counts, grid_size = nodes or _certified_measure(_arc_jobs(r, theta, problem), grid_n, expected)
-    method = "nodes" if nodes else "grid"
-    return PhaseErrorReport(amplitude, theta_tilde(effective, theta), extrema, counts, grid_size, expected, method)
+    if nodes:  # arccos(lam) from the optimum's fraction: theta_tilde would repeat its solve_lambda(ell, M, ell')
+        red = r._optimum_fraction().reduction
+        predicted, method = math.atan2(red.lam_comp, red.lam), "nodes"
+    else:
+        predicted, method = theta_tilde(effective, theta), "grid"
+    return PhaseErrorReport(amplitude, predicted, extrema, counts, grid_size, expected, method)
 
 
 def phase_error_sqrt(r: UnimodularRational, theta: float, grid_n: int) -> PhaseErrorReport:

@@ -109,8 +109,8 @@ class UnimodularRational:
         r_0 = 1 (which the lift would round), takes the product of the
         factors: a scalar raises PoleError at a vanishing denominator (with
         the factor's index), an array yields inf/nan there.  A point that is
-        neither a number nor an ndarray (a list, None, a string) raises
-        DomainError.
+        neither a number nor an ndarray (a list, None, a string), or an int
+        past the doubles, raises DomainError.
         """
         array = isinstance(z, np.ndarray)
         if not array:
@@ -118,8 +118,8 @@ class UnimodularRational:
                 if isinstance(z, str):  # complex() would parse it
                     raise TypeError
                 z = complex(z)
-            except TypeError:
-                raise DomainError(f"an evaluation point is a number or an ndarray, got {z!r}") from None
+            except (TypeError, OverflowError):  # an int past the doubles overflows, and may have no repr
+                raise DomainError(f"an evaluation point is a number or an ndarray, got a {type(z).__name__}") from None
         if self._optimum is not None and self.factors:
             x, y = z.real, z.imag
             near = abs(x * x + y * y - 1.0) <= _ON_CIRCLE

@@ -4,6 +4,8 @@ These deliberately avoid the elliptic and approximants modules: K comes
 from the trapezoid rule on its periodic integrand, the Jacobi amplitude
 from Newton's method on the incomplete integral F(phi, ell) = u, and the
 degree-1 optimality check from a brute-force scan over the factor family.
+The amplitude takes a float or an ndarray of u at one modulus: an array
+runs Newton on all its points at once, each bit for bit its float call.
 The scan reads the error as twice the argument of P(t) = a e^{it/4} +
 e^{-3it/4} (on the circle the factor times e^{-it/2} is P^2/|P|^2), a
 real-arithmetic form independent of the complex path it checks.  The
@@ -11,10 +13,12 @@ search is a coarse scan of SCAN_SIZE log-spaced candidates at 2048 samples
 each, then nested zooms: 100 linear candidates per level at 8192 samples,
 over the four steps around the previous argmin, until the step is no
 coarser than the coarse bracket over SCAN_SIZE - 1 (three levels).  Each
-level finds its argmin with a bound pass first: every 16th sample of every
-candidate, cells of the full scan bit for bit, bounds its error from below,
-and only the candidates whose bound does not exceed the error of the least
-bound one are scanned in full.  The argmin is the full scan's, unchanged.
+level finds its argmin with two bound passes first: every 128th sample of
+every candidate, cells of the full scan bit for bit, bounds its error from
+below, and the least bound candidate is scanned in full; every 16th sample
+then bounds only the candidates the coarse bound cannot rule out, and only
+those whose bound does not exceed that error are scanned in full.  The
+argmin is the full scan's, unchanged.
 """
 
 from __future__ import annotations
@@ -38,6 +42,11 @@ class OracleResult:
 def _integrand(t, ell):
     """(1 - ell^2 sin^2 t)^(-1/2), as (cos^2 t + (1 - ell^2) sin^2 t)^(-1/2) to keep digits near ell = 1."""
     return 1.0 / np.sqrt(np.cos(t) ** 2 + (1.0 - ell) * (1.0 + ell) * np.sin(t) ** 2)
+
+
+def _slope(phi, ell):
+    """_integrand at Newton's iterates phi, squared by pow() as a float's ** 2 is (np.square rounds x * x)."""
+    return 1.0 / np.sqrt(np.float_power(np.cos(phi), 2) + (1.0 - ell) * (1.0 + ell) * np.float_power(np.sin(phi), 2))
 
 
 def oracle_K(ell: float) -> OracleResult:
@@ -77,22 +86,37 @@ def oracle_amplitude(u: float, ell: float) -> OracleResult:
     return _amplitude(u, ell, oracle_K(ell).value)
 
 
-def _amplitude(u: float, ell: float, K: float) -> OracleResult:
-    """oracle_amplitude's Newton body at a modulus already checked, its K = oracle_K(ell).value given."""
-    if not abs(u) <= 2.0 * K + 1e-9:  # written so that a NaN u is refused too
-        raise DomainError(f"|u| must not exceed 2K = {2 * K!r}, got {u!r}")
-    if u == 0.0:
-        return OracleResult(0.0, 0.0, 0)
-    (nodes, weights), phi = _gauss_legendre(), 0.5 * math.pi
-    for steps in range(1, 33):
-        edges = np.minimum(_EDGES, phi)
-        half = 0.5 * np.diff(edges)[:, None]
-        F = float(np.sum(half * weights * _integrand(edges[:-1, None] + half * (1.0 + nodes), ell)))
-        step = (F - abs(u)) / float(_integrand(phi, ell))
-        phi -= step
-        if abs(step) <= 1e-12:
-            return OracleResult(math.copysign(phi, u), abs(step), steps * half.size * nodes.size)
-    raise ConvergenceError(f"amplitude Newton iteration unconverged at u={u!r}, ell={ell!r}")
+def _amplitude(u, ell: float, K: float) -> OracleResult:
+    """oracle_amplitude's Newton body at a modulus already checked, its K = oracle_K(ell).value given.
+
+    u is a float or an ndarray.  An ndarray runs Newton on all its points at once, each
+    dropping out after its own last step, so each field is an array of u's shape whose
+    entries are the float call's bit for bit.
+    """
+    x = np.asarray(u, dtype=float).ravel()
+    target = np.abs(x)
+    inside = target <= 2.0 * K + 1e-9  # written so that a NaN u is refused too
+    if not inside.all():
+        raise DomainError(f"|u| must not exceed 2K = {2 * K!r}, got {float(x[np.argmin(inside)])!r}")
+    nodes, weights = _gauss_legendre()
+    cells = (len(_EDGES) - 1) * nodes.size
+    phi, step, steps = np.where(target == 0.0, 0.0, 0.5 * math.pi), np.zeros(x.size), np.zeros(x.size, int)
+    live = np.flatnonzero(target)  # u = 0 is 0 at once
+    for n in range(1, 33):
+        if not live.size:
+            break
+        p = phi[live]
+        edges = np.minimum(_EDGES, p[:, None])
+        half = 0.5 * np.diff(edges)[..., None]
+        cell = half * weights * _integrand(edges[:, :-1, None] + half * (1.0 + nodes), ell)
+        # F per point: the pairwise sum over its contiguous cells, as np.sum took of one point's block
+        delta = (np.sum(cell.reshape(len(live), cells), axis=1) - target[live]) / _slope(p, ell)
+        phi[live], step[live], steps[live] = p - delta, np.abs(delta), n
+        live = live[~(np.abs(delta) <= 1e-12)]
+    if live.size:
+        raise ConvergenceError(f"amplitude Newton iteration unconverged at u={float(x[live[0]])!r}, ell={ell!r}")
+    fields = np.copysign(phi, x) + 0.0, step, steps * cells  # + 0.0 turns the -0.0 of u = -0.0 into 0.0
+    return OracleResult(*(f.reshape(u.shape) if isinstance(u, np.ndarray) else f.item() for f in fields))
 
 
 def oracle_sn(u: float, ell: float) -> OracleResult:
@@ -105,8 +129,10 @@ def oracle_sn(u: float, ell: float) -> OracleResult:
 # this size stay resident.  Larger blocks scan slightly faster but raise
 # the peak RSS of a selftest sweep.
 _BLOCK_CELLS = 1 << 14
-# The argmin's bound pass reads every _BOUND_STRIDE-th sample and the last;
-# finer strides bound closer but cost more cells.
+# The argmin's bound passes read every _COARSE_STRIDE-th, then every
+# _BOUND_STRIDE-th sample and the last; finer strides bound closer but
+# cost more cells.
+_COARSE_STRIDE = 128
 _BOUND_STRIDE = 16
 # The minimax search: SCAN_SIZE log-spaced candidates a over SCAN_RANGE, then
 # nested zooms of _ZOOM_SIZE linear ones over the four steps around the last
@@ -186,22 +212,30 @@ def _scan_max_phase_errors(a: np.ndarray, theta: float, samples: int) -> np.ndar
 def _argmin_max_phase_error(a: np.ndarray, theta: float, samples: int) -> int:
     """int(np.argmin(_scan_max_phase_errors(a, theta, samples))), with few candidates scanned in full.
 
-    The bound pass reads each candidate's ratio at every _BOUND_STRIDE-th
-    sample and the last, indexed from the full grid's arrays, so each is a
-    cell of its full scan bit for bit; 2 atan of their max is then at most
-    the candidate's refined error, up to a few ulps (the parabola through
-    the peak only raises it).  The least bound candidate is scanned in full
-    for `best`; any candidate whose bound exceeds best by more than 1e-12
-    relative has a larger error and cannot be the argmin.  The rest, NaN
-    bounds among them, are scanned in full, and the first argmin among them
-    in their original order is returned.
+    A bound pass reads each candidate's ratio at every stride-th sample and
+    the last, indexed from the full grid's arrays, so each is a cell of its
+    full scan bit for bit; 2 atan of their max is then at most the
+    candidate's refined error, up to a few ulps (the parabola through the
+    peak only raises it).  The coarse pass (_COARSE_STRIDE) bounds every
+    candidate, and the least bound one is scanned in full for `best`; any
+    candidate whose bound exceeds best by more than 1e-12 relative has a
+    larger error and cannot be the argmin.  The fine pass (_BOUND_STRIDE)
+    bounds only the candidates the coarse one keeps and rules out more by
+    the same test.  The rest, NaN bounds among them, are scanned in full, and
+    the first argmin among them in their original order is returned.
     """
     c1, s1, c3, s3 = _sqrt_arc(theta, samples)
-    sub = np.append(np.arange(0, samples, _BOUND_STRIDE), samples - 1)
-    bound = 2.0 * np.arctan(_reduce_ratios(a, c1[sub], s1[sub], c3[sub], s3[sub], np.max, float))
-    i = int(np.argmin(bound))
+
+    def bound(kept, stride):
+        sub = np.append(np.arange(0, samples, stride), samples - 1)
+        return 2.0 * np.arctan(_reduce_ratios(a[kept], c1[sub], s1[sub], c3[sub], s3[sub], np.max, float))
+
+    coarse = bound(slice(None), _COARSE_STRIDE)
+    i = int(np.argmin(coarse))
     best = _scan_max_phase_errors(a[i:i + 1], theta, samples)[0]
-    kept = np.flatnonzero(~(bound > best + 1e-12 * abs(best)))
+    limit = best + 1e-12 * abs(best)
+    kept = np.flatnonzero(~(coarse > limit))
+    kept = kept[~(bound(kept, _BOUND_STRIDE) > limit)]
     return int(kept[np.argmin(_scan_max_phase_errors(a[kept], theta, samples))])
 
 
@@ -232,9 +266,10 @@ def oracle_minimax_degree1(theta: float) -> float:
     coarser than the coarse bracket over SCAN_SIZE - 1 (three levels);
     returns the last argmin.  It relies on the error curve being unimodal
     near the coarse minimum.  Each level's argmin comes from
-    _argmin_max_phase_error: a bound pass over every 16th sample of every
-    candidate, then full scans of only the candidates the bound cannot rule
-    out; the argmin, and so the result, is that of the full scan, bit for bit.
+    _argmin_max_phase_error: a bound pass over every 128th sample of every
+    candidate, one over every 16th of those it keeps, then full scans of only
+    the candidates the bounds cannot rule out; the argmin, and so the result,
+    is that of the full scan, bit for bit.
     """
     _require_theta(theta)
     grid = np.exp(np.linspace(math.log(SCAN_RANGE[0]), math.log(SCAN_RANGE[1]), SCAN_SIZE))

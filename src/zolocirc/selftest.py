@@ -102,6 +102,13 @@ def criterion_4():
     return ("structural identity", worst <= 1e-11, f"worst residual = {worst:.3e}")
 
 
+def _u_grid(ell: float, ell_comp: float, nome: tuple) -> np.ndarray:
+    """Rows sn, cn, dn at u_k = k K(ell)/64, k = 0..64, past k = 32 by ``_sncndn``'s own reflection, bit for bit."""
+    nodes = [elliptic._sncndn(k, 64, ell, ell_comp, nome) for k in range(33)]
+    nodes += [(cn / dn, ell_comp * sn / dn, ell_comp / dn) for sn, cn, dn in nodes[31::-1]]
+    return np.array(nodes).T
+
+
 def criterion_5():
     """Factored product vs F/G lift (1e-11); direct vs product F (1e-10).
 
@@ -120,17 +127,14 @@ def criterion_5():
             product = approximants.UnimodularRational(s.quarter_turns, s.factors, s.family)(circle)
             worst_lift = max(worst_lift, float(np.max(np.abs(product - s(circle)))))
 
-    def u_grid(ell, ell_comp, nome):  # rows sn, cn, dn at u_k = k K(ell)/64, k = 0..64
-        return np.array([elliptic._sncndn(k, 64, ell, ell_comp, nome) for k in range(65)]).T
-
     worst_fg = 0.0
     for theta in (0.5, 1.0, 1.4):
         fractions = [approximants.ZolotarevFraction.from_ell(m, *elliptic.require_theta(theta)) for m in M_SWEEP]
         mod = fractions[0].reduction.modulus
-        x = mod.ell * u_grid(mod.ell, mod.ell_comp, mod.nome)[0]
+        x = mod.ell * _u_grid(mod.ell, mod.ell_comp, mod.nome)[0]
         for zf in fractions:
             red = zf.reduction
-            sn, _, dn = u_grid(red.lam, red.lam_comp, red.nome)
+            sn, _, dn = _u_grid(red.lam, red.lam_comp, red.nome)
             for sign in (1.0, -1.0):  # F is odd and G even
                 F, G = approximants.eval_F_product(zf, sign * x)
                 worst_fg = max(worst_fg, float(np.max(np.abs([sign * red.lam * sn - F, dn - G]))))
@@ -198,16 +202,15 @@ def criterion_7():
 
 def criterion_8():
     """Main paths agree with the independent oracles."""
-    worst_k = 0.0
-    for ell in [0.0] + [i / 20 for i in range(1, 20)]:
-        worst_k = max(worst_k, abs(oracle.oracle_K(ell).value - elliptic.complete_K(ell)))
+    moduli = [0.0] + [i / 20 for i in range(1, 20)]
+    quarters = [oracle.oracle_K(ell).value for ell in moduli]
+    worst_k = max(abs(K - elliptic.complete_K(ell)) for ell, K in zip(moduli, quarters))
     worst_j = 0.0
-    for ell in (0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95):
-        quarter = elliptic.complete_K(ell)
-        K = oracle.oracle_K(ell).value  # once per modulus: oracle_amplitude(u, ell) is _amplitude(u, ell, K)
-        for frac in (-2.0, -1.5, -0.7, -0.2, 0.3, 0.6, 1.0, 1.4, 1.9):
-            u = frac * quarter
-            phi = oracle._amplitude(u, ell, K).value
+    fracs = np.array((-2.0, -1.5, -0.7, -0.2, 0.3, 0.6, 1.0, 1.4, 1.9))
+    for ell, K in zip(moduli[1::3], quarters[1::3]):  # ell = 0.05, 0.2, ..., 0.95 with their oracle K
+        us = fracs * elliptic.complete_K(ell)
+        # one Newton run per modulus: each phi is oracle_amplitude(u, ell)'s bit for bit
+        for u, phi in zip(us.tolist(), oracle._amplitude(us, ell, K).value.tolist()):
             sn, cn, dn = elliptic.jacobi_sncndn(u, ell)
             worst_j = max(
                 worst_j,

@@ -195,6 +195,18 @@ class TestOneSetupPerItem:
         assert not ok
         assert float(detail.rpartition("direct-vs-product = ")[2]) > 1e-10
 
+    def test_criterion_5_reflected_u_grid_is_the_direct_one(self):
+        # the 27 grids of a sweep: each Theta's modulus and its 8 reductions
+        for theta in (0.5, 1.0, 1.4):
+            ell, ell_comp = elliptic.require_theta(theta)
+            pairs = [elliptic.EllipticModulus.from_ell(ell, ell_comp)]
+            pairs += [elliptic.solve_lambda(ell, m, ell_comp) for m in selftest.M_SWEEP]
+            for pair in pairs:
+                args = (pair.ell, pair.ell_comp) if pair is pairs[0] else (pair.lam, pair.lam_comp)
+                direct = np.array([elliptic._sncndn(k, 64, *args, pair.nome) for k in range(65)]).T
+                reflected = selftest._u_grid(*args, pair.nome)
+                assert reflected.shape == (3, 65) and reflected.tobytes() == direct.tobytes()
+
     def test_criterion_7_fails_on_a_moved_blaschke_parameter(self, monkeypatch):
         blaschke_h = connections.blaschke_h
 
@@ -219,9 +231,12 @@ class TestOneSetupPerItem:
         monkeypatch.setattr(oracle, "_amplitude", recorded)
         assert selftest.criterion_8()[1]
         monkeypatch.undo()
-        assert len(calls) == 63
-        for u, ell, result in calls:
-            assert oracle.oracle_amplitude(u, ell) == result
+        # one array call per modulus, 9 u each: 63 amplitudes, each the public float call's bit for bit
+        assert [(type(u), u.shape, ell) for u, ell, _ in calls] == [
+            (np.ndarray, (9,), ell) for ell in (0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95)]
+        for us, ell, result in calls:
+            for u, value, error, evaluations in zip(us.tolist(), *(f.tolist() for f in dataclasses.astuple(result))):
+                assert oracle.oracle_amplitude(u, ell) == oracle.OracleResult(value, error, evaluations)
 
     def test_one_sweep_does_each_setup_once(self, monkeypatch):
         counts = {}
@@ -242,6 +257,6 @@ class TestOneSetupPerItem:
             count(module, name)
         assert all(ok for _, _, ok, _ in selftest.run_all())
         # no sn is inverted; criterion 7 builds h 9 times for its composition law and once
-        # per bridge call, criterion 8 runs the trapezoid rule at 20 moduli, then once at each of 7
-        limits = {"inverse_sn": 0, "eval_F_direct": 0, "_carlson_rf": 0, "blaschke_h": 13, "oracle_K": 27}
+        # per bridge call, criterion 8 runs the trapezoid rule at 20 moduli, its amplitudes' 7 among them
+        limits = {"inverse_sn": 0, "eval_F_direct": 0, "_carlson_rf": 0, "blaschke_h": 13, "oracle_K": 20}
         assert all(counts.get(name, 0) <= limit for name, limit in limits.items()), counts

@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -209,6 +210,14 @@ class TestEval:
         # complex() would parse the string "1j", an optimum's point on the circle
         for r in (ap.build_s(5, 1.0), ap.build_r(2, 1.0), ap.UnimodularRational(0, (0.5,), ap.Family.R_FAMILY)):
             with pytest.raises(DomainError, match="a number or an ndarray"):
+                r(point)
+
+    @pytest.mark.parametrize("point", [10**400, -(10**400), Fraction(10**400, 3), 10**5000],
+                             ids=["10**400", "-10**400", "fraction", "10**5000"])
+    def test_refuses_a_number_past_the_doubles(self, point):
+        # complex() raises OverflowError; 10**5000 also has more digits than repr() may print
+        for r in (ap.build_s(5, 1.0), ap.UnimodularRational(0, (0.5,), ap.Family.R_FAMILY)):
+            with pytest.raises(DomainError, match="a number or an ndarray, got a (int|Fraction)"):
                 r(point)
 
     def test_any_number_is_a_point(self):

@@ -207,6 +207,27 @@ def test_a_report_on_an_optimum_builds_nothing_and_keeps_one_fraction(monkeypatc
     assert calls == [s._optimum[:3], r._optimum[:3]]
 
 
+def test_a_node_report_makes_one_lift_call_and_reads_arccos_lam_from_its_fraction(monkeypatch):
+    lift, sizes = an._lift, []
+
+    def counted(zf, x, y):
+        sizes.append(x.size)
+        return lift(zf, x, y)
+
+    def forbidden(*args):
+        raise AssertionError("theta_tilde repeats the fraction's solve_lambda")
+
+    s, r = ap.build_s(7, 1.0), ap.build_r(3, 1.0)
+    monkeypatch.setattr(an, "_lift", counted)
+    monkeypatch.setattr(an, "theta_tilde", forbidden)
+    z6, z5 = an.phase_error_sign(s, 1.0, 64), an.phase_error_sqrt(r, 1.0, 64)
+    # M = 7 for both: M + 1 nodes and 64 grid points per arc, the two arcs of z6 in one call
+    assert sizes == [2 * (8 + 64), 8 + 64]
+    monkeypatch.undo()
+    assert (z6.method, z5.method) == ("nodes", "nodes")
+    assert z6.predicted == z5.predicted == an.theta_tilde(7, 1.0)
+
+
 def test_the_second_optimum_keeps_the_first_ones_fraction(monkeypatch):
     s, from_ell, calls = ap.build_s(7, 1.0), ap.ZolotarevFraction.from_ell, []
 

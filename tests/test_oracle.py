@@ -88,6 +88,64 @@ class TestOracleSn:
             orc.oracle_amplitude(1.0, 0.5)
 
 
+def float_amplitude(u, ell, K):
+    """The amplitude's Newton body as it was on floats alone, kept as the reference of the array body.
+
+    Its slope reads _integrand at a float phi, whose ** 2 calls C's pow(x, 2); np.square on an array
+    rounds x * x, which differs from it by an ulp at some phi (u = -1.81300786161215, ell = 0.95).
+    """
+    if u == 0.0:
+        return orc.OracleResult(0.0, 0.0, 0)
+    (nodes, weights), phi = orc._gauss_legendre(), 0.5 * math.pi
+    for steps in range(1, 33):
+        edges = np.minimum(orc._EDGES, phi)
+        half = 0.5 * np.diff(edges)[:, None]
+        F = float(np.sum(half * weights * orc._integrand(edges[:-1, None] + half * (1.0 + nodes), ell)))
+        step = (F - abs(u)) / float(orc._integrand(phi, ell))
+        phi -= step
+        if abs(step) <= 1e-12:
+            return orc.OracleResult(math.copysign(phi, u), abs(step), steps * half.size * nodes.size)
+    raise AssertionError(f"unconverged at u={u!r}")
+
+
+class TestArrayAmplitude:
+    @pytest.mark.parametrize("ell", [0.0, 0.05, 0.5, 0.8, 0.95, 0.999, 1.0 - 1e-6])
+    def test_equals_the_float_body_bit_for_bit(self, ell):
+        K = orc.oracle_K(ell).value
+        rng = np.random.default_rng(round(ell * 1e6))
+        us = np.r_[rng.uniform(-2.0 * K, 2.0 * K, 40), 0.0, -0.0, 2.0 * K, -2.0 * K, 1e-300, -1.81300786161215]
+        us = us.reshape(2, 23)
+        res = orc._amplitude(us, ell, K)
+        assert all(field.shape == us.shape for field in (res.value, res.estimated_error, res.evaluations))
+        for u, value, error, evaluations in zip(
+                us.ravel().tolist(), res.value.ravel().tolist(), res.estimated_error.ravel().tolist(),
+                res.evaluations.ravel().tolist()):
+            ref, one = float_amplitude(u, ell, K), orc._amplitude(u, ell, K)
+            assert (value.hex(), error.hex(), evaluations) == (
+                ref.value.hex(), ref.estimated_error.hex(), ref.evaluations)
+            assert (one.value.hex(), one.estimated_error.hex(), one.evaluations) == (
+                value.hex(), error.hex(), evaluations)
+
+    def test_zero_is_zero_at_no_evaluations(self):
+        res = orc._amplitude(np.array([0.0, -0.0, 1.0]), 0.5, orc.oracle_K(0.5).value)
+        assert [v.hex() for v in res.value[:2].tolist()] == [(0.0).hex()] * 2  # no -0.0
+        assert res.estimated_error[:2].tolist() == [0.0, 0.0] and res.evaluations[:2].tolist() == [0, 0]
+        assert res.value[2] > 0.0 and res.evaluations[2] > 0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 2.0 * el.complete_K(0.5) + 1e-6])
+    def test_refuses_a_nan_or_a_u_past_2K(self, bad):
+        K = orc.oracle_K(0.5).value
+        with pytest.raises(DomainError, match="must not exceed 2K"):
+            orc._amplitude(np.array([0.5, bad, -0.5]), 0.5, K)
+        with pytest.raises(DomainError, match="must not exceed 2K"):
+            orc._amplitude(-bad, 0.5, K)
+
+    def test_an_unconverged_array_raises_at_its_step_cap(self, monkeypatch):
+        monkeypatch.setattr(orc, "_integrand", lambda t, ell: np.full(np.shape(t), math.nan))
+        with pytest.raises(ConvergenceError, match=r"unconverged at u=1\.0, ell=0\.5"):
+            orc._amplitude(np.array([0.0, 1.0, 2.0]), 0.5, el.complete_K(0.5))
+
+
 KERNEL_THETAS = [1e-3, 0.3, 1.0, 1.4, 0.5 * math.pi - 1e-3]
 
 
@@ -261,6 +319,50 @@ class TestBoundedArgmin:
     @pytest.mark.parametrize("theta", np.linspace(1e-6, 0.5 * math.pi - 1e-4, 12))
     def test_minimax_is_the_full_scan_search_bit_for_bit(self, theta):
         assert orc.oracle_minimax_degree1(theta) == full_scan_minimax(theta)
+
+
+class TestBoundPasses:
+    @pytest.mark.parametrize("theta", [0.3, 1.0, 1.5])
+    def test_the_coarse_pass_runs_first_and_leaves_the_fine_one_few_candidates(self, monkeypatch, theta):
+        passes, reduce_ratios = [], orc._reduce_ratios
+
+        def recorded(a, c1, s1, c3, s3, reduce, dtype):
+            if reduce is np.max:
+                passes.append((len(a), len(c1)))
+            return reduce_ratios(a, c1, s1, c3, s3, reduce, dtype)
+
+        monkeypatch.setattr(orc, "_reduce_ratios", recorded)
+        a = np.exp(np.linspace(math.log(orc.SCAN_RANGE[0]), math.log(orc.SCAN_RANGE[1]), orc.SCAN_SIZE))
+        index = orc._argmin_max_phase_error(a, theta, 2048)
+        # every 128th sample and the last of every candidate, then every 16th of the few kept
+        (coarse, coarse_samples), (fine, fine_samples) = passes
+        assert (coarse, coarse_samples, fine_samples) == (orc.SCAN_SIZE, 2048 // 128 + 1, 2048 // 16 + 1)
+        assert fine <= 10
+        monkeypatch.undo()
+        assert index == full_scan_argmin(a, theta, 2048)
+
+    def test_the_fine_pass_rules_out_what_the_coarse_one_keeps(self, monkeypatch):
+        calls, reduce_ratios, inner = [], orc._reduce_ratios, orc._scan_max_phase_errors
+
+        def bounded(a, c1, s1, c3, s3, reduce, dtype):
+            if reduce is np.max:
+                calls.append(("bound", len(a)))
+            return reduce_ratios(a, c1, s1, c3, s3, reduce, dtype)
+
+        def scanned(a, theta, samples):
+            calls.append(("scan", len(a)))
+            return inner(a, theta, samples)
+
+        monkeypatch.setattr(orc, "_reduce_ratios", bounded)
+        monkeypatch.setattr(orc, "_scan_max_phase_errors", scanned)
+        a = np.linspace(2.26, 2.263, orc._ZOOM_SIZE)  # a fine zoom around the argmin 2.2615... at Theta = 1
+        index = orc._argmin_max_phase_error(a, 1.0, 8192)
+        assert [kind for kind, _ in calls] == ["bound", "scan", "bound", "scan"]
+        (_, coarse), (_, least), (_, fine), (_, full) = calls
+        # all 100, the least bound one, the candidates the coarse bound keeps, those the fine one keeps
+        assert (coarse, least) == (orc._ZOOM_SIZE, 1) and 1 <= full < fine < coarse
+        monkeypatch.undo()
+        assert index == full_scan_argmin(a, 1.0, 8192)
 
 
 class TestOneArcPerLevel:
