@@ -467,11 +467,11 @@ def _lift(zf: ZolotarevFraction, x, y):
     F's far-field limit on |s| the ratios are taken in 1/s^2, as F's are.
     Circle points, |x| <= 1 + 1e-9, have |s| < 1.0e8 since ell > ELL_MIN,
     while the limit is about 1.3e154 K(ell')/m (7.0e152 at m = 40, Theta =
-    1.0), so the test is skipped there.  A float sweeps the odd nodes; an
-    array of at most ``_BLOCK_POINTS`` points with at least ``_BLOCK_NODES``
-    odd nodes takes them as blocks (``_node_block``), any other array sweeps
-    them in preallocated buffers: every order does the same operations in
-    the same order, so all agree bit for bit.
+    1.0), so the test is skipped there.  A float sweeps the odd nodes; a
+    nonempty array of at most ``_BLOCK_POINTS`` points with at least
+    ``_BLOCK_NODES`` odd nodes takes them as blocks (``_node_block``), any
+    other array sweeps them in preallocated buffers: every order does the
+    same operations in the same order, so all agree bit for bit.
     """
     ell, lam, M, _, tail, limit, nodes = zf._kernel
     s = x / ell
@@ -492,7 +492,7 @@ def _lift(zf: ZolotarevFraction, x, y):
             else:
                 f *= (one + s2 * ce) / den
             g *= (one - s2 * d) / den
-    elif s2.size <= _BLOCK_POINTS and len(nodes) >= _BLOCK_NODES:
+    elif 0 < s2.size <= _BLOCK_POINTS and len(nodes) >= _BLOCK_NODES:
         f, g = _node_block(f, g, one, s2, tail is not None, zf._columns)
     else:
         den, num = np.empty_like(s2), np.empty_like(s2)

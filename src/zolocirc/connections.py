@@ -108,10 +108,7 @@ def blaschke_s_relation(m: int, ell: float, z):
     m, kappa, z, x = _moebius_image(m, ell, z)
     off = (np.abs(x.imag) > 1e-9) | (np.abs(x.real) > 1.0)
     _refuse(off, BranchError, "Moebius image {!r} leaves [-1, 1]; no unit-circle w", x)
-    if isinstance(x, np.ndarray):
-        w = x.real + 1j * np.sqrt((1.0 - x.real) * (1.0 + x.real))
-    else:
-        w = complex(x.real, complement(x.real))
+    w = x.real + 1j * np.sqrt((1.0 - x.real) * (1.0 + x.real))
     require_modulus(kappa, "kappa")  # s_m is built at acos(kappa)
     lhs = _h_side(m, ell, z)
     lam_kappa = solve_lambda(kappa, m).lam

@@ -13,12 +13,12 @@ search is a coarse scan of SCAN_SIZE log-spaced candidates at 2048 samples
 each, then nested zooms: 100 linear candidates per level at 8192 samples,
 over the four steps around the previous argmin, until the step is no
 coarser than the coarse bracket over SCAN_SIZE - 1 (three levels).  Each
-level finds its argmin with two bound passes first: every 128th sample of
+level finds its argmin with one bound pass first: every 128th sample of
 every candidate, cells of the full scan bit for bit, bounds its error from
-below, and the least bound candidate is scanned in full; every 16th sample
-then bounds only the candidates the coarse bound cannot rule out, and only
-those whose bound does not exceed that error are scanned in full.  The
-argmin is the full scan's, unchanged.
+below; the least bound candidate is scanned in full, and then only the
+candidates whose bound does not exceed that error.  The argmin is the full
+scan's, unchanged.  A search builds one trig grid per sample count and
+passes it down; no grid outlives the call.
 """
 
 from __future__ import annotations
@@ -129,11 +129,12 @@ def oracle_sn(u: float, ell: float) -> OracleResult:
 # this size stay resident.  Larger blocks scan slightly faster but raise
 # the peak RSS of a selftest sweep.
 _BLOCK_CELLS = 1 << 14
-# The argmin's bound passes read every _COARSE_STRIDE-th, then every
-# _BOUND_STRIDE-th sample and the last; finer strides bound closer but
-# cost more cells.
-_COARSE_STRIDE = 128
-_BOUND_STRIDE = 16
+# The argmin's bound pass reads every _BOUND_STRIDE-th sample and the last:
+# a finer stride bounds closer but costs more cells.  Of 32, 64, 128 and 256,
+# 128 is the fastest, within 1%, at Theta = 1.0 (where criterion 8 searches)
+# and at 1.5707; 256 is faster at 0.3, 0.5 and 1.4 but over 25% slower at
+# 1.5707 (tests/data/oracle_strides.py, table in CHANGES.md).
+_BOUND_STRIDE = 128
 # The minimax search: SCAN_SIZE log-spaced candidates a over SCAN_RANGE, then
 # nested zooms of _ZOOM_SIZE linear ones over the four steps around the last
 # argmin until the step is at most the coarse bracket / (SCAN_SIZE - 1); each
@@ -148,19 +149,10 @@ def _require_theta(theta: float) -> None:
         raise DomainError(f"theta must lie in (0, pi/2), got {theta!r}")
 
 
-@functools.lru_cache(maxsize=1)
 def _sqrt_arc(theta: float, samples: int):
-    """cos and sin of t/4 and 3t/4 at the scan's samples t of [-2 theta, 2 theta], read-only.
-
-    One grid is kept while a search runs: a level's bound pass and its full
-    scans share it, and so do the zoom levels.  The public entry points drop
-    it when they return, so no grid stays resident or serves a later call.
-    """
+    """cos and sin of t/4 and 3t/4 at the scan's samples t of [-2 theta, 2 theta]."""
     ts = np.linspace(-2.0 * theta, 2.0 * theta, samples)
-    arc = np.cos(0.25 * ts), np.sin(0.25 * ts), np.cos(0.75 * ts), np.sin(0.75 * ts)
-    for a in arc:
-        a.flags.writeable = False
-    return arc
+    return np.cos(0.25 * ts), np.sin(0.25 * ts), np.cos(0.75 * ts), np.sin(0.75 * ts)
 
 
 def _reduce_ratios(a, c1, s1, c3, s3, reduce, dtype) -> np.ndarray:
@@ -184,8 +176,8 @@ def _reduce_ratios(a, c1, s1, c3, s3, reduce, dtype) -> np.ndarray:
     return out
 
 
-def _scan_max_phase_errors(a: np.ndarray, theta: float, samples: int) -> np.ndarray:
-    """Refined max phase error of every candidate a on the dense sqrt-arc grid.
+def _scan_max_phase_errors(a: np.ndarray, arc) -> np.ndarray:
+    """Refined max phase error of every candidate a on the dense sqrt-arc grid arc = _sqrt_arc(...).
 
     With P(t) = a e^{it/4} + e^{-3it/4}, the error factor on z = e^{it}
     is (1 + a z)/(z + a) e^{-it/2} = P^2/|P|^2, so the wrapped |error| is
@@ -194,7 +186,8 @@ def _scan_max_phase_errors(a: np.ndarray, theta: float, samples: int) -> np.ndar
     without any transcendental call; atan2 runs only at the peak and its
     two neighbours, which feed the parabolic refinement.
     """
-    c1, s1, c3, s3 = _sqrt_arc(theta, samples)
+    c1, s1, c3, s3 = arc
+    samples = len(c1)
     peak = _reduce_ratios(a, c1, s1, c3, s3, np.argmax, np.intp)
 
     def error_at(i):
@@ -209,34 +202,25 @@ def _scan_max_phase_errors(a: np.ndarray, theta: float, samples: int) -> np.ndar
     return np.where(edge, error_at(peak), refined)
 
 
-def _argmin_max_phase_error(a: np.ndarray, theta: float, samples: int) -> int:
-    """int(np.argmin(_scan_max_phase_errors(a, theta, samples))), with few candidates scanned in full.
+def _argmin_max_phase_error(a: np.ndarray, arc) -> int:
+    """int(np.argmin(_scan_max_phase_errors(a, arc))), with few candidates scanned in full.
 
-    A bound pass reads each candidate's ratio at every stride-th sample and
-    the last, indexed from the full grid's arrays, so each is a cell of its
-    full scan bit for bit; 2 atan of their max is then at most the
-    candidate's refined error, up to a few ulps (the parabola through the
-    peak only raises it).  The coarse pass (_COARSE_STRIDE) bounds every
-    candidate, and the least bound one is scanned in full for `best`; any
-    candidate whose bound exceeds best by more than 1e-12 relative has a
-    larger error and cannot be the argmin.  The fine pass (_BOUND_STRIDE)
-    bounds only the candidates the coarse one keeps and rules out more by
-    the same test.  The rest, NaN bounds among them, are scanned in full, and
-    the first argmin among them in their original order is returned.
+    The bound pass reads each candidate's ratio at every _BOUND_STRIDE-th
+    sample and the last, indexed from the full grid's arrays, so each is a
+    cell of its full scan bit for bit; 2 atan of their max is then at most
+    the candidate's refined error, up to a few ulps (the parabola through
+    the peak only raises it).  The least bound candidate is scanned in full
+    for `best`; any candidate whose bound exceeds best by more than 1e-12
+    relative has a larger error and cannot be the argmin.  The rest, NaN
+    bounds among them, are scanned in full, and the first argmin among them
+    in their original order is returned.
     """
-    c1, s1, c3, s3 = _sqrt_arc(theta, samples)
-
-    def bound(kept, stride):
-        sub = np.append(np.arange(0, samples, stride), samples - 1)
-        return 2.0 * np.arctan(_reduce_ratios(a[kept], c1[sub], s1[sub], c3[sub], s3[sub], np.max, float))
-
-    coarse = bound(slice(None), _COARSE_STRIDE)
-    i = int(np.argmin(coarse))
-    best = _scan_max_phase_errors(a[i:i + 1], theta, samples)[0]
-    limit = best + 1e-12 * abs(best)
-    kept = np.flatnonzero(~(coarse > limit))
-    kept = kept[~(bound(kept, _BOUND_STRIDE) > limit)]
-    return int(kept[np.argmin(_scan_max_phase_errors(a[kept], theta, samples))])
+    sub = np.append(np.arange(0, len(arc[0]), _BOUND_STRIDE), len(arc[0]) - 1)
+    bound = 2.0 * np.arctan(_reduce_ratios(a, *(part[sub] for part in arc), np.max, float))
+    i = int(np.argmin(bound))
+    best = _scan_max_phase_errors(a[i:i + 1], arc)[0]
+    kept = np.flatnonzero(~(bound > best + 1e-12 * abs(best)))
+    return int(kept[np.argmin(_scan_max_phase_errors(a[kept], arc))])
 
 
 def degree1_max_phase_error(a: float, theta: float, samples: int = 8192) -> float:
@@ -252,9 +236,7 @@ def degree1_max_phase_error(a: float, theta: float, samples: int = 8192) -> floa
         raise DomainError(f"a must be positive and finite, got {a!r}")
     if not isinstance(samples, (int, np.integer)) or samples < 3:  # a bool is an int below 3
         raise DomainError(f"samples must be an integer of at least 3, got {samples!r}")
-    error = float(_scan_max_phase_errors(np.array([a], dtype=float), theta, samples)[0])
-    _sqrt_arc.cache_clear()
-    return error
+    return float(_scan_max_phase_errors(np.array([a], dtype=float), _sqrt_arc(theta, samples))[0])
 
 
 def oracle_minimax_degree1(theta: float) -> float:
@@ -267,17 +249,18 @@ def oracle_minimax_degree1(theta: float) -> float:
     returns the last argmin.  It relies on the error curve being unimodal
     near the coarse minimum.  Each level's argmin comes from
     _argmin_max_phase_error: a bound pass over every 128th sample of every
-    candidate, one over every 16th of those it keeps, then full scans of only
-    the candidates the bounds cannot rule out; the argmin, and so the result,
-    is that of the full scan, bit for bit.
+    candidate, then full scans of only the candidates the bound cannot rule
+    out; the argmin, and so the result, is that of the full scan, bit for
+    bit.  The trig grids are built once, at 2048 and at 8192 samples, and
+    passed to every level.
     """
     _require_theta(theta)
     grid = np.exp(np.linspace(math.log(SCAN_RANGE[0]), math.log(SCAN_RANGE[1]), SCAN_SIZE))
-    i = _argmin_max_phase_error(grid, theta, 2048)
+    i = _argmin_max_phase_error(grid, _sqrt_arc(theta, 2048))
     finest = (grid[min(i + 2, SCAN_SIZE - 1)] - grid[max(i - 2, 0)]) / (SCAN_SIZE - 1)
+    arc = _sqrt_arc(theta, 8192)
     while True:
         grid = np.linspace(grid[max(i - 2, 0)], grid[min(i + 2, len(grid) - 1)], _ZOOM_SIZE)
-        i = _argmin_max_phase_error(grid, theta, 8192)
+        i = _argmin_max_phase_error(grid, arc)
         if grid[1] - grid[0] <= finest:
-            _sqrt_arc.cache_clear()
             return float(grid[i])

@@ -14,6 +14,7 @@ import pytest
 
 from zolocirc import approximants as ap
 from zolocirc import composition as co
+from zolocirc import connections as cn
 from zolocirc import elliptic as el
 from zolocirc.errors import DomainError
 
@@ -183,6 +184,16 @@ class TestBlockThresholds:
         assert values.shape == shape
         scalars = [s(w) for w in z.tolist()]
         assert all(np.array_equal(a, b) for a, b in zip(complex_bits(scalars), complex_bits(values.ravel())))
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3)])
+    @pytest.mark.parametrize("m", [16, 64])
+    def test_an_empty_batch_is_an_empty_array_of_its_shape(self, m, shape):
+        # an empty batch has no points to block: it used to divide _BLOCK_CELLS by its size
+        z, x = np.empty(shape, dtype=complex), np.empty(shape)
+        values = [ap.build_s(m, 1.0)(z), ap.build_r(m, 1.0)(z), ap.build_s(m, 1.0).reciprocal()(z),
+                  *ap.eval_F_product(ap.ZolotarevFraction.from_ell(m + 1, 0.5), x),
+                  *cn.blaschke_s_relation(m, 0.25, z)]
+        assert [v.shape for v in values] == [shape] * 7
 
     @pytest.mark.parametrize("m", [2, 3, 16, 17, 33, 64])
     @pytest.mark.parametrize("per_block", [1, 3, 7, 8, 1000])

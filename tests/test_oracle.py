@@ -214,7 +214,7 @@ class TestDegreeOneScan:
     def test_blocked_curve_matches_the_literal_formula(self, theta):
         # 61 candidates fill several blocks at 2048 samples, the last one partial
         grid = np.exp(np.linspace(math.log(orc.SCAN_RANGE[0]), math.log(orc.SCAN_RANGE[1]), 61))
-        errs = orc._scan_max_phase_errors(grid, theta, 2048)
+        errs = orc._scan_max_phase_errors(grid, orc._sqrt_arc(theta, 2048))
         literal = [literal_max_phase_error(a, theta, 2048) for a in grid]
         assert np.max(np.abs(errs - literal)) <= 1e-13
 
@@ -232,13 +232,13 @@ class TestDegreeOneScan:
         levels, scans = [], []
         argmin, inner = orc._argmin_max_phase_error, orc._scan_max_phase_errors
 
-        def level(a, theta, samples):
-            levels.append((a.copy(), samples))
-            return argmin(a, theta, samples)
+        def level(a, arc):
+            levels.append((a.copy(), len(arc[0])))
+            return argmin(a, arc)
 
-        def counted(a, theta, samples):
-            scans.append((len(a), samples))
-            return inner(a, theta, samples)
+        def counted(a, arc):
+            scans.append((len(a), len(arc[0])))
+            return inner(a, arc)
 
         monkeypatch.setattr(orc, "_argmin_max_phase_error", level)
         monkeypatch.setattr(orc, "_scan_max_phase_errors", counted)
@@ -251,13 +251,13 @@ class TestDegreeOneScan:
         assert {samples for _, samples in scans} == {2048, 8192}
         assert sum(n for n, samples in scans if samples == 2048) <= orc.SCAN_SIZE // 100
         # no coarser than the step of one SCAN_SIZE-point zoom over the bracket of a full coarse scan
-        i = int(np.argmin(inner(coarse, theta, 2048)))
+        i = int(np.argmin(inner(coarse, orc._sqrt_arc(theta, 2048))))
         single = (coarse[min(i + 2, len(coarse) - 1)] - coarse[max(i - 2, 0)]) / (orc.SCAN_SIZE - 1)
         assert np.all(np.diff(zooms[-1][0]) <= single)
 
     def test_error_curve_unimodal(self):
         grid = np.exp(np.linspace(math.log(orc.SCAN_RANGE[0]), math.log(orc.SCAN_RANGE[1]), 300))
-        errs = orc._scan_max_phase_errors(grid, 1.0, 2048)
+        errs = orc._scan_max_phase_errors(grid, orc._sqrt_arc(1.0, 2048))
         d = np.diff(errs)
         d = d[d != 0.0]
         sign_changes = int(np.sum(np.abs(np.diff(np.sign(d))) > 0))
@@ -269,17 +269,17 @@ ARGMIN_THETAS = [1e-6, 1e-3, 0.3, 0.7, 1.0, 1.4, 1.5707, 0.5 * math.pi - 1e-4]
 
 
 def full_scan_argmin(a, theta, samples):
-    return int(np.argmin(orc._scan_max_phase_errors(a, theta, samples)))
+    return int(np.argmin(orc._scan_max_phase_errors(a, orc._sqrt_arc(theta, samples))))
 
 
 def full_scan_minimax(theta):
     """The minimax search with each level's argmin taken from a full scan of all its candidates."""
     grid = np.exp(np.linspace(math.log(orc.SCAN_RANGE[0]), math.log(orc.SCAN_RANGE[1]), orc.SCAN_SIZE))
-    i = int(np.argmin(orc._scan_max_phase_errors(grid, theta, 2048)))
+    i = int(np.argmin(orc._scan_max_phase_errors(grid, orc._sqrt_arc(theta, 2048))))
     finest = (grid[min(i + 2, orc.SCAN_SIZE - 1)] - grid[max(i - 2, 0)]) / (orc.SCAN_SIZE - 1)
     while True:
         grid = np.linspace(grid[max(i - 2, 0)], grid[min(i + 2, len(grid) - 1)], orc._ZOOM_SIZE)
-        i = int(np.argmin(orc._scan_max_phase_errors(grid, theta, 8192)))
+        i = int(np.argmin(orc._scan_max_phase_errors(grid, orc._sqrt_arc(theta, 8192))))
         if grid[1] - grid[0] <= finest:
             return float(grid[i])
 
@@ -294,12 +294,13 @@ class TestBoundedArgmin:
         # 1e9 and SCAN_RANGE[0] are near the degree-0 limits, whose error peaks at the arc's ends
         a = np.r_[np.exp(rng.uniform(lo, hi, 150)), 1e9, orc.SCAN_RANGE[0]]
         rng.shuffle(a)
+        arc = orc._sqrt_arc(theta, samples)
         first = full_scan_argmin(a, theta, samples)
-        assert orc._argmin_max_phase_error(a, theta, samples) == first
+        assert orc._argmin_max_phase_error(a, arc) == first
         # a later copy of the argmin ties with it: the first index wins
         a = np.insert(a, rng.integers(first + 1, len(a) + 1), a[first])
         assert full_scan_argmin(a, theta, samples) == first
-        assert orc._argmin_max_phase_error(a, theta, samples) == first
+        assert orc._argmin_max_phase_error(a, arc) == first
 
     @pytest.mark.parametrize("theta", ARGMIN_THETAS)
     def test_an_edge_peak_candidate_can_win(self, theta):
@@ -308,88 +309,57 @@ class TestBoundedArgmin:
         ts = np.linspace(-2.0 * theta, 2.0 * theta, 2048)
         z = np.exp(1j * ts)
         assert np.argmax(np.abs(np.angle((1.0 + 1e9 * z) / (z + 1e9)) - 0.5 * ts)) in (0, 2047)
-        assert orc._argmin_max_phase_error(a, theta, 2048) == full_scan_argmin(a, theta, 2048) == 1
+        assert orc._argmin_max_phase_error(a, orc._sqrt_arc(theta, 2048)) == full_scan_argmin(a, theta, 2048) == 1
 
     def test_a_nan_bound_is_kept(self):
         # inf and NaN candidates have NaN ratios, so NaN bounds; the NaN one errs NaN, which np.argmin returns
         a = np.array([2.0, math.inf, math.nan, 1.0])
         with np.errstate(invalid="ignore"):
-            assert orc._argmin_max_phase_error(a, 1.0, 2048) == full_scan_argmin(a, 1.0, 2048) == 2
+            assert orc._argmin_max_phase_error(a, orc._sqrt_arc(1.0, 2048)) == full_scan_argmin(a, 1.0, 2048) == 2
 
     @pytest.mark.parametrize("theta", np.linspace(1e-6, 0.5 * math.pi - 1e-4, 12))
     def test_minimax_is_the_full_scan_search_bit_for_bit(self, theta):
         assert orc.oracle_minimax_degree1(theta) == full_scan_minimax(theta)
 
 
-class TestBoundPasses:
+class TestBoundPass:
     @pytest.mark.parametrize("theta", [0.3, 1.0, 1.5])
-    def test_the_coarse_pass_runs_first_and_leaves_the_fine_one_few_candidates(self, monkeypatch, theta):
-        passes, reduce_ratios = [], orc._reduce_ratios
-
-        def recorded(a, c1, s1, c3, s3, reduce, dtype):
-            if reduce is np.max:
-                passes.append((len(a), len(c1)))
-            return reduce_ratios(a, c1, s1, c3, s3, reduce, dtype)
-
-        monkeypatch.setattr(orc, "_reduce_ratios", recorded)
-        a = np.exp(np.linspace(math.log(orc.SCAN_RANGE[0]), math.log(orc.SCAN_RANGE[1]), orc.SCAN_SIZE))
-        index = orc._argmin_max_phase_error(a, theta, 2048)
-        # every 128th sample and the last of every candidate, then every 16th of the few kept
-        (coarse, coarse_samples), (fine, fine_samples) = passes
-        assert (coarse, coarse_samples, fine_samples) == (orc.SCAN_SIZE, 2048 // 128 + 1, 2048 // 16 + 1)
-        assert fine <= 10
-        monkeypatch.undo()
-        assert index == full_scan_argmin(a, theta, 2048)
-
-    def test_the_fine_pass_rules_out_what_the_coarse_one_keeps(self, monkeypatch):
+    def test_one_pass_leaves_few_candidates_to_full_scans(self, monkeypatch, theta):
         calls, reduce_ratios, inner = [], orc._reduce_ratios, orc._scan_max_phase_errors
 
         def bounded(a, c1, s1, c3, s3, reduce, dtype):
             if reduce is np.max:
-                calls.append(("bound", len(a)))
+                calls.append(("bound", len(a), len(c1)))
             return reduce_ratios(a, c1, s1, c3, s3, reduce, dtype)
 
-        def scanned(a, theta, samples):
-            calls.append(("scan", len(a)))
-            return inner(a, theta, samples)
+        def scanned(a, arc):
+            calls.append(("scan", len(a), len(arc[0])))
+            return inner(a, arc)
 
         monkeypatch.setattr(orc, "_reduce_ratios", bounded)
         monkeypatch.setattr(orc, "_scan_max_phase_errors", scanned)
-        a = np.linspace(2.26, 2.263, orc._ZOOM_SIZE)  # a fine zoom around the argmin 2.2615... at Theta = 1
-        index = orc._argmin_max_phase_error(a, 1.0, 8192)
-        assert [kind for kind, _ in calls] == ["bound", "scan", "bound", "scan"]
-        (_, coarse), (_, least), (_, fine), (_, full) = calls
-        # all 100, the least bound one, the candidates the coarse bound keeps, those the fine one keeps
-        assert (coarse, least) == (orc._ZOOM_SIZE, 1) and 1 <= full < fine < coarse
+        a = np.exp(np.linspace(math.log(orc.SCAN_RANGE[0]), math.log(orc.SCAN_RANGE[1]), orc.SCAN_SIZE))
+        index = orc._argmin_max_phase_error(a, orc._sqrt_arc(theta, 2048))
+        # every 128th sample and the last of every candidate, then the least bound one in full, then the few kept
+        assert [kind for kind, _, _ in calls] == ["bound", "scan", "scan"]
+        (_, bounded, samples), (_, least, _), (_, kept, _) = calls
+        assert (bounded, samples, least) == (orc.SCAN_SIZE, 2048 // 128 + 1, 1) and kept <= 10
         monkeypatch.undo()
-        assert index == full_scan_argmin(a, 1.0, 8192)
+        assert index == full_scan_argmin(a, theta, 2048)
 
 
-class TestOneArcPerLevel:
-    def test_the_arc_is_kept_once_and_read_only(self):
-        arc = orc._sqrt_arc(1.0, 64)
-        assert all(not part.flags.writeable for part in arc)
-        assert orc._sqrt_arc(1.0, 64) is arc
-        orc._sqrt_arc(1.0, 65)  # one entry: the next key evicts it
-        assert orc._sqrt_arc(1.0, 64) is not arc
-
+class TestOneArcPerSampleCount:
     def test_a_minimax_search_builds_one_arc_per_sample_count(self, monkeypatch):
-        levels, argmin = [], orc._argmin_max_phase_error
+        built, sqrt_arc = [], orc._sqrt_arc
 
-        def level(a, theta, samples):
-            index = argmin(a, theta, samples)
-            levels.append(orc._sqrt_arc.cache_info()[:2])  # (hits, misses) so far
-            return index
+        def counted(theta, samples):
+            built.append(samples)
+            return sqrt_arc(theta, samples)
 
-        monkeypatch.setattr(orc, "_argmin_max_phase_error", level)
-        orc._sqrt_arc.cache_clear()
+        monkeypatch.setattr(orc, "_sqrt_arc", counted)
         # the pinned argmin at Theta = 1, unchanged from the search that built its arc at every use
         assert orc.oracle_minimax_degree1(1.0).hex() == "0x1.2179814da0aadp+1"
-        # 2048 samples at the coarse level, 8192 at the three zooms: one miss each, three calls per level
-        assert levels == [(2, 1), (4, 2), (7, 2), (10, 2)]
-        assert orc._sqrt_arc.cache_info().currsize == 0
-        orc.degree1_max_phase_error(3.0, 1.0, 16384)
-        assert orc._sqrt_arc.cache_info().currsize == 0
+        assert built == [2048, 8192]
 
 
 def test_oracles_do_not_import_the_paths_they_check():
