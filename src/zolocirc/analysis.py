@@ -268,22 +268,23 @@ def _node_measure(r: UnimodularRational, theta: float, problem: str, grid_n: int
     zf = r._optimum_fraction()
     centre = 1 - effective % 2
     c = np.array((0.0,) * centre + zf.cot2_even[::-1])  # ascending in t
-    half_t = np.append(np.arctan2(ell_comp * np.sqrt(c), ell * np.sqrt(1.0 + c)), theta)
-    half_x = np.append(np.minimum(ell * np.sqrt((1.0 + c) / (ell * ell + c)), 1.0), ell)
-    half_y = np.append(ell_comp * np.sqrt(c / (ell * ell + c)), ell_comp)  # sin t
-    t = np.concatenate([-half_t[centre:][::-1], half_t])
-    x = np.concatenate([half_x[centre:][::-1], half_x])
-    y = np.concatenate([-half_y[centre:][::-1], half_y])
-    arcs, xs, ys, turns = _arcs(problem), [], [], []
-    for mid, scale in arcs:  # per arc the nodes, then the grid with Re z kept on the arc
-        turn = math.cos(mid)  # the target +-1 of the arc
+    one_c, ell2_c = 1.0 + c, ell * ell + c
+    half = np.empty((3, c.size + 1))  # rows t, cos t and sin t; the last column is the arc end
+    half[:, -1] = theta, ell, ell_comp
+    half[:, :-1] = (np.arctan2(ell_comp * np.sqrt(c), ell * np.sqrt(one_c)),
+                    np.minimum(ell * np.sqrt(one_c / ell2_c), 1.0), ell_comp * np.sqrt(c / ell2_c))
+    mirror = half[:, centre:][:, ::-1] * [[-1.0], [1.0], [-1.0]]  # the nodes at -t, the centre once
+    t, x, y = np.concatenate([mirror, half], axis=1)
+    arcs, xs, ys = _arcs(problem), [], []
+    for mid, scale in arcs:  # per arc the nodes, then the grid with Re z kept on the arc; at pi, z -> -z
         w = np.linspace(mid - scale * theta, mid + scale * theta, grid_n) / scale  # the grid's z = e^{i w}
-        xs += [turn * x, turn * np.maximum(turn * np.cos(w), ell)]
-        ys += [turn * y, np.sin(w)]
-        turns.append([turn])
+        cos_w = np.cos(w)
+        xs += [-x, -np.maximum(-cos_w, ell)] if mid else [x, np.maximum(cos_w, ell)]
+        ys += [-y if mid else y, np.sin(w)]
     F, G = (v.reshape(len(arcs), -1) for v in _lift(zf, np.concatenate(xs), np.concatenate(ys)))  # a row per arc
-    turns = np.array(turns)
-    e = sign * np.arctan2(turns * G, turns * F)  # the target -1 divides out as atan2(-G, -F)
+    if len(arcs) > 1:  # the target -1 of the arc at pi divides out as atan2(-G, -F)
+        F[1], G[1] = -F[1], -G[1]
+    e = np.arctan2(G, F) if sign > 0 else -np.arctan2(G, F)  # the record's orientation
     per_arc = [list(zip((mid + scale * t).tolist(), row[: t.size].tolist())) for (mid, scale), row in zip(arcs, e)]
     peak = float(np.abs(e[:, t.size :]).max())
     bound = node_bound(effective, theta)

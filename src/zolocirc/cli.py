@@ -112,7 +112,7 @@ def _cmd_build(args) -> int:
             "ell": ell,
             "lambda": red.lam,
             "lambda_comp": red.lam_comp,
-            "predicted_max_error": analysis.theta_tilde(effective, args.theta),
+            "predicted_max_error": math.atan2(red.lam_comp, red.lam),  # analysis.theta_tilde, without its second solve
             **_factor_block(0, r.quarter_turns, r.factors, r.zeros(), r.poles()),
         }
     else:  # z4 takes --ell

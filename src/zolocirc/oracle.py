@@ -105,12 +105,12 @@ def _amplitude(u, ell: float, K: float) -> OracleResult:
     for n in range(1, 33):
         if not live.size:
             break
-        p = phi[live]
+        p = phi[live] if n > 1 else phi[live[:1]]  # every point starts at pi/2: one row of cells serves all
         edges = np.minimum(_EDGES, p[:, None])
         half = 0.5 * np.diff(edges)[..., None]
         cell = half * weights * _integrand(edges[:, :-1, None] + half * (1.0 + nodes), ell)
         # F per point: the pairwise sum over its contiguous cells, as np.sum took of one point's block
-        delta = (np.sum(cell.reshape(len(live), cells), axis=1) - target[live]) / _slope(p, ell)
+        delta = (np.sum(cell.reshape(len(p), cells), axis=1) - target[live]) / _slope(p, ell)
         phi[live], step[live], steps[live] = p - delta, np.abs(delta), n
         live = live[~(np.abs(delta) <= 1e-12)]
     if live.size:

@@ -159,6 +159,18 @@ class TestFaultInjection:
         assert not ok
         assert detail == "z6 m=6 theta=1.000: (1, 1)/(1, 1)"
 
+    def test_criterion_2_takes_one_report_per_optimum_on_the_finer_grid(self, monkeypatch):
+        calls = []
+        for name in ("phase_error_sqrt", "phase_error_sign"):
+            def recorded(r, theta, grid_n, report=getattr(analysis, name)):
+                calls.append((theta, r._optimum[4], len(r.factors), grid_n))
+                return report(r, theta, grid_n)
+
+            monkeypatch.setattr(analysis, name, recorded)
+        assert selftest.criterion_2()[1]
+        assert calls == [(theta, problem, degree, 2 * selftest._grid_for(problem, degree))
+                         for theta, problem, _, degree in selftest._SWEEP]
+
     def test_criterion_2_reports_an_endpoint_not_attained(self, monkeypatch):
         report = analysis.phase_error_sign
 
@@ -206,6 +218,24 @@ class TestOneSetupPerItem:
                 direct = np.array([elliptic._sncndn(k, 64, *args, pair.nome) for k in range(65)]).T
                 reflected = selftest._u_grid(*args, pair.nome)
                 assert reflected.shape == (3, 65) and reflected.tobytes() == direct.tobytes()
+
+    def test_criterion_5_builds_each_fraction_once_through_its_optima(self, monkeypatch):
+        build_s, from_ell, optima, calls = approximants.build_s, approximants.ZolotarevFraction.from_ell, [], []
+
+        def recorded(m, theta):
+            optima.append(build_s(m, theta))
+            return optima[-1]
+
+        def counted(cls, *args):
+            calls.append(args)
+            return from_ell(*args)
+
+        monkeypatch.setattr(approximants, "build_s", recorded)
+        monkeypatch.setattr(approximants.ZolotarevFraction, "from_ell", classmethod(counted))
+        assert selftest.criterion_5()[1]
+        # the 32 optima of the lift check, each reading its own fraction; the direct check builds none
+        assert len(optima) == len(selftest.THETA_SWEEP) * len(selftest.M_SWEEP) == 32
+        assert calls == [s._optimum[:3] for s in optima]
 
     def test_criterion_7_fails_on_a_moved_blaschke_parameter(self, monkeypatch):
         blaschke_h = connections.blaschke_h

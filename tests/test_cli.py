@@ -48,6 +48,28 @@ class TestBuild:
         assert len(res["factors"]) == 3
         assert all(a > 0 for a in res["factors"])
 
+    @pytest.mark.parametrize("problem, degree, theta", [
+        ("z6", 0, 1.0), ("z6", 5, 1.0), ("z6", 64, 1.5707963), ("z6", 85, 1e-3), ("z5", 3, 1.2), ("z5", 0, 0.3)])
+    def test_one_degree_reduction_reads_theta_tilde_bit_for_bit(self, capsys, monkeypatch, problem, degree, theta):
+        solves = []
+
+        def counted(*args):
+            solves.append(args)
+            return el.solve_lambda(*args)
+
+        def forbidden(*args):
+            raise AssertionError("theta_tilde repeats the command's solve_lambda")
+
+        for module in (cli, an):
+            monkeypatch.setattr(module, "solve_lambda", counted)
+        monkeypatch.setattr(an, "theta_tilde", forbidden)
+        args = ("--problem", problem, "--degree", str(degree), "--theta", repr(theta))
+        res = run_json(capsys, "build", *args)["results"]
+        monkeypatch.undo()
+        (ell, ell_comp), effective = el.require_theta(theta), an.effective_degree(problem, degree)
+        assert solves == [(ell, effective, ell_comp)]
+        assert res["predicted_max_error"].hex() == an.theta_tilde(effective, theta).hex()
+
     def test_sign_infinite_factor_serialized_as_string(self, capsys):
         res = run_json(capsys, "build", "--problem", "z6", "--degree", "3", "--theta", "1.0")["results"]
         assert "inf" in res["factors"]

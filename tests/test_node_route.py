@@ -24,6 +24,7 @@ import pytest
 import mpref
 from zolocirc import analysis as an
 from zolocirc import approximants as ap
+from zolocirc import selftest
 from zolocirc.errors import PrecisionError
 
 EPS = sys.float_info.epsilon
@@ -226,6 +227,16 @@ def test_a_node_report_makes_one_lift_call_and_reads_arccos_lam_from_its_fractio
     monkeypatch.undo()
     assert (z6.method, z5.method) == ("nodes", "nodes")
     assert z6.predicted == z5.predicted == an.theta_tilde(7, 1.0)
+
+
+def test_no_grid_moves_a_node_report_of_the_selftest_sweep():
+    # selftest criterion 2 takes one report per optimum, at 2g, on this fact: its counts are those at g
+    for theta, problem, _, degree in selftest._SWEEP:
+        build, report = an._problem_fns(problem)
+        g = selftest._grid_for(problem, degree)
+        coarse, fine = report(build(degree, theta), theta, g), report(build(degree, theta), theta, 2 * g)
+        assert (coarse.method, fine.method, coarse.grid_size, fine.grid_size) == ("nodes", "nodes", g, 2 * g)
+        assert replace(fine, grid_size=g) == coarse
 
 
 def test_the_second_optimum_keeps_the_first_ones_fraction(monkeypatch):

@@ -126,6 +126,20 @@ class TestArrayAmplitude:
             assert (one.value.hex(), one.estimated_error.hex(), one.evaluations) == (
                 value.hex(), error.hex(), evaluations)
 
+    def test_the_first_step_integrates_one_row_for_all_points(self, monkeypatch):
+        integrand, rows, K = orc._integrand, [], orc.oracle_K(0.5).value
+
+        def recorded(t, ell):
+            rows.append(np.shape(t)[0])
+            return integrand(t, ell)
+
+        monkeypatch.setattr(orc, "_integrand", recorded)
+        res = orc._amplitude(np.array([0.0, 0.3, -1.2, 2.0, 0.7]), 0.5, K)
+        # every live point starts at pi/2: one row of cells serves the first step, then one row per live point
+        cells = (len(orc._EDGES) - 1) * orc._gauss_legendre()[0].size
+        assert rows[:2] == [1, 4] and len(rows) == res.evaluations.max() // cells
+        assert rows[1:] == sorted(rows[1:], reverse=True)  # points only drop out
+
     def test_zero_is_zero_at_no_evaluations(self):
         res = orc._amplitude(np.array([0.0, -0.0, 1.0]), 0.5, orc.oracle_K(0.5).value)
         assert [v.hex() for v in res.value[:2].tolist()] == [(0.0).hex()] * 2  # no -0.0
