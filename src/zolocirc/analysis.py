@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import approximants
-from .approximants import UnimodularRational, _lift
+from .approximants import UnimodularRational, ZolotarevFraction, _lift
 from .elliptic import EllipticModulus, _mu_inverse_pair, _mu_pair, require_degree, require_theta, solve_lambda
 from .errors import DomainError, PrecisionError, ResolutionError
 
@@ -223,20 +223,20 @@ def _tally(per_arc, rel: float = 1e-3):
     return amplitude, tuple(p for seq in reports for p in seq), tuple(len(seq) for seq in reports)
 
 
-def _certified_measure(arc_jobs, grid_n: int, expected: int):
-    """(amplitude, extrema, counts, grid size) measured on grid_n or, if a count falls short, on 2 grid_n.
+def _certified_measure(r: UnimodularRational, theta: float, problem: str, grid_n: int, effective: int):
+    """The grid route: (amplitude, theta_tilde, extrema, counts, grid size) on grid_n, or 2 grid_n if a count is short.
 
     A doubled grid that reaches the expected count certifies the original
     grid as merely marginal; a doubled grid that still falls short is
     accepted only when it reproduces the first count (a real deficiency,
     e.g. a tampered approximant), and anything else is unresolvable.
     """
-    counts = None
+    arc_jobs, expected, counts = _arc_jobs(r, theta, problem), effective + 1, None
     for n in (grid_n, 2 * grid_n):
         first = counts
         amplitude, extrema, counts = _tally([_arc_extrema(fn, lo, hi, n) for fn, lo, hi in arc_jobs])
         if min(counts) >= expected or counts == first:
-            return amplitude, extrema, counts, n
+            return amplitude, theta_tilde(effective, theta), extrema, counts, n
     raise ResolutionError(f"alternation count not grid-stable: {first} vs {counts} (expected {expected} per arc)")
 
 
@@ -254,18 +254,19 @@ def node_bound(m: int, theta: float) -> float:
     return 4.0 * sys.float_info.epsilon * ((m + 1) / math.sin(theta)) ** 2
 
 
-def _node_measure(r: UnimodularRational, theta: float, problem: str, grid_n: int):
-    """(amplitude, extrema, counts, grid_n) of the optimum r at its alternation points, read from its record.
+def _node_measure(zf: ZolotarevFraction, orientation: int, theta: float, problem: str, grid_n: int):
+    """The node route: (amplitude, arccos(lam), extrema, counts, grid_n) of the optimum with fraction zf.
 
     On each arc the error of s_M alternates at the M + 1 values of t with cos t = ell sqrt((1 + c)/(ell^2 + c)),
     sin t = ell' sqrt(c/(ell^2 + c)), for c in the fraction's ``cot2_even``, c = inf (the arc ends)
     and, for even M, c = 0 (the centre).  The record's orientation is the sign of every error: -(-1)^n for
     r_n, read through s_{2n+1}(z)^{(-1)^n} r_n(z^2) = z, and -1 for 1/s_M, the conjugate lift.
+    arccos(lam) is read from zf's reduction: theta_tilde would repeat its solve_lambda(ell, M, ell').
     PrecisionError if an arc counts fewer than M + 1, a grid point tops the amplitude by ``node_bound``
     or the amplitude is below the normal doubles: the grid route could read only rounding noise there.
     """
-    effective, ell, ell_comp, sign, _ = r._optimum
-    zf = r._optimum_fraction()
+    red = zf.reduction
+    effective, ell, ell_comp = red.m, red.modulus.ell, red.modulus.ell_comp
     centre = 1 - effective % 2
     c = np.array((0.0,) * centre + zf.cot2_even[::-1])  # ascending in t
     one_c, ell2_c = 1.0 + c, ell * ell + c
@@ -284,7 +285,7 @@ def _node_measure(r: UnimodularRational, theta: float, problem: str, grid_n: int
     F, G = (v.reshape(len(arcs), -1) for v in _lift(zf, np.concatenate(xs), np.concatenate(ys)))  # a row per arc
     if len(arcs) > 1:  # the target -1 of the arc at pi divides out as atan2(-G, -F)
         F[1], G[1] = -F[1], -G[1]
-    e = np.arctan2(G, F) if sign > 0 else -np.arctan2(G, F)  # the record's orientation
+    e = np.arctan2(G, F) if orientation > 0 else -np.arctan2(G, F)
     per_arc = [list(zip((mid + scale * t).tolist(), row[: t.size].tolist())) for (mid, scale), row in zip(arcs, e)]
     peak = float(np.abs(e[:, t.size :]).max())
     bound = node_bound(effective, theta)
@@ -293,28 +294,25 @@ def _node_measure(r: UnimodularRational, theta: float, problem: str, grid_n: int
         raise PrecisionError(f"optimal error {amplitude!r} at effective degree {effective} is below the normal doubles")
     if peak > amplitude * (1.0 + bound) or min(counts) <= effective:
         raise PrecisionError(f"unresolved nodes at effective degree {effective}: counts {counts}, grid peak {peak!r}")
-    return amplitude, extrema, counts, grid_n
+    return amplitude, math.atan2(red.lam_comp, red.lam), extrema, counts, grid_n
 
 
 def _phase_report(r: UnimodularRational, theta: float, grid_n: int, problem: str) -> PhaseErrorReport:
     """Report on the arcs of ``problem``: arccos(lam), M + 1 extrema per arc at the effective degree M.
 
-    R whose ``_optimum`` record names ``problem`` at this Theta goes to the nodes, anything else to the grid.
+    R whose ``_optimum`` record names ``problem`` at this Theta goes to the nodes, anything else to the grid;
+    each route measures the report's first five fields.
     """
     modulus = require_theta(theta)
     degree = len(r.factors)
     effective = effective_degree(problem, degree)
     grid_n = require_degree(grid_n, 8 * (degree + 1), "grid_n")
-    expected = effective + 1
-    optimum = r._optimum
-    nodes = optimum and optimum[1:3] == modulus and optimum[4] == problem and _node_measure(r, theta, problem, grid_n)
-    amplitude, extrema, counts, grid_size = nodes or _certified_measure(_arc_jobs(r, theta, problem), grid_n, expected)
-    if nodes:  # arccos(lam) from the optimum's fraction: theta_tilde would repeat its solve_lambda(ell, M, ell')
-        red = r._optimum_fraction().reduction
-        predicted, method = math.atan2(red.lam_comp, red.lam), "nodes"
+    optimum = r._optimum  # (M, ell, ell', orientation, problem): read here alone in this module
+    if optimum and optimum[1:3] == modulus and optimum[4] == problem:
+        measured, method = _node_measure(r._optimum_fraction(), optimum[3], theta, problem, grid_n), "nodes"
     else:
-        predicted, method = theta_tilde(effective, theta), "grid"
-    return PhaseErrorReport(amplitude, predicted, extrema, counts, grid_size, expected, method)
+        measured, method = _certified_measure(r, theta, problem, grid_n, effective), "grid"
+    return PhaseErrorReport(*measured, effective + 1, method)
 
 
 def phase_error_sqrt(r: UnimodularRational, theta: float, grid_n: int) -> PhaseErrorReport:

@@ -35,6 +35,7 @@ import numpy as np
 from .elliptic import (
     DegreeReduction,
     _nome,
+    _quarter_nodes,
     _sncndn,
     inverse_sn,
     require_degree,
@@ -113,13 +114,7 @@ class UnimodularRational:
         past the doubles, raises DomainError.
         """
         array = isinstance(z, np.ndarray)
-        if not array:
-            try:
-                if isinstance(z, str):  # complex() would parse it
-                    raise TypeError
-                z = complex(z)
-            except (TypeError, OverflowError):  # an int past the doubles overflows, and may have no repr
-                raise DomainError(f"an evaluation point is a number or an ndarray, got a {type(z).__name__}") from None
+        z = z if array else _point(z)
         if self._optimum is not None and self.factors:
             x, y = z.real, z.imag
             near = abs(x * x + y * y - 1.0) <= _ON_CIRCLE
@@ -191,16 +186,21 @@ class UnimodularRational:
         return tuple([0j] * max(-self._origin_order(), 0) + out)
 
 
+def _point(z) -> complex:
+    """complex(z) of a number; DomainError for anything else (a list, None, a string, an int past the doubles)."""
+    try:
+        return complex(None if isinstance(z, str) else z)  # complex() would parse a string
+    except (TypeError, OverflowError):  # an int past the doubles overflows, and may have no repr
+        raise DomainError(f"an evaluation point is a number or an ndarray, got a {type(z).__name__}") from None
+
+
 @functools.lru_cache(maxsize=1)
 def _nodes(M: int, ell: float, ell_comp: float) -> tuple:
-    """(sn, cn, dn)(k K(ell')/M, ell') at k = 0..2M-1 from one nome, each ``_sncndn``'s bit for bit.
+    """(sn, cn, dn)(k K(ell')/M, ell'), k = 0..2M-1: ``_quarter_nodes`` to M, then node 2M - k with cn negated.
 
-    Past M/2, node M - k reflected by the quarter period (DLMF Table 22.4.3); past M, node 2M - k
-    with cn negated.  One table is kept: a build's m coefficient reads and its first circle call share it.
+    One table is kept: a build's m coefficient reads and its first circle call share it.
     """
-    nome = _nome(ell, ell_comp)
-    nodes = [_sncndn(k, M, ell_comp, ell, nome) for k in range(M // 2 + 1)]
-    nodes += [(cn / dn, ell * sn / dn, ell / dn) for sn, cn, dn in nodes[M - M // 2 - 1 :: -1]]
+    nodes = _quarter_nodes(M, ell_comp, ell, _nome(ell, ell_comp))
     return tuple(nodes + [(sn, -cn, dn) for sn, cn, dn in nodes[M - 1 : 0 : -1]])
 
 
@@ -413,20 +413,16 @@ def z4_solution(m: int, ell: float) -> Z4Approximant:
 
 
 def eval_s_via_FG(m: int, theta: float, z):
-    """Circle lift F(x) + i sign(Im z)^m G(x) of s_m at z = x + i y, read as ``build_s(m, theta)`` reads it.
+    """s_m at points z within 1e-9 of the unit circle, ``build_s(m, theta)(z)``: DomainError at any other or NaN z.
 
-    Takes a complex scalar (returns a complex) or an ndarray (returns a
-    complex ndarray, bitwise equal elementwise); the fraction is built once
-    per call.  x and y are taken as they are, so a point off the circle by
-    d moves the value by O(d).  Raises DomainError if any point is off the
-    circle by more than 1e-9, or is NaN.
+    The built optimum's one circle rule applies: z that all count as on the
+    circle take the lift F(x) + i sign(Im z)^m G(x), any other z the product.
     """
-    zf = ZolotarevFraction.from_ell(m, *require_theta(theta))  # validates theta and m before the points
+    s = build_s(m, theta)  # validates m and theta before the points
     off = np.abs(np.abs(z) - 1.0)
     if not np.all(off <= 1e-9):
         raise DomainError(f"eval_s_via_FG requires |z| = 1, got ||z| - 1| = {float(np.max(off))!r}")
-    z = z if isinstance(z, np.ndarray) else complex(z)
-    return _lifted(zf, z.real, z.imag, 1, False)
+    return s(z)
 
 
 def _lifted(zf: ZolotarevFraction, x, y, orientation: int, root: bool):

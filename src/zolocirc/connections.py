@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .approximants import Family, UnimodularRational, _nodes, build_s, coeff_a, z4_solution
+from .approximants import Family, UnimodularRational, _nodes, _point, build_s, coeff_a, z4_solution
 from .elliptic import _mu_inverse_pair, complement, groetzsch_mu
 from .elliptic import require_degree, require_modulus, require_theta, solve_lambda
 from .errors import BranchError, DomainError, PrecisionError
@@ -78,7 +78,7 @@ def _moebius_image(m: int, ell: float, z):
     m = require_degree(m, 1)
     ell = require_modulus(ell)
     kappa = _kappa(ell)
-    z = z.astype(complex) if isinstance(z, np.ndarray) else complex(z)
+    z = z.astype(complex) if isinstance(z, np.ndarray) else _point(z)  # DomainError at a list, None, a string
     _refuse(~np.isfinite(z), DomainError, "z must be finite, got {!r}", z)
     if np.any(np.abs(z + 1.0) < 1e-12):
         raise BranchError("z = -1 is the Moebius pole")

@@ -46,20 +46,28 @@ def complement(x: float) -> float:
 
 
 def require_modulus(ell: float, name: str = "ell") -> float:
-    """Return a modulus inside the supported precision window as a plain float, or raise PrecisionError."""
-    if not (ELL_MIN < ell < ELL_MAX):
+    """A modulus inside the precision window as a plain float; PrecisionError outside, DomainError if not real."""
+    try:
+        inside = ELL_MIN < ell < ELL_MAX
+    except TypeError:
+        raise DomainError(f"{name} must be a real number, got {ell!r}") from None
+    if not inside:
         raise PrecisionError(f"{name}={ell!r} outside supported range ({ELL_MIN}, {ELL_MAX})")
     return float(ell)
 
 
 def require_theta(theta: float, name: str = "theta") -> tuple[float, float]:
-    """The modulus pair (cos theta, sin theta) of an arc half-width, or PrecisionError.
+    """The modulus pair (cos theta, sin theta) of an arc half-width, or PrecisionError (DomainError if not real).
 
     theta must lie in (THETA_MIN, THETA_MAX), cos(theta) below ELL_MAX (on
     the bottom 3.9e-13 of the window it rounds to ELL_MAX) and sin(theta),
     the modulus of every node, below 1 (on the top 5.4e-10 it rounds to 1.0).
     """
-    if not (THETA_MIN < theta < THETA_MAX):
+    try:
+        inside = THETA_MIN < theta < THETA_MAX
+    except TypeError:
+        raise DomainError(f"{name} must be a real number, got {theta!r}") from None
+    if not inside:
         raise PrecisionError(f"{name}={theta!r} outside supported range ({THETA_MIN:.6e}, {THETA_MAX!r})")
     ell, ell_comp = math.cos(theta), math.sin(theta)
     if ell >= ELL_MAX or ell_comp == 1.0:
@@ -178,6 +186,12 @@ def _sncndn(u: float, quarter: float, ell: float, ell_comp: float, nome: tuple) 
     if reflect:
         sn, cn, dn = cn / dn, ell_comp * sn / dn, ell_comp / dn
     return sign_sn * sn, sign_cn * cn, dn
+
+
+def _quarter_nodes(M: int, ell: float, ell_comp: float, nome: tuple) -> list:
+    """(sn, cn, dn)(k K(ell)/M, ell), k = 0..M, ``_sncndn``'s bit for bit: past M/2, node M - k reflected."""
+    nodes = [_sncndn(k, M, ell, ell_comp, nome) for k in range(M // 2 + 1)]
+    return nodes + [(cn / dn, ell_comp * sn / dn, ell_comp / dn) for sn, cn, dn in nodes[M - M // 2 - 1 :: -1]]
 
 
 def jacobi_sncndn(u: float, ell: float) -> tuple[float, float, float]:

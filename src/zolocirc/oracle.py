@@ -74,25 +74,19 @@ _EDGES = 0.5 * math.pi * np.r_[1.0 - 0.25 ** np.arange(8), 1.0, 1.0 + 0.25 ** np
 _gauss_legendre = functools.cache(lambda: np.polynomial.legendre.leggauss(48))
 
 
-def oracle_amplitude(u: float, ell: float) -> OracleResult:
+def oracle_amplitude(u, ell: float) -> OracleResult:
     """The Jacobi amplitude phi(u), |u| <= 2 K(ell), by Newton's method on F(phi, ell) = u.
 
     F is odd, convex on [0, pi/2] and concave on [pi/2, pi], so Newton on F(phi) = |u| from
     pi/2 moves monotonically to the root; a step below 1e-12, the estimated error, leaves
-    the next iterate at rounding level.  Past 32 steps it raises ConvergenceError.
+    the next iterate at rounding level.  Past 32 steps it raises ConvergenceError.  u is a
+    float or an ndarray: an ndarray runs Newton on all its points at once, each dropping out
+    after its own last step, so each field is an array of u's shape whose entries are the
+    float call's bit for bit.
     """
     if not 0.0 <= ell <= 1.0 - 1e-6:
         raise DomainError(f"oracle_amplitude requires 0 <= ell <= 1 - 1e-6, got {ell!r}")
-    return _amplitude(u, ell, oracle_K(ell).value)
-
-
-def _amplitude(u, ell: float, K: float) -> OracleResult:
-    """oracle_amplitude's Newton body at a modulus already checked, its K = oracle_K(ell).value given.
-
-    u is a float or an ndarray.  An ndarray runs Newton on all its points at once, each
-    dropping out after its own last step, so each field is an array of u's shape whose
-    entries are the float call's bit for bit.
-    """
+    K = oracle_K(ell).value
     x = np.asarray(u, dtype=float).ravel()
     target = np.abs(x)
     inside = target <= 2.0 * K + 1e-9  # written so that a NaN u is refused too

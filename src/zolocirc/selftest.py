@@ -66,12 +66,12 @@ def criterion_2():
         rep2 = report(r, theta, 2 * _grid_for(problem, degree))
         rep = report(r, theta, _grid_for(problem, degree)) if rep2.method == "grid" else rep2
         label = f"{problem} {letter}={degree} theta={theta:.3f}"
-        arcs = analysis._arc_jobs(r, theta, problem)
+        arcs = analysis._arcs(problem)
         if rep.arcs != (rep.expected,) * len(arcs) or rep2.arcs != rep.arcs:
             bad.append(f"{label}: {rep.arcs}/{rep2.arcs}")
             continue
         angles = [x for x, _ in rep.extrema]
-        ends = [e for _, lo, hi in arcs for e in (lo, hi)]
+        ends = [e for mid, scale in arcs for e in (mid - scale * theta, mid + scale * theta)]
         if any(min(abs(a - e) for a in angles) > 1e-8 for e in ends):
             bad.append(f"{label}: endpoint not attained")
     return ("equioscillation certificate", not bad, "; ".join(bad) if bad else "all counts exact and stable")
@@ -107,21 +107,15 @@ def criterion_4():
     return ("structural identity", worst <= 1e-11, f"worst residual = {worst:.3e}")
 
 
-def _u_grid(ell: float, ell_comp: float, nome: tuple) -> np.ndarray:
-    """Rows sn, cn, dn at u_k = k K(ell)/64, k = 0..64, past k = 32 by ``_sncndn``'s own reflection, bit for bit."""
-    nodes = [elliptic._sncndn(k, 64, ell, ell_comp, nome) for k in range(33)]
-    nodes += [(cn / dn, ell_comp * sn / dn, ell_comp / dn) for sn, cn, dn in nodes[31::-1]]
-    return np.array(nodes).T
-
-
 def criterion_5():
     """Factored product vs F/G lift (1e-11); direct vs product F (1e-10).
 
     The lift side is the built optimum, which reads the circle through the
     lift; the product side is a plain rational with its factors.  The
-    direct side reads the u grid u_k = k K(ell)/64, k = 0..64: at
-    x = +-ell sn(u_k, ell), covering [-ell, ell], F = +-lam sn(u_k/M, lam)
-    and G = dn(u_k/M, lam), and u_k/M = k K(lam)/64, so no sn is inverted.
+    direct side reads the u grid u_k = k K(ell)/64, k = 0..64, as the node
+    list ``elliptic._quarter_nodes``: at x = +-ell sn(u_k, ell), covering
+    [-ell, ell], F = +-lam sn(u_k/M, lam) and G = dn(u_k/M, lam), and
+    u_k/M = k K(lam)/64, so no sn is inverted.
     Its fractions are those of the lift side's optima, which their lift
     calls have built.
     """
@@ -139,10 +133,10 @@ def criterion_5():
     for theta in (0.5, 1.0, 1.4):
         fractions = fractions_at[theta]
         mod = fractions[0].reduction.modulus
-        x = mod.ell * _u_grid(mod.ell, mod.ell_comp, mod.nome)[0]
+        x = mod.ell * np.array(elliptic._quarter_nodes(64, mod.ell, mod.ell_comp, mod.nome))[:, 0]
         for zf in fractions:
             red = zf.reduction
-            sn, _, dn = _u_grid(red.lam, red.lam_comp, red.nome)
+            sn, _, dn = np.array(elliptic._quarter_nodes(64, red.lam, red.lam_comp, red.nome)).T
             for sign in (1.0, -1.0):  # F is odd and G even
                 F, G = approximants.eval_F_product(zf, sign * x)
                 worst_fg = max(worst_fg, float(np.max(np.abs([sign * red.lam * sn - F, dn - G]))))
@@ -215,10 +209,10 @@ def criterion_8():
     worst_k = max(abs(K - elliptic.complete_K(ell)) for ell, K in zip(moduli, quarters))
     worst_j = 0.0
     fracs = np.array((-2.0, -1.5, -0.7, -0.2, 0.3, 0.6, 1.0, 1.4, 1.9))
-    for ell, K in zip(moduli[1::3], quarters[1::3]):  # ell = 0.05, 0.2, ..., 0.95 with their oracle K
+    for ell in moduli[1::3]:  # ell = 0.05, 0.2, ..., 0.95
         us = fracs * elliptic.complete_K(ell)
-        # one Newton run per modulus: each phi is oracle_amplitude(u, ell)'s bit for bit
-        for u, phi in zip(us.tolist(), oracle._amplitude(us, ell, K).value.tolist()):
+        # one Newton run per modulus: each phi is the float call oracle_amplitude(u, ell)'s bit for bit
+        for u, phi in zip(us.tolist(), oracle.oracle_amplitude(us, ell).value.tolist()):
             sn, cn, dn = elliptic.jacobi_sncndn(u, ell)
             worst_j = max(
                 worst_j,

@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,11 @@ CIRCLE_64 = np.exp(2j * math.pi * RNG.random(64))
 
 def circle(count, offset=0.37):
     return np.exp(2j * math.pi * (np.arange(count) + offset) / count)
+
+
+def same_bits(a, b):
+    """Complex values (scalars or arrays) equal bit for bit, signed zeros included."""
+    return np.asarray(a, dtype=complex).tobytes() == np.asarray(b, dtype=complex).tobytes()
 
 
 class TestCoeffA:
@@ -371,6 +377,36 @@ class TestLift:
     def test_degree_validated_before_the_points(self):
         with pytest.raises(DomainError, match="degree must be an integer >= 0"):
             ap.eval_s_via_FG(-1, 1.0, 1j)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 8, 9, 40])
+    def test_one_circle_rule_with_the_built_optimum(self, m):
+        theta = 1.0
+        s = ap.build_s(m, theta)
+        product = ap.UnimodularRational(s.quarter_turns, s.factors, s.family)
+        zf = ap.ZolotarevFraction.from_ell(m, *el.require_theta(theta))
+        # on the circle (|x^2 + y^2 - 1| <= 8 eps): the lift eval_s_via_FG took before, bit for bit
+        on = np.exp(1j * np.linspace(-math.pi, math.pi, 33))
+        assert np.all(np.abs(on.real**2 + on.imag**2 - 1.0) <= 8.0 * sys.float_info.epsilon)
+        assert same_bits(ap.eval_s_via_FG(m, theta, on), ap._lifted(zf, on.real, on.imag, 1, False))
+        for z in on.tolist():
+            assert same_bits(ap.eval_s_via_FG(m, theta, z), ap._lifted(zf, z.real, z.imag, 1, False))
+        # off it by more than 8 eps and at most 1e-9: the product, and an array with one such point takes it all
+        r = 1.0 + 4503599 * 2.0**-52  # the largest |z| = 1 + d on the float grid with d <= 1e-9
+        near = [r, -r, 1j * r, -1j * r, complex(on[3] * (1.0 + 1e-12))]
+        assert all(same_bits(ap.eval_s_via_FG(m, theta, z), product(z)) for z in near)
+        mixed = np.concatenate([on, near])
+        assert same_bits(ap.eval_s_via_FG(m, theta, mixed), product(mixed))
+        # one ulp of |z| past 1e-9: still refused, alone or in an array
+        past = 1.0 + 4503600 * 2.0**-52
+        for z in (past, -1j * past, np.concatenate([on, [past]])):
+            with pytest.raises(DomainError, match=r"requires \|z\| = 1"):
+                ap.eval_s_via_FG(m, theta, z)
+
+    @pytest.mark.parametrize("theta", [1e-3, 1.0, 1.5707963])
+    def test_s0_is_exactly_i(self, theta):
+        z = np.exp(1j * np.linspace(-math.pi, math.pi, 9))
+        assert same_bits(ap.eval_s_via_FG(0, theta, z), np.full(9, 1j))
+        assert all(same_bits(ap.eval_s_via_FG(0, theta, p), 1j) for p in z.tolist())
 
 
 class TestExactType:

@@ -194,6 +194,15 @@ class TestBridgeArrays:
             assert got == sides
 
 
+@pytest.mark.parametrize("relation", [cn.blaschke_s_relation, cn.scaled_F_via_blaschke])
+@pytest.mark.parametrize("z", ["0.1", None, [0.1, 0.2], b"0.1", 10**400],
+                         ids=["str", "None", "list", "bytes", "10**400"])
+def test_a_point_that_is_neither_a_number_nor_an_array_is_a_domain_error(relation, z):
+    # the rule of UnimodularRational.__call__: complex() would parse the string "0.1"
+    with pytest.raises(DomainError, match="a number or an ndarray"):
+        relation(2, 0.25, z)
+
+
 def test_array_point_whose_image_leaves_the_unit_interval():
     # x = sqrt(kappa)(z - 1)/(z + 1) = -1.33 at z = -0.6: no unit-circle w; off the real line at z = i
     with pytest.raises(BranchError, match=r"Moebius image \(-1\.33"):

@@ -122,8 +122,9 @@ def test_node_and_grid_routes_agree_where_the_grid_resolves(report, build, degre
     r = build(degree, theta)
     rep = report(r, theta, grid)
     problem = "z5" if build is ap.build_r else "z6"
-    amplitude, extrema, counts, size = an._certified_measure(an._arc_jobs(r, theta, problem), grid, rep.expected)
+    amplitude, predicted, extrema, counts, size = an._certified_measure(r, theta, problem, grid, rep.expected - 1)
     assert rep.method == "nodes" and (counts, size) == (rep.arcs, rep.grid_size)
+    assert predicted == rep.predicted
     assert abs(amplitude - rep.max_error) <= 1e-9 * rep.max_error
     # the golden search locates a flat extremum to about the root of eps
     assert max(abs(a - b) for (a, _), (b, _) in zip(extrema, rep.extrema)) <= 1e-6

@@ -1,10 +1,11 @@
 """The node table ``approximants._nodes`` that the builders, the F/G fraction and blaschke_h read.
 
-The table holds (sn, cn, dn)(k K(ell')/M, ell') at k = 0..2M-1.  It computes
-the nodes up to M/2 with ``elliptic._sncndn`` and takes the rest from them by
-the quarter-period reflection and by cn's sign past M, so every entry must
-equal ``_sncndn``'s value bit for bit, and one build plus its first circle
-call must run the theta series only at k = 0..M/2.
+The table holds (sn, cn, dn)(k K(ell')/M, ell') at k = 0..2M-1.  Its first
+M + 1 entries are the node list ``elliptic._quarter_nodes``, which computes
+the nodes up to M/2 with ``elliptic._sncndn`` and the rest from them by the
+quarter-period reflection; past M the table takes cn's sign.  So every
+entry of either must equal ``_sncndn``'s value bit for bit, and one build
+plus its first circle call must run the theta series only at k = 0..M/2.
 """
 
 import math
@@ -34,6 +35,33 @@ def test_every_node_is_sncndns_bit_for_bit(theta):
         assert len(table) == 2 * M
         for k, node in enumerate(table):
             assert bits(node) == bits(el._sncndn(k, M, ell_comp, ell, nome)), (M, k)
+
+
+def quarter_pairs():
+    """(modulus, complement, nome) at both window ends, each way round, and at three reductions' lam."""
+    pairs = {}
+    for end, theta in (("bottom", BOTTOM), ("top", TOP)):
+        ell, ell_comp = el.require_theta(theta)
+        nome = el._nome(ell, ell_comp)
+        pairs[f"{end} ell"], pairs[f"{end} ell'"] = (ell, ell_comp, nome), (ell_comp, ell, nome)
+    for end, theta, m in (("bottom", BOTTOM, 8), ("middle", 1.0, 3), ("top", TOP, 2)):
+        ell, ell_comp = el.require_theta(theta)
+        red = el.solve_lambda(ell, m, ell_comp)  # its nome is the degree equation's, not _nome(lam, lam')
+        pairs[f"{end} lam m={m}"] = (red.lam, red.lam_comp, red.nome)
+    return pairs
+
+
+QUARTER_PAIRS = quarter_pairs()
+
+
+@pytest.mark.parametrize("pair", sorted(QUARTER_PAIRS))
+@pytest.mark.parametrize("M", list(range(1, 21)) + [64, 65, 129])
+def test_the_quarter_node_list_is_sncndns_bit_for_bit(pair, M):
+    ell, ell_comp, nome = QUARTER_PAIRS[pair]
+    nodes = el._quarter_nodes(M, ell, ell_comp, nome)
+    assert len(nodes) == M + 1
+    for k, node in enumerate(nodes):
+        assert bits(node) == bits(el._sncndn(k, M, ell, ell_comp, nome)), k
 
 
 @pytest.mark.parametrize("theta", [BOTTOM, 1.0, TOP])
@@ -81,14 +109,14 @@ def test_blaschke_h_reads_the_table_at_modulus_ell(ell):
 
 
 def counted_sncndn(monkeypatch):
-    calls, sncndn = [], ap._sncndn
+    calls, sncndn = [], el._sncndn
 
     def counted(*args):
         calls.append(args[0])
         return sncndn(*args)
 
     ap._nodes.cache_clear()
-    monkeypatch.setattr(ap, "_sncndn", counted)
+    monkeypatch.setattr(el, "_sncndn", counted)
     return calls
 
 

@@ -14,9 +14,9 @@ import math
 
 import pytest
 
-from zolocirc import analysis, approximants, composition, elliptic
+from zolocirc import analysis, approximants, composition, connections, elliptic
 from zolocirc.cli import main
-from zolocirc.errors import PrecisionError
+from zolocirc.errors import DomainError, PrecisionError
 
 LAST_GOOD = 1.5707963162581844
 SLIVER = 1.5707963167948964  # the largest double below THETA_MAX
@@ -129,3 +129,26 @@ def test_cli_theta_window_is_require_theta(capsys, tmp_path, command, theta):
     assert (code, captured.out) == (3, "")
     assert captured.err == f"numeric domain error: {info.value}\n"
     assert not out.exists()
+
+
+NOT_REAL = {"str": "1.0", "None": None, "list": [1.0], "complex": 1 + 0j}
+TAKES_A_REAL = {
+    "build_s(3)": lambda v: approximants.build_s(3, v),
+    "build_r(2)": lambda v: approximants.build_r(2, v),
+    "theta_tilde(3)": lambda v: composition.theta_tilde(3, v),
+    "pade_limit_check(2)": lambda v: connections.pade_limit_check(2, [v]),
+    "z4_solution(3)": lambda v: approximants.z4_solution(3, v),
+    "solve_lambda(3)": lambda v: elliptic.solve_lambda(v, 3),
+    "blaschke_h(2)": lambda v: connections.blaschke_h(2, v),
+    "blaschke_s_relation(2)": lambda v: connections.blaschke_s_relation(2, v, 0.1),
+    "scaled_F_via_blaschke(2)": lambda v: connections.scaled_F_via_blaschke(2, v, 0.1),
+}
+
+
+@pytest.mark.parametrize("value", sorted(NOT_REAL))
+@pytest.mark.parametrize("name", sorted(TAKES_A_REAL))
+def test_a_theta_or_modulus_that_is_not_real_is_a_domain_error(name, value):
+    # require_theta and require_modulus catch the comparison's TypeError; the success path gains no check
+    with pytest.raises(DomainError, match=r"^(theta|ell) must be a real number, got "):
+        TAKES_A_REAL[name](NOT_REAL[value])
+
