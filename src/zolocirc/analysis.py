@@ -326,24 +326,14 @@ def phase_error_sign(s: UnimodularRational, theta: float, grid_n: int) -> PhaseE
 
 
 def max_phase_error(r: UnimodularRational, theta: float, problem: str, grid_n: int = 512) -> float:
-    """Max wrapped phase error over the arc domain, without equioscillation
-    bookkeeping.
+    """The grid route's amplitude: the largest |error| of ``_arc_extrema`` on grid_n points per arc.
 
-    Suitable for bounds tables at degrees where the error sits at the
-    rounding floor and extremum counting is meaningless.
+    No count, doubling or route: an optimum reads like any other rational.
+    A flat arc (grid spread below 1e-13) reads its error at the midpoint alone.
     """
     require_theta(theta)
     grid_n = require_degree(grid_n, 2, "grid_n")
-    best = 0.0
-    for fn, lo, hi in _arc_jobs(r, theta, problem):
-        ths = np.linspace(lo, hi, grid_n)
-        i = int(np.argmax(np.abs(fn(ths))))
-        a, b = ths[max(i - 1, 0)], ths[min(i + 1, grid_n - 1)]
-        _, v = _golden_max(lambda t: abs(fn(t)), a, b)
-        # the grid only picks the bracket: its peak is re-evaluated on the
-        # scalar path, like every other reported value
-        best = max(best, abs(fn(ths[i])), v)
-    return best
+    return _tally([_arc_extrema(fn, lo, hi, grid_n) for fn, lo, hi in _arc_jobs(r, theta, problem)])[0]
 
 
 def zolotarev_number(m: int, theta: float) -> float:

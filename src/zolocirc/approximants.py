@@ -419,6 +419,7 @@ def eval_s_via_FG(m: int, theta: float, z):
     circle take the lift F(x) + i sign(Im z)^m G(x), any other z the product.
     """
     s = build_s(m, theta)  # validates m and theta before the points
+    z = z if isinstance(z, np.ndarray) else _point(z)  # DomainError for a point that is not a number
     off = np.abs(np.abs(z) - 1.0)
     if not np.all(off <= 1e-9):
         raise DomainError(f"eval_s_via_FG requires |z| = 1, got ||z| - 1| = {float(np.max(off))!r}")

@@ -168,12 +168,12 @@ def _cmd_error(args) -> int:
 
 def _cmd_bounds(args) -> int:
     _check_range("--max-degree", args.max_degree, 0, 64)
-    build = analysis._problem_fns(args.problem)[0]
+    build, phase_report = analysis._problem_fns(args.problem)
     rows = []
     for degree in range(args.max_degree + 1):
-        r = build(degree, args.theta)
-        grid_n = max(128, 8 * (degree + 1))
-        measured = analysis.max_phase_error(r, args.theta, args.problem, grid_n)
+        measured = analysis.theta_tilde(analysis.effective_degree(args.problem, degree), args.theta)
+        if measured >= sys.float_info.min:  # else theta_tilde: the nodes refuse a subnormal optimum
+            measured = phase_report(build(degree, args.theta), args.theta, max(128, 8 * (degree + 1))).max_error
         b_rho, b_sec = analysis.error_bounds(degree, args.theta, args.problem)
         rows.append((degree, measured, b_rho, b_sec))
     columns = ("degree", "measured", "bound_rho", "bound_secant")

@@ -23,6 +23,7 @@ rounds to within a few ulp of 1.  The inverse sn is a Carlson integral.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import sys
 from dataclasses import dataclass, field
@@ -45,13 +46,19 @@ def complement(x: float) -> float:
     return math.sqrt((1.0 - x) * (1.0 + x))
 
 
+def _between(x, lo: float, hi: float, name: str) -> bool:
+    """lo < x < hi for a real x; DomainError for any other, numpy's complex scalars (ordered by real part) included."""
+    if isinstance(x, numbers.Real) or not isinstance(x, numbers.Complex):
+        try:
+            return lo < x < hi
+        except TypeError:
+            pass
+    raise DomainError(f"{name} must be a real number, got {x!r}")
+
+
 def require_modulus(ell: float, name: str = "ell") -> float:
     """A modulus inside the precision window as a plain float; PrecisionError outside, DomainError if not real."""
-    try:
-        inside = ELL_MIN < ell < ELL_MAX
-    except TypeError:
-        raise DomainError(f"{name} must be a real number, got {ell!r}") from None
-    if not inside:
+    if not (ELL_MIN < ell < ELL_MAX if type(ell) is float else _between(ell, ELL_MIN, ELL_MAX, name)):
         raise PrecisionError(f"{name}={ell!r} outside supported range ({ELL_MIN}, {ELL_MAX})")
     return float(ell)
 
@@ -63,11 +70,7 @@ def require_theta(theta: float, name: str = "theta") -> tuple[float, float]:
     the bottom 3.9e-13 of the window it rounds to ELL_MAX) and sin(theta),
     the modulus of every node, below 1 (on the top 5.4e-10 it rounds to 1.0).
     """
-    try:
-        inside = THETA_MIN < theta < THETA_MAX
-    except TypeError:
-        raise DomainError(f"{name} must be a real number, got {theta!r}") from None
-    if not inside:
+    if not (THETA_MIN < theta < THETA_MAX if type(theta) is float else _between(theta, THETA_MIN, THETA_MAX, name)):
         raise PrecisionError(f"{name}={theta!r} outside supported range ({THETA_MIN:.6e}, {THETA_MAX!r})")
     ell, ell_comp = math.cos(theta), math.sin(theta)
     if ell >= ELL_MAX or ell_comp == 1.0:

@@ -378,6 +378,12 @@ class TestLift:
         with pytest.raises(DomainError, match="degree must be an integer >= 0"):
             ap.eval_s_via_FG(-1, 1.0, 1j)
 
+    @pytest.mark.parametrize("z", ["1j", None, [1j]], ids=["str", "None", "list"])
+    def test_a_point_that_is_neither_a_number_nor_an_array_is_a_domain_error(self, z):
+        # the rule of the built optimum's __call__, taken before the 1e-9 test reads |z|
+        with pytest.raises(DomainError, match="a number or an ndarray"):
+            ap.eval_s_via_FG(3, 1.0, z)
+
     @pytest.mark.parametrize("m", [1, 2, 3, 8, 9, 40])
     def test_one_circle_rule_with_the_built_optimum(self, m):
         theta = 1.0

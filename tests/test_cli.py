@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -314,6 +315,46 @@ class TestBounds:
         code, _, _ = run(capsys, "bounds", "--problem", "z6", "--max-degree", "65",
                          "--theta", "1.0")
         assert code == 2
+
+    @pytest.mark.parametrize("theta", ["2e-4", "1e-3", "0.3", "1.0", "1.5707963"])
+    @pytest.mark.parametrize("problem", ["z5", "z6"])
+    def test_measured_is_the_node_amplitude_or_theta_tilde(self, capsys, problem, theta):
+        # a normal optimum reads `error`'s amplitude, which tests/test_node_route.py holds to mpmath;
+        # the nodes refuse a subnormal one, whose row prints theta_tilde (0 where it underflows)
+        code, out, _ = run(capsys, "bounds", "--problem", problem, "--max-degree", "64", "--theta", theta)
+        assert code == 0
+        build, report = an._problem_fns(problem)
+        kinds = set()
+        for line in out.splitlines()[1:]:
+            degree, measured = line.split(",")[:2]
+            degree, measured = int(degree), float(measured)
+            predicted = an.theta_tilde(an.effective_degree(problem, degree), float(theta))
+            if predicted >= sys.float_info.min:
+                r = build(degree, float(theta))
+                assert measured == report(r, float(theta), max(128, 8 * (degree + 1))).max_error
+                kinds.add("nodes")
+            else:
+                assert measured == predicted
+                kinds.add("theta_tilde")
+        assert degree == 64
+        if (problem, theta) == ("z5", "1e-3"):
+            assert kinds == {"nodes", "theta_tilde"}
+
+    def test_a_table_makes_no_scalar_evaluation(self, capsys, monkeypatch):
+        scalar, call = [], ap.UnimodularRational.__call__
+
+        def counted(self, z):
+            if not isinstance(z, np.ndarray):
+                scalar.append(z)
+            return call(self, z)
+
+        monkeypatch.setattr(ap.UnimodularRational, "__call__", counted)
+        for problem, theta in (("z5", "1e-3"), ("z6", "1.0")):
+            code, _, _ = run(capsys, "bounds", "--problem", problem, "--max-degree", "16", "--theta", theta)
+            assert code == 0
+        assert scalar == []
+        ap.build_s(3, 1.0)(1j)  # the wrapper sees a scalar call
+        assert scalar == [1j]
 
 
 class TestCompose:

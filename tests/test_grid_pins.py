@@ -88,3 +88,27 @@ def test_grid_route(key):
                 assert max(abs(g - p) for g, p in zip(pair, pinned)) <= MEASURED_TOL
         else:
             assert got[name] == value, name
+
+
+# built optima, which a report reads at their nodes and max_phase_error on the grid like any other rational
+OPTIMA = ["z6 optimum 0 1.0 128", "z6 optimum 8 1.0 128", "z6 optimum 24 1.0 200", "z5 optimum 3 0.7 128",
+          "z5 optimum 6 0.3 128"]
+
+
+@pytest.mark.parametrize("key", sorted(PINS) + OPTIMA)
+def test_max_phase_error_is_the_grid_routes_amplitude(key):
+    r, theta, problem, grid_n = rational(key)
+    jobs = an._arc_jobs(r, theta, problem)
+    got = an.max_phase_error(r, theta, problem, grid_n)
+    assert got == an._tally([an._arc_extrema(fn, lo, hi, grid_n) for fn, lo, hi in jobs])[0]
+    report = an.phase_error_sqrt if problem == "z5" else an.phase_error_sign
+    if key in PINS and "grid_size" in PINS[key]["report"]:  # on the grid a report counted on, its amplitude
+        rep = report(r, theta, grid_n)
+        assert an.max_phase_error(r, theta, problem, rep.grid_size) == rep.max_error
+    if key in OPTIMA:
+        node = report(r, theta, grid_n)
+        assert node.method == "nodes"
+        if node.max_error > 1e-13:  # the grid resolves the amplitude to a few ulp(pi)
+            assert abs(got - node.max_error) <= 2e-15
+        else:  # a flat arc reads its error at the midpoint alone, here 0 at the centre of the z5 arc
+            assert got == max(abs(fn(0.5 * (lo + hi))) for fn, lo, hi in jobs) == 0.0

@@ -12,6 +12,7 @@ PrecisionError for every entry point alike, the CLI's --theta included.
 
 import math
 
+import numpy as np
 import pytest
 
 from zolocirc import analysis, approximants, composition, connections, elliptic
@@ -131,7 +132,12 @@ def test_cli_theta_window_is_require_theta(capsys, tmp_path, command, theta):
     assert not out.exists()
 
 
-NOT_REAL = {"str": "1.0", "None": None, "list": [1.0], "complex": 1 + 0j}
+NOT_REAL = {
+    "str": "1.0", "None": None, "list": [1.0], "complex": 1 + 0j,
+    # numpy orders its complex scalars by their real parts, and math.cos would drop the imaginary part
+    "np.complex128(1+0.5j)": np.complex128(1 + 0.5j), "np.complex128(1)": np.complex128(1),
+    "np.complex64(1)": np.complex64(1),
+}
 TAKES_A_REAL = {
     "build_s(3)": lambda v: approximants.build_s(3, v),
     "build_r(2)": lambda v: approximants.build_r(2, v),
@@ -148,7 +154,7 @@ TAKES_A_REAL = {
 @pytest.mark.parametrize("value", sorted(NOT_REAL))
 @pytest.mark.parametrize("name", sorted(TAKES_A_REAL))
 def test_a_theta_or_modulus_that_is_not_real_is_a_domain_error(name, value):
-    # require_theta and require_modulus catch the comparison's TypeError; the success path gains no check
+    # require_theta and require_modulus refuse a complex type and catch the comparison's TypeError
     with pytest.raises(DomainError, match=r"^(theta|ell) must be a real number, got "):
         TAKES_A_REAL[name](NOT_REAL[value])
 
