@@ -24,13 +24,13 @@ their count.  A report reads both and names its route in ``method``:
   short count, a failed check or an amplitude below the normal doubles
   raises PrecisionError.
 - ``"grid"``, for every other rational (a copy equal in value to an optimum,
-  an optimum reported at another Theta or problem): one kernel
-  (``_phase_error``, one exact 2 pi shift wrapping scalars and arrays
-  alike) serves both problems and both arcs; each arc's grid is one array
-  call that only brackets the extrema of the signed error, and golden
-  refinement on the scalar path computes every reported value.  A short
-  count is measured again on the doubled grid, and ``grid_size`` names the
-  grid the counts came from.
+  an optimum reported at another Theta or problem): per arc, the roots of
+  the error's slope, a sum of the Poisson kernels of the factors' zeros
+  (``_phase_slope``), are bracketed on the grid and bisected as arrays,
+  and one array call of ``_phase_error`` reads the error there, at the
+  arc ends and along the grid, unwrapped along the arc from its centre.
+  No scalar call is made.  A short count is measured again on the
+  doubled grid, and ``grid_size`` names the grid the counts came from.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from .elliptic import EllipticModulus, _mu_inverse_pair, _mu_pair, require_degre
 from .errors import DomainError, PrecisionError, ResolutionError
 
 _TWO_PI = 2.0 * math.pi
-_INV_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -61,7 +60,7 @@ class PhaseErrorReport:
     arcs: tuple[int, ...]  # alternation count per arc
     grid_size: int
     expected: int  # the count an optimum reaches on each arc: M + 1 at the effective degree M
-    method: str  # "nodes" (closed-form alternation points) or "grid" (grid search and refinement)
+    method: str  # "nodes" (closed-form alternation points) or "grid" (roots of the phase slope)
 
 
 @dataclass(frozen=True)
@@ -74,23 +73,38 @@ class GridField:
 
 
 def _phase_error(r: UnimodularRational, offset: float, half_t: float):
-    """Signed error t -> arg r(e^{i t}) - offset - half_t t, wrapped to (-pi, pi].
+    """Signed error t -> arg r(e^{i t}) - offset - half_t t at an ndarray of angles, wrapped to (-pi, pi].
 
-    An ndarray of angles takes one array call of r; a float, the scalar path.
-    On the arcs the unwrapped difference lies in [-2 pi, 3 pi/2]: x - k 2 pi,
-    k in {-1, 0, 1}, wraps both exactly (k = 0 keeps x, -0.0 included).
+    One array call of r.  On the arcs the unwrapped difference lies in
+    [-2 pi, 3 pi/2]: x - k 2 pi, k in {-1, 0, 1}, wraps it exactly (k = 0
+    keeps x, -0.0 included).
     """
 
     def err(t):
-        if isinstance(t, np.ndarray):
-            w = r(np.exp(1j * t))
-            x = np.arctan2(w.imag, w.real) - (offset + half_t * t)
-        else:
-            w = r(complex(math.cos(t), math.sin(t)))
-            x = math.atan2(w.imag, w.real) - float(offset + half_t * t)
+        w = r(np.exp(1j * t))
+        x = np.arctan2(w.imag, w.real) - (offset + half_t * t)
         return x - _TWO_PI * (1.0 * (x > math.pi) - (x <= -math.pi))
 
     return err
+
+
+def _phase_slope(r: UnimodularRational, half_t: float):
+    """The error's slope t -> d/dt arg r(e^{i t}) - half_t at an ndarray of angles.
+
+    A factor (u z + v)/(conj(v) z + conj(u)) is a unimodular constant times
+    (z - a)/(1 - conj(a) z), a = -v/u, whose phase grows at the Poisson
+    kernel (1 - |a|^2)/|e^{i t} - a|^2, written without cancellation; a
+    u = 0 factor (-1/z) turns at -1, and one with |a| = 1 is constant.
+    """
+    zeros = np.array([-v / u for u, v, _, _ in r._pairs if u != 0], dtype=complex)
+    m, phi = np.abs(zeros), np.angle(zeros)
+    m, phi, base = m[m != 1.0], phi[m != 1.0], len(zeros) - len(r._pairs) - half_t
+
+    def slope(t):
+        s = np.sin(0.5 * (t[:, None] - phi))
+        return ((1.0 - m) * (1.0 + m) / ((1.0 - m) ** 2 + 4.0 * m * s * s)).sum(axis=1) + base
+
+    return slope
 
 
 def theta_tilde(m: int, theta: float) -> float:
@@ -139,81 +153,48 @@ def _arcs(problem: str):
 
 
 def _arc_jobs(r: UnimodularRational, theta: float, problem: str):
-    """(error kernel, lo, hi) of each arc of the z5 or z6 domain."""
+    """(error kernel, slope kernel, lo, hi) of each arc of the z5 or z6 domain."""
     half_t = 0.5 if effective_degree(problem, 0) else 0.0  # the target sqrt turns at half the angle
-    return [(_phase_error(r, mid, half_t), mid - scale * theta, mid + scale * theta) for mid, scale in _arcs(problem)]
+    slope = _phase_slope(r, half_t)
+    return [(_phase_error(r, mid, half_t), slope, mid - w * theta, mid + w * theta) for mid, w in _arcs(problem)]
 
 
-def _golden_max(f, lo: float, hi: float):
-    """Golden-section maximizer of f on [lo, hi] to a bracket of 1e-12; returns (x, f(x))."""
-    a, b = lo, hi
-    c = b - _INV_GOLD * (b - a)
-    d = a + _INV_GOLD * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > 1e-12:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_GOLD * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_GOLD * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
+def _arc_extrema(err, slope, lo: float, hi: float, n: int):
+    """(angle, error) at both ends of [lo, hi] and at each root of the error's slope between them, by angle.
 
-
-def _arc_extrema(err_fn, lo: float, hi: float, n: int):
-    """Locate and refine all local extrema of the signed error on [lo, hi].
-
-    ``err_fn`` takes an array of angles (the grid, evaluated at once) or a
-    float (the refinement).  Endpoints always enter as candidates.  Returns
-    the refined list sorted by angle; a flat curve collapses to its midpoint.
+    The slope's sign changes on the n-point grid are bisected all at once
+    down to adjacent doubles, a fixed point of the step.  One array call of
+    ``err`` reads the grid, the roots and the centre; the values are
+    unwrapped along the arc, so that a crossing of +-pi is a value and not
+    an extremum, from the centre's in (-pi, pi].
     """
-    ths = np.linspace(lo, hi, n)
-    e, grid = err_fn(ths), ths.tolist()  # angles are read as Python floats
-    if float(e.max() - e.min()) < 1e-13:
-        mid = 0.5 * (lo + hi)
-        return [(mid, err_fn(mid))]
-    last = n - 1
-    inner = e[1:-1]
-    peak = np.ones(n, dtype=bool)  # endpoints always enter
-    peak[1:-1] = ((inner >= e[:-2]) & (inner >= e[2:])) | ((inner <= e[:-2]) & (inner <= e[2:]))
-    out = []
-    for i in np.flatnonzero(peak).tolist():
-        left, right = max(i - 1, 0), min(i + 1, last)
-        a, b = grid[left], grid[right]
-        sign = 1.0 if e[i] >= e[left] and e[i] >= e[right] else -1.0
-        x, v = _golden_max(lambda t: sign * err_fn(t), a, b)
-        if i == 0 or i == last:
-            # arc endpoints are candidate extrema in their own right
-            end = grid[i]
-            ve = sign * err_fn(end)
-            if ve >= v:
-                x, v = end, ve
-        out.append((x, sign * v))
-    out.sort(key=lambda p: p[0])
-    # collapse refinements that converged to the same point
-    gap = (hi - lo) * 1e-8
-    return _collapse(out, lambda last, p: abs(p[0] - last[0]) < gap)
-
-
-def _collapse(points, joined):
-    """Keep the larger |v| of each run of (x, v) points; ``joined(last, p)`` adds p to last's run."""
-    out = []
-    for x, v in points:
-        if out and joined(out[-1], (x, v)):
-            if abs(v) > abs(out[-1][1]):
-                out[-1] = (x, v)
-        else:
-            out.append((x, v))
-    return out
+    grid = np.linspace(lo, hi, n)
+    up = slope(grid) > 0.0
+    cell = np.flatnonzero(up[1:] != up[:-1])
+    a, b, rising = grid[cell], grid[cell + 1], up[cell]
+    mid = 0.5 * (a + b)
+    while ((a < mid) & (mid < b)).any():
+        left = (slope(mid) > 0.0) == rising  # mid lies on a's side of the root
+        a, b = np.where(left, mid, a), np.where(left, b, mid)
+        mid = 0.5 * (a + b)
+    t = np.concatenate((grid, a, [0.5 * (lo + hi)]))
+    e, order = err(t), np.argsort(t, kind="stable")
+    turns = np.empty(t.size)
+    turns[order] = np.cumsum(np.rint(np.diff(e[order], prepend=e[order[0]]) / _TWO_PI))
+    e = e - _TWO_PI * (turns - turns[-1])
+    keep = np.r_[0, n : t.size - 1, n - 1]
+    return list(zip(t[keep].tolist(), e[keep].tolist()))
 
 
 def _alternating(extrema, amplitude: float, rel: float = 1e-3):
-    """Keep the extrema within ``rel`` of the amplitude and collapse same-sign neighbours."""
-    kept = [(x, v) for x, v in extrema if abs(v) >= amplitude * (1.0 - rel)]
-    return _collapse(kept, lambda last, p: (p[1] >= 0.0) == (last[1] >= 0.0))
+    """The extrema within ``rel`` of the amplitude, of each run of same-sign neighbours the first largest."""
+    out = []
+    for x, v in [(x, v) for x, v in extrema if abs(v) >= amplitude * (1.0 - rel)]:
+        if out and (v >= 0.0) == (out[-1][1] >= 0.0):
+            out[-1] = (x, v) if abs(v) > abs(out[-1][1]) else out[-1]
+        else:
+            out.append((x, v))
+    return out
 
 
 def _tally(per_arc, rel: float = 1e-3):
@@ -234,7 +215,7 @@ def _certified_measure(r: UnimodularRational, theta: float, problem: str, grid_n
     arc_jobs, expected, counts = _arc_jobs(r, theta, problem), effective + 1, None
     for n in (grid_n, 2 * grid_n):
         first = counts
-        amplitude, extrema, counts = _tally([_arc_extrema(fn, lo, hi, n) for fn, lo, hi in arc_jobs])
+        amplitude, extrema, counts = _tally([_arc_extrema(*job, n) for job in arc_jobs])
         if min(counts) >= expected or counts == first:
             return amplitude, theta_tilde(effective, theta), extrema, counts, n
     raise ResolutionError(f"alternation count not grid-stable: {first} vs {counts} (expected {expected} per arc)")
@@ -304,6 +285,8 @@ def _phase_report(r: UnimodularRational, theta: float, grid_n: int, problem: str
     each route measures the report's first five fields.
     """
     modulus = require_theta(theta)
+    if not isinstance(r, UnimodularRational):
+        raise DomainError(f"r must be a UnimodularRational (BlaschkeProduct.as_rational()), got {type(r).__name__}")
     degree = len(r.factors)
     effective = effective_degree(problem, degree)
     grid_n = require_degree(grid_n, 8 * (degree + 1), "grid_n")
@@ -329,11 +312,12 @@ def max_phase_error(r: UnimodularRational, theta: float, problem: str, grid_n: i
     """The grid route's amplitude: the largest |error| of ``_arc_extrema`` on grid_n points per arc.
 
     No count, doubling or route: an optimum reads like any other rational.
-    A flat arc (grid spread below 1e-13) reads its error at the midpoint alone.
     """
     require_theta(theta)
+    if not isinstance(r, UnimodularRational):
+        raise DomainError(f"r must be a UnimodularRational (BlaschkeProduct.as_rational()), got {type(r).__name__}")
     grid_n = require_degree(grid_n, 2, "grid_n")
-    return _tally([_arc_extrema(fn, lo, hi, grid_n) for fn, lo, hi in _arc_jobs(r, theta, problem)])[0]
+    return _tally([_arc_extrema(*job, grid_n) for job in _arc_jobs(r, theta, problem)])[0]
 
 
 def zolotarev_number(m: int, theta: float) -> float:

@@ -1,13 +1,17 @@
+import cmath
 import dataclasses
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+import mpref
 from zolocirc import analysis as an
 from zolocirc import approximants as ap
 from zolocirc import elliptic as el
-from zolocirc.errors import DomainError
+from zolocirc.connections import blaschke_h
+from zolocirc.errors import DomainError, ResolutionError
 
 
 def predicted_error(m, theta):
@@ -145,6 +149,14 @@ class TestReportedGrid:
         rep = report(r, 1.0, 256)
         assert all(c < rep.expected for c in rep.arcs)
         assert rep.grid_size == 512
+
+    def test_a_short_count_that_moves_with_the_grid_is_unresolvable(self, monkeypatch):
+        # 1/r_2 counts (2,) of 6 on both grids; a first grid that reads the arc's first end alone counts (1,)
+        r, extrema = ap.build_r(2, 1.4).reciprocal(), an._arc_extrema
+        assert an.phase_error_sqrt(r, 1.4, 256).arcs == (2,)
+        monkeypatch.setattr(an, "_arc_extrema", lambda *job: extrema(*job)[: 1 if job[-1] == 256 else None])
+        with pytest.raises(ResolutionError, match=r"not grid-stable: \(1,\) vs \(2,\) \(expected 6 per arc\)"):
+            an.phase_error_sqrt(r, 1.4, 256)
 
 
 class TestZolotarevNumber:
@@ -337,19 +349,23 @@ class TestContourGrid:
 class TestPhaseErrorKernel:
     @staticmethod
     def grids(problem, degree, theta, quarter_turns=0):
-        """(array branch, scalar branch) of the kernel on each arc's 1024-point grid."""
+        """(kernel, scalar path) on each arc's 1024-point grid: one array call, and r's scalar call point by point."""
         r = ap.build_r(degree, theta) if problem == "z5" else ap.build_s(degree, theta)
         r = dataclasses.replace(r, quarter_turns=r.quarter_turns + quarter_turns)
         jobs = an._arc_jobs(r, theta, problem)
         assert len(jobs) == (1 if problem == "z5" else 2)
-        for err, lo, hi in jobs:
+        half_t = 0.5 if problem == "z5" else 0.0
+        for (err, _, lo, hi), (mid, _) in zip(jobs, an._arcs(problem)):
             ths = np.linspace(lo, hi, 1024)
-            yield err(ths), np.array([err(t) for t in ths.tolist()])
+            ws = [r(cmath.exp(1j * t)) for t in ths.tolist()]
+            scalar = [TestPhaseErrorKernel.literal_wrap(cmath.phase(w) - (mid + half_t * t)) for w, t in zip(ws, ths)]
+            yield err(ths), np.array(scalar)
 
     @pytest.mark.parametrize("problem", ["z5", "z6"])
     @pytest.mark.parametrize("degree", [0, 1, 8, 32])
     @pytest.mark.parametrize("theta", [1e-3, 1.0, math.pi / 2 - 1e-3])
     def test_array_grid_matches_scalar_path(self, problem, degree, theta):
+        # the kernel's one array call against the error written out at r's scalar values
         for grid, scalar in self.grids(problem, degree, theta):
             assert grid.shape == (1024,)
             assert np.max(np.abs(grid - scalar)) <= 4e-15
@@ -361,18 +377,18 @@ class TestPhaseErrorKernel:
         return x + 2.0 * math.pi if x <= -math.pi else x
 
     @pytest.mark.parametrize("offset", [0.0, math.pi, 0.5 * math.pi, -0.5 * math.pi])
-    def test_one_wrap_for_floats_and_arrays(self, offset):
+    def test_one_wrap_on_arrays(self, offset):
         # a constant r at w: the error atan2(w) - offset meets both edges of (-pi, pi] and -0.0
         for w in (complex(1.0, -0.0), complex(1.0, 0.0), complex(-1.0, 0.0), complex(-1.0, -0.0), -1j, 1j, 1 + 1j):
-            err = an._phase_error(lambda z, w=w: np.full(z.shape, w) if isinstance(z, np.ndarray) else w, offset, 0.0)
+            err = an._phase_error(lambda z, w=w: np.full(z.shape, w), offset, 0.0)
             want = self.literal_wrap(math.atan2(w.imag, w.real) - offset)
             assert -math.pi < want <= math.pi
-            got = [err(0.0), float(err(np.zeros(1))[0])]
-            assert np.array_equal(np.array(got).view(np.uint64), np.array([want, want]).view(np.uint64)), (w, offset)
+            got = err(np.zeros(2))
+            assert np.array_equal(got.view(np.uint64), np.array([want, want]).view(np.uint64)), (w, offset)
 
     @pytest.mark.parametrize("problem", ["z5", "z6"])
     def test_reported_errors_are_python_floats(self, problem):
-        # the grid brackets hand numpy scalars to the scalar branch
+        # the grid route reads its values from arrays
         r = ap.build_r(2, 1.0) if problem == "z5" else ap.build_s(5, 1.0)
         report = (an.phase_error_sqrt if problem == "z5" else an.phase_error_sign)(r, 1.0, 128)
         values = [report.max_error, an.max_phase_error(r, 1.0, problem)] + [v for _, v in report.extrema]
@@ -383,10 +399,50 @@ class TestPhaseErrorKernel:
     @pytest.mark.parametrize("theta", [1e-3, 1.0])
     def test_half_turn_wraps_into_range(self, problem, degree, theta):
         # a half turn puts the error at about +-pi, so both wrap branches
-        # run; where rounding straddles pi the branches differ by 2 pi
+        # run; where rounding straddles pi the kernel and the scalar path differ by 2 pi
         for grid, scalar in self.grids(problem, degree, theta, quarter_turns=2):
             assert np.all((grid > -math.pi) & (grid <= math.pi))
             assert np.max(np.abs(np.remainder(grid - scalar + math.pi, 2 * math.pi) - math.pi)) <= 4e-15
+
+
+class TestSlopeRoots:
+    """The grid route reads each arc at the roots of the error's slope, on the branch through its centre."""
+
+    def test_a_crossing_of_pi_is_a_value_not_an_extremum(self):
+        # 1/r_1 turns through -pi on its way to -(2 Theta + arccos(lam)) at the arc end t = 2 Theta
+        r, theta = ap.build_r(1, 1.4).reciprocal(), 1.4
+        with mp.workdps(mpref.DPS):
+            a, z = mpref.coeff_a(1, 1, theta), mp.expj(2 * mp.mpf(theta))
+            amplitude = abs(mp.arg((z + a) / (1 + a * z)) - mp.mpf(theta))  # 3.17723439097452970...
+        rep = an.phase_error_sqrt(r, theta, 256)
+        assert rep.method == "grid" and abs(rep.max_error - amplitude) <= 4 * math.ulp(math.pi)
+        assert an.max_phase_error(r, theta, "z5", 256) == rep.max_error
+
+    def test_a_flat_optimum_reads_its_node_amplitude(self):
+        r = ap.build_r(6, 0.3)
+        node = an.phase_error_sqrt(r, 0.3, 128)
+        assert node.method == "nodes" and 1.04e-14 < node.max_error < 1.06e-14
+        assert abs(an.max_phase_error(r, 0.3, "z5", 128) - node.max_error) <= 2e-16
+
+    def test_one_ulp_off_an_optimum_reads_its_amplitude(self):
+        # 1/s_25 at Theta = 1.0, its first factor one ulp up: the amplitude is about 4.3e-14
+        r = ap.build_s(25, 1.0).reciprocal()
+        r = tampered(r, lambda b: math.nextafter(b, math.inf))
+        assert an.max_phase_error(r, 1.0, "z6") >= 4e-14
+        assert an.phase_error_sign(r, 1.0, 1024).max_error >= 4e-14
+
+
+class TestRationalInput:
+    @pytest.mark.parametrize("r", [None, blaschke_h(3, 0.3), lambda z: z], ids=["None", "BlaschkeProduct", "lambda"])
+    def test_what_is_not_a_unimodular_rational_is_a_domain_error(self, r):
+        calls = (
+            lambda: an.phase_error_sign(r, 1.0, 64),
+            lambda: an.phase_error_sqrt(r, 1.0, 64),
+            lambda: an.max_phase_error(r, 1.0, "z6", 64),
+        )
+        for call in calls:
+            with pytest.raises(DomainError, match=r"BlaschkeProduct\.as_rational\(\)"):
+                call()
 
 
 class TestCrossProblemIdentity:

@@ -80,11 +80,17 @@ class TestComposeS:
         inner = ap.build_s(m, theta)
         outer = ap.build_s(m_tilde, tt)
 
-        def err(t):  # _arc_extrema samples its grid with one array call
+        def err(t):  # _arc_extrema reads its points in one array call
             w = outer(inner(np.exp(1j * t)))
             return np.remainder(np.arctan2(w.imag, w.real) + math.pi, 2 * math.pi) - math.pi
 
-        ext = an._arc_extrema(err, -theta, theta, 160)
+        outer_slope, inner_slope = an._phase_slope(outer, 0.0), an._phase_slope(inner, 0.0)
+
+        def slope(t):  # the chain rule: the outer slope at the inner phase, times the inner slope
+            w = inner(np.exp(1j * t))
+            return outer_slope(np.arctan2(w.imag, w.real)) * inner_slope(t)
+
+        ext = an._arc_extrema(err, slope, -theta, theta, 160)
         amplitude = max(abs(v) for _, v in ext)
         assert len(an._alternating(ext, amplitude)) == m_tilde * m + 1
 

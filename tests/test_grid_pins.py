@@ -15,8 +15,10 @@ report pins are.
 """
 
 import json
+import math
 import os
 
+import numpy as np
 import pytest
 
 from zolocirc import analysis as an
@@ -65,11 +67,11 @@ def measure(key):
     return {"report": fields, "max_phase_error": an.max_phase_error(r, theta, problem, grid_n)}
 
 
-def test_pins_cover_every_kind_and_both_outcomes():
+def test_pins_cover_every_kind():
+    # no kind pinned here raises; tests/test_analysis.py reaches the grid route's ResolutionError
     words = [key.split() for key in PINS]
     kinds = {(p, k) for p in ("z5", "z6") for k in ("tampered", "reciprocal", "quarter")} - {("z6", "reciprocal")}
     assert {(w[0], w[1]) for w in words} == kinds
-    assert any("raises" in pin["report"] for pin in PINS.values())
     assert all(pin["report"].get("method", "grid") == "grid" for pin in PINS.values())
 
 
@@ -98,17 +100,41 @@ OPTIMA = ["z6 optimum 0 1.0 128", "z6 optimum 8 1.0 128", "z6 optimum 24 1.0 200
 @pytest.mark.parametrize("key", sorted(PINS) + OPTIMA)
 def test_max_phase_error_is_the_grid_routes_amplitude(key):
     r, theta, problem, grid_n = rational(key)
-    jobs = an._arc_jobs(r, theta, problem)
     got = an.max_phase_error(r, theta, problem, grid_n)
-    assert got == an._tally([an._arc_extrema(fn, lo, hi, grid_n) for fn, lo, hi in jobs])[0]
+    assert got == an._tally([an._arc_extrema(*job, grid_n) for job in an._arc_jobs(r, theta, problem)])[0]
     report = an.phase_error_sqrt if problem == "z5" else an.phase_error_sign
     if key in PINS and "grid_size" in PINS[key]["report"]:  # on the grid a report counted on, its amplitude
         rep = report(r, theta, grid_n)
         assert an.max_phase_error(r, theta, problem, rep.grid_size) == rep.max_error
-    if key in OPTIMA:
+    if key in OPTIMA:  # the roots of the slope sit on the nodes, flat arcs included
         node = report(r, theta, grid_n)
         assert node.method == "nodes"
-        if node.max_error > 1e-13:  # the grid resolves the amplitude to a few ulp(pi)
-            assert abs(got - node.max_error) <= 2e-15
-        else:  # a flat arc reads its error at the midpoint alone, here 0 at the centre of the z5 arc
-            assert got == max(abs(fn(0.5 * (lo + hi))) for fn, lo, hi in jobs) == 0.0
+        assert abs(got - node.max_error) <= 2e-15
+
+
+@pytest.mark.parametrize("key", sorted(PINS))
+def test_slope_is_the_derivative_of_the_error(key):
+    # a central difference of the error, unwrapped across each step, on 1001 points per arc
+    r, theta, problem, _ = rational(key)
+    h = 1e-5
+    for err, slope, lo, hi in an._arc_jobs(r, theta, problem):
+        t = np.linspace(lo, hi, 1001)
+        step = np.remainder(err(t + h) - err(t - h) + math.pi, 2.0 * math.pi) - math.pi
+        want = slope(t)
+        assert np.max(np.abs(step / (2.0 * h) - want) / (1.0 + np.abs(want))) <= 1e-8
+
+
+def test_a_grid_report_makes_no_scalar_evaluation(monkeypatch):
+    scalar, call = [], ap.UnimodularRational.__call__
+
+    def counted(self, z):
+        if not isinstance(z, np.ndarray):
+            scalar.append(z)
+        return call(self, z)
+
+    monkeypatch.setattr(ap.UnimodularRational, "__call__", counted)
+    for key in PINS:
+        measure(key)
+    assert scalar == []
+    ap.build_s(3, 1.0)(1j)  # the wrapper sees a scalar call
+    assert scalar == [1j]

@@ -126,8 +126,7 @@ def test_node_and_grid_routes_agree_where_the_grid_resolves(report, build, degre
     assert rep.method == "nodes" and (counts, size) == (rep.arcs, rep.grid_size)
     assert predicted == rep.predicted
     assert abs(amplitude - rep.max_error) <= 1e-9 * rep.max_error
-    # the golden search locates a flat extremum to about the root of eps
-    assert max(abs(a - b) for (a, _), (b, _) in zip(extrema, rep.extrema)) <= 1e-6
+    assert max(abs(a - b) for (a, _), (b, _) in zip(extrema, rep.extrema)) <= 1e-12
     assert max(abs(u - v) for (_, u), (_, v) in zip(extrema, rep.extrema)) <= 1e-9 * rep.max_error
 
 
