@@ -270,10 +270,11 @@ class ZolotarevFraction:
     the far-field limit (1 - 8 eps) sqrt(DBL_MAX / max(c, 1)) for the largest
     node c, below which rounding cannot carry s * s * c past DBL_MAX,
     (cot2_even or None, cot2_odd, dn2_odd) per odd node, None at the
-    trailing one).  ``F`` alone reads the pairs, ``_lift``'s sweeps the
-    triples.  Its node blocks (``_node_block``) read the same constants as
-    arrays, ``_columns``, built on the first block and kept: a fraction that
-    never takes one (a scalar, a small degree, a large batch) pays nothing.
+    trailing one, F's scale 1.0).  ``F`` alone reads the pairs and the scale,
+    ``_lift``'s sweeps the triples.  Its node blocks (``_node_block``) read
+    the same constants as arrays, ``_columns``, built on the first block and
+    kept: a fraction that never takes one (a scalar, a small degree, a large
+    batch) pays nothing.
     """
 
     reduction: DegreeReduction
@@ -294,6 +295,7 @@ class ZolotarevFraction:
             tail,
             (1.0 - 8.0 * sys.float_info.epsilon) * math.sqrt(sys.float_info.max / top),
             tuple(itertools.zip_longest(even, odd, self.dn2_odd)),
+            1.0,  # F times 1.0 is F, bit for bit
         )
         object.__setattr__(self, "_kernel", table)
 
@@ -321,24 +323,46 @@ class ZolotarevFraction:
         and the running product stays finite at any degree.  Past the kernel's
         closed-form limit on |s|, where s^2 c may overflow for a node c, the
         ratios are taken in 1/s^2 and even m leads with 1/s; every other point
-        keeps the arithmetic above.  The same arithmetic serves a float and an
-        ndarray, near and far: numpy's float64 + * / round as Python's do, so
-        the two agree bit for bit.
+        keeps the arithmetic above, and the table's scale multiplies last.  x
+        passes ``_real``.  A float below the limit takes a branch of its own,
+        in one frame; an ndarray, a far float and a NaN the general body.  Both
+        do the same operations in the same order, and numpy's float64 + * /
+        round as Python's do, so a float and an ndarray agree bit for bit.
         """
-        ell, lam, M, ratios, tail, limit, _ = self._kernel
-        s = x / ell
-        one, lead = 1.0, s
-        far = abs(s) > limit
-        if far is True or far is not False and far.any():
-            inverse, one, s = _reciprocal_squares(s, far)
-            lead = lead if tail is None else inverse
-        s2 = s * s
-        f = lam * (lead / M)
-        for ce, co in ratios:
-            f *= (one + s2 * ce) / (one + s2 * co)
-        if tail is not None:
-            f /= one + s2 * tail
-        return f
+        ell, lam, M, ratios, tail, limit, _, scale = self._kernel
+        if type(x) is float or type(x := _real(x)) is float:
+            s = x / ell
+            if abs(s) <= limit:  # False at a NaN
+                s2 = s * s
+                f = lam * (s / M)
+                for ce, co in ratios:
+                    f *= (1.0 + s2 * ce) / (1.0 + s2 * co)
+                if tail is not None:
+                    f /= 1.0 + s2 * tail
+                return scale * f
+        with np.errstate(over="ignore"):  # an array overflows to inf as a float does: without a warning
+            s = x / ell
+            one, lead = 1.0, s
+            far = abs(s) > limit
+            if far is True or far is not False and far.any():
+                inverse, one, s = _reciprocal_squares(s, far)
+                lead = lead if tail is None else inverse
+            s2 = s * s
+            f = lam * (lead / M)
+            for ce, co in ratios:
+                f *= (one + s2 * ce) / (one + s2 * co)
+            if tail is not None:
+                f /= one + s2 * tail
+            return scale * f
+
+
+def _real(x):
+    """float(x) of a real number, float64 of a real ndarray: the real line's entry rule, with DomainError otherwise."""
+    if isinstance(x, np.ndarray) and x.dtype.kind in "biuf":
+        return x.astype(float, copy=False)
+    if isinstance(x, (float, np.floating, np.integer, np.bool_)) or isinstance(x, int) and abs(x) <= sys.float_info.max:
+        return float(x)
+    raise DomainError(f"a point of the real line is a real number or a real ndarray, got a {type(x).__name__}")
 
 
 def _reciprocal_squares(s, far):
@@ -357,14 +381,15 @@ def eval_F_product(zf: ZolotarevFraction, x):
     x and defined for every real x, and G is prod (1 - s^2 d)/(1 + s^2 c_o)
     over the odd nodes, s = x/ell, times y for odd m, which therefore
     requires |x| <= 1 (DomainError otherwise, for any point of an array).
-    A float gives floats, an ndarray gives arrays, bitwise equal elementwise.
+    x passes ``_real``.  A float gives floats, an ndarray arrays, bitwise equal.
     """
+    x = _real(x)
     if not zf.reduction.m % 2:
-        return _lift(zf, x, None)
+        with np.errstate(over="ignore"):  # as in F
+            return _lift(zf, x, None)
     if not np.all(np.abs(x) <= 1.0):
         raise DomainError(f"odd-degree G needs |x| <= 1, got |x| = {float(np.max(np.abs(x)))!r}")
-    sqrt = np.sqrt if isinstance(x, np.ndarray) else math.sqrt
-    return _lift(zf, x, sqrt((1.0 - x) * (1.0 + x)))
+    return _lift(zf, x, (np.sqrt if isinstance(x, np.ndarray) else math.sqrt)((1.0 - x) * (1.0 + x)))
 
 
 def eval_F_direct(zf: ZolotarevFraction, x: float) -> tuple[float, float]:
@@ -391,15 +416,19 @@ class Z4Approximant:
     """Zolotarev's scaled sign approximant (2/(1+lam)) F_m(x; ell) on [-1,1].
 
     Calling it evaluates F alone, at a float or an ndarray, for any real x
-    (F is rational, so |x| > 1 is accepted at either parity).
+    (F is rational, so |x| > 1 is accepted at either parity).  The call is
+    ``ZolotarevFraction.F`` on the fraction's table with ``scale`` last: one frame.
     """
 
     fraction: ZolotarevFraction
     scale: float
     deviation: float  # max |approx - sign| on [-1,-ell] u [ell,1] = (1-lam)/(1+lam)
+    _kernel: tuple = field(init=False, repr=False, compare=False)
 
-    def __call__(self, x):
-        return self.scale * self.fraction.F(x)
+    def __post_init__(self):
+        object.__setattr__(self, "_kernel", self.fraction._kernel[:-1] + (self.scale,))
+
+    __call__ = ZolotarevFraction.F
 
 
 def z4_solution(m: int, ell: float) -> Z4Approximant:
@@ -470,7 +499,7 @@ def _lift(zf: ZolotarevFraction, x, y):
     other array sweeps them in preallocated buffers: every order does the
     same operations in the same order, so all agree bit for bit.
     """
-    ell, lam, M, _, tail, limit, nodes = zf._kernel
+    ell, lam, M, _, tail, limit, nodes, _ = zf._kernel
     s = x / ell
     one, lead = 1.0, s
     if y is None:

@@ -6,6 +6,7 @@ rounding, not the accuracy of the constants.
 """
 
 import math
+import sys
 import warnings
 
 import mpmath as mp
@@ -350,15 +351,14 @@ class TestGPastTheOverflow:
 
 
 class TestFloatPastTheQuotientOverflow:
-    # at ell = 1e-3, x/ell itself overflows to +-inf; a float stays a float
-    # there, where numpy would warn on the array's divide
+    # at ell = 1e-3, x/ell itself overflows to +-inf, which the far-field rule
+    # takes: neither a float nor an array warns there
     @pytest.mark.parametrize("x", [1e308, -1e308])
     def test_F_and_G_match_the_array_path_without_a_warning(self, x):
         fractions = [ap.ZolotarevFraction.from_ell(m, 1e-3) for m in (2, 3, 4)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             scalars = [zf.F(x) for zf in fractions] + [ap.eval_F_product(fractions[-1], x)[1]]
-        with np.errstate(over="ignore"):
             arrays = [zf.F(np.array([x])) for zf in fractions] + [ap.eval_F_product(fractions[-1], np.array([x]))[1]]
         assert_bitwise(scalars, np.concatenate(arrays))
 
@@ -405,3 +405,73 @@ class TestZ4BeyondOne:
         ref = z4.scale * mp_F(z4.fraction, x)
         assert z4(x) == pytest.approx(ref, abs=(m + 4) * EPS)
         assert z4(x) == -z4(-x)
+
+
+def line_points(ell, limit):
+    """Real points of every kind: near ones, past the far-field limit on |x/ell|, +-0, +-inf, NaN, a subnormal, +-1e308."""
+    far = 2.0 * limit * ell
+    return [0.5, -0.7, ell, -ell, 1.0, -1.0, 1.5, 0.5 * limit * ell, far, -far, 0.0, -0.0,
+            math.inf, -math.inf, math.nan, 5e-324, 1e308, -1e308]
+
+
+class TestFloatBranch:
+    # a float below the far-field limit takes F's branch of its own; every other point the general body
+    @pytest.mark.parametrize("ell", [2e-8, 0.5, 1.0 - 2e-8])
+    @pytest.mark.parametrize("m", [1, 2, 3, 8, 33, 64, 600])
+    def test_z4_is_scale_times_F_and_F_is_its_array(self, m, ell):
+        z4 = ap.z4_solution(m, ell)
+        zf = z4.fraction
+        xs = line_points(ell, zf._kernel[5])
+        values = [z4(x) for x in xs]
+        assert_bitwise(values, [z4.scale * zf.F(x) for x in xs])
+        assert_bitwise(values, z4(np.array(xs)))
+        assert_bitwise([zf.F(x) for x in xs], zf.F(np.array(xs)))
+
+    def test_a_float_call_of_z4_enters_one_frame(self):
+        z4, frames, before = ap.z4_solution(8, 0.3), [], sys.getprofile()
+        z4(0.5)  # any first-call work happens before the count
+        sys.setprofile(lambda frame, event, arg: frames.append(frame.f_code.co_name) if event == "call" else None)
+        try:
+            z4(0.5)
+        finally:
+            sys.setprofile(before)
+        assert frames == ["F"]
+
+
+class TestRealLineEntryRule:
+    # F, a Z4Approximant and eval_F_product take a real scalar as a float and a real array as float64
+    # (bit for bit the float path, with no warning) and refuse anything else with DomainError
+    @staticmethod
+    def evaluators(m, ell, xs):
+        """F, z4 and eval_F_product's F and G; odd m takes G only at |x| <= 1."""
+        zf = ap.ZolotarevFraction.from_ell(m, ell)
+        pair = [lambda x: ap.eval_F_product(zf, x)[0], lambda x: ap.eval_F_product(zf, x)[1]]
+        return [zf.F, ap.z4_solution(m, ell)] + (pair if m % 2 == 0 or np.all(np.abs(xs) <= 1.0) else [])
+
+    @pytest.mark.parametrize("x", [np.float32(0.7), np.float16(-0.25), np.float64(1e308), np.float64(-1e308),
+                                   np.int64(-1), np.uint8(1), 1, -1, True, np.bool_(False)])
+    @pytest.mark.parametrize("m,ell", [(4, 0.5), (4, 1e-3), (2, 1e-3), (3, 0.5)])
+    def test_a_real_scalar_is_its_float(self, m, ell, x):
+        for f in self.evaluators(m, ell, x):
+            value = f(x)
+            assert type(value) is float
+            assert_bitwise([value], [f(float(x))])
+
+    @pytest.mark.parametrize("xs", [np.array([1e308, 0.5]), np.array([0.7, -0.25], dtype=np.float32),
+                                    np.array([1, 0, -1]), np.array([True, False])])
+    @pytest.mark.parametrize("m,ell", [(2, 1e-3), (4, 0.5), (3, 0.5)])
+    def test_a_real_array_is_its_float64(self, m, ell, xs):
+        for f in self.evaluators(m, ell, xs):
+            assert_bitwise([f(x) for x in xs.astype(float).tolist()], f(xs))
+
+    def test_a_past_quotient_overflow_array_is_zero_at_even_degree(self):
+        zf = ap.ZolotarevFraction.from_ell(2, 1e-3)
+        assert zf.F(np.array([1e308, 0.5]))[0] == 0.0
+
+    @pytest.mark.parametrize("x", [[0.5, 0.7], None, "0.5", 0.5 + 0j, np.complex128(0.5), np.array([0.5 + 0j]),
+                                   np.array(["0.5"]), np.array([0.5], dtype=object), 10**400])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_anything_else_is_a_domain_error(self, m, x):
+        for f in self.evaluators(m, 0.5, 0.5):
+            with pytest.raises(DomainError, match="real number or a real ndarray"):
+                f(x)
