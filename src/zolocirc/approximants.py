@@ -270,11 +270,11 @@ class ZolotarevFraction:
     the far-field limit (1 - 8 eps) sqrt(DBL_MAX / max(c, 1)) for the largest
     node c, below which rounding cannot carry s * s * c past DBL_MAX,
     (cot2_even or None, cot2_odd, dn2_odd) per odd node, None at the
-    trailing one, F's scale 1.0).  ``F`` alone reads the pairs and the scale,
-    ``_lift``'s sweeps the triples.  Its node blocks (``_node_block``) read
-    the same constants as arrays, ``_columns``, built on the first block and
-    kept: a fraction that never takes one (a scalar, a small degree, a large
-    batch) pays nothing.
+    trailing one, F's scale 1.0).  F's float branch alone reads the pairs and
+    the scale, all else ``_lift``'s triples.  Its node blocks (``_node_block``)
+    read the same constants as arrays, ``_columns``, built on the first block
+    and kept: a fraction that never takes one (a scalar, a small degree, a
+    large batch) pays nothing.
     """
 
     reduction: DegreeReduction
@@ -320,14 +320,13 @@ class ZolotarevFraction:
         F = lam (s/M) prod (1 + s^2 c_e)/(1 + s^2 c_o), s = x/ell, with the
         trailing odd node of even m dividing last.  Every ratio pairs the even
         node 2k with the odd node 2k - 1 below it, so it lies in (c_e/c_o, 1]
-        and the running product stays finite at any degree.  Past the kernel's
-        closed-form limit on |s|, where s^2 c may overflow for a node c, the
-        ratios are taken in 1/s^2 and even m leads with 1/s; every other point
-        keeps the arithmetic above, and the table's scale multiplies last.  x
-        passes ``_real``.  A float below the limit takes a branch of its own,
-        in one frame; an ndarray, a far float and a NaN the general body.  Both
-        do the same operations in the same order, and numpy's float64 + * /
-        round as Python's do, so a float and an ndarray agree bit for bit.
+        and the running product stays finite at any degree.  x passes
+        ``_real``, and the table's scale multiplies last.  A float below the
+        kernel's far-field limit on |s| takes a branch of its own, in one
+        frame; an ndarray, a far float and a NaN take ``_lift`` on the real
+        line, which holds the far-field rule.  Both do the same operations in
+        the same order, and numpy's float64 + * / round as Python's do, so a
+        float and an ndarray agree bit for bit.
         """
         ell, lam, M, ratios, tail, limit, _, scale = self._kernel
         if type(x) is float or type(x := _real(x)) is float:
@@ -341,37 +340,22 @@ class ZolotarevFraction:
                     f /= 1.0 + s2 * tail
                 return scale * f
         with np.errstate(over="ignore"):  # an array overflows to inf as a float does: without a warning
-            s = x / ell
-            one, lead = 1.0, s
-            far = abs(s) > limit
-            if far is True or far is not False and far.any():
-                inverse, one, s = _reciprocal_squares(s, far)
-                lead = lead if tail is None else inverse
-            s2 = s * s
-            f = lam * (lead / M)
-            for ce, co in ratios:
-                f *= (one + s2 * ce) / (one + s2 * co)
-            if tail is not None:
-                f /= one + s2 * tail
-            return scale * f
+            return scale * _lift(getattr(self, "fraction", self), x, None)[0]
 
 
 def _real(x):
     """float(x) of a real number, float64 of a real ndarray: the real line's entry rule, with DomainError otherwise."""
     if isinstance(x, np.ndarray) and x.dtype.kind in "biuf":
-        return x.astype(float, copy=False)
+        with np.errstate(over="ignore"):  # an extended-precision value past the doubles is inf, as float() makes it
+            return x.astype(float, copy=False)
     if isinstance(x, (float, np.floating, np.integer, np.bool_)) or isinstance(x, int) and abs(x) <= sys.float_info.max:
         return float(x)
     raise DomainError(f"a point of the real line is a real number or a real ndarray, got a {type(x).__name__}")
 
 
-def _reciprocal_squares(s, far):
-    """(lead, one, s) = (1/s, 1/s^2, 1) where ``far`` (a mask, or True for a float s), for ratios in 1/s^2."""
-    if not isinstance(far, np.ndarray):
-        u = 1.0 / s
-        return u, u * u, 1.0
-    u = 1.0 / np.where(far, s, 1.0)
-    return np.where(far, u, s), np.where(far, u * u, 1.0), np.where(far, 1.0, s)
+def _where(mask, a, b):
+    """a where ``mask``, b elsewhere: ``np.where``, with a itself at a float's mask True."""
+    return a if mask is True else np.where(mask, a, b)
 
 
 def eval_F_product(zf: ZolotarevFraction, x):
@@ -385,7 +369,7 @@ def eval_F_product(zf: ZolotarevFraction, x):
     """
     x = _real(x)
     if not zf.reduction.m % 2:
-        with np.errstate(over="ignore"):  # as in F
+        with np.errstate(over="ignore"):  # an array overflows to inf as a float does, as in F
             return _lift(zf, x, None)
     if not np.all(np.abs(x) <= 1.0):
         raise DomainError(f"odd-degree G needs |x| <= 1, got |x| = {float(np.max(np.abs(x)))!r}")
@@ -486,29 +470,33 @@ def _lift(zf: ZolotarevFraction, x, y):
     """(F(x), sign(y)^m G(x)), the real and imaginary parts of s_m at circle points x + i y.
 
     On the circle sign(y) sqrt(1 - x^2) = y, so odd m multiplies G's odd-node
-    product by y itself: no square root loses digits near x = +-1.  Even m
-    reads no y (None: the real line) and takes every real x.  F and G share
-    the denominators 1 + s^2 c_o and F multiplies in the order of
-    ``ZolotarevFraction.F``, bit for bit.  Off the circle (y None) and past
-    F's far-field limit on |s| the ratios are taken in 1/s^2, as F's are.
-    Circle points, |x| <= 1 + 1e-9, have |s| < 1.0e8 since ell > ELL_MIN,
-    while the limit is about 1.3e154 K(ell')/m (7.0e152 at m = 40, Theta =
-    1.0), so the test is skipped there.  A float sweeps the odd nodes; a
-    nonempty array of at most ``_BLOCK_POINTS`` points with at least
-    ``_BLOCK_NODES`` odd nodes takes them as blocks (``_node_block``), any
-    other array sweeps them in preallocated buffers: every order does the
-    same operations in the same order, so all agree bit for bit.
+    product by y itself: no square root loses digits near x = +-1.  y None is
+    the real line, any real x at either parity, and G is then without odd m's
+    y.  F and G share the denominators 1 + s^2 c_o, and F multiplies in the
+    order of ``ZolotarevFraction.F``'s float branch, bit for bit.  Past the
+    far-field limit on |s| the ratios are taken in 1/s^2: even m leads with
+    1/s, and odd m takes P lam / M x / ell for the product P of its ratios,
+    x last, which overflows only where F does.  Circle points, |x| <= 1 +
+    1e-9, have |s| < 1.0e8 since ell > ELL_MIN, while the limit is about
+    1.3e154 K(ell')/m (7.0e152 at m = 40, Theta = 1.0), so the test is
+    skipped there.  A float sweeps the odd nodes; a nonempty array of at most
+    ``_BLOCK_POINTS`` points with at least ``_BLOCK_NODES`` odd nodes takes
+    them as blocks (``_node_block``), any other array sweeps them in
+    preallocated buffers: every order does the same operations in the same
+    order, so all agree bit for bit.
     """
     ell, lam, M, _, tail, limit, nodes, _ = zf._kernel
     s = x / ell
     one, lead = 1.0, s
-    if y is None:
-        far = abs(s) > limit
-        if far is True or far is not False and far.any():
-            inverse, one, s = _reciprocal_squares(s, far)
-            lead = lead if tail is None else inverse
+    far = y is None and abs(s) > limit  # a mask for an array, never on the circle
+    far = far if isinstance(far, bool) or far.any() else False  # False where no point is far
+    if far is not False:  # ratios in 1/s^2: even m leads with 1/s, odd m with 1, to take lam x/(M ell) last
+        u = 1.0 / _where(far, s, 1.0)
+        lead, one, s = _where(far, u, s), _where(far, u * u, 1.0), _where(far, 1.0, s)
     s2 = s * s
     f = lam * (lead / M)
+    if far is not False and tail is None:
+        f = _where(far, 1.0, f)
     g = 1.0 + 0.0 * s2  # 1 in the shape of x, NaN at a NaN x; m = 0 has no odd node
     if not isinstance(s2, np.ndarray):
         for ce, co, d in nodes:
@@ -529,7 +517,9 @@ def _lift(zf: ZolotarevFraction, x, y):
             else:
                 f *= np.divide(np.add(one, np.multiply(s2, ce, out=num), out=num), den, out=num)
             g *= np.divide(np.subtract(one, np.multiply(s2, d, out=num), out=num), den, out=num)
-    if zf.reduction.m % 2:
+    if far is not False and tail is None:
+        f = _where(far, f * lam / M * x / ell, f)
+    if y is not None and zf.reduction.m % 2:
         g *= y
     return f, g
 

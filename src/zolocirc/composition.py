@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .analysis import theta_tilde
-from .approximants import ZolotarevFraction, build_r, build_s
+from .approximants import ZolotarevFraction, _real, build_r, build_s
 from .elliptic import require_degree, require_modulus, require_theta
 from .errors import DomainError
 
@@ -60,11 +60,12 @@ def compose_r(n_tilde: int, n: int, theta: float, z):
 def compose_F(m_tilde: int, m: int, ell: float, x):
     """Both sides of F_mtilde(F_m(x; ell); lam) = F_{mtilde m}(x; ell) on [-1, 1].
 
-    Takes a float (returns floats) or an ndarray (returns arrays); the
-    three fractions are built once per call.
+    Takes a real number (returns floats) or a real ndarray (returns arrays),
+    as ``approximants._real`` reads them; the fractions are built once per call.
     """
     m, m_tilde = require_degree(m, 1, "m"), require_degree(m_tilde, 1, "m_tilde")
     ell = require_modulus(ell)
+    x = _real(x)
     if not np.all(np.abs(x) <= 1.0):
         raise DomainError(f"compose_F requires |x| <= 1, got {x!r}")
     inner = ZolotarevFraction.from_ell(m, ell)

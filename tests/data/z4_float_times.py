@@ -1,17 +1,23 @@
-"""Per-call time of a float call of ``z4_solution(m, 0.3)`` in two source trees, side by side.
+"""Per-call times of ``z4_solution(m, 0.3)`` at floats and at arrays in two source trees, side by side.
 
     python tests/data/z4_float_times.py SRC_A SRC_B [ROUNDS]
 
 Each round starts one fresh process per tree, A first in odd rounds and
-B first in even ones, as ``criterion_times.py`` does.  Each process builds
-``z4_solution(m, 0.3)`` for every m of DEGREES, with ``zolocirc``
-imported from its tree, and times ``[approx(x) for x in xs]`` over POINTS
-floats spread over [-1, 1], best of REPEATS, in nanoseconds per call (the
-list comprehension's own cost included).  After ROUNDS rounds (default 5,
-at least 5) it prints one row per degree: each tree's median over the
-rounds and, in brackets, the least and the largest round.  These are the
-float calls of ``apply``'s z4 operations, which the layer tracer does not
-time.  pytest does not collect this file.
+B first in even ones, as ``criterion_times.py`` does.  Each process, with
+``zolocirc`` imported from its tree, times two things, best of REPEATS:
+
+- float calls: ``z4_solution(m, 0.3)`` for every m of DEGREES, timed as
+  ``[approx(x) for x in xs]`` over POINTS floats spread over [-1, 1], in
+  nanoseconds per call (the list comprehension's own cost included).
+  These are the float calls of ``apply``'s z4 operations, which the layer
+  tracer does not time;
+- array calls: ``approx(xs)`` for every m of ARRAY_DEGREES and every size
+  of ARRAY_SIZES, xs spread over [-1, 1], in microseconds per call.
+
+After ROUNDS rounds (default 5, at least 5) it prints one table for each:
+a row per degree (and size), with each tree's median over the rounds and,
+in brackets, the least and the largest round.  pytest does not collect
+this file.
 """
 
 import json
@@ -20,10 +26,13 @@ import subprocess
 import sys
 
 DEGREES = (1, 2, 4, 8, 16, 32, 64)
+ARRAY_DEGREES = (2, 8, 33, 64)
+ARRAY_SIZES = (101, 1024, 4096, 65536)
 ELL = 0.3
 POINTS = 20_000
 REPEATS = 7
-# run in the child: the best time per float call at each degree, in nanoseconds, as a JSON list
+# run in the child: the best time per float call at each degree, in nanoseconds, then the best time
+# per array call at each (degree, size), in microseconds, as one JSON list
 CHILD = """
 import json, sys, timeit
 import numpy as np
@@ -36,13 +45,20 @@ for m in json.loads(sys.argv[5]):
     approx = z4_solution(m, ell)
     best = min(timeit.repeat(lambda: [approx(x) for x in xs], number=1, repeat=repeats))
     out.append(1e9 * best / points)
+for m in json.loads(sys.argv[6]):
+    approx = z4_solution(m, ell)
+    for size in json.loads(sys.argv[7]):
+        batch = np.linspace(-1.0, 1.0, size)
+        approx(batch)  # any first-call work happens before the count
+        out.append(1e6 * min(timeit.repeat(lambda: approx(batch), number=1, repeat=repeats)))
 print(json.dumps(out))
 """
 
 
 def per_call(src: str) -> list:
-    """One process's best time per float call at each degree of DEGREES, in nanoseconds."""
-    argv = [sys.executable, "-c", CHILD, src, repr(ELL), str(POINTS), str(REPEATS), json.dumps(DEGREES)]
+    """One process's best times: per float call at each degree (ns), then per array call at each (degree, size) (µs)."""
+    argv = [sys.executable, "-c", CHILD, src, repr(ELL), str(POINTS), str(REPEATS), json.dumps(DEGREES),
+            json.dumps(ARRAY_DEGREES), json.dumps(ARRAY_SIZES)]
     out = subprocess.run(argv, capture_output=True, text=True, check=True)
     return json.loads(out.stdout)
 
@@ -50,17 +66,22 @@ def per_call(src: str) -> list:
 def main(trees: list, rounds: int) -> None:
     if rounds < 5:
         raise SystemExit(f"at least 5 rounds, got {rounds}")
-    runs = [[] for _ in trees]  # per tree, per round: the time per call at each degree
+    runs = [[] for _ in trees]  # per tree, per round: the float times, then the array times
     for k in range(rounds):
         for j in (0, 1) if k % 2 == 0 else (1, 0):
             runs[j].append(per_call(trees[j]))
-    print(f"m (ns per float call at ell = {ELL}, median [least, largest] of {rounds} rounds) " + " | ".join(trees))
-    for i, m in enumerate(DEGREES):
+    rows = [(m,) for m in DEGREES] + [(m, size) for m in ARRAY_DEGREES for size in ARRAY_SIZES]
+    for i, row in enumerate(rows):
+        if i == 0:
+            print(f"m (ns per float call at ell = {ELL}, median [least, largest] of {rounds} rounds) " + " | ".join(trees))
+        elif i == len(DEGREES):
+            print(f"m points (µs per array call at ell = {ELL}, median [least, largest] of {rounds} rounds) "
+                  + " | ".join(trees))
         cells = []
         for per_round in runs:
-            col = [row[i] for row in per_round]
+            col = [times[i] for times in per_round]
             cells.append(f"{statistics.median(col):.0f} [{min(col):.0f}, {max(col):.0f}]")
-        print(m, " | ".join(cells), flush=True)
+        print(*row, " | ".join(cells), flush=True)
 
 
 if __name__ == "__main__":

@@ -165,7 +165,8 @@ class TestBlockThresholds:
 
     @pytest.mark.parametrize("size", SIZES)
     @pytest.mark.parametrize("nodes", NODES)
-    def test_even_F_product_past_the_far_field_and_at_nan(self, size, nodes):
+    def test_even_F_product_past_the_far_field_and_at_nan(self, size, nodes, monkeypatch):
+        taken = blocks_taken(monkeypatch)
         zf = ap.ZolotarevFraction.from_ell(2 * nodes, ELL)
         extra = [1.5, -3.0, 1e100, 1e160, -1e160, 1e200, math.nan]
         xs = np.concatenate([np.linspace(-1.0, 1.0, size - len(extra)), extra])
@@ -174,6 +175,15 @@ class TestBlockThresholds:
         assert_bitwise([p[0] for p in pairs], F)
         assert_bitwise([p[1] for p in pairs], G)
         assert np.isnan(F[-1]) and np.isnan(G[-1]) and np.isfinite(F[:-1]).all() and np.isfinite(G[:-1]).all()
+        # F and z4 at both parities are the lift's F: an array takes its sweep or its blocks
+        for m in (2 * nodes, 2 * nodes + 1):
+            for f in (ap.ZolotarevFraction.from_ell(m, ELL).F, ap.z4_solution(m, ELL)):
+                scalars = [f(x) for x in xs.tolist()]
+                taken.clear()
+                values = f(xs)
+                assert taken == ([size] if size <= ap._BLOCK_POINTS and nodes >= ap._BLOCK_NODES else [])
+                assert_bitwise(scalars, values)
+                assert np.isnan(values[-1]) and np.isfinite(values[:-1]).all()
 
     @pytest.mark.parametrize("shape", [(16, 64), (31, 33)])
     @pytest.mark.parametrize("m", [2 * ap._BLOCK_NODES, 2 * ap._BLOCK_NODES + 1])
@@ -228,7 +238,7 @@ class TestProductIsTheLift:
 
     @pytest.mark.parametrize("m", [m for m in DEGREES if m % 2 == 0])
     def test_even_degree_F_is_F_alone_past_one_and_the_far_field(self, m):
-        # the lift and F each hold the far-field rule: they must agree where it applies
+        # F past its float branch is the lift, far-field rule included: a float and an array agree with the pair
         zf = ap.ZolotarevFraction.from_ell(m, ELL)
         xs = np.array([1.5, -3.0, 1e100, 1e160, -1e160])
         assert np.array_equal(bits(ap.eval_F_product(zf, xs)[0]), bits(zf.F(xs)))
@@ -338,6 +348,23 @@ class TestFPastTheOverflow:
         assert np.array_equal(bits(z4(np.array([1e160, 0.5]))), bits([z4(1e160), z4(0.5)]))
 
 
+class TestOddFarField:
+    # odd m takes the ratios first and x last, P lam / M x / ell: F is finite wherever it is, and +-inf at +-inf
+    @pytest.mark.parametrize("m,ell", [(3, 1.0 - 2e-8), (33, 1.0 - 2e-8), (1, 0.5)])
+    def test_near_the_top_of_the_doubles_and_at_infinity(self, m, ell):
+        # mpmath gives 3.33e307, 3.03e306 and 1.0e308 at x = 1e308
+        zf = ap.ZolotarevFraction.from_ell(m, ell)
+        xs = [1e308, -1e308, math.inf, -math.inf]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scalars = [zf.F(x) for x in xs]
+            array = zf.F(np.array(xs))
+        assert_bitwise(scalars, array)
+        for x, F in zip(xs[:2], scalars):
+            assert F == pytest.approx(mp_F(zf, x), rel=(m + 4) * EPS, abs=0.0)
+        assert scalars[2:] == xs[2:]
+
+
 class TestGPastTheOverflow:
     # past the same overflow G of even m is about +-1; odd m needs |x| <= 1
     @pytest.mark.parametrize("m", [2, 4])
@@ -437,6 +464,20 @@ class TestFloatBranch:
             sys.setprofile(before)
         assert frames == ["F"]
 
+    def test_an_array_makes_one_lift_call_and_a_near_float_none(self, monkeypatch):
+        calls, lift = [], ap._lift
+
+        def counted(*args):
+            calls.append(args)
+            return lift(*args)
+
+        monkeypatch.setattr(ap, "_lift", counted)
+        for f in (ap.ZolotarevFraction.from_ell(8, ELL).F, ap.z4_solution(8, ELL)):
+            for x, lifts in [(0.5, 0), (1e200, 1), (np.array([0.5, 1e200, math.nan]), 1), (np.array(0.5), 1)]:
+                calls.clear()
+                f(x)
+                assert len(calls) == lifts
+
 
 class TestRealLineEntryRule:
     # F, a Z4Approximant and eval_F_product take a real scalar as a float and a real array as float64
@@ -468,10 +509,27 @@ class TestRealLineEntryRule:
         zf = ap.ZolotarevFraction.from_ell(2, 1e-3)
         assert zf.F(np.array([1e308, 0.5]))[0] == 0.0
 
-    @pytest.mark.parametrize("x", [[0.5, 0.7], None, "0.5", 0.5 + 0j, np.complex128(0.5), np.array([0.5 + 0j]),
-                                   np.array(["0.5"]), np.array([0.5], dtype=object), 10**400])
+    @pytest.mark.skipif(np.finfo(np.longdouble).max <= np.finfo(float).max, reason="long double is double")
+    def test_an_extended_array_past_the_doubles_is_inf_without_a_warning(self):
+        zf = ap.ZolotarevFraction.from_ell(2, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = zf.F(np.array([np.longdouble("1e400"), 0.5]))
+            scalars = [zf.F(np.longdouble("1e400")), zf.F(0.5)]
+        assert values[0] == 0.0
+        assert_bitwise(scalars, values)
+
+    NOT_REAL = [[0.5, 0.7], None, "0.5", 0.5 + 0j, np.complex128(0.5), np.array([0.5 + 0j]),
+                np.array(["0.5"]), np.array([0.5], dtype=object), 10**400]
+
+    @pytest.mark.parametrize("x", NOT_REAL)
     @pytest.mark.parametrize("m", [2, 3])
     def test_anything_else_is_a_domain_error(self, m, x):
         for f in self.evaluators(m, 0.5, 0.5):
             with pytest.raises(DomainError, match="real number or a real ndarray"):
                 f(x)
+
+    @pytest.mark.parametrize("x", NOT_REAL)
+    def test_compose_F_reads_the_same_rule(self, x):
+        with pytest.raises(DomainError, match="real number or a real ndarray"):
+            co.compose_F(2, 3, 0.5, x)
