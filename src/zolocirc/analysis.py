@@ -44,7 +44,7 @@ import numpy as np
 
 from . import approximants
 from .approximants import UnimodularRational, ZolotarevFraction, _lift
-from .elliptic import EllipticModulus, _mu_inverse_pair, _mu_pair, require_degree, require_theta, solve_lambda
+from .elliptic import EllipticModulus, _between, _mu_inverse_pair, _mu_pair, require_degree, require_theta, solve_lambda
 from .errors import DomainError, PrecisionError, ResolutionError
 
 _TWO_PI = 2.0 * math.pi
@@ -334,7 +334,7 @@ def zolotarev_number(m: int, theta: float) -> float:
 
 def lambda_from_Z(zm: float) -> float:
     """Invert (1 - lam)/(1 + lam) = 2 sqrt(Z)/(1 + Z) for lam in (0, 1]."""
-    if not 0.0 <= zm < 1.0:
+    if not (_between(zm, 0.0, 1.0, "Z") or zm == 0.0):
         raise DomainError(f"lambda_from_Z requires 0 <= Z < 1, got {zm!r}")
     root = math.sqrt(zm)
     return ((1.0 - root) / (1.0 + root)) ** 2
@@ -348,7 +348,7 @@ def phase_error_from_Z(zm: float) -> float:
     relative accuracy for tiny Z, where acos(lam) would lose six digits to the
     rounding of lam, and none of asin(lam')'s loss as lam' -> 1.
     """
-    if not 0.0 <= zm < 1.0:
+    if not (_between(zm, 0.0, 1.0, "Z") or zm == 0.0):
         raise DomainError(f"phase_error_from_Z requires 0 <= Z < 1, got {zm!r}")
     s = math.sqrt(zm)
     lam_comp = math.sqrt(8.0 * s * (1.0 + s * s)) / ((1.0 + s) * (1.0 + s))

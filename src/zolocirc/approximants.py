@@ -105,26 +105,30 @@ class UnimodularRational:
         A recorded optimum with factors whose points all lie on the unit
         circle, each z = x + i y with |x^2 + y^2 - 1| <= 8 eps, is read
         through the F/G lift of ``_optimum_fraction()``: its value there is
-        the optimum's at z/|z|, and a scalar equals the array value bit for
-        bit.  Any other rational or point set, and the constants s_0 = i and
-        r_0 = 1 (which the lift would round), takes the product of the
-        factors: a scalar raises PoleError at a vanishing denominator (with
-        the factor's index), an array yields inf/nan there.  A point that is
-        neither a number nor an ndarray (a list, None, a string), or an int
-        past the doubles, raises DomainError.
+        the optimum's at z/|z|.  A scalar enters the lift as a one-point
+        array and leaves as a complex, bit for bit the array's value.  Any
+        other rational or point set, and the constants s_0 = i and r_0 = 1
+        (which the lift would round), takes the product of the factors: a
+        scalar raises PoleError at a vanishing denominator (with the
+        factor's index), an array yields inf/nan there.  An ndarray gives an
+        ndarray of its shape, a 0-d one with its one-point call's value.  A
+        list, None, a string, an int past the doubles and a string or object
+        ndarray raise DomainError.
         """
         array = isinstance(z, np.ndarray)
-        z = z if array else _point(z)
+        z = _point(z)
         if self._optimum is not None and self.factors:
             x, y = z.real, z.imag
             near = abs(x * x + y * y - 1.0) <= _ON_CIRCLE
-            if near.all() if array else near:
+            if near.all() if array else near:  # a scalar, or a 0-d array, enters the lift as one point
                 _, _, _, orientation, problem = self._optimum
-                return _lifted(self._optimum_fraction(), x, y, orientation, problem == "z5")
+                w = _lifted(self._optimum_fraction(), np.atleast_1d(x), np.atleast_1d(y), orientation, problem == "z5")
+                return w.reshape(z.shape) if array else complex(w[0])
         unit = _I_POWERS[self.quarter_turns % 4]
         if array:
+            w = np.atleast_1d(z)
             with np.errstate(divide="ignore", invalid="ignore"):
-                return self._product(z, np.full(z.shape, unit, dtype=complex), False)
+                return self._product(w, np.full(w.shape, unit, dtype=complex), False).reshape(z.shape)
         return self._product(z, unit, True)
 
     def _optimum_fraction(self) -> ZolotarevFraction:
@@ -186,10 +190,13 @@ class UnimodularRational:
         return tuple([0j] * max(-self._origin_order(), 0) + out)
 
 
-def _point(z) -> complex:
-    """complex(z) of a number; DomainError for anything else (a list, None, a string, an int past the doubles)."""
+def _point(z):
+    """complex(z) of a number, float64 of a real ndarray (zeros keep their signs), complex128 of a complex one."""
+    if isinstance(z, np.ndarray) and z.dtype.kind in "biufc":
+        with np.errstate(over="ignore"):  # an extended-precision value past the doubles is inf, as complex() makes it
+            return z.astype(complex if z.dtype.kind == "c" else float, copy=False)
     try:
-        return complex(None if isinstance(z, str) else z)  # complex() would parse a string
+        return complex(None if isinstance(z, (str, np.ndarray)) else z)  # complex() would parse a string
     except (TypeError, OverflowError):  # an int past the doubles overflows, and may have no repr
         raise DomainError(f"an evaluation point is a number or an ndarray, got a {type(z).__name__}") from None
 
@@ -323,10 +330,10 @@ class ZolotarevFraction:
         and the running product stays finite at any degree.  x passes
         ``_real``, and the table's scale multiplies last.  A float below the
         kernel's far-field limit on |s| takes a branch of its own, in one
-        frame; an ndarray, a far float and a NaN take ``_lift`` on the real
-        line, which holds the far-field rule.  Both do the same operations in
-        the same order, and numpy's float64 + * / round as Python's do, so a
-        float and an ndarray agree bit for bit.
+        frame; an ndarray, a far float and a NaN (as a one-point array) take
+        ``_lift`` on the real line, which holds the far-field rule.  Both do
+        the same operations in the same order, and numpy's float64 + * / round
+        as Python's do, so a float and an ndarray agree bit for bit.
         """
         ell, lam, M, ratios, tail, limit, _, scale = self._kernel
         if type(x) is float or type(x := _real(x)) is float:
@@ -340,7 +347,8 @@ class ZolotarevFraction:
                     f /= 1.0 + s2 * tail
                 return scale * f
         with np.errstate(over="ignore"):  # an array overflows to inf as a float does: without a warning
-            return scale * _lift(getattr(self, "fraction", self), x, None)[0]
+            f = scale * _lift(getattr(self, "fraction", self), np.array([x]) if type(x) is float else x, None)[0]
+        return f.item() if type(x) is float else f
 
 
 def _real(x):
@@ -353,11 +361,6 @@ def _real(x):
     raise DomainError(f"a point of the real line is a real number or a real ndarray, got a {type(x).__name__}")
 
 
-def _where(mask, a, b):
-    """a where ``mask``, b elsewhere: ``np.where``, with a itself at a float's mask True."""
-    return a if mask is True else np.where(mask, a, b)
-
-
 def eval_F_product(zf: ZolotarevFraction, x):
     """(F_m(x), G_m(x)) through the rational product identities, at a float or an ndarray.
 
@@ -365,15 +368,15 @@ def eval_F_product(zf: ZolotarevFraction, x):
     x and defined for every real x, and G is prod (1 - s^2 d)/(1 + s^2 c_o)
     over the odd nodes, s = x/ell, times y for odd m, which therefore
     requires |x| <= 1 (DomainError otherwise, for any point of an array).
-    x passes ``_real``.  A float gives floats, an ndarray arrays, bitwise equal.
+    x passes ``_real``.  A float (as a one-point array) gives floats, an ndarray arrays, bitwise equal.
     """
     x = _real(x)
-    if not zf.reduction.m % 2:
-        with np.errstate(over="ignore"):  # an array overflows to inf as a float does, as in F
-            return _lift(zf, x, None)
-    if not np.all(np.abs(x) <= 1.0):
-        raise DomainError(f"odd-degree G needs |x| <= 1, got |x| = {float(np.max(np.abs(x)))!r}")
-    return _lift(zf, x, (np.sqrt if isinstance(x, np.ndarray) else math.sqrt)((1.0 - x) * (1.0 + x)))
+    odd, xs = zf.reduction.m % 2, np.array([x]) if type(x) is float else x
+    if odd and not np.all(np.abs(xs) <= 1.0):
+        raise DomainError(f"odd-degree G needs |x| <= 1, got |x| = {float(np.max(np.abs(xs)))!r}")
+    with np.errstate(over="ignore"):  # an array overflows to inf as a float does, as in F
+        F, G = _lift(zf, xs, np.sqrt((1.0 - xs) * (1.0 + xs)) if odd else None)
+    return (F, G) if xs is x else (F.item(), G.item())
 
 
 def eval_F_direct(zf: ZolotarevFraction, x: float) -> tuple[float, float]:
@@ -432,7 +435,7 @@ def eval_s_via_FG(m: int, theta: float, z):
     circle take the lift F(x) + i sign(Im z)^m G(x), any other z the product.
     """
     s = build_s(m, theta)  # validates m and theta before the points
-    z = z if isinstance(z, np.ndarray) else _point(z)  # DomainError for a point that is not a number
+    z = _point(z)
     off = np.abs(np.abs(z) - 1.0)
     if not np.all(off <= 1e-9):
         raise DomainError(f"eval_s_via_FG requires |z| = 1, got ||z| - 1| = {float(np.max(off))!r}")
@@ -444,23 +447,17 @@ def _lifted(zf: ZolotarevFraction, x, y, orientation: int, root: bool):
 
     The root is the principal z = sqrt(x + i y), in a real form without
     cancellation: a = sqrt((1 + |x|)/2) and b = y/(2a) give z = a + i b for
-    x >= 0 and |b| + i copysign(a, y) otherwise.  Floats give a complex,
-    arrays a complex array, bitwise equal elementwise.
+    x >= 0 and |b| + i copysign(a, y) otherwise.  x and y are float arrays
+    of one shape, and the value a complex array of that shape.
     """
-    array = isinstance(x, np.ndarray)
     if root:
-        a = (np.sqrt if array else math.sqrt)((1.0 + abs(x)) / 2.0)
+        a = np.sqrt((1.0 + abs(x)) / 2.0)
         b = y / (2.0 * a)
         right = x >= 0.0
-        if array:
-            x, y = np.where(right, a, abs(b)), np.where(right, b, np.copysign(a, y))
-        else:
-            x, y = (a, b) if right else (abs(b), math.copysign(a, y))
+        x, y = np.where(right, a, abs(b)), np.where(right, b, np.copysign(a, y))
     F, G = _lift(zf, x, y)
     G = orientation * G
     re, im = (x * F - y * G, y * F + x * G) if root else (F, G)
-    if not array:
-        return complex(re, im)
     out = np.empty(re.shape, dtype=complex)
     out.real, out.imag = re, im
     return out
@@ -479,34 +476,26 @@ def _lift(zf: ZolotarevFraction, x, y):
     x last, which overflows only where F does.  Circle points, |x| <= 1 +
     1e-9, have |s| < 1.0e8 since ell > ELL_MIN, while the limit is about
     1.3e154 K(ell')/m (7.0e152 at m = 40, Theta = 1.0), so the test is
-    skipped there.  A float sweeps the odd nodes; a nonempty array of at most
-    ``_BLOCK_POINTS`` points with at least ``_BLOCK_NODES`` odd nodes takes
-    them as blocks (``_node_block``), any other array sweeps them in
-    preallocated buffers: every order does the same operations in the same
-    order, so all agree bit for bit.
+    skipped there.  x and y are ndarrays (a scalar comes as a one-point
+    array).  A nonempty array of at most ``_BLOCK_POINTS`` points with at
+    least ``_BLOCK_NODES`` odd nodes takes them as blocks (``_node_block``),
+    any other array sweeps them in preallocated buffers: both orders do the
+    same operations in the same order, so they agree bit for bit.
     """
     ell, lam, M, _, tail, limit, nodes, _ = zf._kernel
     s = x / ell
     one, lead = 1.0, s
-    far = y is None and abs(s) > limit  # a mask for an array, never on the circle
-    far = far if isinstance(far, bool) or far.any() else False  # False where no point is far
-    if far is not False:  # ratios in 1/s^2: even m leads with 1/s, odd m with 1, to take lam x/(M ell) last
-        u = 1.0 / _where(far, s, 1.0)
-        lead, one, s = _where(far, u, s), _where(far, u * u, 1.0), _where(far, 1.0, s)
+    # the mask of the points past the limit, None where there is none (always on the circle)
+    far = mask if y is None and (mask := np.abs(s) > limit).any() else None
+    if far is not None:  # ratios in 1/s^2: even m leads with 1/s, odd m with 1, to take lam x/(M ell) last
+        u = 1.0 / np.where(far, s, 1.0)
+        lead, one, s = np.where(far, u, s), np.where(far, u * u, 1.0), np.where(far, 1.0, s)
     s2 = s * s
     f = lam * (lead / M)
-    if far is not False and tail is None:
-        f = _where(far, 1.0, f)
+    if far is not None and tail is None:
+        f = np.where(far, 1.0, f)
     g = 1.0 + 0.0 * s2  # 1 in the shape of x, NaN at a NaN x; m = 0 has no odd node
-    if not isinstance(s2, np.ndarray):
-        for ce, co, d in nodes:
-            den = one + s2 * co
-            if ce is None:
-                f /= den
-            else:
-                f *= (one + s2 * ce) / den
-            g *= (one - s2 * d) / den
-    elif 0 < s2.size <= _BLOCK_POINTS and len(nodes) >= _BLOCK_NODES:
+    if 0 < s2.size <= _BLOCK_POINTS and len(nodes) >= _BLOCK_NODES:
         f, g = _node_block(f, g, one, s2, tail is not None, zf._columns)
     else:
         den, num = np.empty_like(s2), np.empty_like(s2)
@@ -517,8 +506,8 @@ def _lift(zf: ZolotarevFraction, x, y):
             else:
                 f *= np.divide(np.add(one, np.multiply(s2, ce, out=num), out=num), den, out=num)
             g *= np.divide(np.subtract(one, np.multiply(s2, d, out=num), out=num), den, out=num)
-    if far is not False and tail is None:
-        f = _where(far, f * lam / M * x / ell, f)
+    if far is not None and tail is None:  # F_0 = 0: lam = 0 takes x's sign alone, so that +-inf gives +-0.0
+        f = np.where(far, f * lam / M * (x if lam else np.sign(x)) / ell, f)
     if y is not None and zf.reduction.m % 2:
         g *= y
     return f, g

@@ -78,7 +78,7 @@ def _moebius_image(m: int, ell: float, z):
     m = require_degree(m, 1)
     ell = require_modulus(ell)
     kappa = _kappa(ell)
-    z = z.astype(complex) if isinstance(z, np.ndarray) else _point(z)  # DomainError at a list, None, a string
+    z = _point(z).astype(complex) if isinstance(z, np.ndarray) else _point(z)  # DomainError as at a circle call
     _refuse(~np.isfinite(z), DomainError, "z must be finite, got {!r}", z)
     if np.any(np.abs(z + 1.0) < 1e-12):
         raise BranchError("z = -1 is the Moebius pole")

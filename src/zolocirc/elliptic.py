@@ -149,7 +149,7 @@ def _mu_pair(ell: float, ell_comp: float) -> tuple[float, float, float, tuple]:
 
 def complete_K(ell: float) -> float:
     """Complete elliptic integral of the first kind, K(ell), 0 <= ell < 1."""
-    if not 0.0 <= ell < 1.0:
+    if not (_between(ell, 0.0, 1.0, "ell") or ell == 0.0):
         raise DomainError(f"complete_K requires 0 <= ell < 1, got {ell!r}")
     return _mu_pair(ell, complement(ell))[1]
 
@@ -199,7 +199,7 @@ def _quarter_nodes(M: int, ell: float, ell_comp: float, nome: tuple) -> list:
 
 def jacobi_sncndn(u: float, ell: float) -> tuple[float, float, float]:
     """Jacobi elliptic functions (sn, cn, dn) at real argument u, modulus ell."""
-    if not 0.0 <= ell < 1.0:
+    if not (_between(ell, 0.0, 1.0, "ell") or ell == 0.0):
         raise DomainError(f"jacobi modulus must lie in [0, 1), got {ell!r}")
     ell_comp = complement(ell)
     _, K, _, nome = _mu_pair(ell, ell_comp)
@@ -241,7 +241,7 @@ def inverse_sn(x: float, ell: float) -> float:
 
 def groetzsch_mu(ell: float) -> float:
     """Groetzsch ring function mu(ell) = (pi/2) K(ell')/K(ell), 0 < ell < 1."""
-    if not 0.0 < ell < 1.0:
+    if not _between(ell, 0.0, 1.0, "ell"):
         raise DomainError(f"groetzsch_mu requires 0 < ell < 1, got {ell!r}")
     return _mu_pair(ell, complement(ell))[0]
 
@@ -273,7 +273,7 @@ def mu_inverse(v: float) -> float:
     there work with the complement (solve_lambda does).  PrecisionError is raised
     when ell rounds to 1 (v < 0.087) or is subnormal (v > 709.78).
     """
-    if not (math.isfinite(v) and v > 0.0):
+    if not _between(v, 0.0, math.inf, "v"):
         raise DomainError(f"mu_inverse requires v > 0, got {v!r}")
     ell = _mu_inverse_pair(v)[0]
     if not sys.float_info.min <= ell < 1.0:
@@ -303,11 +303,12 @@ class EllipticModulus:
     @classmethod
     def from_ell(cls, ell: float, ell_comp: float | None = None) -> "EllipticModulus":
         """ell_comp defaults to complement(ell); a pair off the unit circle is refused."""
-        if not 0.0 < ell < 1.0:
+        if not _between(ell, 0.0, 1.0, "ell"):
             raise DomainError(f"modulus must lie in (0, 1), got {ell!r}")
         if ell_comp is None:
             ell_comp = complement(ell)
-        elif not (0.0 < ell_comp <= 1.0 and abs(ell * ell + ell_comp * ell_comp - 1.0) <= 4.0 * sys.float_info.epsilon):
+        elif not ((_between(ell_comp, 0.0, 1.0, "ell_comp") or ell_comp == 1.0)
+                  and abs(ell * ell + ell_comp * ell_comp - 1.0) <= 4.0 * sys.float_info.epsilon):
             raise DomainError(f"ell={ell!r} and ell_comp={ell_comp!r} are not complementary")
         ell_comp = float(ell_comp)
         mu, K, K_comp, nome = _mu_pair(ell, ell_comp)

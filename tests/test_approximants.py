@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import sys
 from fractions import Fraction
@@ -211,7 +212,8 @@ class TestEval:
             inv_z(0.0 + 0.0j)
         assert exc.value.factor_index == 0
 
-    @pytest.mark.parametrize("point", [[1j, 1], (0.6, 0.8), None, "1j", b"1"])
+    @pytest.mark.parametrize("point", [[1j, 1], (0.6, 0.8), None, "1j", b"1", np.array(["1"]), np.array("1j"),
+                                       np.array([0.6 + 0.8j], dtype=object)])
     def test_refuses_a_point_that_is_neither_a_number_nor_an_array(self, point):
         # complex() would parse the string "1j", an optimum's point on the circle
         for r in (ap.build_s(5, 1.0), ap.build_r(2, 1.0), ap.UnimodularRational(0, (0.5,), ap.Family.R_FAMILY)):
@@ -230,6 +232,20 @@ class TestEval:
         s = ap.build_s(5, 1.0)
         for point in (1, True, 0.5, np.float64(0.5), np.complex64(0.6 + 0.8j), np.int8(-1)):
             assert s(point) == s(complex(point))
+
+    def test_a_0d_array_is_its_one_point_call_on_either_route(self):
+        # on the circle (the lift) and off it (the product), s_0 = i and a copy without the record included
+        s = ap.build_s(5, 1.0)
+        for r in (s, s.reciprocal(), ap.build_r(2, 1.0), ap.build_s(0, 1.0), dataclasses.replace(s)):
+            for z in (0.6 + 0.8j, -1.0, 1.5 + 0.5j, 2.0):
+                value = r(np.array(z))
+                assert type(value) is np.ndarray and value.shape == ()
+                assert same_bits(value, r(np.array([z]))[0])
+
+    def test_an_int_or_bool_array_is_its_float64(self):
+        for r in (ap.build_r(3, 0.9), ap.UnimodularRational(0, (0.5, 2.0), ap.Family.R_FAMILY), ap.build_s(4, 0.9)):
+            assert same_bits(r(np.array([-3, -1, 1, 2])), r(np.array([-3.0, -1.0, 1.0, 2.0])))
+            assert same_bits(r(np.array([True])), r(np.array([1.0])))
 
     def test_array_scalar_agree(self):
         s = ap.build_s(5, 0.8)
@@ -378,7 +394,8 @@ class TestLift:
         with pytest.raises(DomainError, match="degree must be an integer >= 0"):
             ap.eval_s_via_FG(-1, 1.0, 1j)
 
-    @pytest.mark.parametrize("z", ["1j", None, [1j]], ids=["str", "None", "list"])
+    @pytest.mark.parametrize("z", ["1j", None, [1j], np.array(["1j"]), np.array([1j], dtype=object)],
+                             ids=["str", "None", "list", "str array", "object array"])
     def test_a_point_that_is_neither_a_number_nor_an_array_is_a_domain_error(self, z):
         # the rule of the built optimum's __call__, taken before the 1e-9 test reads |z|
         with pytest.raises(DomainError, match="a number or an ndarray"):
@@ -394,8 +411,10 @@ class TestLift:
         on = np.exp(1j * np.linspace(-math.pi, math.pi, 33))
         assert np.all(np.abs(on.real**2 + on.imag**2 - 1.0) <= 8.0 * sys.float_info.epsilon)
         assert same_bits(ap.eval_s_via_FG(m, theta, on), ap._lifted(zf, on.real, on.imag, 1, False))
-        for z in on.tolist():
-            assert same_bits(ap.eval_s_via_FG(m, theta, z), ap._lifted(zf, z.real, z.imag, 1, False))
+        for z in on.tolist():  # a scalar is the lift's one-point array, and a complex
+            lifted = ap._lifted(zf, np.array([z.real]), np.array([z.imag]), 1, False)
+            assert type(ap.eval_s_via_FG(m, theta, z)) is complex
+            assert same_bits(ap.eval_s_via_FG(m, theta, z), lifted)
         # off it by more than 8 eps and at most 1e-9: the product, and an array with one such point takes it all
         r = 1.0 + 4503599 * 2.0**-52  # the largest |z| = 1 + d on the float grid with d <= 1e-9
         near = [r, -r, 1j * r, -1j * r, complex(on[3] * (1.0 + 1e-12))]

@@ -195,8 +195,8 @@ class TestBridgeArrays:
 
 
 @pytest.mark.parametrize("relation", [cn.blaschke_s_relation, cn.scaled_F_via_blaschke])
-@pytest.mark.parametrize("z", ["0.1", None, [0.1, 0.2], b"0.1", 10**400],
-                         ids=["str", "None", "list", "bytes", "10**400"])
+@pytest.mark.parametrize("z", ["0.1", None, [0.1, 0.2], b"0.1", 10**400, np.array(["0.1"]), np.array([0.1], dtype=object)],
+                         ids=["str", "None", "list", "bytes", "10**400", "str array", "object array"])
 def test_a_point_that_is_neither_a_number_nor_an_array_is_a_domain_error(relation, z):
     # the rule of UnimodularRational.__call__: complex() would parse the string "0.1"
     with pytest.raises(DomainError, match="a number or an ndarray"):

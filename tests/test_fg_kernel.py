@@ -101,9 +101,10 @@ class TestScalarArrayBitwise:
         F, G = ap._lift(zf, xs, ys)
         assert np.array_equal(bits(F), bits(zf.F(xs)))
         assert np.array_equal(bits(G), bits(ap.eval_F_product(zf, xs)[1]))
-        pairs = [ap._lift(zf, x, y) for x, y in zip(xs.tolist(), ys.tolist())]
-        assert_bitwise([p[0] for p in pairs], F)
-        assert_bitwise([p[1] for p in pairs], G)
+        # one-point arrays: the lift of a scalar
+        pairs = [ap._lift(zf, np.array([x]), np.array([y])) for x, y in zip(xs.tolist(), ys.tolist())]
+        assert np.array_equal(bits(np.concatenate([p[0] for p in pairs])), bits(F))
+        assert np.array_equal(bits(np.concatenate([p[1] for p in pairs])), bits(G))
 
     # lam(255, ell) rounds past the modulus window at every ell, so the
     # outer fraction of degree 255 cannot be built
@@ -231,10 +232,9 @@ class TestProductIsTheLift:
         F, G = ap.eval_F_product(zf, xs)
         lF, lG = ap._lift(zf, xs, np.sqrt((1.0 - xs) * (1.0 + xs)))
         assert np.array_equal(bits(F), bits(lF)) and np.array_equal(bits(G), bits(lG))
-        for x in xs.tolist():
-            pair, lifted = ap.eval_F_product(zf, x), ap._lift(zf, x, math.sqrt((1.0 - x) * (1.0 + x)))
-            assert_bitwise(pair, lifted)
-            assert_bitwise(lifted, pair)
+        for x in xs.tolist():  # a float is the lift's one-point array
+            pair, lifted = ap.eval_F_product(zf, x), ap._lift(zf, np.array([x]), np.sqrt([(1.0 - x) * (1.0 + x)]))
+            assert_bitwise(pair, np.concatenate(lifted))
 
     @pytest.mark.parametrize("m", [m for m in DEGREES if m % 2 == 0])
     def test_even_degree_F_is_F_alone_past_one_and_the_far_field(self, m):
@@ -423,6 +423,18 @@ class TestDegreeZero:
         else:
             assert type(F) is float and type(G) is float and math.isnan(F) and math.isnan(G)
 
+    @pytest.mark.parametrize("ell", [1e-3, ELL, 1.0 - 2e-8])
+    def test_infinity_gives_the_zero_of_the_far_field(self, ell):
+        # F_0 = 0 everywhere: +-inf gives the +-0.0 of +-1e308, float and array bit for bit, without a warning
+        zf = ap.ZolotarevFraction.from_ell(0, ell)
+        xs = [math.inf, -math.inf, 1e308, -1e308]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scalars = [zf.F(x) for x in xs] + [ap.eval_F_product(zf, x)[0] for x in xs]
+            arrays = [zf.F(np.array(xs)), ap.eval_F_product(zf, np.array(xs + [0.5]))[0][:-1]]
+        assert_bitwise(scalars, np.concatenate(arrays))
+        assert_bitwise(scalars, [0.0, -0.0] * 4)
+
 
 class TestZ4BeyondOne:
     @pytest.mark.parametrize("m", [3, 4])
@@ -533,3 +545,44 @@ class TestRealLineEntryRule:
     def test_compose_F_reads_the_same_rule(self, x):
         with pytest.raises(DomainError, match="real number or a real ndarray"):
             co.compose_F(2, 3, 0.5, x)
+
+
+class TestScalarsAreOnePointArrays:
+    # the lift takes ndarrays only: a scalar enters it as a one-point array and leaves as a Python number
+    def test_a_scalar_makes_one_lift_call_with_a_one_point_array(self, monkeypatch):
+        calls, lift = [], ap._lift
+
+        def counted(zf, x, y):
+            calls.append((x, y))
+            return lift(zf, x, y)
+
+        monkeypatch.setattr(ap, "_lift", counted)
+        even, odd = ap.ZolotarevFraction.from_ell(8, ELL), ap.ZolotarevFraction.from_ell(9, ELL)
+        far = 2.0 * even._kernel[5] * ELL
+        z = complex(np.exp(0.7j))
+        calls_of = [(ap.build_s(8, THETA), z), (ap.build_s(9, THETA).reciprocal(), z), (ap.build_r(4, THETA), z),
+                    (ap.build_s(8, THETA), 1j), (even.F, far), (even.F, math.nan), (odd.F, -far),
+                    (ap.z4_solution(8, ELL), far), (lambda x: ap.eval_F_product(even, x), 0.5),
+                    (lambda x: ap.eval_F_product(odd, x), 0.5)]
+        for f, point in calls_of:
+            calls.clear()
+            f(point)
+            assert len(calls) == 1
+            assert all(type(v) is np.ndarray and v.shape == (1,) for v in calls[0] if v is not None)
+        calls.clear()
+        even.F(0.5)  # a near float takes F's float branch
+        assert calls == []
+
+    @pytest.mark.parametrize("m", [1, 2, 8, 9])
+    def test_every_scalar_entry_returns_a_python_number(self, m):
+        zf, z4, s = ap.ZolotarevFraction.from_ell(m, ELL), ap.z4_solution(m, ELL), ap.build_s(m, THETA)
+        far = 2.0 * zf._kernel[5] * ELL
+        # on the circle (the lift) and off it (the product), through each optimum and eval_s_via_FG
+        complexes = [r(z) for r in (s, s.reciprocal(), ap.build_r(m, THETA)) for z in (0.6 + 0.8j, -1.0, 1.5 + 0.5j)]
+        complexes.append(ap.eval_s_via_FG(m, THETA, 0.6 - 0.8j))
+        floats = [f(x) for f in (zf.F, z4) for x in (0.5, far, -far, math.nan, math.inf, np.float64(0.5))]
+        floats += [*ap.eval_F_product(zf, 0.5), *ap.eval_F_product(zf, np.float32(-0.25)),
+                   *co.compose_F(2, m, 1.0000001e-8, 0.3), *cn.blaschke_s_relation(m, 0.25, 0.3 + 0j),
+                   *cn.scaled_F_via_blaschke(m, 0.25, 0.3 + 0j)]
+        assert all(type(v) is complex for v in complexes)
+        assert all(type(v) is float for v in floats)

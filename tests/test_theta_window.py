@@ -158,3 +158,34 @@ def test_a_theta_or_modulus_that_is_not_real_is_a_domain_error(name, value):
     with pytest.raises(DomainError, match=r"^(theta|ell) must be a real number, got "):
         TAKES_A_REAL[name](NOT_REAL[value])
 
+
+# the entries that check a modulus, its complement, a mu value or a Zolotarev number Z themselves, each with a
+# value outside its range: the real-number rule of require_theta and require_modulus (elliptic._between),
+# and each range with its own message, for a float and a numpy float alike
+BARE_CHECKS = {
+    "complete_K": (elliptic.complete_K, "ell", 1.0, "complete_K requires 0 <= ell < 1, got "),
+    "jacobi_sncndn": (lambda v: elliptic.jacobi_sncndn(0.3, v), "ell", 1.0, r"jacobi modulus must lie in \[0, 1\), got "),
+    "groetzsch_mu": (elliptic.groetzsch_mu, "ell", 0.0, "groetzsch_mu requires 0 < ell < 1, got "),
+    "EllipticModulus.from_ell": (elliptic.EllipticModulus.from_ell, "ell", 1.0, r"modulus must lie in \(0, 1\), got "),
+    "EllipticModulus.from_ell(0.6, ell_comp)": (
+        lambda v: elliptic.EllipticModulus.from_ell(0.6, v), "ell_comp", 0.0, r"ell=0\.6 and ell_comp=\S+ are not complementary"
+    ),
+    "mu_inverse": (elliptic.mu_inverse, "v", 0.0, "mu_inverse requires v > 0, got "),
+    "lambda_from_Z": (analysis.lambda_from_Z, "Z", 1.0, "lambda_from_Z requires 0 <= Z < 1, got "),
+    "phase_error_from_Z": (analysis.phase_error_from_Z, "Z", 1.0, "phase_error_from_Z requires 0 <= Z < 1, got "),
+}
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    # None is ell_comp's default, complement(ell)
+    [(n, v) for n in sorted(BARE_CHECKS) for v in sorted(NOT_REAL) if (BARE_CHECKS[n][1], v) != ("ell_comp", "None")],
+)
+def test_a_bare_check_refuses_what_is_not_real_and_keeps_its_range(name, value):
+    # numpy's complex scalars passed these checks by their real parts, and a string, None or a list raised TypeError
+    f, arg, outside, message = BARE_CHECKS[name]
+    with pytest.raises(DomainError, match=rf"^{arg} must be a real number, got "):
+        f(NOT_REAL[value])
+    for v in (outside, np.float64(outside), math.nan):
+        with pytest.raises(DomainError, match=f"^{message}"):
+            f(v)
