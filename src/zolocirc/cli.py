@@ -4,8 +4,10 @@ Commands: build | error | bounds | compose | contour | selftest.
 All structured output goes through a deterministic serializer: fixed key
 order, floats at 17 significant digits (infinite factor parameters become
 the string "inf", which strict JSON cannot carry as a number), LF line
-endings.  A build reports its power of z as 0 for z5/z6 (z = 0 is a factor)
-and 1 for z4.  Exit codes: 0 ok, 1 contour cannot write --out or a selftest
+endings.  The contour CSV holds ``format(v, ".17g")`` of each cell, made in
+certified numpy blocks (``_g17``) with ``format`` itself as the fallback.
+A build reports its power of z as 0 for z5/z6 (z = 0 is a factor) and 1
+for z4.  Exit codes: 0 ok, 1 contour cannot write --out or a selftest
 criterion failed, 2 usage (a negative --degree, or a size or window flag out
 of range, included: each is checked before anything is built), 3 numeric
 domain (every --theta that elliptic.require_theta refuses among them), 4
@@ -15,6 +17,7 @@ equioscillation deficiency, 5 composition residual breach.
 from __future__ import annotations
 
 import argparse
+import fractions
 import functools
 import math
 import sys
@@ -27,6 +30,7 @@ from .errors import DomainError, ResolutionError
 
 COMPOSE_TOLERANCE = 1e-9
 SIZE_FLAG_MAX = 2**20  # --grid and --samples: far above any useful size, far below a memory error
+_CSV_BLOCK = 4096  # contour cells per write: larger blocks are little faster and raise the peak memory
 
 
 def _fmt(value) -> str:
@@ -54,6 +58,93 @@ def _fmt(value) -> str:
         inner = ", ".join(f"{_fmt(str(k))}: {_fmt(v)}" for k, v in value.items())
         return "{" + inner + "}"
     raise TypeError(f"cannot serialize {type(value)!r}")
+
+
+@functools.cache
+def _g17_tables() -> tuple:
+    """_g17's tables: 10^p as (hi, lo) for p in [-199, 300], ASCII and trailing zeros of 0000-9999, text layouts.
+
+    A layout row gives each output byte's place in _g17's 28-byte source row: 0-15 digits 2-17, 16 digit 1,
+    17 ".", 18 "0", 19 NUL, 20-23 the exponent's four digits, 24 "e", 25 its sign, 26 "-".  Rows run over
+    (kind, significant digits 1-17, minus sign); kinds 0-20 are fixed notation at exponents -4..16, 21-22 d.de+XX(X).
+    """
+    exact = [fractions.Fraction(10) ** p for p in range(-199, 301)]
+    hi = [float(e) for e in exact]  # both correctly rounded
+    lo = [float(e - fractions.Fraction(h)) for e, h in zip(exact, hi)]
+    chunks = (np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
+    zeros = (chunks[:, ::-1] == ord("0")).cumprod(axis=1).sum(axis=1)
+    lead = np.frombuffer(b"".join(b"%d.0\0" % k for k in range(10)), np.uint32)
+    d, layouts = [16] + list(range(16)), []  # d: the places of digits 1-17 in the source row
+    for kind in range(23):
+        whole = 1 if kind > 20 else kind - 3  # digits before the point, or minus the zeros after it
+        for nsig in range(1, 18):
+            head = d[:whole] if whole > 0 else [18, 17] + [18] * -whole
+            src = head + ([17] if 0 < whole < nsig else []) + d[max(whole, 0) : nsig]
+            src += [24, 25] + [21, 22, 23][22 - kind :] if kind > 20 else []
+            layouts += [src + [19] * (24 - len(src)), [26] + src + [19] * (23 - len(src))]
+    return np.array(hi), np.array(lo), chunks.view(np.uint32).ravel(), zeros, lead, np.array(layouts, np.intp)
+
+
+def _split(y: np.ndarray) -> tuple:
+    """Veltkamp's split of doubles into halves of 26 bits, whose products are exact."""
+    t = y * 134217729.0  # 2**27 + 1
+    high = t - (t - y)
+    return high, y - high
+
+
+def _g17(v: np.ndarray) -> tuple:
+    """format(x, ".17g") of each double of a 1-D array as NUL-padded ASCII rows, and the mask of those format wrote.
+
+    X = floor(log10 |x|) and the digits D = round(|x| 10^(16 - X)) come from |x| times the double-double
+    10^(16 - X) by Dekker's exact product, to an error below 1e-14.  A cell is certified when that product's
+    fraction lies more than 1e-9 from 1/2, its floor and D lie in [10^16, 10^17) and |x| in [1e-284, 1e216),
+    where the split and the tables stay finite and normal.  Zeros, infinities, NaNs, ties and carries fall back.
+    """
+    ten_hi, ten_lo, chunks, zeros, lead, layouts = _g17_tables()
+    a = np.abs(v)
+    certified = (a >= 1e-284) & (a < 1e216)
+    a = np.where(certified, a, 1.0)
+    x = np.clip(np.floor(np.log10(a)).astype(np.intp), -284, 215)  # may be off by one: then D leaves the decade
+    hi, lo = ten_hi[215 - x], ten_lo[215 - x]
+    product = a * hi
+    (ah, al), (hh, hl) = _split(a), _split(hi)
+    c = ((ah * hh - product) + ah * hl + al * hh) + al * hl + a * lo  # the rest of |x| 10^(16 - X), below 20
+    floor = np.floor(c)
+    fraction = c - floor
+    d = product.astype(np.int64) + floor.astype(np.int64)
+    certified &= (np.abs(fraction - 0.5) > 1e-9) & (d >= 10**16)
+    d += fraction > 0.5
+    certified &= d < 10**17
+    top, low = np.divmod(np.where(certified, d, 10**16), 10**8)
+    first, top = np.divmod(top, 10**8)
+    parts = np.divmod(top, 10**4) + np.divmod(low, 10**4)
+    source = np.empty((len(v), 7), np.uint32)
+    trailing = np.zeros(len(v), np.intp)
+    for k, part in enumerate(parts):
+        source[:, k] = chunks[part]
+        trailing += zeros[parts[3 - k]] * (trailing == 4 * k)  # counted while the later chunks are 0000
+    source[:, 4], source[:, 5] = lead[first], chunks[np.abs(x)]
+    source[:, 6] = np.where(x < 0, *np.frombuffer(b"e--\0e+-\0", np.uint32))
+    kind = np.where((x >= -4) & (x <= 16), x + 4, 21 + (np.abs(x) >= 100))
+    index = np.take(layouts, (kind * 17 + 16 - trailing) * 2 + (v < 0), axis=0)
+    index += 28 * np.arange(len(v))[:, None]
+    out = np.take(source.view(np.uint8), index)
+    for i in np.flatnonzero(~certified):
+        out[i] = np.frombuffer(format(float(v[i]), ".17g").encode().ljust(24, b"\0"), np.uint8)
+    return out[:, : np.flatnonzero(out.any(axis=0))[-1] + 1], ~certified
+
+
+def _csv_rows(re_text: np.ndarray, im_text: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The bytes of the lines "re,im,value" of whole grid rows, from _g17's rows of each axis."""
+    value_text = _g17(values.ravel())[0].reshape(values.shape + (-1,))
+    fields = (re_text[None], im_text[:, None], value_text)
+    ends = np.cumsum([f.shape[2] + 1 for f in fields])
+    line = np.empty(values.shape + (ends[-1],), np.uint8)
+    for field, end in zip(fields, ends):
+        line[:, :, end - 1 - field.shape[2] : end - 1] = field
+        line[:, :, end - 1] = ord(",")
+    line[:, :, -1] = ord("\n")
+    return line[line != 0]
 
 
 def _envelope(args, results: dict) -> str:
@@ -226,16 +317,13 @@ def _cmd_contour(args) -> int:
     _check_range("--resolution", args.resolution, 16, 4096)
     build = analysis._problem_fns(args.problem)[0]
     grid = analysis.contour_grid(build(args.degree, args.theta), args.problem, window, args.resolution)
-    # one row template per call, one % per row over its interleaved (im, value) cells
-    row_fmt = "".join(f"{format(x, '.17g')},%s,%.17g\n" for x in grid.re.tolist())
-    cells = [None, None] * args.resolution
+    re_text, im_text = _g17(grid.re)[0], _g17(grid.im)[0]
+    rows = max(1, _CSV_BLOCK // args.resolution)
     try:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("re,im,value\n")
-            for im, row in zip(grid.im.tolist(), grid.values):
-                cells[0::2] = [format(im, ".17g")] * args.resolution
-                cells[1::2] = row.tolist()
-                fh.write(row_fmt % tuple(cells))
+        with open(args.out, "wb") as fh:
+            fh.write(b"re,im,value\n")
+            for r in range(0, args.resolution, rows):
+                fh.write(_csv_rows(re_text, im_text[r : r + rows], grid.values[r : r + rows]))
     except OSError as exc:
         print(f"error: cannot write {args.out!r}: {exc}", file=sys.stderr)
         return 1

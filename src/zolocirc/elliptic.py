@@ -48,6 +48,8 @@ def complement(x: float) -> float:
 
 def _between(x, lo: float, hi: float, name: str) -> bool:
     """lo < x < hi for a real x; DomainError for any other, numpy's complex scalars (ordered by real part) included."""
+    if isinstance(x, int) and not abs(x) <= sys.float_info.max:  # it compares exactly, but float() overflows
+        raise DomainError(f"{name} must be a real number within the doubles, got an int of {x.bit_length()} bits")
     if isinstance(x, numbers.Real) or not isinstance(x, numbers.Complex):
         try:
             return lo < x < hi
@@ -161,8 +163,6 @@ def _sncndn(u: float, quarter: float, ell: float, ell_comp: float, nome: tuple) 
     Jacobi's imaginary transformation (DLMF 22.6(iv)), theta_2 and theta_4 swapped, at
     y = -log(q') r/(2 quarter) in the nome q' of ell_comp.  ell_comp = 0 is refused.
     """
-    if not math.isfinite(u):
-        raise DomainError(f"jacobi argument must be finite, got {u!r}")
     if ell_comp == 0.0:
         raise PrecisionError(f"sn/cn/dn at modulus {ell!r} need a complement above 0")
     # Periods, then the quarter-period reflection, which keeps dn (and cn near
@@ -201,6 +201,8 @@ def jacobi_sncndn(u: float, ell: float) -> tuple[float, float, float]:
     """Jacobi elliptic functions (sn, cn, dn) at real argument u, modulus ell."""
     if not (_between(ell, 0.0, 1.0, "ell") or ell == 0.0):
         raise DomainError(f"jacobi modulus must lie in [0, 1), got {ell!r}")
+    if not _between(u, -math.inf, math.inf, "u"):
+        raise DomainError(f"jacobi argument must be finite, got {u!r}")
     ell_comp = complement(ell)
     _, K, _, nome = _mu_pair(ell, ell_comp)
     return _sncndn(u, K, ell, ell_comp, nome)

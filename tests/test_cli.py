@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -648,3 +649,77 @@ class TestContourBytes:
         assert (b",inf\n" in expected) == has_pole
         assert b"\n0," in expected or b",0," in expected  # a coordinate that is exactly 0
         assert path.read_bytes() == expected
+
+
+def g17_matches_format(values):
+    """_g17's rows and fallback mask, after checking each row against format(v, ".17g")."""
+    rows, fallback = cli._g17(values)
+    expected = np.array([format(v, ".17g").encode() for v in values.tolist()])
+    got = rows.view(f"S{rows.shape[1]}").ravel()  # an S item drops its trailing NULs
+    bad = np.flatnonzero(got != expected)
+    assert not len(bad), [(values[i], expected[i], got[i]) for i in bad[:5]]
+    return rows, fallback
+
+
+def g17_ties(rng):
+    """Doubles whose 18th significant digit is an exact 5: m 2^-e of 18 - e integer digits, m odd."""
+    ties = []
+    for e in range(2, 11):
+        lo, hi = 10 ** (17 - e), min(10 ** (18 - e), 2 ** (53 - e))
+        ties += [(2 * k + 1) / 2**e for k in rng.integers(lo * 2 ** (e - 1), hi * 2 ** (e - 1), 20).tolist()]
+    ties += [1000000000000000.25]
+    for v in ties:  # checked exactly: the digits past the 17th are 1/2 of a unit of the 17th
+        f = Fraction(v)
+        x = math.floor(math.log10(v))
+        x += (Fraction(10) ** (x + 1) <= f) - (Fraction(10) ** x > f)
+        assert (f * Fraction(10) ** (16 - x)).denominator == 2, v
+    return np.array(ties + [-v for v in ties])
+
+
+class TestG17:
+    """The contour CSV's %.17g kernel, cli._g17, against format(v, ".17g") itself."""
+
+    def test_a_million_values(self):
+        rng = np.random.default_rng(17)
+        bits = rng.integers(0, 2**64, 400_000, dtype=np.uint64).view(np.float64)
+        subnormal = rng.integers(1, 2**52, 20_000, dtype=np.uint64).view(np.float64)
+        powers = np.array([float(f"1e{k}") for k in range(-320, 309)])
+        steps = np.arange(-2, 3)[:, None]
+        around_powers = (powers[powers > 0].view(np.int64) + steps).view(np.float64).ravel()
+        edges = np.array([1e-5, 1e-4, 1e16, 1e17])
+        around_edges = (edges.view(np.int64) + np.arange(-2000, 2001)[:, None]).view(np.float64).ravel()
+        ints = rng.integers(0, 2**53, 15_000).astype(float)
+        scaled = (ints[:, None] * 10.0 ** np.arange(-22, 23)).ravel()
+        unit = 3.0 * rng.random(100_000)
+        values = np.concatenate([bits, subnormal, -subnormal, around_powers, around_edges, scaled, unit])
+        assert len(values) >= 10**6
+        _, fallback = g17_matches_format(values)
+        # out of range: a fifth of the bit patterns and all subnormals; ties: about 1% of the scaled integers
+        assert fallback.mean() < 0.15
+        assert not fallback[-len(unit):].any()
+
+    def test_exact_ties_fall_back(self):
+        ties = g17_ties(np.random.default_rng(5))
+        assert g17_matches_format(ties)[1].all()
+
+    @pytest.mark.parametrize("shift", [-1.0, 1.0])
+    def test_an_exponent_off_by_one_falls_back(self, monkeypatch, shift):
+        # log10 may err next to a power of ten: D then leaves [10^16, 10^17), and format writes the cell
+        values = 1e-3 + 3.0 * np.random.default_rng(3).random(1000)
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda a: log10(a) + shift)
+        assert g17_matches_format(values)[1].all()
+
+    def test_fallback_mask(self):
+        values = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 1e-300, 1e250, 1000000000000000.25,
+                           0.1, -2.5, 2e-284, 2e215, 123456789.0])
+        rows, fallback = g17_matches_format(values)
+        assert fallback.tolist() == [True] * 8 + [False] * 5
+        assert rows.shape == (len(values), max(len(format(v, ".17g")) for v in values.tolist()))
+
+    def test_resolution_512_contour(self, capsys, tmp_path):
+        path = tmp_path / "grid.csv"
+        code, _, _ = run(capsys, "contour", "--problem", "z6", "--degree", "5", "--theta", "1.0",
+                         "--window=-2,2,-2,2", "--resolution", "512", "--out", str(path))
+        assert code == 0
+        assert path.read_bytes() == per_cell_contour_csv("z6", 5, 1.0, (-2.0, 2.0, -2.0, 2.0), 512)

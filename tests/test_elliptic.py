@@ -101,6 +101,23 @@ class TestJacobi:
     def test_nan_argument(self):
         with pytest.raises(DomainError, match="jacobi argument must be finite"):
             el.jacobi_sncndn(math.nan, 0.5)
+        with pytest.raises(DomainError, match="jacobi argument must be finite"):
+            el.jacobi_sncndn(-math.inf, 0.5)
+
+    @pytest.mark.parametrize("u", [np.complex128(0.3 + 1j), "0.3", None], ids=["complex128", "str", "None"])
+    def test_argument_that_is_not_real(self, u):
+        # a numpy complex passed by its real part, with a ComplexWarning; a string or None raised TypeError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="^u must be a real number, got "):
+                el.jacobi_sncndn(u, 0.5)
+
+    @pytest.mark.parametrize("call", [lambda: el.jacobi_sncndn(10**400, 0.5), lambda: el.jacobi_sncndn(-(10**400), 0.5),
+                                      lambda: el.mu_inverse(10**400)], ids=["u=10**400", "u=-10**400", "mu_inverse"])
+    def test_int_past_the_doubles(self, call):
+        # each compared exactly and then overflowed in float()
+        with pytest.raises(DomainError, match=r"must be a real number within the doubles, got an int of 1329 bits"):
+            call()
 
 
 class TestInverseSn:
