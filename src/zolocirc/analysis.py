@@ -95,14 +95,19 @@ def _phase_slope(r: UnimodularRational, half_t: float):
     (z - a)/(1 - conj(a) z), a = -v/u, whose phase grows at the Poisson
     kernel (1 - |a|^2)/|e^{i t} - a|^2, written without cancellation; a
     u = 0 factor (-1/z) turns at -1, and one with |a| = 1 is constant.
+    Points are summed in blocks of at most ``approximants._BLOCK_CELLS`` (point, zero) cells, each as a whole.
     """
     zeros = np.array([-v / u for u, v, _, _ in r._pairs if u != 0], dtype=complex)
     m, phi = np.abs(zeros), np.angle(zeros)
     m, phi, base = m[m != 1.0], phi[m != 1.0], len(zeros) - len(r._pairs) - half_t
+    step = max(approximants._BLOCK_CELLS // max(m.size, 1), 1)
 
     def slope(t):
-        s = np.sin(0.5 * (t[:, None] - phi))
-        return ((1.0 - m) * (1.0 + m) / ((1.0 - m) ** 2 + 4.0 * m * s * s)).sum(axis=1) + base
+        out = np.empty(t.size)
+        for i in range(0, t.size, step):
+            s = np.sin(0.5 * (t[i : i + step, None] - phi))
+            out[i : i + step] = ((1.0 - m) * (1.0 + m) / ((1.0 - m) ** 2 + 4.0 * m * s * s)).sum(axis=1) + base
+        return out
 
     return slope
 

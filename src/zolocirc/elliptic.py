@@ -47,10 +47,13 @@ def complement(x: float) -> float:
 
 
 def _between(x, lo: float, hi: float, name: str) -> bool:
-    """lo < x < hi for a real x; DomainError for any other, numpy's complex scalars (ordered by real part) included."""
+    """lo < x < hi for a real x; DomainError for any other, numpy's complex scalars (ordered by real part) included.
+
+    A 0-d array reads as its number; an array of one or more dimensions is refused.
+    """
     if isinstance(x, int) and not abs(x) <= sys.float_info.max:  # it compares exactly, but float() overflows
         raise DomainError(f"{name} must be a real number within the doubles, got an int of {x.bit_length()} bits")
-    if isinstance(x, numbers.Real) or not isinstance(x, numbers.Complex):
+    if getattr(x, "ndim", 0) == 0 and (isinstance(x, numbers.Real) or not isinstance(x, numbers.Complex)):
         try:
             return lo < x < hi
         except TypeError:

@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -430,6 +431,26 @@ class TestSlopeRoots:
         r = tampered(r, lambda b: math.nextafter(b, math.inf))
         assert an.max_phase_error(r, 1.0, "z6") >= 4e-14
         assert an.phase_error_sign(r, 1.0, 1024).max_error >= 4e-14
+
+    # s_256 with its first factor moved by 1e-7 is no optimum: the grid route reads it on 8 (256 + 1) points
+    S256 = tampered(ap.build_s(256, 1.0), lambda b: b * (1 + 1e-7))
+
+    def test_a_high_degree_report_sums_the_slope_in_blocks(self):
+        # the slope's kernels in one (points x zeros) array took a traced peak of 24.2 MiB
+        tracemalloc.start()
+        try:
+            rep = an.phase_error_sign(self.S256, 1.0, 2056)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.method == "grid" and peak < 4 * 2**20
+
+    @pytest.mark.parametrize("cells", [1, 1 << 40], ids=["a point per block", "one block"])
+    def test_the_blocks_keep_every_bit_of_the_slope(self, monkeypatch, cells):
+        t = np.linspace(-1.0, 1.0, 4112)
+        blocked = an._phase_slope(self.S256, 0.5)(t)
+        monkeypatch.setattr(ap, "_BLOCK_CELLS", cells)
+        assert an._phase_slope(self.S256, 0.5)(t).tobytes() == blocked.tobytes()
 
 
 class TestRationalInput:
