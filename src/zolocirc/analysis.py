@@ -36,7 +36,6 @@ their count.  A report reads both and names its route in ``method``:
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 
@@ -44,8 +43,8 @@ import numpy as np
 
 from . import approximants
 from .approximants import UnimodularRational, ZolotarevFraction, _lift
-from .elliptic import EllipticModulus, _between, _mu_inverse_pair, _mu_pair, require_degree, require_theta, solve_lambda
-from .errors import DomainError, PrecisionError, ResolutionError
+from .elliptic import EllipticModulus, _mu_inverse_pair, _mu_pair, require_theta, solve_lambda
+from .errors import DomainError, PrecisionError, ResolutionError, _between, require_degree
 
 _TWO_PI = 2.0 * math.pi
 
@@ -133,7 +132,7 @@ def effective_degree(problem: str, degree: int) -> int:
     share the optimal error arccos(lam), the alternation count 2n + 2 and
     the decay bounds of s_{2n+1}, so z5 maps n to 2n + 1; z6 keeps m.
     """
-    key = problem.lower() if isinstance(problem, str) else problem
+    key = problem.lower() if isinstance(problem, str) else None
     if key == "z5":
         return 2 * degree + 1
     if key == "z6":
@@ -387,7 +386,8 @@ def contour_grid(
     Re z = 0 follows sign(Im z), and sign(0) = +1).
     """
     resolution = require_degree(resolution, 16, "resolution", 4096)
-    if len(window) != 4 or not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in window):
+    if not (isinstance(window, (tuple, list)) and len(window) == 4
+            and all(_between(v, -math.inf, math.inf, "window") for v in window)):
         raise DomainError(f"window must be four finite reals, got {window!r}")
     re_min, re_max, im_min, im_max = window
     if not (re_min < re_max and im_min < im_max):

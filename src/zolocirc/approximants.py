@@ -38,11 +38,10 @@ from .elliptic import (
     _quarter_nodes,
     _sncndn,
     inverse_sn,
-    require_degree,
     require_theta,
     solve_lambda,
 )
-from .errors import DomainError, PoleError
+from .errors import DomainError, PoleError, _between, require_degree
 
 _I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
 _DEN_TINY = 1e-300
@@ -387,7 +386,7 @@ def eval_F_direct(zf: ZolotarevFraction, x: float) -> tuple[float, float]:
     same composed map without complex arguments.  u/M in units of K(lam) is u in units
     of K(ell), so lam = 1.0 works; lam' = 0 raises PrecisionError (m > 606 at ell 0.5).
     """
-    if not abs(x) <= 1.0:
+    if not (_between(x, -1.0, 1.0, "x") or abs(x) == 1.0):
         raise DomainError(f"eval_F_direct requires |x| <= 1, got {x!r}")
     red = zf.reduction
     mod = red.modulus

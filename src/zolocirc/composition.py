@@ -13,8 +13,8 @@ import numpy as np
 
 from .analysis import theta_tilde
 from .approximants import ZolotarevFraction, _real, build_r, build_s
-from .elliptic import require_degree, require_modulus, require_theta
-from .errors import DomainError
+from .elliptic import require_modulus, require_theta
+from .errors import DomainError, require_degree
 
 
 def _law_factors(build, m_tilde: int, m: int, effective: int, product: int, theta: float):

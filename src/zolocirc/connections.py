@@ -16,8 +16,8 @@ import numpy as np
 
 from .approximants import Family, UnimodularRational, _nodes, _point, build_s, coeff_a, z4_solution
 from .elliptic import _mu_inverse_pair, complement, groetzsch_mu
-from .elliptic import require_degree, require_modulus, require_theta, solve_lambda
-from .errors import BranchError, DomainError, PrecisionError
+from .elliptic import require_modulus, require_theta, solve_lambda
+from .errors import BranchError, DomainError, PrecisionError, require_degree
 
 
 @dataclass(frozen=True)
@@ -145,6 +145,7 @@ class PadeApproximant:
     poles: tuple[float, ...]
 
     def __call__(self, z):
+        _point(z)  # DomainError for what a built optimum refuses; z itself is evaluated
         num = sum(c * z**k for k, c in enumerate(self.numerator))
         den = sum(c * z**k for k, c in enumerate(self.denominator))
         return num / den
@@ -170,9 +171,13 @@ def pade_limit_check(n: int, theta_seq) -> list[float]:
     sorted poles of p_n; the proposition says the deviations tend to 0.
     """
     n = require_degree(n, 0)
+    try:
+        thetas = iter(theta_seq)
+    except TypeError:
+        raise DomainError(f"theta_seq must be an iterable of thetas, got a {type(theta_seq).__name__}") from None
     target = pade_p(n).poles
     out = []
-    for theta in theta_seq:
+    for theta in thetas:
         require_theta(theta)
         ours = sorted(-coeff_a(j, n, theta) for j in range(1, n + 1))
         out.append(max((abs(a - b) for a, b in zip(ours, target)), default=0.0))

@@ -23,12 +23,10 @@ rounds to within a few ulp of 1.  The inverse sn is a Carlson integral.
 from __future__ import annotations
 
 import math
-import numbers
-import operator
 import sys
 from dataclasses import dataclass, field
 
-from .errors import DomainError, PrecisionError
+from .errors import DomainError, PrecisionError, _between, require_degree
 
 _QUARTER_PI_SQ = (0.5 * math.pi) ** 2  # (pi/2)^2, the mu(x)*mu(x') product
 
@@ -44,21 +42,6 @@ THETA_MAX = 0.5 * math.pi - 1e-8
 def complement(x: float) -> float:
     """sqrt(1 - x^2) evaluated without cancellation for x near 1."""
     return math.sqrt((1.0 - x) * (1.0 + x))
-
-
-def _between(x, lo: float, hi: float, name: str) -> bool:
-    """lo < x < hi for a real x; DomainError for any other, numpy's complex scalars (ordered by real part) included.
-
-    A 0-d array reads as its number; an array of one or more dimensions is refused.
-    """
-    if isinstance(x, int) and not abs(x) <= sys.float_info.max:  # it compares exactly, but float() overflows
-        raise DomainError(f"{name} must be a real number within the doubles, got an int of {x.bit_length()} bits")
-    if getattr(x, "ndim", 0) == 0 and (isinstance(x, numbers.Real) or not isinstance(x, numbers.Complex)):
-        try:
-            return lo < x < hi
-        except TypeError:
-            pass
-    raise DomainError(f"{name} must be a real number, got {x!r}")
 
 
 def require_modulus(ell: float, name: str = "ell") -> float:
@@ -82,22 +65,6 @@ def require_theta(theta: float, name: str = "theta") -> tuple[float, float]:
         edge = "cos(theta) rounds to ELL_MAX" if ell >= ELL_MAX else "sin(theta) rounds to 1"
         raise PrecisionError(f"{name}={theta!r}: {edge} in double precision")
     return ell, ell_comp
-
-
-def require_degree(value, minimum: int, name: str = "degree", maximum: int | None = None) -> int:
-    """Return a degree or index as a plain int, or raise DomainError.
-
-    Python and numpy integers are accepted; bools, floats and values
-    outside [minimum, maximum] are not.
-    """
-    try:
-        n = None if isinstance(value, bool) else operator.index(value)
-    except TypeError:
-        n = None
-    if n is None or n < minimum or (maximum is not None and n > maximum):
-        bound = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
-        raise DomainError(f"{name} must be an integer {bound}, got {value!r}")
-    return n
 
 
 def _nome(ell: float, ell_comp: float) -> tuple[float, float, float, float, float]:
@@ -233,9 +200,9 @@ def inverse_sn(x: float, ell: float) -> float:
     Evaluated as x * R_F(1 - x^2, 1 - ell^2 x^2, 1); the symmetric integral
     keeps uniform accuracy over the whole interval.
     """
-    if not 0.0 <= ell < 1.0:
+    if not (_between(ell, 0.0, 1.0, "ell") or ell == 0.0):
         raise DomainError(f"inverse_sn modulus must lie in [0, 1), got {ell!r}")
-    if not abs(x) <= 1.0:
+    if not (_between(x, -1.0, 1.0, "x") or abs(x) == 1.0):
         raise DomainError(f"inverse_sn requires |x| <= 1, got {x!r}")
     if x == 0.0:
         return 0.0

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, _between, require_degree
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ def oracle_K(ell: float) -> OracleResult:
     in the midpoint rule doubles the nodes until K changes by at most 4e-16 relative, the
     estimated error.  Past 2^15 nodes it raises ConvergenceError.
     """
-    if not 0.0 <= ell <= 1.0 - 1e-6:
+    if not (_between(ell, 0.0, 1.0 - 1e-6, "ell") or ell == 0.0 or ell == 1.0 - 1e-6):
         raise DomainError(f"oracle_K requires 0 <= ell <= 1 - 1e-6, got {ell!r}")
     n, value = 4, 0.5 * math.pi * float(np.mean(_integrand(np.arange(4) * (0.25 * math.pi), ell)))
     while n < 1 << 15:  # ell = 1 - 1e-6 converges at 2^15
@@ -82,10 +82,14 @@ def oracle_amplitude(u, ell: float) -> OracleResult:
     the next iterate at rounding level.  Past 32 steps it raises ConvergenceError.  u is a
     float or an ndarray: an ndarray runs Newton on all its points at once, each dropping out
     after its own last step, so each field is an array of u's shape whose entries are the
-    float call's bit for bit.
+    float call's bit for bit.  Any other u, a complex or a list among them, is a DomainError.
     """
-    if not 0.0 <= ell <= 1.0 - 1e-6:
+    if not (_between(ell, 0.0, 1.0 - 1e-6, "ell") or ell == 0.0 or ell == 1.0 - 1e-6):
         raise DomainError(f"oracle_amplitude requires 0 <= ell <= 1 - 1e-6, got {ell!r}")
+    if not isinstance(u, np.ndarray):
+        _between(u, -math.inf, math.inf, "u")  # refuses all but a real number; a NaN or an inf u is refused below
+    elif u.dtype.kind not in "biuf":  # a real dtype, as approximants._real requires
+        raise DomainError(f"u must be a real number or a real ndarray, got an ndarray of {u.dtype}")
     K = oracle_K(ell).value
     x = np.asarray(u, dtype=float).ravel()
     target = np.abs(x)
@@ -114,7 +118,9 @@ def oracle_amplitude(u, ell: float) -> OracleResult:
 
 
 def oracle_sn(u: float, ell: float) -> OracleResult:
-    """sn(u, ell) = sin(phi(u)) through the amplitude oracle."""
+    """sn(u, ell) = sin(phi(u)) through the amplitude oracle, at one u: an ndarray is a DomainError."""
+    if isinstance(u, np.ndarray):
+        raise DomainError(f"oracle_sn takes one u, got an ndarray of shape {u.shape}")
     res = oracle_amplitude(u, ell)
     return replace(res, value=math.sin(res.value))
 
@@ -136,11 +142,6 @@ _BOUND_STRIDE = 128
 SCAN_RANGE = (1e-4, 1e6)
 SCAN_SIZE = 10_000
 _ZOOM_SIZE = 100
-
-
-def _require_theta(theta: float) -> None:
-    if not 0.0 < theta < 0.5 * math.pi:  # written so that a NaN theta is refused too
-        raise DomainError(f"theta must lie in (0, pi/2), got {theta!r}")
 
 
 def _sqrt_arc(theta: float, samples: int):
@@ -225,11 +226,11 @@ def degree1_max_phase_error(a: float, theta: float, samples: int = 8192) -> floa
     theta must lie in (0, pi/2), a be positive and finite, and samples be
     an integer of at least 3; anything else is a DomainError.
     """
-    _require_theta(theta)
-    if not 0.0 < a < math.inf:  # written so that a NaN a is refused too
+    if not _between(theta, 0.0, 0.5 * math.pi, "theta"):
+        raise DomainError(f"theta must lie in (0, pi/2), got {theta!r}")
+    if not _between(a, 0.0, math.inf, "a"):
         raise DomainError(f"a must be positive and finite, got {a!r}")
-    if not isinstance(samples, (int, np.integer)) or samples < 3:  # a bool is an int below 3
-        raise DomainError(f"samples must be an integer of at least 3, got {samples!r}")
+    samples = require_degree(samples, 3, "samples")
     return float(_scan_max_phase_errors(np.array([a], dtype=float), _sqrt_arc(theta, samples))[0])
 
 
@@ -248,7 +249,8 @@ def oracle_minimax_degree1(theta: float) -> float:
     bit.  The trig grids are built once, at 2048 and at 8192 samples, and
     passed to every level.
     """
-    _require_theta(theta)
+    if not _between(theta, 0.0, 0.5 * math.pi, "theta"):
+        raise DomainError(f"theta must lie in (0, pi/2), got {theta!r}")
     grid = np.exp(np.linspace(math.log(SCAN_RANGE[0]), math.log(SCAN_RANGE[1]), SCAN_SIZE))
     i = _argmin_max_phase_error(grid, _sqrt_arc(theta, 2048))
     finest = (grid[min(i + 2, SCAN_SIZE - 1)] - grid[max(i - 2, 0)]) / (SCAN_SIZE - 1)

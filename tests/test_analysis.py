@@ -322,6 +322,8 @@ class TestContourGrid:
             (-1, math.nan, -1, 1),
             (-1, 1, "-1", 1),
             (-1, 1, -1, 1j),
+            (-1, 1, -1, 10**400),
+            None,
         ],
     )
     def test_window_must_be_four_finite_reals(self, window):

@@ -80,6 +80,15 @@ class TestOracleSn:
         with pytest.raises(DomainError, match="must not exceed 2K"):
             orc.oracle_amplitude(u, 0.5)
 
+    @pytest.mark.parametrize("u", [np.array([0.5 + 0j]), np.array(["0.5"]), np.array([None])],
+                             ids=["complex", "str", "object"])
+    def test_an_ndarray_u_must_have_a_real_dtype(self, u):
+        # a complex array was cast with a ComplexWarning, a string array parsed, an object array a TypeError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="u must be a real number or a real ndarray, got an ndarray of "):
+                orc.oracle_amplitude(u, 0.5)
+
     def test_an_unconverged_newton_iteration_raises_at_its_step_cap(self, monkeypatch):
         # a NaN integrand: no Newton step falls below 1e-12; K is kept, or the range check would refuse u
         monkeypatch.setattr(orc, "oracle_K", lambda ell: orc.OracleResult(el.complete_K(ell), 0.0, 0))
