@@ -44,9 +44,10 @@ import numpy as np
 from . import approximants
 from .approximants import UnimodularRational, ZolotarevFraction, _lift
 from .elliptic import EllipticModulus, _mu_inverse_pair, _mu_pair, require_theta, solve_lambda
-from .errors import DomainError, PrecisionError, ResolutionError, _between, require_degree
+from .errors import DomainError, PrecisionError, ResolutionError, _between, _instance, require_degree
 
 _TWO_PI = 2.0 * math.pi
+_RATIONAL = (UnimodularRational, "r", " (BlaschkeProduct.as_rational())")  # errors._instance's rule for an r
 
 
 @dataclass(frozen=True)
@@ -289,8 +290,7 @@ def _phase_report(r: UnimodularRational, theta: float, grid_n: int, problem: str
     each route measures the report's first five fields.
     """
     modulus = require_theta(theta)
-    if not isinstance(r, UnimodularRational):
-        raise DomainError(f"r must be a UnimodularRational (BlaschkeProduct.as_rational()), got {type(r).__name__}")
+    _instance(r, *_RATIONAL)
     degree = len(r.factors)
     effective = effective_degree(problem, degree)
     grid_n = require_degree(grid_n, 8 * (degree + 1), "grid_n")
@@ -318,8 +318,7 @@ def max_phase_error(r: UnimodularRational, theta: float, problem: str, grid_n: i
     No count, doubling or route: an optimum reads like any other rational.
     """
     require_theta(theta)
-    if not isinstance(r, UnimodularRational):
-        raise DomainError(f"r must be a UnimodularRational (BlaschkeProduct.as_rational()), got {type(r).__name__}")
+    _instance(r, *_RATIONAL)
     grid_n = require_degree(grid_n, 2, "grid_n")
     return _tally([_arc_extrema(*job, grid_n) for job in _arc_jobs(r, theta, problem)])[0]
 
@@ -393,6 +392,7 @@ def contour_grid(
     if not (re_min < re_max and im_min < im_max):
         raise DomainError(f"degenerate window {window!r}")
     sqrt_target = effective_degree(problem, 0)  # z5 maps degree 0 to 1, z6 keeps 0
+    _instance(r, *_RATIONAL)
     res = np.linspace(re_min, re_max, resolution)
     ims = np.linspace(im_min, im_max, resolution)
     zz = res[None, :] + 1j * ims[:, None]

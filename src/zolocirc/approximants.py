@@ -41,14 +41,14 @@ from .elliptic import (
     require_theta,
     solve_lambda,
 )
-from .errors import DomainError, PoleError, _between, require_degree
+from .errors import DomainError, PoleError, _between, _instance, require_degree
 
 _I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
 _DEN_TINY = 1e-300
 _ON_CIRCLE = 8.0 * sys.float_info.epsilon  # |x^2 + y^2 - 1| at a circle point x + i y
 # ``_lift`` takes an array's odd nodes in (nodes x points) blocks, of at most _BLOCK_CELLS cells, when it
-# has at most _BLOCK_POINTS points and at least _BLOCK_NODES odd nodes: where tests/data/lift_crossover.py
-# (table in CHANGES.md) puts the blocks ahead of the sweep
+# has at most _BLOCK_POINTS points and at least _BLOCK_NODES odd nodes: where the crossover table in
+# CHANGES.md puts the blocks ahead of the sweep (README's two-copy recipe times a change to either)
 _BLOCK_POINTS = 1024
 _BLOCK_NODES = 8
 _BLOCK_CELLS = 1 << 15
@@ -370,7 +370,7 @@ def eval_F_product(zf: ZolotarevFraction, x):
     x passes ``_real``.  A float (as a one-point array) gives floats, an ndarray arrays, bitwise equal.
     """
     x = _real(x)
-    odd, xs = zf.reduction.m % 2, np.array([x]) if type(x) is float else x
+    odd, xs = _instance(zf, ZolotarevFraction, "zf").reduction.m % 2, np.array([x]) if type(x) is float else x
     if odd and not np.all(np.abs(xs) <= 1.0):
         raise DomainError(f"odd-degree G needs |x| <= 1, got |x| = {float(np.max(np.abs(xs)))!r}")
     with np.errstate(over="ignore"):  # an array overflows to inf as a float does, as in F
@@ -388,7 +388,7 @@ def eval_F_direct(zf: ZolotarevFraction, x: float) -> tuple[float, float]:
     """
     if not (_between(x, -1.0, 1.0, "x") or abs(x) == 1.0):
         raise DomainError(f"eval_F_direct requires |x| <= 1, got {x!r}")
-    red = zf.reduction
+    red = _instance(zf, ZolotarevFraction, "zf").reduction
     mod = red.modulus
     if abs(x) <= mod.ell:
         u = inverse_sn(x / mod.ell, mod.ell)

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and its two argument rules (numpy-free, so the oracle reads them too)."""
+"""Exception types shared across the package, and its argument rules (numpy-free, so the oracle reads them too)."""
 
 import numbers
 import operator
@@ -57,6 +57,13 @@ def _between(x, lo: float, hi: float, name: str) -> bool:
         except TypeError:
             pass
     raise DomainError(f"{name} must be a real number, got {x!r}")
+
+
+def _instance(x, cls: type, name: str, hint: str = ""):
+    """x if it is a cls (the rational or fraction a call reads); DomainError naming its type for any other object."""
+    if isinstance(x, cls):
+        return x
+    raise DomainError(f"{name} must be a {cls.__name__}{hint}, got {type(x).__name__}")
 
 
 def require_degree(value, minimum: int, name: str = "degree", maximum: int | None = None) -> int:

@@ -131,9 +131,9 @@ def oracle_sn(u: float, ell: float) -> OracleResult:
 _BLOCK_CELLS = 1 << 14
 # The argmin's bound pass reads every _BOUND_STRIDE-th sample and the last:
 # a finer stride bounds closer but costs more cells.  Of 32, 64, 128 and 256,
-# 128 is the fastest, within 1%, at Theta = 1.0 (where criterion 8 searches)
-# and at 1.5707; 256 is faster at 0.3, 0.5 and 1.4 but over 25% slower at
-# 1.5707 (tests/data/oracle_strides.py, table in CHANGES.md).
+# 128 is the fastest, within 1%, at Theta = 1.0, where criterion 8 searches,
+# the one search a workload runs (the stride table in CHANGES.md; README's
+# two-copy recipe times a change at that Theta).
 _BOUND_STRIDE = 128
 # The minimax search: SCAN_SIZE log-spaced candidates a over SCAN_RANGE, then
 # nested zooms of _ZOOM_SIZE linear ones over the four steps around the last

@@ -462,6 +462,7 @@ class TestRationalInput:
             lambda: an.phase_error_sign(r, 1.0, 64),
             lambda: an.phase_error_sqrt(r, 1.0, 64),
             lambda: an.max_phase_error(r, 1.0, "z6", 64),
+            lambda: an.contour_grid(r, "z6", (-1, 1, -1, 1), 16),
         )
         for call in calls:
             with pytest.raises(DomainError, match=r"BlaschkeProduct\.as_rational\(\)"):

@@ -2,15 +2,19 @@
 
 Each entry that takes numbers, the calls of a built optimum, of a z4
 approximant and of a Pade approximant among them, takes ten hostile values
-in each of its arguments in turn (all but the rational or fraction it
-reads), with warnings as errors: it must return, or raise one of the six
+in each of its arguments in turn (the rational or fraction it reads among
+them), with warnings as errors: it must return, or raise one of the six
 exception types of ``zolocirc.errors``.  Each CLI command that builds at
 ``--degree`` exits 3 on a degree past the doubles, with nothing on stdout
-and no traceback.
+and no traceback; and ten hostile strings in each numeric flag of
+``build``, ``error``, ``bounds``, ``compose`` and ``contour`` exit 0, 2 or
+3, with no traceback, and a failing run prints nothing on stdout and writes
+no ``--out`` file.
 
-Finite ints above 2**20 as degrees and sizes are left out: they are
-accepted and built, and the ceiling that the contract puts on a finite
-degree is not derived yet.
+Finite ints above 2**20 as degrees and sizes are left out, and so is a
+200-digit ``--degree`` where a command builds at it: they are accepted and
+built, and the ceiling that the contract puts on a finite degree is not
+derived yet.
 """
 
 import inspect
@@ -31,7 +35,6 @@ HOSTILE = (
 DOCUMENTED = tuple(v for v in vars(errors).values() if isinstance(v, type) and issubclass(v, Exception))
 OPTIMUM = zolocirc.build_s(3, 1.0)
 FRACTION = zolocirc.ZolotarevFraction.from_ell(3, 0.5)
-OBJECTS = (zolocirc.UnimodularRational, zolocirc.ZolotarevFraction)  # arguments that are read, not swept
 
 # (entry, base arguments): every base call returns
 ENTRIES = [
@@ -86,8 +89,7 @@ def _pairs():
     for entry, base in ENTRIES:
         name = getattr(entry, "__qualname__", None) or f"{type(entry).__name__}.__call__"
         for i, arg in enumerate(inspect.signature(entry).parameters):
-            if not isinstance(base[i], OBJECTS):
-                yield pytest.param(entry, base, i, id=f"{name}-{arg}")
+            yield pytest.param(entry, base, i, id=f"{name}-{arg}")
 
 
 @pytest.mark.parametrize("entry, base, index", _pairs())
@@ -138,3 +140,40 @@ def test_cli_refuses_a_degree_past_the_doubles(argv, capsys, tmp_path):
     assert (code, captured.out) == (3, "")
     assert captured.err.startswith("numeric domain error: ") and "Traceback" not in captured.err
     assert not out.exists()
+
+
+BIG = "1" * 200  # within the doubles, so no check refuses it as a degree
+ARGV_VALUES = ("nan", "inf", "-inf", "1e400", "-0", "0x10", "1_000", "", "abc", BIG)
+# (command, argv that exits 0, its numeric flags, {flag: values left out because they build something heavy})
+ARGV_COMMANDS = [
+    ("build-z6", "build --problem z6 --degree 3 --theta 1.0", ("--degree", "--theta"), {"--degree": {BIG}}),
+    ("build-z4", "build --problem z4 --degree 3 --ell 0.5", ("--degree", "--ell"), {"--degree": {BIG}}),
+    ("error", "error --problem z6 --degree 3 --theta 1.0 --grid 64", ("--degree", "--theta", "--grid"), {}),
+    ("bounds", "bounds --problem z6 --max-degree 3 --theta 1.0", ("--max-degree", "--theta"), {}),
+    ("compose", "compose --degree 2 --degree-tilde 2 --theta 1.0 --samples 16",
+     ("--degree", "--degree-tilde", "--theta", "--samples"), {"--degree-tilde": {BIG}}),
+    ("contour", "contour --problem z6 --degree 3 --theta 1.0 --resolution 16 --out {out}",
+     ("--degree", "--theta", "--resolution"), {"--degree": {BIG}, "--resolution": {"1_000"}}),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, flag, values",
+    [pytest.param(argv, flag, [v for v in ARGV_VALUES if v not in heavy.get(flag, ())], id=f"{name}{flag}")
+     for name, argv, flags, heavy in ARGV_COMMANDS for flag in flags],
+)
+def test_cli_argv_sweep_exits_with_a_documented_code(argv, flag, values, capsys, tmp_path):
+    out = tmp_path / "grid.csv"
+    escaped = []
+    for value in values:
+        args = argv.format(out=out).split()
+        args[args.index(flag) + 1] = value
+        try:
+            code = cli.main(args)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+        captured, wrote = capsys.readouterr(), out.exists()
+        out.unlink(missing_ok=True)
+        if code not in (0, 2, 3) or "Traceback" in captured.err or (code and (captured.out or wrote)):
+            escaped.append(f"{value[:12]!r}: exit {code}, stdout {captured.out[:40]!r}, file {wrote}")
+    assert not escaped, escaped
